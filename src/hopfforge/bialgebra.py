@@ -18,7 +18,7 @@ from fractions import Fraction
 from .pbw import Cutoffs, Engine
 from .presentation import PresentationError, load_presentation
 from .report import FAIL, PASS, Timer, VerificationReport
-from .scalars import ParamPoly, Scalar, series_fn
+from .scalars import ParamPoly, Scalar, ScalarError, series_fn
 
 __all__ = ["LieSuperBialgebra", "from_family", "check_jacobi", "check_cojacobi",
            "check_cocycle", "compare_bialgebras"]
@@ -100,7 +100,7 @@ def _abstract_scalar(c: Scalar, h_mode: str, atoms, where: str) -> ParamPoly:
     for name, series in atoms.items():
         try:
             q = c.div(series)
-        except Exception:
+        except ScalarError:
             continue
         if not q.is_zero() and set(q.coeffs) == {0} and q.coeff(0).is_constant():
             return ParamPoly.var(name) * q.coeff(0).constant
@@ -173,7 +173,7 @@ def from_family(pres, bracket_param: str = "mu", cobracket_param: str = "theta",
     for i in range(n):
         g = eng.generator(basis[i])
         two = ops.coproduct(g)
-        anti = (two - two.flip()).scale(Fraction(1, 2)).map_coeffs(
+        anti = (two - two.flip_adjacent(0)).scale(Fraction(1, 2)).map_coeffs(
             lambda c: c.substitute(bind_mu))
         terms = {}
         for (m1, m2), c in anti.terms.items():

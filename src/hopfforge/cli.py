@@ -1,21 +1,36 @@
 """Command-line verifier: load presentations, run check suites, emit reports.
 
+Every check group is defined once, in the registry below.  Each ``check`` and
+``build`` subcommand runs one registry entry; ``suite all`` runs every entry in
+registry order.  Checks run serially: ``--jobs K`` is accepted for
+compatibility and has no effect.
+
 Exit status: 0 when every check passes (findings count as non-failures), 1 when
 at least one check fails, 2 on usage or input errors.  Reports are
-deterministic given inputs, cutoffs and seed, independent of --jobs.
+deterministic given inputs, cutoffs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
+from . import families
+from .bialgebra import check_cocycle, check_cojacobi, check_jacobi, from_family
+from .double import (derive_double_presentation, verify_route_equivalence,
+                     verify_universal_identity)
+from .hopf import verify_hopf
+from .pairing import verify_duality
 from .pbw import Cutoffs, Engine
-from .presentation import PresentationError, load_presentation
-from .report import FAIL, FINDING, PASS, VerificationReport, reports_to_json
+from .presentation import PresentationError, emit_presentation, load_presentation
+from .report import FAIL, FINDING, PASS, Timer, VerificationReport, reports_to_json
+from .rmatrix import (build_context, build_R, check_triangularity, verify_auxiliary,
+                      verify_coproduct_laws, verify_intertwining)
 
 __all__ = ["main"]
+
+SHIPPED = ("ptsa_q", "brst_q", "brst_q_alpha2", "sd_reference", "sd_hp", "sd_line",
+           "h0_point", "d0_variety", "h1_point", "d1_variety", "variety_3d", "newquant")
 
 
 def _cutoffs(args) -> Cutoffs:
@@ -32,15 +47,6 @@ def _emit(reports, args) -> int:
     return 1 if any(r.status == FAIL for r in reports) else 0
 
 
-def _run_parallel(tasks, jobs: int):
-    """Run check closures; results keep task order regardless of --jobs."""
-    if jobs <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
-
-
 def _as_finding(report: VerificationReport, note: str) -> VerificationReport:
     """Mark an expected-negative diagnostic so it does not fail the suite."""
     if report.status == FAIL:
@@ -49,86 +55,58 @@ def _as_finding(report: VerificationReport, note: str) -> VerificationReport:
     return report
 
 
-# ----------------------------------------------------------------- subcommands
+# ---------------------------------------------------------------- check groups
+# Each group maps the parsed arguments and its own options to a report list.
 
-def cmd_check_hopf(args) -> int:
-    from .hopf import verify_hopf
-    try:
-        pres = load_presentation(args.file)
-    except (OSError, PresentationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    return _emit([verify_hopf(pres, _cutoffs(args))], args)
+def _hopf(args, name):
+    return [verify_hopf(load_presentation(name), _cutoffs(args))]
 
 
-def cmd_check_confluence(args) -> int:
-    from .report import Timer
-    try:
-        pres = load_presentation(args.file)
-    except (OSError, PresentationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+def _confluence(args, name):
+    cut = _cutoffs(args)
     with Timer() as t:
-        eng = Engine(pres, _cutoffs(args))
-        ok, failures, checked = eng.check_confluence()
-    rep = VerificationReport(
+        pres = load_presentation(name)
+        ok, failures, checked = Engine(pres, cut).check_confluence()
+    return [VerificationReport(
         check="confluence", target=pres.name,
-        cutoffs={"N": args.h_order, "W": args.word_cutoff},
+        cutoffs={"N": cut.h_order, "W": cut.word_degree},
         status=PASS if ok else FAIL,
-        residual=None if ok else (
-            f"overlap {'*'.join(failures[0][0])}: left {failures[0][1]!r} "
-            f"vs right {failures[0][2]!r}"),
-        details=[f"{checked} overlap ambiguities resolved both ways"],
-        wall_time=t.elapsed)
-    return _emit([rep], args)
+        residual=None if ok else f"overlap {'*'.join(failures[0][0])}",
+        details=[f"{checked} overlaps checked"], wall_time=t.elapsed)]
 
 
-def cmd_check_duality(args) -> int:
-    from .pairing import verify_duality
-    rep = verify_duality(_cutoffs(args), max_degree=args.tensor_degree + 2)
-    reports = [rep]
-    if args.literal:
-        lit = verify_duality(Cutoffs(min(4, args.h_order), args.word_cutoff),
-                             max_degree=3, alpha2=False, audit=False)
+def _duality(args, literal):
+    """The pairing certification; with literal, the (h/2) scaling diagnostic too."""
+    reports = [verify_duality(_cutoffs(args), max_degree=args.tensor_degree + 2)]
+    if literal:
         reports.append(_as_finding(
-            lit, "expected: the published [tau,xi] = (h/2)xi scaling admits no "
-                 "rational pairing; the alpha = 2 rescaling restores duality"))
-    return _emit(reports, args)
+            verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False, audit=False),
+            "expected: no rational pairing at the literal scaling"))
+    return reports
 
 
-def cmd_build_double(args) -> int:
-    from .double import derive_double_presentation, verify_route_equivalence
-    from .presentation import emit_presentation
+def _double(args, emit=None):
     derived, report, dbl = derive_double_presentation(_cutoffs(args))
     reports = [report]
     if derived is not None:
         reports.append(verify_route_equivalence(dbl, count=20, max_degree=3,
                                                 seed=args.seed))
-        if args.emit:
-            text = emit_presentation(derived)
-            with open(args.emit, "w") as fh:
-                fh.write(text)
-            report.details.append(f"derived presentation written to {args.emit}")
-    return _emit(reports, args)
+        if emit:
+            with open(emit, "w") as fh:
+                fh.write(emit_presentation(derived))
+            report.details.append(f"derived presentation written to {emit}")
+    return reports
 
 
-def cmd_check_rmatrix(args) -> int:
-    from .double import verify_universal_identity
-    from .rmatrix import (build_context, build_R, check_triangularity,
-                          verify_auxiliary, verify_coproduct_laws,
-                          verify_intertwining)
-    which = args.which or "all"
-    ctx = build_context(args.tensor_degree, min(args.h_order, 4)
-                        if args.h_order > 4 else args.h_order)
-    reports = []
+def _rmatrix(args, which):
+    ctx = build_context(args.tensor_degree, min(args.h_order, 4))
     canonical = build_R(ctx, "canonical")
+    reports = []
     if which in ("all", "intertwine"):
         reports.append(verify_intertwining(ctx, canonical, "canonical"))
-        closed = build_R(ctx, "closed-form")
         reports.append(_as_finding(
-            verify_intertwining(ctx, closed, "closed-form", audit=False),
-            "expected: the published closed form lacks the e^{hT/2} factor on "
-            "the odd leg; the canonical element passes"))
+            verify_intertwining(ctx, build_R(ctx, "closed-form"), "closed-form", audit=False),
+            "expected: published closed form lacks the e^{hT/2} factor"))
     if which in ("all", "colaws"):
         reports.append(verify_coproduct_laws(ctx, canonical, "canonical"))
     if which in ("all", "aux"):
@@ -139,137 +117,98 @@ def cmd_check_rmatrix(args) -> int:
         reports.append(verify_universal_identity(
             ctx.dbl, ctx.derived, canonical, max_degree=3,
             cutoffs=Cutoffs(ctx.h_order, ctx.d_int), compare_degree=ctx.degree))
-    return _emit(reports, args)
+    return reports
 
+
+def _family(args, fam=None, limit=None, bindings=None):
+    """The inter-family relations, or one family's Hopf check or limit."""
+    cut = _cutoffs(args)
+    if fam is None:
+        return families.verify_family_relations(cut)
+    if limit == "h0":
+        return [families.compare_limit_with(fam, "h0_point", cut)]
+    if limit == "h1":
+        return [families.verify_h1_limit(cut)]
+    if limit == "field":
+        return [families.verify_deforming_field(cut)]
+    return [verify_hopf(families.instantiate(fam, bindings), cut)]
+
+
+def _first_order(args, fam, mixed=False):
+    """Graded Jacobi, co-Jacobi and 1-cocycle at one frozen coordinate; mixed
+    takes the bracket and the cobracket from two different coordinates."""
+    fam = {"variety3d": "variety_3d"}.get(fam, fam)
+    mode = "zero" if fam in ("d0_variety", "d1_variety", "newquant") else "abstract"
+    co = "h" if fam == "newquant" else "theta"
+
+    def extract(atoms=("a", "b")):
+        return from_family(fam, "mu", co, h_mode=mode, cutoffs=_cutoffs(args),
+                           atom_names=atoms)
+
+    if mixed:
+        return [check_cocycle(extract(("a1", "b1")), cobracket_from=extract(("a2", "b2")))]
+    b = extract()
+    return [check_jacobi(b), check_cojacobi(b), check_cocycle(b)]
+
+
+GROUPS = {"hopf": _hopf, "confluence": _confluence, "duality": _duality,
+          "double": _double, "rmatrix": _rmatrix, "family": _family,
+          "bialgebra": _first_order}
+
+# Every check entry as (group, *options), in the order `suite all` reports them.
+REGISTRY = (
+    *(("hopf", name) for name in SHIPPED),
+    *(("confluence", name) for name in SHIPPED),
+    ("duality", True),  # with the literal-scaling diagnostic
+    ("double",),
+    ("rmatrix", "all"),
+    ("family",),
+    ("bialgebra", "variety_3d"),
+    ("bialgebra", "variety_3d", True),  # bracket and cobracket from two coordinates
+)
+
+_CLASH = ("expected: the S*tau*xi overlap resolves only on the alpha = 2 slice "
+          "([tau,xi] = h*xi); the published scaling (h/2) leaves the residual "
+          "h*sinh(hT/2)")
+
+# Expected negatives that `suite all` reports as findings; run alone, each
+# stays a failure.
+SUITE_FINDINGS = {
+    ("confluence", "sd_reference"): _CLASH,
+    ("confluence", "sd_hp"): _CLASH,
+    ("bialgebra", "variety_3d", True):
+        "expected: mixed frozen coordinates do not form a super Lie bialgebra",
+}
+
+
+def run_entry(args, entry):
+    group, *options = entry
+    return GROUPS[group](args, *options)
+
+
+# ----------------------------------------------------------------- subcommands
 
 def cmd_check_family(args) -> int:
-    from . import families
-    from .hopf import verify_hopf
     bindings = {}
     for item in args.bind or []:
         if "=" not in item:
-            print(f"error: bad binding {item!r}", file=sys.stderr)
-            return 2
+            raise PresentationError(f"bad binding {item!r}")
         k, v = item.split("=", 1)
         bindings[k] = v
+    entry = (("bialgebra", args.id) if args.limit == "first-order"
+             else ("family", args.id, args.limit, bindings or None))
     try:
-        if args.limit is None:
-            pres = families.instantiate(args.id, bindings or None)
-            return _emit([verify_hopf(pres, _cutoffs(args))], args)
-        if args.limit == "h0":
-            target = "h0_point" if args.id != "d0_variety" else "d0_variety"
-            return _emit([families.compare_limit_with(args.id, "h0_point",
-                                                      _cutoffs(args))], args)
-        if args.limit == "h1":
-            return _emit([families.verify_h1_limit(_cutoffs(args))], args)
-        if args.limit == "field":
-            return _emit([families.verify_deforming_field(_cutoffs(args))], args)
-        if args.limit == "first-order":
-            from .bialgebra import check_cocycle, check_cojacobi, check_jacobi, from_family
-            mode = "zero" if args.id in ("d0_variety", "d1_variety", "newquant") else "abstract"
-            co = "h" if args.id == "newquant" else "theta"
-            b = from_family(args.id, "mu", co, h_mode=mode, cutoffs=_cutoffs(args))
-            return _emit([check_jacobi(b), check_cojacobi(b), check_cocycle(b)], args)
-    except (PresentationError, KeyError) as e:
+        return _emit(run_entry(args, entry), args)
+    except KeyError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    print(f"error: unknown limit {args.limit!r}", file=sys.stderr)
-    return 2
-
-
-def cmd_check_bialgebra(args) -> int:
-    from .bialgebra import check_cocycle, check_cojacobi, check_jacobi, from_family
-    fam = {"variety3d": "variety_3d"}.get(args.id, args.id)
-    mode = "zero" if fam in ("d0_variety", "d1_variety", "newquant") else "abstract"
-    co = "h" if fam == "newquant" else "theta"
-    try:
-        if args.mixed:
-            b1 = from_family(fam, "mu", co, h_mode=mode, cutoffs=_cutoffs(args),
-                             atom_names=("a1", "b1"))
-            b2 = from_family(fam, "mu", co, h_mode=mode, cutoffs=_cutoffs(args),
-                             atom_names=("a2", "b2"))
-            return _emit([check_cocycle(b1, cobracket_from=b2)], args)
-        b = from_family(fam, "mu", co, h_mode=mode, cutoffs=_cutoffs(args))
-    except PresentationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    return _emit([check_jacobi(b), check_cojacobi(b), check_cocycle(b)], args)
-
-
-SHIPPED = ("ptsa_q", "brst_q", "brst_q_alpha2", "sd_reference", "sd_hp", "sd_line",
-           "h0_point", "d0_variety", "h1_point", "d1_variety", "variety_3d", "newquant")
 
 
 def cmd_suite_all(args) -> int:
-    from . import families
-    from .bialgebra import check_cocycle, check_cojacobi, check_jacobi, from_family
-    from .double import derive_double_presentation, verify_route_equivalence, \
-        verify_universal_identity
-    from .hopf import verify_hopf
-    from .pairing import verify_duality
-    from .report import Timer
-    from .rmatrix import (build_context, build_R, check_triangularity,
-                          verify_auxiliary, verify_coproduct_laws,
-                          verify_intertwining)
-    cut = _cutoffs(args)
-
-    def hopf_task(name):
-        return lambda: verify_hopf(load_presentation(name), cut)
-
-    def confluence_task(name):
-        def run():
-            with Timer() as t:
-                eng = Engine(load_presentation(name), cut)
-                ok, failures, checked = eng.check_confluence()
-            expected_clash = name in ("sd_reference", "sd_hp")
-            status = PASS if ok else (FINDING if expected_clash else FAIL)
-            details = [f"{checked} overlaps checked"]
-            if expected_clash and not ok:
-                details.append("expected: the S*tau*xi overlap resolves only on "
-                               "the alpha = 2 slice ([tau,xi] = h*xi); the "
-                               "published scaling (h/2) leaves the residual "
-                               "h*sinh(hT/2)")
-            return VerificationReport(
-                check="confluence", target=name,
-                cutoffs={"N": cut.h_order, "W": cut.word_degree}, status=status,
-                residual=None if ok else f"overlap {'*'.join(failures[0][0])}",
-                details=details, wall_time=t.elapsed)
-        return run
-
-    tasks = [hopf_task(n) for n in SHIPPED]
-    tasks += [confluence_task(n) for n in SHIPPED]
-    tasks.append(lambda: verify_duality(cut, max_degree=6))
-    tasks.append(lambda: _as_finding(
-        verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False, audit=False),
-        "expected: no rational pairing at the literal scaling"))
-    reports = _run_parallel(tasks, args.jobs)
-
-    derived, dreport, dbl = derive_double_presentation(cut)
-    reports.append(dreport)
-    reports.append(verify_route_equivalence(dbl, 20, 3, args.seed))
-
-    ctx = build_context(args.tensor_degree, 4)
-    canonical = build_R(ctx, "canonical")
-    reports.append(verify_intertwining(ctx, canonical, "canonical"))
-    reports.append(_as_finding(
-        verify_intertwining(ctx, build_R(ctx, "closed-form"), "closed-form", audit=False),
-        "expected: published closed form lacks the e^{hT/2} factor"))
-    reports.append(verify_coproduct_laws(ctx, canonical, "canonical"))
-    reports.append(verify_auxiliary(ctx))
-    reports.append(check_triangularity(ctx, canonical, "canonical"))
-    reports.append(verify_universal_identity(
-        ctx.dbl, ctx.derived, canonical, max_degree=3,
-        cutoffs=Cutoffs(ctx.h_order, ctx.d_int), compare_degree=ctx.degree))
-
-    reports.extend(families.verify_family_relations(cut))
-
-    b3 = from_family("variety_3d", "mu", "theta", h_mode="abstract", cutoffs=cut)
-    reports += [check_jacobi(b3), check_cojacobi(b3), check_cocycle(b3)]
-    b1 = from_family("variety_3d", "mu", "theta", "abstract", cut, ("a1", "b1"))
-    b2 = from_family("variety_3d", "mu", "theta", "abstract", cut, ("a2", "b2"))
-    reports.append(_as_finding(
-        check_cocycle(b1, cobracket_from=b2),
-        "expected: mixed frozen coordinates do not form a super Lie bialgebra"))
+    reports = []
+    for entry in REGISTRY:
+        note = SUITE_FINDINGS.get(entry)
+        reports += [_as_finding(r, note) if note else r for r in run_entry(args, entry)]
     return _emit(reports, args)
 
 
@@ -286,42 +225,43 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tensor-degree", type=int, default=4, metavar="D",
                     help="tensor comparison degree (default 4)")
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--jobs", type=int, default=1, metavar="K")
+    ap.add_argument("--jobs", type=int, default=1, metavar="K",
+                    help="accepted for compatibility; checks run serially")
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def entry_parser(parent, name, entry):
+        """A subcommand that runs the registry entry entry(args)."""
+        p = parent.add_parser(name)
+        p.set_defaults(func=lambda a: _emit(run_entry(a, entry(a)), a))
+        return p
+
     check = sub.add_parser("check", help="run one check group")
     chsub = check.add_subparsers(dest="what", required=True)
-    p = chsub.add_parser("hopf")
+    p = entry_parser(chsub, "hopf", lambda a: ("hopf", a.file))
     p.add_argument("file")
-    p.set_defaults(func=cmd_check_hopf)
-    p = chsub.add_parser("confluence")
+    p = entry_parser(chsub, "confluence", lambda a: ("confluence", a.file))
     p.add_argument("file")
-    p.set_defaults(func=cmd_check_confluence)
-    p = chsub.add_parser("duality")
+    p = entry_parser(chsub, "duality", lambda a: ("duality", a.literal))
     p.add_argument("--literal", action="store_true",
                    help="also diagnose the literal (h/2) scaling")
-    p.set_defaults(func=cmd_check_duality)
-    p = chsub.add_parser("rmatrix")
+    p = entry_parser(chsub, "rmatrix", lambda a: ("rmatrix", a.which or "all"))
     p.add_argument("--which", choices=("intertwine", "colaws", "aux",
                                        "triangular", "universal", "all"))
-    p.set_defaults(func=cmd_check_rmatrix)
     p = chsub.add_parser("family")
     p.add_argument("id")
     p.add_argument("--bind", action="append", metavar="k=v")
     p.add_argument("--limit", choices=("h0", "h1", "field", "first-order"))
     p.set_defaults(func=cmd_check_family)
-    p = chsub.add_parser("bialgebra")
+    p = entry_parser(chsub, "bialgebra", lambda a: ("bialgebra", a.id, bool(a.mixed)))
     p.add_argument("id")
     p.add_argument("--mixed", metavar="h1=...,h2=...",
                    help="mix bracket and cobracket from two frozen coordinates")
-    p.set_defaults(func=cmd_check_bialgebra)
 
     b = sub.add_parser("build", help="construct derived objects")
     bsub = b.add_subparsers(dest="what", required=True)
-    p = bsub.add_parser("double")
+    p = entry_parser(bsub, "double", lambda a: ("double", a.emit))
     p.add_argument("--emit", metavar="FILE")
-    p.set_defaults(func=cmd_build_double)
 
     s = sub.add_parser("suite", help="run a full suite")
     ssub = s.add_subparsers(dest="what", required=True)

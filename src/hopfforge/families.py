@@ -39,9 +39,6 @@ def instantiate(family_id: str, bindings: dict | None = None,
     pres = load_presentation(family_id)
     merged = dict(DEFAULTS.get(family_id, {}))
     merged.update(bindings or {})
-    missing = [p for p in pres.params if p not in merged]
-    if bindings is not None and missing and any(merged):
-        pass  # partial binding is allowed; remaining parameters stay symbolic
     if not merged:
         return pres
     return pres.bind(merged, name=name or f"{family_id}@bound")
@@ -175,12 +172,6 @@ def verify_deforming_field(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
         mu = Scalar.param("mu")
         theta = Scalar.param("theta")
         g = eng.generator
-        expected_brackets = {
-            ("S", "tau"): (g("S") + g("xi").scale(2)).scale(mu),
-            ("tau", "xi"): None,  # filled below in file pair order
-            ("S", "S"): g("T").scale(mu * (-2)),
-            ("S", "xi"): g("T").scale(mu),
-        }
         # stored pair keys follow generator order (xi < tau < S < T)
         want = {
             ("tau", "S"): (g("S") + g("xi").scale(2)).scale(-mu),   # [tau,S] = -[S,tau]
@@ -490,30 +481,19 @@ def verify_alpha_arbitrariness(cutoffs: Cutoffs = Cutoffs()) -> VerificationRepo
 def verify_family_relations(cutoffs: Cutoffs = Cutoffs()):
     """The inter-family identities: boundary values and specializations."""
     reports = []
-    with Timer() as t:
-        diffs = structural_compare(
-            instantiate("sd_hp", {"p": "1-h", "alpha": 2}),
-            load_presentation("sd_line"), cutoffs)
+    sd_line = load_presentation("sd_line")
+    trivial = {"mu": 0, "theta": 0}
+    for lhs, rhs, target in (
+            (instantiate("sd_hp", {"p": "1-h", "alpha": 2}), sd_line,
+             "sd_hp(p=1-h, alpha=2) == sd_line"),
+            (instantiate("variety_3d", {"mu": 1, "theta": 1}), sd_line,
+             "variety_3d(mu=1, theta=1) == sd_line"),
+            (instantiate("d0_variety", trivial), instantiate("d1_variety", trivial),
+             "d0(0,0) == d1(0,0) (trivial point)")):
+        with Timer() as t:
+            diffs = structural_compare(lhs, rhs, cutoffs)
         reports.append(VerificationReport(
-            check="family-instantiation", target="sd_hp(p=1-h, alpha=2) == sd_line",
-            cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-            status=PASS if not diffs else FAIL,
-            residual=None if not diffs else diffs[0], wall_time=t.elapsed))
-    with Timer() as t:
-        diffs = structural_compare(
-            instantiate("variety_3d", {"mu": 1, "theta": 1}),
-            load_presentation("sd_line"), cutoffs)
-        reports.append(VerificationReport(
-            check="family-instantiation", target="variety_3d(mu=1, theta=1) == sd_line",
-            cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-            status=PASS if not diffs else FAIL,
-            residual=None if not diffs else diffs[0], wall_time=t.elapsed))
-    with Timer() as t:
-        trivial0 = instantiate("d0_variety", {"mu": 0, "theta": 0})
-        trivial1 = instantiate("d1_variety", {"mu": 0, "theta": 0})
-        diffs = structural_compare(trivial0, trivial1, cutoffs)
-        reports.append(VerificationReport(
-            check="family-instantiation", target="d0(0,0) == d1(0,0) (trivial point)",
+            check="family-instantiation", target=target,
             cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
             status=PASS if not diffs else FAIL,
             residual=None if not diffs else diffs[0], wall_time=t.elapsed))

@@ -76,9 +76,6 @@ class HopfOps:
             out = out + self.coproduct_mono(m).scale(c)
         return out
 
-    def coproduct_op(self, el: PbwElement) -> TensorElement:
-        return self.coproduct(el).flip()
-
     def iterated_coproduct(self, el: PbwElement, side: str = "left") -> TensorElement:
         """(Delta (x) id) Delta or (id (x) Delta) Delta, as a 3-leg tensor."""
         two = self.coproduct(el)

@@ -44,7 +44,7 @@ class Cutoffs:
         return Cutoffs(self.h_order + dn, self.word_degree + dw)
 
 
-def _inversions(word, parities):
+def _inversions(word):
     inv = 0
     for i in range(len(word)):
         for j in range(i + 1, len(word)):
@@ -66,9 +66,6 @@ class PbwElement:
     # -- constructors --------------------------------------------------------
     def _wrap(self, terms, truncated=False):
         return PbwElement(self.engine, terms, self.truncated or truncated)
-
-    def copy(self):
-        return PbwElement(self.engine, dict(self.terms), self.truncated)
 
     # -- linear structure ----------------------------------------------------
     def __add__(self, other: "PbwElement") -> "PbwElement":
@@ -351,7 +348,7 @@ class Engine:
             # zero known to O(h^(t+1)) behaves like valuation t+1
             v = (c.trunc + 1) if c.trunc is not None else self.cutoffs.h_order + 1
         return (self.cutoffs.h_order - v, self.word_degree_noncentral(w),
-                _inversions(w, self.parities))
+                _inversions(w))
 
     def _assert_decrease(self, parent, c, w, pc, pw):
         child = self._measure(c, w)
@@ -375,12 +372,6 @@ class Engine:
                     nf = self.normal_form(self.monomial_to_word(ma) + self.monomial_to_word(mb))
                     self._product_cache[key] = nf
                 out = out + nf.scale(c)
-        return out
-
-    def multiply_all(self, factors) -> PbwElement:
-        out = self.one()
-        for f in factors:
-            out = self.multiply(out, f)
         return out
 
     # -- central series ------------------------------------------------------

@@ -25,12 +25,12 @@ __all__ = ["RMatrixContext", "build_context", "build_R", "verify_intertwining",
 class RMatrixContext:
     """Derived double engine plus pairing data at R-matrix cutoffs."""
 
-    def __init__(self, degree: int, h_order: int, audit_headroom: int = 0):
+    def __init__(self, degree: int, h_order: int):
         self.degree = degree
         self.h_order = h_order
         # internal expansion order: the element is complete in the quotient by
         # central degree > D_int, so identities hold exactly there
-        self.d_int = degree + h_order + 2 + audit_headroom
+        self.d_int = degree + h_order + 2
         cut = Cutoffs(h_order, self.d_int)
         derived, report, dbl = derive_double_presentation(cut, audit=False)
         if derived is None:
@@ -59,8 +59,6 @@ def build_R(ctx: RMatrixContext, variant: str = "closed-form") -> TensorElement:
     """The universal element, to the context's internal expansion order."""
     eng = ctx.engine
     if variant == "closed-form":
-        iT = eng.presentation.gen_index("T")
-        itau = eng.presentation.gen_index("tau")
         E = exp_tensor(tensor_of(eng.generator("T"), eng.generator("tau")), ctx.d_int)
         S_xi = tensor_of(eng.generator("S"), eng.generator("xi"))
         return tensor_mul(TensorElement.unit((eng, eng)) + S_xi, E)
@@ -118,6 +116,13 @@ def _scalar_matrix_inverse(G, h_order: int):
     return [[A[i][n + j] for j in range(n)] for i in range(n)]
 
 
+def _audit(ctx: RMatrixContext, status: str, check) -> str:
+    """Stability audit: re-run check in a fresh context at (D+1, N+1) and
+    report whether its verdict agrees with status."""
+    rep = check(RMatrixContext(ctx.degree + 1, ctx.h_order + 1))
+    return PASS if rep.status == status else FAIL
+
+
 def verify_intertwining(ctx: RMatrixContext, R: TensorElement, variant: str,
                         audit: bool = True) -> VerificationReport:
     """R Delta(x) = Delta^op(x) R for every generator."""
@@ -129,7 +134,8 @@ def verify_intertwining(ctx: RMatrixContext, R: TensorElement, variant: str,
             two = ctx.ops.coproduct(g)
             # residuals are meaningful up to total degree D; the internal
             # expansion order supplies the headroom
-            diff = (tensor_mul(R, two) - tensor_mul(two.flip(), R)).truncate_degree(ctx.degree)
+            diff = (tensor_mul(R, two) - tensor_mul(two.flip_adjacent(0), R)) \
+                .truncate_degree(ctx.degree)
             if diff.is_zero():
                 details.append(f"intertwines the coproduct of {name}")
             else:
@@ -138,11 +144,8 @@ def verify_intertwining(ctx: RMatrixContext, R: TensorElement, variant: str,
                 break
         audit_status = "skipped"
         if audit:
-            ctx2 = RMatrixContext(ctx.degree + 1, ctx.h_order + 1)
-            R2 = build_R(ctx2, variant)
-            rep2 = verify_intertwining(ctx2, R2, variant, audit=False)
-            agree = (rep2.status == status)
-            audit_status = PASS if agree else FAIL
+            audit_status = _audit(ctx, status, lambda c: verify_intertwining(
+                c, build_R(c, variant), variant, audit=False))
     return VerificationReport(
         check=f"rmatrix-intertwining[{variant}]",
         target="all four generators",
@@ -176,9 +179,8 @@ def verify_coproduct_laws(ctx: RMatrixContext, R: TensorElement, variant: str,
                 status, residual = FAIL, f"(id (x) Delta) R - R13 R12: {_first_residual_tensor(diff2)}"
         audit_status = "skipped"
         if audit:
-            ctx2 = RMatrixContext(ctx.degree + 1, ctx.h_order + 1)
-            rep2 = verify_coproduct_laws(ctx2, build_R(ctx2, variant), variant, audit=False)
-            audit_status = PASS if rep2.status == status else FAIL
+            audit_status = _audit(ctx, status, lambda c: verify_coproduct_laws(
+                c, build_R(c, variant), variant, audit=False))
     return VerificationReport(
         check=f"rmatrix-coproduct-laws[{variant}]",
         target="both coproduct laws",
@@ -222,19 +224,13 @@ def verify_auxiliary(ctx: RMatrixContext, audit: bool = True) -> VerificationRep
             details = [f"published prefactor fails; corrected prefactor: {corrected}"]
         audit_status = "skipped"
         if audit:
-            ctx2 = RMatrixContext(ctx.degree + 1, ctx.h_order + 1)
-            rep2 = verify_auxiliary(ctx2, audit=False)
-            audit_status = PASS if rep2.status == status else FAIL
+            audit_status = _audit(ctx, status, lambda c: verify_auxiliary(c, audit=False))
     return VerificationReport(
         check="rmatrix-auxiliary-identity",
         target="3-leg exponential rearrangement",
         cutoffs={"D": ctx.degree, "N": ctx.h_order, "D_int": ctx.d_int},
         status=status, residual=residual, audit=audit_status,
         details=details, wall_time=t.elapsed)
-
-
-def _mono_el(eng, m):
-    return PbwElement(eng, {m: Scalar.one()})
 
 
 def _solve_prefactor(ctx: RMatrixContext, E: TensorElement, rhs: TensorElement):
@@ -268,7 +264,7 @@ def check_triangularity(ctx: RMatrixContext, R: TensorElement, variant: str) -> 
         # comparisons live at total degree <= D; keeping terms up to the
         # internal order is enough headroom and keeps the products small
         R = R.truncate_degree(ctx.d_int)
-        R21 = R.flip()
+        R21 = R.flip_adjacent(0)
         prod = tensor_mul(R21, R)
         triangular = (prod - unit).truncate_degree(ctx.degree).is_zero()
         Rinv = _invert(R, unit, ctx)

@@ -252,9 +252,6 @@ class Scalar:
         t = order if self.trunc is None else min(order, self.trunc)
         return Scalar({k: v for k, v in self.coeffs.items() if k <= t}, t)
 
-    def known_to(self, order: int) -> bool:
-        return self.trunc is None or self.trunc >= order
-
     # -- ring operations ----------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
         t = _minsum(self.trunc, other.trunc)

@@ -123,19 +123,6 @@ class TensorElement:
     __rmul__ = scale
 
     # -- leg operations ----------------------------------------------------------
-    def flip(self) -> "TensorElement":
-        """Graded flip of a 2-leg tensor: x(x)y -> (-1)^{|x||y|} y(x)x."""
-        assert self.legs == 2, "graded flip needs a 2-leg tensor"
-        e1, e2 = self.engines
-        out: dict = {}
-        for (m1, m2), c in self.terms.items():
-            sign = -1 if (e1.monomial_parity(m1) and e2.monomial_parity(m2)) else 1
-            key = (m2, m1)
-            s = c if sign == 1 else -c
-            prev = out.get(key)
-            out[key] = s if prev is None else prev + s
-        return TensorElement((e2, e1), out, self.truncated)
-
     def flip_adjacent(self, pos: int) -> "TensorElement":
         """Graded flip of legs pos, pos+1 inside an n-leg tensor."""
         engines = list(self.engines)

@@ -108,3 +108,50 @@ def test_rmatrix_triangular_subcommand(capsys):
                        "check", "rmatrix", "--which", "triangular")
     assert code == 0
     assert "quasitriangular" in out
+
+
+def _without_wall_time(out):
+    docs = json.loads(out)
+    for d in docs:
+        d.pop("wall_time")
+    return docs
+
+
+def test_suite_runs_the_registry_in_order(monkeypatch, capsys):
+    from hopfforge import cli
+
+    def name(entry):
+        return " ".join(map(str, entry))
+
+    def stub(group):
+        # one failing report per entry, its target naming the entry
+        return lambda args, *options: [cli.VerificationReport(
+            check=group, target=name((group, *options)), cutoffs={}, status="fail")]
+
+    monkeypatch.setattr(cli, "GROUPS", {g: stub(g) for g in cli.GROUPS})
+    code, out, _ = run(capsys, "--format", "json", "suite", "all")
+    docs = json.loads(out)
+    assert code == 1
+    assert [d["target"] for d in docs] == [name(e) for e in cli.REGISTRY]
+    # only the suite's expected negatives are relabelled as findings
+    assert [d["target"] for d in docs if d["status"] == "finding"] == \
+        [name(e) for e in cli.SUITE_FINDINGS]
+
+
+def test_standalone_and_suite_reports_agree(monkeypatch, capsys):
+    from hopfforge import cli
+    cuts = ("--format", "json", "--h-order", "4", "--word-cutoff", "8")
+    code, alone, _ = run(capsys, *cuts, "check", "confluence", "sd_line")
+    assert code == 0
+    monkeypatch.setattr(cli, "REGISTRY", (("confluence", "sd_line"),))
+    code, suite, _ = run(capsys, *cuts, "suite", "all")
+    assert code == 0
+    assert _without_wall_time(alone) == _without_wall_time(suite)
+
+
+def test_jobs_is_accepted_and_changes_nothing(capsys):
+    cuts = ("--format", "json", "--h-order", "4", "--word-cutoff", "8")
+    _, one, _ = run(capsys, *cuts, "--jobs", "1", "check", "confluence", "sd_reference")
+    code, two, _ = run(capsys, *cuts, "--jobs", "2", "check", "confluence", "sd_reference")
+    assert code == 1
+    assert _without_wall_time(one) == _without_wall_time(two)

@@ -74,7 +74,7 @@ def test_route_independence(pairing):
     f = PbwElement(p.K, {kmono(p, xi=1, tau=2): Scalar.one()})
     direct = p.pair(x, f)
     # adjoint route: <S*T^2, f> = <S (x) T^2, Delta^op f>
-    two = p.k_ops.coproduct_mono(kmono(p, xi=1, tau=2)).flip()
+    two = p.k_ops.coproduct_mono(kmono(p, xi=1, tau=2)).flip_adjacent(0)
     acc = Scalar.zero(6)
     s_el = PbwElement(p.H, {hmono(p, S=1): Scalar.one()})
     t2_el = PbwElement(p.H, {hmono(p, T=2): Scalar.one()})
@@ -104,6 +104,25 @@ def test_verify_duality_fails_literal_scaling_with_witness():
     r = verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False, audit=False)
     assert r.status == "fail"
     assert "inconsistent extension" in r.residual
+
+
+def test_broken_normalization_does_not_downgrade_a_failure(monkeypatch):
+    # after calibration, double every pairing value: adjointness and the
+    # <T^n, tau^m> = n! delta_nm normalization both break, and the failure
+    # must stay a failure rather than become a finding
+    from hopfforge import pairing as pairing_mod
+    real_calibrate, real_pair_mono = pairing_mod.calibrate, pairing_mod.Pairing.pair_mono
+
+    def calibrate_then_break(*a, **kw):
+        convs = real_calibrate(*a, **kw)
+        monkeypatch.setattr(pairing_mod.Pairing, "pair_mono",
+                            lambda self, mh, mk: real_pair_mono(self, mh, mk) * 2)
+        return convs
+
+    monkeypatch.setattr(pairing_mod, "calibrate", calibrate_then_break)
+    r = verify_duality(Cutoffs(3, 6), max_degree=2, alpha2=True, audit=False)
+    assert r.status == "fail"
+    assert not any("n! * delta_nm" in d for d in r.details)
 
 
 def test_mutated_dual_coefficient_detected():

@@ -82,7 +82,7 @@ def test_intertwining_on_t_is_trivial(ctx, R_canon):
     from hopfforge.tensors import tensor_mul
     eng = ctx.engine
     two = ctx.ops.coproduct(eng.generator("T"))
-    diff = tensor_mul(R_canon, two) - tensor_mul(two.flip(), R_canon)
+    diff = tensor_mul(R_canon, two) - tensor_mul(two.flip_adjacent(0), R_canon)
     assert diff.is_zero()
 
 
