@@ -152,11 +152,7 @@ def from_family(pres, bracket_param: str = "mu", cobracket_param: str = "theta",
             if i == j and parities[i] == 0:
                 continue
             gi, gj = basis[i], basis[j]
-            pa, pb = parities[i], parities[j]
-            sign = -1 if (pa and pb) else 1
-            val = eng.multiply(eng.generator(gi), eng.generator(gj)) \
-                - eng.multiply(eng.generator(gj), eng.generator(gi)).scale(sign)
-            val = val.substitute(bind_off)
+            val = eng.graded_commutator(gi, gj).substitute(bind_off)
             terms = _first_order(val.terms, bracket_param, h_mode, atoms,
                                  f"bracket({gi},{gj})")
             lin = as_linear(terms, f"bracket({gi},{gj})")
@@ -341,12 +337,13 @@ def check_cocycle(b: LieSuperBialgebra, cobracket_from: LieSuperBialgebra | None
         residual=residual, wall_time=t.elapsed)
 
 
-def compare_bialgebras(b1: LieSuperBialgebra, b2: LieSuperBialgebra,
-                       param_map=None) -> VerificationReport:
+def compare_bialgebras(b1: LieSuperBialgebra, b2: LieSuperBialgebra) -> VerificationReport:
     """Structural equality up to a diagonal basis rescaling.
 
-    param_map renames indeterminates of b2 before comparing (e.g. the dual
-    parameter of one family against the deformation variable of another).
+    Every bracket and cobracket entry of b2 must be a constant multiple of the
+    same entry of b1.  The ratios are then solved exactly for a rational
+    rescaling lambda (over Z in the prime exponents, see _solve_rescaling), so
+    a rescaling is reported whenever one exists.
     """
     with Timer() as t:
         status, residual = PASS, None
@@ -357,22 +354,13 @@ def compare_bialgebras(b1: LieSuperBialgebra, b2: LieSuperBialgebra,
                 cutoffs={}, status=FAIL, residual="different bases",
                 wall_time=t.elapsed)
 
-        def rename(p: ParamPoly) -> ParamPoly:
-            if not param_map:
-                return p
-            out = {}
-            for key, q in p.terms.items():
-                nk = tuple(sorted((param_map.get(nm, nm), e) for nm, e in key))
-                out[nk] = out.get(nk, Fraction(0)) + q
-            return ParamPoly({k: v for k, v in out.items() if v})
-
         # collect multiplicative constraints lambda_i lambda_j / lambda_k = r
         constraints = []
         n = len(b1.basis)
         for i in range(n):
             for j in range(n):
                 v1 = b1.bracket_of(i, j)
-                v2 = {k: rename(p) for k, p in b2.bracket_of(i, j).items()}
+                v2 = b2.bracket_of(i, j)
                 for k in set(v1) | set(v2):
                     p1, p2 = v1.get(k), v2.get(k)
                     if p1 is None or p2 is None:
@@ -394,7 +382,7 @@ def compare_bialgebras(b1: LieSuperBialgebra, b2: LieSuperBialgebra,
         if status == PASS:
             for i in range(n):
                 v1 = b1.cobracket.get(i, {})
-                v2 = {k: rename(p) for k, p in b2.cobracket.get(i, {}).items()}
+                v2 = b2.cobracket.get(i, {})
                 for key in set(v1) | set(v2):
                     p1, p2 = v1.get(key), v2.get(key)
                     if p1 is None or p2 is None:
@@ -440,81 +428,80 @@ def _factorize(q: Fraction):
 
 
 def _solve_rescaling(constraints, n):
-    """lambda with prod_t lambda_t^{e_t} = r per constraint; rational solutions.
+    """lambda with prod_t lambda_t^{e_t} = r for every constraint, or None.
 
-    Solved in prime-exponent space: each lambda_t is a sign times a product of
-    prime powers, so the multiplicative system becomes a linear system over Q
-    per prime plus a GF(2) system for the signs.  Free unknowns default to 1;
-    fractional prime exponents mean no rational rescaling exists.
+    Each lambda_t is a sign times a product of prime powers, so the
+    multiplicative system splits into one linear system over Z per prime (the
+    exponents) and one over GF(2) (the signs), posed over Z with a slack
+    column of 2 per equation.  Each is solved exactly by _integer_solve, so a
+    rational rescaling is found whenever one exists, whatever the generator
+    order.  Free unknowns get exponent 0, so ratios that are all 1 give
+    lambda = 1.
     """
-    eqs = []
-    primes = set()
+    rows, facs = [], []
     for key, r in constraints:
-        if r == 0:
-            return None
+        # bracket (i, j, k): lambda_i lambda_j / lambda_k;
+        # cobracket ("co", i, j, k): lambda_i / (lambda_j lambda_k)
+        i, j, k = key[-3:]
         exp = [0] * n
-        if key[0] == "co":
-            _, i, j, k = key
-            exp[i] += 1
-            exp[j] -= 1
-            exp[k] -= 1
-        else:
-            i, j, k = key
-            exp[i] += 1
-            exp[j] += 1
-            exp[k] -= 1
-        sign, fac = _factorize(Fraction(r))
-        primes |= set(fac)
-        eqs.append((exp, sign, fac))
-    primes = sorted(primes)
-    # row reduce the exponent matrix once; carry all right-hand sides along
-    rows = [list(map(Fraction, exp)) + [Fraction(fac.get(p, 0)) for p in primes]
-            + [Fraction(0 if sign == 1 else 1)] for exp, sign, fac in eqs]
-    ncols = n
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    # consistency: zero rows must have zero right-hand side (sign bit mod 2)
-    for row in rows[r:]:
-        if any(row[ncols:-1]) or (row[-1] % 2) != 0:
+        exp[i] += 1
+        exp[j] += -1 if key[0] == "co" else 1
+        exp[k] -= 1
+        rows.append(exp)
+        facs.append(_factorize(Fraction(r)))
+    lam = [Fraction(1)] * n
+    for p in sorted({p for _, fac in facs for p in fac}):
+        x = _integer_solve(rows, [fac.get(p, 0) for _, fac in facs], n)
+        if x is None:
             return None
-    # back out lambda: free unknowns = 1
-    lam_exp = {c: [Fraction(0)] * len(primes) for c in range(n)}
-    lam_sign = {c: 0 for c in range(n)}
-    for i, c in enumerate(pivots):
-        lam_exp[c] = rows[i][ncols:-1]
-        sbit = rows[i][-1]
-        if sbit.denominator != 1:
-            return None
-        lam_sign[c] = int(sbit) % 2
-    lam = []
-    for c in range(n):
+        lam = [v * Fraction(p) ** e for v, e in zip(lam, x)]
+    slack = [row + [2 * (c == d) for d in range(len(rows))] for c, row in enumerate(rows)]
+    bits = _integer_solve(slack, [int(sign < 0) for sign, _ in facs], n + len(rows))
+    if bits is None:
+        return None
+    lam = [-v if b % 2 else v for v, b in zip(lam, bits)]
+    # safety: lambda must meet every original constraint exactly
+    for (_, r), exp in zip(constraints, rows):
         val = Fraction(1)
-        for p, e in zip(primes, lam_exp[c]):
-            if e.denominator != 1:
-                return None
-            val *= Fraction(p) ** int(e)
-        lam.append(-val if lam_sign[c] else val)
-    # final verification against every original constraint
-    for exp, sign, fac in eqs:
-        val = Fraction(1)
-        for t in range(n):
-            if exp[t]:
-                val *= lam[t] ** exp[t]
-        want = Fraction(1)
-        for p, e in fac.items():
-            want *= Fraction(p) ** e
-        if val != (want if sign == 1 else -want):
+        for v, e in zip(lam, exp):
+            val *= v ** e
+        if val != r:
             return None
     return lam
+
+
+def _integer_solve(A, b, n):
+    """An integer x with A x = b for an m x n matrix A, or None when there is none.
+
+    Integer column operations (Euclid steps), tracked in a unimodular U, bring
+    A to a lower column echelon form H = A U: a Hermite normal form (Kannan
+    and Bachem, SIAM J. Comput. 8, 1979) without the reduction of the entries
+    left of each pivot, which solving does not need.  H y = b is then solved
+    row by row, with y = 0 past the rank, and x = U y.
+    """
+    m = len(A)
+    # column c of A stacked on column c of U, so each operation acts on both
+    cols = [[row[c] for row in A] + [int(t == c) for t in range(n)] for c in range(n)]
+    y = []
+    for r in range(m):
+        rank = len(y)
+        while True:  # Euclid across row r of the columns not yet pivoted
+            live = [c for c in range(rank, n) if cols[c][r]]
+            if not live:
+                break
+            p = min(live, key=lambda c: abs(cols[c][r]))
+            cols[rank], cols[p] = cols[p], cols[rank]
+            if len(live) == 1:
+                break
+            for c in range(rank + 1, n):
+                q = cols[c][r] // cols[rank][r]
+                cols[c] = [u - q * v for u, v in zip(cols[c], cols[rank])]
+        acc = b[r] - sum(cols[k][r] * yk for k, yk in enumerate(y))
+        if rank < n and cols[rank][r]:
+            q, rem = divmod(acc, cols[rank][r])
+            if rem:
+                return None
+            y.append(q)
+        elif acc:
+            return None
+    return [sum(cols[k][m + t] * yk for k, yk in enumerate(y)) for t in range(n)]

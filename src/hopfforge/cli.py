@@ -24,7 +24,7 @@ from .pairing import verify_duality
 from .pbw import Cutoffs, Engine
 from .presentation import PresentationError, emit_presentation, load_presentation
 from .report import FAIL, FINDING, PASS, Timer, VerificationReport, reports_to_json
-from .rmatrix import (build_context, build_R, check_triangularity, verify_auxiliary,
+from .rmatrix import (RMatrixContext, build_R, check_triangularity, verify_auxiliary,
                       verify_coproduct_laws, verify_intertwining)
 
 __all__ = ["main"]
@@ -99,7 +99,7 @@ def _double(args, emit=None):
 
 
 def _rmatrix(args, which):
-    ctx = build_context(args.tensor_degree, min(args.h_order, 4))
+    ctx = RMatrixContext(args.tensor_degree, min(args.h_order, 4))
     canonical = build_R(ctx, "canonical")
     reports = []
     if which in ("all", "intertwine"):
@@ -118,6 +118,10 @@ def _rmatrix(args, which):
             ctx.dbl, ctx.derived, canonical, max_degree=3,
             cutoffs=Cutoffs(ctx.h_order, ctx.d_int), compare_degree=ctx.degree))
     return reports
+
+
+# The limits that exist for one family only.
+LIMIT_TARGETS = {"h1": "sd_line", "field": "variety_3d"}
 
 
 def _family(args, fam=None, limit=None, bindings=None):
@@ -195,6 +199,10 @@ def cmd_check_family(args) -> int:
             raise PresentationError(f"bad binding {item!r}")
         k, v = item.split("=", 1)
         bindings[k] = v
+    only = LIMIT_TARGETS.get(args.limit)
+    if only and args.id != only:
+        raise PresentationError(f"--limit {args.limit} applies to {only} only, "
+                                f"not {args.id!r}")
     entry = (("bialgebra", args.id) if args.limit == "first-order"
              else ("family", args.id, args.limit, bindings or None))
     try:

@@ -67,7 +67,7 @@ def structural_compare(p1: HopfPresentation, p2: HopfPresentation,
 
     for i, a in enumerate(names):
         for b in names[i:]:
-            d = _bracket_element(e1, a, b) - recoord(_bracket_element(e2, a, b))
+            d = e1.graded_commutator(a, b) - recoord(e2.graded_commutator(a, b))
             if not d.is_zero():
                 diffs.append(f"bracket ({a},{b}) differs: {_first_residual_element(d)}")
     for g in names:
@@ -80,13 +80,6 @@ def structural_compare(p1: HopfPresentation, p2: HopfPresentation,
         if not da.is_zero():
             diffs.append(f"antipode of {g} differs: {_first_residual_element(da)}")
     return diffs
-
-
-def _bracket_element(eng: Engine, a: str, b: str) -> PbwElement:
-    pa, pb = eng.presentation.parity(a), eng.presentation.parity(b)
-    sign = -1 if (pa and pb) else 1
-    return eng.multiply(eng.generator(a), eng.generator(b)) \
-        - eng.multiply(eng.generator(b), eng.generator(a)).scale(sign)
 
 
 # ------------------------------------------------------------------- h -> 0
@@ -102,7 +95,7 @@ def limit_h0(family_id: str, bindings: dict | None = None,
     brackets = {}
     for i, a in enumerate(names):
         for b in names[i:]:
-            brackets[(a, b)] = _bracket_element(eng, a, b).substitute(h_to_zero=True)
+            brackets[(a, b)] = eng.graded_commutator(a, b).substitute(h_to_zero=True)
     coproducts = {g: ops.coproduct_gen(g).map_coeffs(
         lambda c: c.substitute(h_to_zero=True)) for g in names}
     antipodes = {g: ops._anti[g].substitute(h_to_zero=True) for g in names}
@@ -120,7 +113,7 @@ def compare_limit_with(family_id: str, target_id: str,
         status, residual = PASS, None
         details = []
         for (a, b), el in brackets.items():
-            want = _bracket_element(teng, a, b)
+            want = teng.graded_commutator(a, b)
             d = PbwElement(teng, dict(el.terms), el.truncated) - want
             if not d.is_zero():
                 status = FAIL
@@ -154,7 +147,7 @@ def deforming_field_at_0(family_id: str = "variety_3d",
     brackets = {}
     for i, a in enumerate(names):
         for b in names[i:]:
-            el = _bracket_element(eng, a, b).h_coefficient(1)
+            el = eng.graded_commutator(a, b).h_coefficient(1)
             if not el.is_zero():
                 brackets[(a, b)] = el
     coproducts = {}
@@ -380,11 +373,11 @@ def verify_h1_limit(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
                 rel = line.bracket(a, b)
                 if rel is None:
                     got = teng.zero()
-                    want = _bracket_element(teng, a, b)
+                    want = teng.graded_commutator(a, b)
                 else:
                     # compare in the orientation the relation was written in
                     got = _h1_element(teng, rel.rhs)
-                    want = _bracket_element(teng, rel.a, rel.b)
+                    want = teng.graded_commutator(rel.a, rel.b)
                 d = got - want
                 if not d.is_zero():
                     status = FAIL
@@ -441,7 +434,7 @@ def verify_newquant_consistency(cutoffs: Cutoffs = Cutoffs()) -> VerificationRep
             eng = Engine(flat, cutoffs)
             for i, a in enumerate(flat.gen_names()):
                 for b in flat.gen_names()[i:]:
-                    if not _bracket_element(eng, a, b).is_zero():
+                    if not eng.graded_commutator(a, b).is_zero():
                         status = FAIL
                         residual = f"bracket ({a},{b}) survives at mu=0"
                         break

@@ -158,11 +158,7 @@ class HopfOps:
     def relation_sides(self, rel):
         """(graded bracket of the pair as an element, rhs element)."""
         eng = self.engine
-        a, b = eng.generator(rel.a), eng.generator(rel.b)
-        pa, pb = eng.presentation.parity(rel.a), eng.presentation.parity(rel.b)
-        sign = -1 if (pa and pb) else 1
-        lhs = eng.multiply(a, b) - eng.multiply(b, a).scale(sign)
-        return lhs, eng.evaluate(rel.rhs)
+        return eng.graded_commutator(rel.a, rel.b), eng.evaluate(rel.rhs)
 
 
 def _first_residual_tensor(t: TensorElement):

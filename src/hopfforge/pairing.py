@@ -22,7 +22,7 @@ from math import factorial
 from .hopf import HopfOps
 from .pbw import Cutoffs, Engine, PbwElement
 from .report import FAIL, FINDING, PASS, Timer, VerificationReport
-from .scalars import Scalar
+from .scalars import Scalar, gauss_jordan
 
 __all__ = ["PairingConvention", "Pairing", "PairingInconsistency", "calibrate",
            "standard_pair", "verify_duality"]
@@ -286,8 +286,9 @@ def verify_duality(cutoffs: Cutoffs = Cutoffs(), max_degree: int = 6,
             for d in range(0, max_degree + 1):
                 hb = [m for m in _h_basis(p.H, max_degree) if p.H.monomial_degree(m) == d]
                 kb = [m for m in _h_basis(p.K, max_degree) if p.K.monomial_degree(m) == d]
-                mat = [[p.pair_mono(mh, mk).coeff(0).constant for mk in kb] for mh in hb]
-                r = _rank(mat)
+                mat = [[Scalar.from_fraction(p.pair_mono(mh, mk).coeff(0).constant, 0)
+                        for mk in kb] for mh in hb]
+                r = len(gauss_jordan(mat, 0))
                 if r != len(hb) or len(hb) != len(kb):
                     status = FAIL
                     residual = f"pairing degenerate in degree {d}: rank {r} of {len(hb)}"
@@ -327,25 +328,3 @@ def verify_duality(cutoffs: Cutoffs = Cutoffs(), max_degree: int = 6,
         wall_time=t.elapsed,
     )
 
-
-def _rank(mat) -> int:
-    m = [row[:] for row in mat]
-    rank = 0
-    rows, cols = len(m), len(m[0]) if m else 0
-    col = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for r in range(rows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank

@@ -374,6 +374,12 @@ class Engine:
                 out = out + nf.scale(c)
         return out
 
+    def graded_commutator(self, a: str, b: str) -> PbwElement:
+        """ab - (-1)^{|a||b|} ba for two generators, by name."""
+        ga, gb = self.generator(a), self.generator(b)
+        sign = -1 if self.presentation.parity(a) and self.presentation.parity(b) else 1
+        return self.multiply(ga, gb) - self.multiply(gb, ga).scale(sign)
+
     # -- central series ------------------------------------------------------
     def central_series(self, fn: str, coeff: Scalar, gen_name: str, order=None) -> PbwElement:
         """sum_k c_k (coeff^k) g^k for the Maclaurin coefficients c_k of fn.

@@ -131,15 +131,24 @@ class HopfPresentation:
             antipode=tuple((n, ast_map(e, fn)) for n, e in self.antipode),
         )
 
-    def bind(self, bindings: dict, name: str | None = None, drop_params: bool = True) -> "HopfPresentation":
-        """Substitute parameters by expression ASTs (or numbers) at the AST level."""
+    def bind(self, bindings: dict, name: str | None = None) -> "HopfPresentation":
+        """Substitute parameters by expression ASTs (or numbers) at the AST level.
+
+        Every bound name must be a parameter, and every string value must
+        parse as an expression; otherwise PresentationError.
+        """
         nodes = {}
         for key, val in bindings.items():
+            if key not in self.params:
+                raise PresentationError(f"cannot bind {key!r}: not a parameter of {self.name}")
             if isinstance(val, Node):
                 nodes[key] = val
             elif isinstance(val, str):
                 from .lang import parse_expr_text
-                nodes[key] = parse_expr_text(val)
+                try:
+                    nodes[key] = parse_expr_text(val)
+                except ParseError as e:
+                    raise PresentationError(f"bad binding {key}={val!r}: {e}") from None
             else:
                 nodes[key] = Num(Fraction(val))
 
@@ -148,9 +157,8 @@ class HopfPresentation:
                 return nodes[node.name]
             return node
 
-        out = self.map_expressions(sub)
-        if drop_params:
-            out = replace(out, params=tuple(p for p in self.params if p not in nodes))
+        out = replace(self.map_expressions(sub),
+                      params=tuple(p for p in self.params if p not in nodes))
         if name:
             out = out.with_name(name)
         return validate(out)

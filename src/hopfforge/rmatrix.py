@@ -15,10 +15,10 @@ from .hopf import HopfOps, _first_residual_tensor
 from .pairing import _h_basis
 from .pbw import Cutoffs, Engine, PbwElement
 from .report import FAIL, FINDING, PASS, Timer, VerificationReport
-from .scalars import Scalar, series_fn
+from .scalars import Scalar, gauss_jordan, series_fn
 from .tensors import TensorElement, exp_tensor, tensor_mul, tensor_of
 
-__all__ = ["RMatrixContext", "build_context", "build_R", "verify_intertwining",
+__all__ = ["RMatrixContext", "build_R", "verify_intertwining",
            "verify_coproduct_laws", "verify_auxiliary", "check_triangularity"]
 
 
@@ -51,10 +51,6 @@ class RMatrixContext:
                           el.truncated)
 
 
-def build_context(degree: int = 4, h_order: int = 4) -> RMatrixContext:
-    return RMatrixContext(degree, h_order)
-
-
 def build_R(ctx: RMatrixContext, variant: str = "closed-form") -> TensorElement:
     """The universal element, to the context's internal expansion order."""
     eng = ctx.engine
@@ -80,40 +76,21 @@ def _canonical_element(ctx: RMatrixContext) -> TensorElement:
                       key=lambda m: (K.monomial_degree(m), m))
         if len(rows) != len(cols):
             raise RuntimeError("canonical element: pairing blocks are not square")
-        G = [[pair.pair_mono(r, c) for c in cols] for r in rows]
-        X = _scalar_matrix_inverse(G, ctx.h_order)
+        # [G | 1] reduces to [1 | G^-1]
+        n = len(rows)
+        A = [[pair.pair_mono(r, c) for c in cols]
+             + [Scalar.one() if i == j else Scalar.zero() for j in range(n)]
+             for i, r in enumerate(rows)]
+        if gauss_jordan(A, ctx.h_order) != list(range(n)):
+            raise RuntimeError("canonical element: Gram pivot not invertible")
         for k, mh in enumerate(rows):
             dual = PbwElement(K, {})
             for j, mk in enumerate(cols):
-                if not X[j][k].is_zero():
-                    dual = dual + PbwElement(K, {mk: Scalar.one()}).scale(X[j][k])
+                if not A[j][n + k].is_zero():
+                    dual = dual + PbwElement(K, {mk: Scalar.one()}).scale(A[j][n + k])
             out = out + tensor_of(ctx.embed_h(PbwElement(H, {mh: Scalar.one()})),
                                   ctx.embed_k(dual))
     return out
-
-
-def _scalar_matrix_inverse(G, h_order: int):
-    """Gauss-Jordan inverse over truncated scalars; pivots must be invertible."""
-    n = len(G)
-    A = [[G[i][j] for j in range(n)] + [Scalar.one() if i == j else Scalar.zero()
-                                        for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            v = A[r][col]
-            if not v.is_zero() and v.coeff(v.valuation()).is_constant():
-                piv = r
-                break
-        if piv is None:
-            raise RuntimeError("canonical element: Gram pivot not invertible")
-        A[col], A[piv] = A[piv], A[col]
-        inv = A[col][col].inverse()
-        A[col] = [(x * inv).truncate(h_order) for x in A[col]]
-        for r in range(n):
-            if r != col and not A[r][col].is_zero():
-                f = A[r][col]
-                A[r] = [(a - (f * b).truncate(h_order)) for a, b in zip(A[r], A[col])]
-    return [[A[i][n + j] for j in range(n)] for i in range(n)]
 
 
 def _audit(ctx: RMatrixContext, status: str, check) -> str:

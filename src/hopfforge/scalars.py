@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-__all__ = ["ScalarError", "ParamPoly", "Scalar", "series_fn"]
+__all__ = ["ScalarError", "ParamPoly", "Scalar", "series_fn", "gauss_jordan"]
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -462,3 +462,30 @@ def series_fn(name: str, arg: Scalar, order=None) -> Scalar:
         if c:
             out = out + power * c
     return out.truncate(order)
+
+
+def gauss_jordan(rows, order=None) -> list:
+    """Reduce a matrix of Scalars in place to reduced row echelon form.
+
+    Columns are scanned left to right.  A column's pivot is the first entry at
+    or below the current row whose leading h-coefficient is a nonzero rational,
+    so that the entry is invertible; columns without one are skipped.  Pivot
+    rows are scaled to 1, and every row update is truncated at h-order
+    ``order``.  Returns the pivot columns; their number is the rank.
+    """
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()
+                    and rows[i][col].coeff(rows[i][col].valuation()).is_constant()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [(x * inv).truncate(order) for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and not f.is_zero():
+                rows[i] = [a - (f * b).truncate(order) for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots

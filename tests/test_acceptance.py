@@ -23,7 +23,7 @@ from hopfforge.presentation import (emit_presentation, load_presentation,
                                     parse_presentation, ParityMismatchError,
                                     UnknownGeneratorError, NonCentralSeriesError)
 from hopfforge.lang import ParseError
-from hopfforge.rmatrix import (build_context, build_R, check_triangularity,
+from hopfforge.rmatrix import (RMatrixContext, build_R, check_triangularity,
                                verify_auxiliary, verify_coproduct_laws,
                                verify_intertwining)
 
@@ -48,7 +48,7 @@ def derivation():
 
 @pytest.fixture(scope="module")
 def rctx():
-    return build_context(4, 4)
+    return RMatrixContext(4, 4)
 
 
 # -------------------------------------------------------------- criterion 1

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfforge.bialgebra import (LieSuperBialgebra, check_cocycle, check_cojacobi,
-                                 check_jacobi, compare_bialgebras, from_family)
+from hopfforge.bialgebra import (LieSuperBialgebra, _solve_rescaling, check_cocycle,
+                                 check_cojacobi, check_jacobi, compare_bialgebras,
+                                 from_family)
 from hopfforge.pbw import Cutoffs
 from hopfforge.scalars import ParamPoly
 
@@ -66,6 +68,7 @@ def test_zero_structure_trivially_passes():
     assert check_jacobi(zero).status == "pass"
     assert check_cojacobi(zero).status == "pass"
     assert check_cocycle(zero).status == "pass"
+    assert compare_bialgebras(zero, zero).status == "pass"
 
 
 def test_mixed_coordinates_break_the_cocycle():
@@ -112,6 +115,46 @@ def test_rescaled_structures_compare_equal(d0):
     other = LieSuperBialgebra("scaled", d0.basis, d0.parities, scaled_bracket, scaled_co)
     r = compare_bialgebras(d0, other)
     assert r.status == "pass", r.text()
+
+
+@pytest.mark.parametrize("order", [("x", "y"), ("y", "x")])
+def test_rescaling_found_whatever_the_generator_order(order):
+    # x odd, y even: delta(y) = x (x) x against delta(y) = 2 x (x) x; lambda_x = 1,
+    # lambda_y = 2 maps one onto the other
+    ix, iy = order.index("x"), order.index("y")
+    parities = tuple(int(g == "x") for g in order)
+
+    def with_cobracket(c):
+        return LieSuperBialgebra(f"c={c}", order, parities, {},
+                                 {iy: {(ix, ix): ParamPoly.const(c)}})
+
+    r = compare_bialgebras(with_cobracket(1), with_cobracket(2))
+    assert r.status == "pass", r.text()
+
+
+def _ratio(key, lam):
+    """The entry ratio a diagonal rescaling lam induces, from the definitions."""
+    if key[0] == "co":  # delta(x_i) -> x_j (x) x_k
+        _, i, j, k = key
+        return lam[i] / (lam[j] * lam[k])
+    i, j, k = key  # [x_i, x_j] -> x_k
+    return lam[i] * lam[j] / lam[k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rescaling_solver_finds_a_solution_whenever_one_exists(data):
+    n = data.draw(st.integers(1, 4))
+    nonzero = st.fractions(-12, 12, max_denominator=12).filter(bool)
+    lam = data.draw(st.lists(nonzero, min_size=n, max_size=n))
+    idx = st.integers(0, n - 1)
+    keys = data.draw(st.lists(st.one_of(st.tuples(idx, idx, idx),
+                                        st.tuples(st.just("co"), idx, idx, idx)),
+                              max_size=8))
+    constraints = [(key, _ratio(key, lam)) for key in keys]
+    got = _solve_rescaling(constraints, n)
+    assert got is not None and len(got) == n
+    assert all(_ratio(key, got) == r for key, r in constraints)
 
 
 def test_extraction_rejects_nonabelian_zeroth_order():

@@ -76,6 +76,28 @@ def test_check_family_limits(capsys):
     assert code == 0
 
 
+def test_check_family_limit_rejects_other_families(capsys):
+    for fam, limit in (("ptsa_q", "field"), ("variety_3d", "h1")):
+        code, _, err = run(capsys, "--h-order", "4", "--word-cutoff", "8",
+                           "check", "family", fam, "--limit", limit)
+        assert code == 2
+        assert f"--limit {limit} applies to" in err
+
+
+def test_check_family_bind_rejects_unknown_names(capsys):
+    code, _, err = run(capsys, "--h-order", "4", "--word-cutoff", "8",
+                       "check", "family", "d0_variety", "--bind", "zz=1")
+    assert code == 2
+    assert "'zz'" in err
+
+
+def test_check_family_malformed_bind_value_exits_two(capsys):
+    code, _, err = run(capsys, "--h-order", "4", "--word-cutoff", "8",
+                       "check", "family", "d0_variety", "--bind", "mu=(")
+    assert code == 2
+    assert "bad binding mu=" in err
+
+
 def test_check_bialgebra_mixed_fails_with_residual(capsys):
     code, out, _ = run(capsys, "check", "bialgebra", "variety3d",
                        "--mixed", "h1=a,h2=b")

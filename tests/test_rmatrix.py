@@ -5,7 +5,7 @@ import pytest
 
 from hopfforge.double import verify_universal_identity
 from hopfforge.pbw import Cutoffs
-from hopfforge.rmatrix import (build_context, build_R, check_triangularity,
+from hopfforge.rmatrix import (RMatrixContext, build_R, check_triangularity,
                                verify_auxiliary, verify_coproduct_laws,
                                verify_intertwining)
 from hopfforge.scalars import Scalar
@@ -13,7 +13,7 @@ from hopfforge.scalars import Scalar
 
 @pytest.fixture(scope="module")
 def ctx():
-    return build_context(4, 4)
+    return RMatrixContext(4, 4)
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +124,8 @@ def test_universal_identity_closed_form_fails(ctx, R_closed):
 
 
 def test_stability_of_retained_terms():
-    small = build_context(3, 3)
-    big = build_context(4, 4)
+    small = RMatrixContext(3, 3)
+    big = RMatrixContext(4, 4)
     r_small = build_R(small, "canonical")
     r_big = build_R(big, "canonical")
     for kk, c in r_small.truncate_degree(3).terms.items():
