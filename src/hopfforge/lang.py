@@ -29,7 +29,7 @@ SERIES_FUNCTIONS = ("exp", "sinh", "cosh")
 
 class ParseError(ValueError):
     def __init__(self, msg, line=None, col=None):
-        self.line, self.col = line, col
+        self.msg, self.line, self.col = msg, line, col
         where = f" at line {line}, column {col}" if line is not None else ""
         super().__init__(f"{msg}{where}")
 

@@ -9,11 +9,19 @@ rules moving later-ordered letters rightward:
     g g      ->  {g,g}/2                                      (g odd)
 
 All computation lives in the quotient by (h^(N+1)) plus word degree > W; terms
-beyond the cutoffs are dropped and recorded in a truncation flag.  Each rewrite
-step strictly decreases the measure (N - h-valuation of the coefficient,
-non-central word degree, inversion count), which is asserted per step; rule
-tails are validated at build time to make that measure sound (pole-free
-coefficients, and h-free tail terms must drop non-central degree).
+beyond the cutoffs are dropped and recorded in a truncation flag.
+
+Rules apply leftmost-first, and that strategy normalizes a prefix completely
+before it touches the next letter.  So a word's normal form is a fold: its
+longest normal prefix, then each further letter g applied to every term c*m
+by the right multiplication m*g modulo h^(k+1), k = N - valuation(c).  Right
+multiplications are memoized per engine, one entry per (m, g) at the highest
+order computed, and the fold reproduces one-rule-at-a-time reduction exactly,
+confluent presentation or not.  Each computed product asserts that the
+termination measure (h-order k, non-central word degree, inversion count) of
+m*g lies below that of the product that needs it; rule tails are validated at
+build time to make that measure sound (pole-free coefficients, and h-free
+tail terms must drop non-central degree).
 """
 
 from __future__ import annotations
@@ -27,10 +35,6 @@ from .scalars import Scalar, ScalarError, series_fn, _series_coeff
 
 __all__ = ["Cutoffs", "RewriteError", "PbwElement", "Engine"]
 
-CHECK_TERMINATION = True
-STEP_BUDGET = 500_000
-
-
 class RewriteError(RuntimeError):
     pass
 
@@ -42,15 +46,6 @@ class Cutoffs:
 
     def bumped(self, dn: int = 1, dw: int = 2) -> "Cutoffs":
         return Cutoffs(self.h_order + dn, self.word_degree + dw)
-
-
-def _inversions(word):
-    inv = 0
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            if word[i] > word[j]:
-                inv += 1
-    return inv
 
 
 class PbwElement:
@@ -184,6 +179,7 @@ class Engine:
         self._eval_order = cutoffs.h_order + 3
         self._rules: dict = {}
         self._product_cache: dict = {}
+        self._right_cache: dict = {}
         self._build_rules()
 
     # -- monomial helpers ----------------------------------------------------
@@ -218,6 +214,9 @@ class Engine:
 
     def monomial_degree_central(self, mono) -> int:
         return sum(e * d for e, d, c in zip(mono, self.degrees, self.central) if c)
+
+    def monomial_degree_noncentral(self, mono) -> int:
+        return sum(e * d for e, d, c in zip(mono, self.degrees, self.central) if not c)
 
     def monomial_to_word(self, mono):
         out = []
@@ -297,70 +296,107 @@ class Engine:
 
     # -- normal form ---------------------------------------------------------
     def normal_form(self, word, coeff: Scalar | None = None) -> PbwElement:
-        """PBW-ordered combination equal to the word in the quotient algebra."""
+        """PBW-ordered combination equal to the word in the quotient algebra:
+        its longest normal prefix, times each further letter in turn."""
         N, W = self.cutoffs.h_order, self.cutoffs.word_degree
         coeff = Scalar.one().truncate(N) if coeff is None else coeff.truncate(N)
+        if _droppable(coeff, N):
+            return self.zero()
+        # central letters never disappear under rewriting, so this prune is
+        # exact: such a word cannot contribute below the degree cutoff
+        if self.word_degree_central(word) > W:
+            return PbwElement(self, {}, True)
+        k = self._first_descent(word)
+        cut = len(word) if k is None else k + 1
+        terms, truncated = {self.word_to_monomial(word[:cut]): coeff}, False
+        for g in word[cut:]:
+            terms, t = self._times_letter(terms, g, N, None)
+            truncated = truncated or t
+        return PbwElement(self, _clean(terms), truncated)
+
+    def _times_letter(self, terms: dict, g: int, order: int, parent):
+        """(terms, truncated) for the normal form of terms*g modulo h^(order+1).
+
+        A term whose monomial takes g without a descent only gains the letter;
+        the others go through ``_right`` at the order their coefficient's
+        valuation leaves.  ``parent`` is the measure of the right
+        multiplication asking, None at the top level.
+        """
+        W = self.cutoffs.word_degree
         out: dict = {}
         truncated = False
-        work = [(coeff, tuple(word))]
-        steps = 0
-        while work:
-            c, w = work.pop()
-            if _droppable(c, N):
+        for m, c in terms.items():
+            if _droppable(c, order):
                 continue
-            # central letters never disappear under rewriting, so this prune is
-            # exact: such a word cannot contribute below the degree cutoff
-            if self.word_degree_central(w) > W:
-                truncated = True
-                continue
-            k = self._first_descent(w)
-            if k is None:
-                m = self.word_to_monomial(w)
-                prev = out.get(m)
-                out[m] = c if prev is None else prev + c
-                continue
-            steps += 1
-            if steps > STEP_BUDGET:
-                raise RewriteError("rewrite step budget exceeded (non-terminating?)")
-            if CHECK_TERMINATION:
-                parent = self._measure(c, w)
-            sign, tail = self._rules[(w[k], w[k + 1])]
-            prefix, suffix = w[:k], w[k + 2:]
-            if sign is not None:
-                swapped = prefix + (w[k + 1], w[k]) + suffix
-                cs = c if sign == 1 else -c
-                if CHECK_TERMINATION:
-                    self._assert_decrease(parent, cs, swapped, c, w)
-                work.append((cs, swapped))
-            for tw, tc in tail.items():
-                nc = (c * tc).truncate(N)
-                if _droppable(nc, N):
+            last = self._last_letter(m)
+            if last is None or last < g or (last == g and self.parities[g] == EVEN):
+                m2 = m[:g] + (m[g] + 1,) + m[g + 1:]
+                if self.central[g] and self.monomial_degree_central(m2) > W:
+                    truncated = True
                     continue
-                nw = prefix + tw + suffix
-                if CHECK_TERMINATION:
-                    self._assert_decrease(parent, nc, nw, c, w)
-                work.append((nc, nw))
-        return PbwElement(self, _clean(out), truncated)
+                _accumulate(out, m2, c)
+                continue
+            v = c.valuation()
+            if v is None:
+                v = c.trunc + 1  # zero known to O(h^(t+1)), t < order
+            _, products, t = self._right(m, last, g, order - v, parent)
+            truncated = truncated or t
+            for m2, r in products.items():
+                x = (c * r).truncate(order)
+                if not _droppable(x, order):
+                    _accumulate(out, m2, x)
+        return out, truncated
 
-    def _measure(self, c: Scalar, w):
-        v = c.valuation()
-        if v is None:
-            # zero known to O(h^(t+1)) behaves like valuation t+1
-            v = (c.trunc + 1) if c.trunc is not None else self.cutoffs.h_order + 1
-        return (self.cutoffs.h_order - v, self.word_degree_noncentral(w),
-                _inversions(w))
+    def _right(self, m, last: int, g: int, k: int, parent):
+        """(order, terms, truncated): the normal form of m*g modulo h^(k+1).
 
-    def _assert_decrease(self, parent, c, w, pc, pw):
-        child = self._measure(c, w)
-        if not child < parent:
+        m is normal with last letter ``last``, and (last, g) is a descent.
+        One cache entry per (m, g) holds the highest order computed; a lower
+        order reuses it, since callers truncate.  Every computation asserts
+        the termination measure (order, non-central degree, inversions) of
+        m*g below its caller's, so the recursion is well-founded.
+        """
+        key = (m, g)
+        entry = self._right_cache.get(key)
+        if entry is not None and entry[0] >= k:
+            return entry
+        degree = self.monomial_degree_noncentral(m) + (0 if self.central[g] else self.degrees[g])
+        # m is normal, so the inversions of m*g are the letters of m above g
+        measure = (k, degree, sum(m[g + 1:]))
+        if parent is not None and not measure < parent:
             raise RewriteError(
-                f"termination measure did not decrease: {pw} -> {w} ({parent} -> {child})")
+                f"termination measure did not decrease: {self.monomial_to_word(m) + (g,)} "
+                f"({parent} -> {measure})")
+        sign, tail = self._rules[(last, g)]
+        rest = m[:last] + (m[last] - 1,) + m[last + 1:]
+        out, truncated = {}, False
+        if sign is not None:
+            one = Scalar.one().truncate(k)
+            out, t1 = self._times_letter({rest: one if sign == 1 else -one}, g, k, measure)
+            out, t2 = self._times_letter(out, last, k, measure)
+            truncated = t1 or t2
+        for tw, tc in tail.items():
+            terms = {rest: tc.truncate(k)}
+            for x in tw:
+                terms, t = self._times_letter(terms, x, k, measure)
+                truncated = truncated or t
+            for mono, c in terms.items():
+                _accumulate(out, mono, c)
+        entry = (k, {mono: c for mono, c in out.items() if not _droppable(c, k)}, truncated)
+        self._right_cache[key] = entry
+        return entry
+
+    def _last_letter(self, m):
+        for i in range(self.n - 1, -1, -1):
+            if m[i]:
+                return i
+        return None
 
     def multiply(self, a: PbwElement, b: PbwElement) -> PbwElement:
         assert a.engine is self and b.engine is self, "presentation mismatch"
         N = self.cutoffs.h_order
-        out = self.zero()
-        out.truncated = a.truncated or b.truncated
+        out: dict = {}
+        truncated = a.truncated or b.truncated
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
                 c = (ca * cb).truncate(N)
@@ -371,8 +407,19 @@ class Engine:
                 if nf is None:
                     nf = self.normal_form(self.monomial_to_word(ma) + self.monomial_to_word(mb))
                     self._product_cache[key] = nf
-                out = out + nf.scale(c)
-        return out
+                truncated = truncated or nf.truncated
+                for m, x in nf.terms.items():
+                    s = (x * c).truncate(N)
+                    if s.is_zero():
+                        continue
+                    prev = out.get(m)
+                    if prev is not None:
+                        s = prev + s
+                        if s.is_zero():
+                            del out[m]
+                            continue
+                    out[m] = s
+        return PbwElement(self, out, truncated)
 
     def graded_commutator(self, a: str, b: str) -> PbwElement:
         """ab - (-1)^{|a||b|} ba for two generators, by name."""
@@ -598,6 +645,11 @@ class Engine:
 
 def _cleanw(raw: dict) -> dict:
     return {w: c for w, c in raw.items() if not c.is_zero()}
+
+
+def _accumulate(out: dict, m, c):
+    prev = out.get(m)
+    out[m] = c if prev is None else prev + c
 
 
 def _droppable(c, N: int) -> bool:

@@ -22,8 +22,8 @@ from .lang import (
 )
 
 __all__ = [
-    "PresentationError", "UnknownGeneratorError", "ParityMismatchError",
-    "NonCentralSeriesError", "GeneratorDecl", "Relation", "HopfPresentation",
+    "PresentationError", "PresentationSyntaxError", "UnknownGeneratorError",
+    "ParityMismatchError", "NonCentralSeriesError", "GeneratorDecl", "Relation", "HopfPresentation",
     "parse_presentation", "emit_presentation", "load_presentation", "data_dir",
 ]
 
@@ -34,6 +34,10 @@ SECTIONS = ("params", "generators", "relations", "coproduct", "counit", "antipod
 
 class PresentationError(ValueError):
     pass
+
+
+class PresentationSyntaxError(PresentationError, ParseError):
+    """Malformed HOPF-PRES text; ``line`` and ``col`` locate it."""
 
 
 class UnknownGeneratorError(PresentationError):
@@ -328,7 +332,18 @@ def validate(p: HopfPresentation) -> HopfPresentation:
 # -------------------------------------------------------------- file handling
 
 def parse_presentation(text: str) -> HopfPresentation:
-    """Parse and validate a HOPF-PRES v1 document."""
+    """Parse and validate a HOPF-PRES v1 document.
+
+    Syntax errors raise PresentationSyntaxError with the line number.
+    """
+    try:
+        pres = _parse(text)
+    except ParseError as e:
+        raise PresentationSyntaxError(e.msg, e.line, e.col) from None
+    return validate(pres)
+
+
+def _parse(text: str) -> HopfPresentation:
     name = "unnamed"
     sections = {s: [] for s in SECTIONS}
     current = None
@@ -383,13 +398,12 @@ def parse_presentation(text: str) -> HopfPresentation:
             out.append((toks[0].text, parse_expr_tokens(toks[2:], line_no)))
         return out
 
-    pres = HopfPresentation(
+    return HopfPresentation(
         name, tuple(params), tuple(generators), tuple(relations),
         tuple(parse_assignments("coproduct")),
         tuple(parse_assignments("counit")),
         tuple(parse_assignments("antipode")),
     )
-    return validate(pres)
 
 
 def emit_presentation(p: HopfPresentation) -> str:

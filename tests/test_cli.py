@@ -31,6 +31,14 @@ def test_check_hopf_json_schema(capsys):
         assert key in docs[0]
 
 
+def test_check_hopf_malformed_file_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.hopf"
+    bad.write_text("name bad\n[generators]\nx even 1\n[relations]\n[x,x] = (\n")
+    code, _, err = run(capsys, "check", "hopf", str(bad))
+    assert code == 2
+    assert err.startswith("error:") and "line 5" in err
+
+
 def test_check_confluence_finding_on_reference(capsys):
     code, out, _ = run(capsys, "--h-order", "5", "--word-cutoff", "8",
                        "check", "confluence", "sd_reference")
