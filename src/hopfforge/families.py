@@ -57,26 +57,18 @@ def structural_compare(p1: HopfPresentation, p2: HopfPresentation,
     e1, e2 = Engine(p1, cutoffs), Engine(p2, cutoffs)
     ops1, ops2 = HopfOps(e1), HopfOps(e2)
     names = p1.gen_names()
-
-    # identical generator lists: monomials align positionally across engines
-    def recoord(el):
-        return PbwElement(e1, dict(el.terms), el.truncated)
-
-    def recoord_t(tv):
-        return TensorElement((e1, e1), dict(tv.terms), tv.truncated)
-
     for i, a in enumerate(names):
         for b in names[i:]:
-            d = e1.graded_commutator(a, b) - recoord(e2.graded_commutator(a, b))
+            d = e1.graded_commutator(a, b) - e2.graded_commutator(a, b).moved_to(e1)
             if not d.is_zero():
                 diffs.append(f"bracket ({a},{b}) differs: {_first_residual_element(d)}")
     for g in names:
-        d = ops1.coproduct_gen(g) - recoord_t(ops2.coproduct_gen(g))
+        d = ops1.coproduct_gen(g) - ops2.coproduct_gen(g).moved_to((e1, e1))
         if not d.is_zero():
             diffs.append(f"coproduct of {g} differs: {_first_residual_tensor(d)}")
         if not (ops1._eps[g] - ops2._eps[g]).is_zero():
             diffs.append(f"counit of {g} differs")
-        da = ops1._anti[g] - recoord(ops2._anti[g])
+        da = ops1._anti[g] - ops2._anti[g].moved_to(e1)
         if not da.is_zero():
             diffs.append(f"antipode of {g} differs: {_first_residual_element(da)}")
     return diffs
@@ -114,7 +106,7 @@ def compare_limit_with(family_id: str, target_id: str,
         details = []
         for (a, b), el in brackets.items():
             want = teng.graded_commutator(a, b)
-            d = PbwElement(teng, dict(el.terms), el.truncated) - want
+            d = el.moved_to(teng) - want
             if not d.is_zero():
                 status = FAIL
                 residual = f"bracket ({a},{b}) at h->0: {_first_residual_element(d)}"
@@ -122,7 +114,7 @@ def compare_limit_with(family_id: str, target_id: str,
         if status == PASS:
             for g, tv in coproducts.items():
                 want = tops.coproduct_gen(g)
-                d = TensorElement((teng, teng), dict(tv.terms), tv.truncated) - want
+                d = tv.moved_to((teng, teng)) - want
                 if not d.is_zero():
                     status = FAIL
                     residual = f"coproduct of {g} at h->0: {_first_residual_tensor(d)}"
@@ -442,8 +434,7 @@ def verify_newquant_consistency(cutoffs: Cutoffs = Cutoffs()) -> VerificationRep
             eng_nq = Engine(nq, cutoffs)
             ops_nq = HopfOps(eng_nq)
             for g in flat.gen_names():
-                d = TensorElement((eng_nq, eng_nq), dict(ops_flat.coproduct_gen(g).terms)) \
-                    - ops_nq.coproduct_gen(g)
+                d = ops_flat.coproduct_gen(g).moved_to((eng_nq, eng_nq)) - ops_nq.coproduct_gen(g)
                 if not d.is_zero():
                     status = FAIL
                     residual = f"coproduct of {g} changed at mu=0"

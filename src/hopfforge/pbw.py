@@ -9,7 +9,7 @@ rules moving later-ordered letters rightward:
     g g      ->  {g,g}/2                                      (g odd)
 
 All computation lives in the quotient by (h^(N+1)) plus word degree > W; terms
-beyond the cutoffs are dropped and recorded in a truncation flag.
+beyond the cutoffs are dropped.
 
 Rules apply leftmost-first, and that strategy normalizes a prefix completely
 before it touches the next letter.  So a word's normal form is a fold: its
@@ -33,7 +33,7 @@ from .lang import Add, Div, Gen, HVar, Mul, Neg, Node, Num, Param, Pow, SeriesCa
 from .presentation import EVEN, ODD, HopfPresentation, PresentationError
 from .scalars import Scalar, ScalarError, series_fn, _series_coeff
 
-__all__ = ["Cutoffs", "RewriteError", "PbwElement", "Engine"]
+__all__ = ["Cutoffs", "RewriteError", "LinearCombination", "PbwElement", "Engine"]
 
 class RewriteError(RuntimeError):
     pass
@@ -48,88 +48,154 @@ class Cutoffs:
         return Cutoffs(self.h_order + dn, self.word_degree + dw)
 
 
-class PbwElement:
-    """Finite Scalar-linear combination of PBW monomials, with cutoff flags."""
+class LinearCombination:
+    """Finite Scalar-linear combination of keys, one PBW monomial per engine.
 
-    __slots__ = ("engine", "terms", "truncated")
+    The linear algebra that PBW elements and tensors share.  A subclass gives
+    its ``engines``, says how its key packs the monomials (``_legs``/``_key``),
+    how it is built (``_new``), how it multiplies and how it prints.
+    """
 
-    def __init__(self, engine: "Engine", terms: dict | None = None, truncated: bool = False):
-        self.engine = engine
-        self.terms = terms or {}
-        self.truncated = truncated
+    __slots__ = ("terms",)
 
-    # -- constructors --------------------------------------------------------
-    def _wrap(self, terms, truncated=False):
-        return PbwElement(self.engine, terms, self.truncated or truncated)
+    @property
+    def h_order(self) -> int:
+        return min(e.cutoffs.h_order for e in self.engines)
+
+    def parity_of_key(self, key) -> int:
+        return sum(e.monomial_parity(m) for e, m in zip(self.engines, self._legs(key))) % 2
+
+    def degree_of_key(self, key) -> int:
+        return sum(e.monomial_degree(m) for e, m in zip(self.engines, self._legs(key)))
+
+    def _check_space(self, other):
+        # tuples of engines compare by identity, leg count included
+        if type(other) is not type(self) or other.engines != self.engines:
+            raise PresentationError("leg mismatch")
 
     # -- linear structure ----------------------------------------------------
-    def __add__(self, other: "PbwElement") -> "PbwElement":
-        assert self.engine is other.engine, "presentation mismatch"
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
+    def _merge(self, items):
+        """terms[k] += c in place for each (k, c), dropping a key whose sum is zero."""
+        terms = self.terms
+        for k, c in items:
+            prev = terms.get(k)
+            s = c if prev is None else prev + c
             if s.is_zero():
-                out.pop(m, None)
+                terms.pop(k, None)
             else:
-                out[m] = s
-        return PbwElement(self.engine, _clean(out), self.truncated or other.truncated)
+                terms[k] = s
+
+    def __add__(self, other):
+        self._check_space(other)
+        out = self._new(dict(self.terms))
+        out._merge(other.terms.items())
+        return out
+
+    def add_scaled(self, other, c):
+        """self += other * c in place, the same terms and ``trunc`` as the
+        fold ``self + other.scale(c)`` without copying: each product is
+        truncated at the h-order and a zero product is skipped."""
+        self._check_space(other)
+        if isinstance(c, (int, Fraction)):
+            c = Scalar.from_fraction(c)
+        N = self.h_order
+        scaled = ((k, (v * c).truncate(N)) for k, v in other.terms.items())
+        self._merge((k, s) for k, s in scaled if not s.is_zero())
 
     def __neg__(self):
-        return self._wrap({m: -c for m, c in self.terms.items()})
+        return self._new({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "PbwElement":
+    def scale(self, c):
         if isinstance(c, (int, Fraction)):
             c = Scalar.from_fraction(c)
-        N = self.engine.cutoffs.h_order
-        out = {}
-        for m, coeff in self.terms.items():
-            s = (coeff * c).truncate(N)
-            if not s.is_zero():
-                out[m] = s
-        return self._wrap(_clean(out))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return self.engine.multiply(self, other)
+        N = self.h_order
+        return self.map_coeffs(lambda coeff: (coeff * c).truncate(N))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.terms.values())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PbwElement):
+        if isinstance(other, type(self)):
             return (self - other).is_zero()
         return NotImplemented
 
     def __hash__(self):
-        raise TypeError("PbwElement is not hashable")
+        raise TypeError(f"{type(self).__name__} is not hashable")
 
-    # -- structure -----------------------------------------------------------
+    def coefficient(self, key) -> Scalar:
+        key = self._key(tuple(tuple(m) for m in self._legs(key)))
+        return self.terms.get(key, Scalar.zero())
+
+    def map_coeffs(self, fn):
+        out = {}
+        for k, c in self.terms.items():
+            s = fn(c)
+            if not s.is_zero():
+                out[k] = s
+        return self._new(out)
+
     def parity(self):
-        """0, 1, or None for zero / mixed."""
-        seen = {self.engine.monomial_parity(m) for m, c in self.terms.items() if not c.is_zero()}
+        """0, 1, None for zero, or "mixed"."""
+        seen = {self.parity_of_key(k) for k, c in self.terms.items() if not c.is_zero()}
         if not seen:
             return None
         return seen.pop() if len(seen) == 1 else "mixed"
 
-    def degree(self) -> int:
-        degs = [self.engine.monomial_degree(m) for m, c in self.terms.items() if not c.is_zero()]
-        return max(degs, default=0)
+    def truncate_degree(self, max_degree: int):
+        """View with keys above the total filtration degree removed."""
+        return self._new({k: c for k, c in self.terms.items()
+                          if self.degree_of_key(k) <= max_degree})
 
-    def coefficient(self, mono) -> Scalar:
-        return self.terms.get(tuple(mono), Scalar.zero())
+    def moved_to(self, target):
+        """The same combination over ``target`` (an engine, or a tuple of
+        engines for a tensor), each leg's generators matched by name."""
+        engines = target if isinstance(target, tuple) else (target,)
+        if len(engines) != len(self.engines):
+            raise PresentationError("leg mismatch")
+        moves = [(dst.index_map(src), dst.n) for src, dst in zip(self.engines, engines)]
+        terms = {}
+        for k, c in self.terms.items():
+            legs = []
+            for m, (index, n) in zip(self._legs(k), moves):
+                out = [0] * n
+                for i, e in zip(index, m):
+                    out[i] = e
+                legs.append(tuple(out))
+            terms[self._key(tuple(legs))] = c
+        return type(self)(target, terms)
 
-    def map_coeffs(self, fn) -> "PbwElement":
-        out = {}
-        for m, c in self.terms.items():
-            s = fn(c)
-            if not s.is_zero():
-                out[m] = s
-        return self._wrap(_clean(out))
+
+class PbwElement(LinearCombination):
+    """Finite Scalar-linear combination of PBW monomials."""
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: "Engine", terms: dict | None = None):
+        self.engine = engine
+        self.terms = terms or {}
+
+    @property
+    def engines(self) -> tuple:
+        return (self.engine,)
+
+    def _new(self, terms) -> "PbwElement":
+        return PbwElement(self.engine, terms)
+
+    @staticmethod
+    def _legs(key):
+        return (key,)
+
+    @staticmethod
+    def _key(legs):
+        return legs[0]
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Scalar)):
+            return self.scale(other)
+        return self.engine.multiply(self, other)
 
     def substitute(self, bindings=None, h_to_zero=False):
         return self.map_coeffs(lambda c: c.substitute(bindings, h_to_zero))
@@ -137,12 +203,6 @@ class PbwElement:
     def h_coefficient(self, k: int) -> "PbwElement":
         """Element of h^k coefficients (parameters only), as exact scalars."""
         return self.map_coeffs(lambda c: Scalar.from_poly(c.coeff(k)))
-
-    def truncate_degree(self, max_degree: int) -> "PbwElement":
-        """View with monomials above the total filtration degree removed."""
-        kept = {m: c for m, c in self.terms.items()
-                if self.engine.monomial_degree(m) <= max_degree}
-        return PbwElement(self.engine, kept, self.truncated or len(kept) < len(self.terms))
 
     def __repr__(self):
         if not self.terms:
@@ -157,10 +217,6 @@ class PbwElement:
                 cs = f"({cs})"
             bits.append(f"{cs}*{word}" if word != "1" else cs)
         return " + ".join(bits)
-
-
-def _clean(terms: dict) -> dict:
-    return {m: c for m, c in terms.items() if not c.is_zero()}
 
 
 class Engine:
@@ -180,6 +236,7 @@ class Engine:
         self._rules: dict = {}
         self._product_cache: dict = {}
         self._right_cache: dict = {}
+        self._index_maps: dict = {}
         self._build_rules()
 
     # -- monomial helpers ----------------------------------------------------
@@ -196,6 +253,15 @@ class Engine:
 
     def element(self, terms: dict) -> PbwElement:
         return PbwElement(self, _clean({tuple(m): c for m, c in terms.items()}))
+
+    def index_map(self, src: "Engine") -> tuple:
+        """Position in this engine of each generator of ``src``, by name;
+        a name this engine lacks raises UnknownGeneratorError."""
+        got = self._index_maps.get(src)
+        if got is None:
+            got = tuple(self.presentation.gen_index(g) for g in src.gen_names)
+            self._index_maps[src] = got
+        return got
 
     def monomial_parity(self, mono) -> int:
         return sum(e for e, p in zip(mono, self.parities) if p == ODD) % 2
@@ -305,17 +371,16 @@ class Engine:
         # central letters never disappear under rewriting, so this prune is
         # exact: such a word cannot contribute below the degree cutoff
         if self.word_degree_central(word) > W:
-            return PbwElement(self, {}, True)
+            return self.zero()
         k = self._first_descent(word)
         cut = len(word) if k is None else k + 1
-        terms, truncated = {self.word_to_monomial(word[:cut]): coeff}, False
+        terms = {self.word_to_monomial(word[:cut]): coeff}
         for g in word[cut:]:
-            terms, t = self._times_letter(terms, g, N, None)
-            truncated = truncated or t
-        return PbwElement(self, _clean(terms), truncated)
+            terms = self._times_letter(terms, g, N, None)
+        return PbwElement(self, _clean(terms))
 
     def _times_letter(self, terms: dict, g: int, order: int, parent):
-        """(terms, truncated) for the normal form of terms*g modulo h^(order+1).
+        """The normal form of terms*g modulo h^(order+1).
 
         A term whose monomial takes g without a descent only gains the letter;
         the others go through ``_right`` at the order their coefficient's
@@ -324,7 +389,6 @@ class Engine:
         """
         W = self.cutoffs.word_degree
         out: dict = {}
-        truncated = False
         for m, c in terms.items():
             if _droppable(c, order):
                 continue
@@ -332,23 +396,21 @@ class Engine:
             if last is None or last < g or (last == g and self.parities[g] == EVEN):
                 m2 = m[:g] + (m[g] + 1,) + m[g + 1:]
                 if self.central[g] and self.monomial_degree_central(m2) > W:
-                    truncated = True
                     continue
                 _accumulate(out, m2, c)
                 continue
             v = c.valuation()
             if v is None:
                 v = c.trunc + 1  # zero known to O(h^(t+1)), t < order
-            _, products, t = self._right(m, last, g, order - v, parent)
-            truncated = truncated or t
+            _, products = self._right(m, last, g, order - v, parent)
             for m2, r in products.items():
                 x = (c * r).truncate(order)
                 if not _droppable(x, order):
                     _accumulate(out, m2, x)
-        return out, truncated
+        return out
 
     def _right(self, m, last: int, g: int, k: int, parent):
-        """(order, terms, truncated): the normal form of m*g modulo h^(k+1).
+        """(order, terms): the normal form of m*g modulo h^(k+1).
 
         m is normal with last letter ``last``, and (last, g) is a descent.
         One cache entry per (m, g) holds the highest order computed; a lower
@@ -369,20 +431,18 @@ class Engine:
                 f"({parent} -> {measure})")
         sign, tail = self._rules[(last, g)]
         rest = m[:last] + (m[last] - 1,) + m[last + 1:]
-        out, truncated = {}, False
+        out = {}
         if sign is not None:
             one = Scalar.one().truncate(k)
-            out, t1 = self._times_letter({rest: one if sign == 1 else -one}, g, k, measure)
-            out, t2 = self._times_letter(out, last, k, measure)
-            truncated = t1 or t2
+            out = self._times_letter({rest: one if sign == 1 else -one}, g, k, measure)
+            out = self._times_letter(out, last, k, measure)
         for tw, tc in tail.items():
             terms = {rest: tc.truncate(k)}
             for x in tw:
-                terms, t = self._times_letter(terms, x, k, measure)
-                truncated = truncated or t
+                terms = self._times_letter(terms, x, k, measure)
             for mono, c in terms.items():
                 _accumulate(out, mono, c)
-        entry = (k, {mono: c for mono, c in out.items() if not _droppable(c, k)}, truncated)
+        entry = (k, {mono: c for mono, c in out.items() if not _droppable(c, k)})
         self._right_cache[key] = entry
         return entry
 
@@ -395,8 +455,7 @@ class Engine:
     def multiply(self, a: PbwElement, b: PbwElement) -> PbwElement:
         assert a.engine is self and b.engine is self, "presentation mismatch"
         N = self.cutoffs.h_order
-        out: dict = {}
-        truncated = a.truncated or b.truncated
+        out = self.zero()
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
                 c = (ca * cb).truncate(N)
@@ -407,19 +466,8 @@ class Engine:
                 if nf is None:
                     nf = self.normal_form(self.monomial_to_word(ma) + self.monomial_to_word(mb))
                     self._product_cache[key] = nf
-                truncated = truncated or nf.truncated
-                for m, x in nf.terms.items():
-                    s = (x * c).truncate(N)
-                    if s.is_zero():
-                        continue
-                    prev = out.get(m)
-                    if prev is not None:
-                        s = prev + s
-                        if s.is_zero():
-                            del out[m]
-                            continue
-                    out[m] = s
-        return PbwElement(self, out, truncated)
+                out.add_scaled(nf, c)
+        return out
 
     def graded_commutator(self, a: str, b: str) -> PbwElement:
         """ab - (-1)^{|a||b|} ba for two generators, by name."""
@@ -461,7 +509,7 @@ class Engine:
                 continue
             mono = tuple(k if j == i else 0 for j in range(self.n))
             terms[mono] = power * ck
-        return PbwElement(self, _clean(terms), False)
+        return PbwElement(self, _clean(terms))
 
     # -- expression evaluation ------------------------------------------------
     def evaluate(self, node: Node, normalize: bool = True) -> PbwElement:
@@ -494,7 +542,7 @@ class Engine:
         if den is not None:
             raw = {w: c.div(den) for w, c in raw.items()}
         raw = {w: c.truncate(self.cutoffs.h_order) for w, c in raw.items()}
-        return _cleanw(raw)
+        return _clean(raw)
 
     def _eval(self, node: Node):
         """Evaluate to (word -> Scalar, deferred denominator or None); words raw."""
@@ -540,7 +588,7 @@ class Engine:
                 for w, c in raw.items():
                     prev = total.get(w)
                     total[w] = c if prev is None else prev + c
-            return _cleanw(total), total_den
+            return _clean(total), total_den
         if isinstance(node, Mul):
             raw: dict = {(): Scalar.one()}
             den = None
@@ -603,7 +651,7 @@ class Engine:
                 c = (ca * cb).truncate(N)
                 prev = out.get(w)
                 out[w] = c if prev is None else prev + c
-        return _cleanw(out)
+        return _clean(out)
 
     # -- confluence ----------------------------------------------------------
     def _rewrite_once(self, word, pos):
@@ -643,8 +691,8 @@ class Engine:
         return (not failures, failures, checked)
 
 
-def _cleanw(raw: dict) -> dict:
-    return {w: c for w, c in raw.items() if not c.is_zero()}
+def _clean(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
 def _accumulate(out: dict, m, c):

@@ -10,7 +10,7 @@ on, and failures carry the first residual term.
 
 from __future__ import annotations
 
-from .double import derive_double_presentation, _remap
+from .double import derive_double_presentation
 from .hopf import HopfOps, _first_residual_tensor
 from .pairing import _h_basis
 from .pbw import Cutoffs, Engine, PbwElement
@@ -39,16 +39,6 @@ class RMatrixContext:
         self.derived = derived
         self.engine = Engine(derived, cut)
         self.ops = HopfOps(self.engine)
-
-    def embed_h(self, el: PbwElement) -> PbwElement:
-        return PbwElement(self.engine,
-                          {_remap(self.dbl.H, self.engine, m): c for m, c in el.terms.items()},
-                          el.truncated)
-
-    def embed_k(self, el: PbwElement) -> PbwElement:
-        return PbwElement(self.engine,
-                          {_remap(self.dbl.K, self.engine, m): c for m, c in el.terms.items()},
-                          el.truncated)
 
 
 def build_R(ctx: RMatrixContext, variant: str = "closed-form") -> TensorElement:
@@ -84,12 +74,12 @@ def _canonical_element(ctx: RMatrixContext) -> TensorElement:
         if gauss_jordan(A, ctx.h_order) != list(range(n)):
             raise RuntimeError("canonical element: Gram pivot not invertible")
         for k, mh in enumerate(rows):
-            dual = PbwElement(K, {})
+            dual = PbwElement(K)
             for j, mk in enumerate(cols):
                 if not A[j][n + k].is_zero():
-                    dual = dual + PbwElement(K, {mk: Scalar.one()}).scale(A[j][n + k])
-            out = out + tensor_of(ctx.embed_h(PbwElement(H, {mh: Scalar.one()})),
-                                  ctx.embed_k(dual))
+                    dual.add_scaled(PbwElement(K, {mk: Scalar.one()}), A[j][n + k])
+            out = out + tensor_of(PbwElement(H, {mh: Scalar.one()}).moved_to(ctx.engine),
+                                  dual.moved_to(ctx.engine))
     return out
 
 

@@ -10,20 +10,32 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lang import Add, Mul, Neg, Node, Num, Tensor
-from .pbw import Engine, PbwElement, _droppable
+from .pbw import Engine, LinearCombination, PbwElement, _clean, _droppable
 from .presentation import PresentationError
 from .scalars import Scalar
 
 __all__ = ["TensorElement", "tensor_of", "evaluate_tensor", "exp_tensor"]
 
 
-class TensorElement:
-    __slots__ = ("engines", "terms", "truncated")
+class TensorElement(LinearCombination):
+    """Finite Scalar-linear combination of tuples of PBW monomials, one per leg."""
 
-    def __init__(self, engines, terms=None, truncated=False):
+    __slots__ = ("engines",)
+
+    def __init__(self, engines, terms=None):
         self.engines = tuple(engines)
         self.terms = terms or {}
-        self.truncated = truncated
+
+    def _new(self, terms) -> "TensorElement":
+        return TensorElement(self.engines, terms)
+
+    @staticmethod
+    def _legs(key):
+        return key
+
+    @staticmethod
+    def _key(legs):
+        return legs
 
     @property
     def legs(self) -> int:
@@ -38,71 +50,6 @@ class TensorElement:
         key = tuple((0,) * e.n for e in engines)
         return TensorElement(engines, {key: Scalar.one()})
 
-    # -- linear structure -----------------------------------------------------
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        assert self.engines == other.engines or all(
-            a is b for a, b in zip(self.engines, other.engines)), "leg mismatch"
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TensorElement(self.engines, out, self.truncated or other.truncated)
-
-    def __neg__(self):
-        return TensorElement(self.engines, {k: -c for k, c in self.terms.items()}, self.truncated)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TensorElement":
-        if isinstance(c, (int, Fraction)):
-            c = Scalar.from_fraction(c)
-        N = min(e.cutoffs.h_order for e in self.engines)
-        out = {}
-        for k, coeff in self.terms.items():
-            s = (coeff * c).truncate(N)
-            if not s.is_zero():
-                out[k] = s
-        return TensorElement(self.engines, out, self.truncated)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
-
-    def __eq__(self, other):
-        if isinstance(other, TensorElement):
-            return (self - other).is_zero()
-        return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("TensorElement is not hashable")
-
-    def coefficient(self, monos) -> Scalar:
-        return self.terms.get(tuple(tuple(m) for m in monos), Scalar.zero())
-
-    def map_coeffs(self, fn) -> "TensorElement":
-        out = {}
-        for k, c in self.terms.items():
-            s = fn(c)
-            if not s.is_zero():
-                out[k] = s
-        return TensorElement(self.engines, out, self.truncated)
-
-    def parity_of_key(self, key) -> int:
-        return sum(e.monomial_parity(m) for e, m in zip(self.engines, key)) % 2
-
-    def parity(self):
-        seen = {self.parity_of_key(k) for k, c in self.terms.items() if not c.is_zero()}
-        if not seen:
-            return None
-        return seen.pop() if len(seen) == 1 else "mixed"
-
-    def degree_of_key(self, key) -> int:
-        return sum(e.monomial_degree(m) for e, m in zip(self.engines, key))
-
     def central_degree_of_key(self, key) -> int:
         return sum(e.monomial_degree_central(m) for e, m in zip(self.engines, key))
 
@@ -110,17 +57,13 @@ class TensorElement:
         degs = [self.degree_of_key(k) for k, c in self.terms.items() if not c.is_zero()]
         return min(degs, default=None)
 
-    def truncate_degree(self, max_degree: int) -> "TensorElement":
-        kept = {k: c for k, c in self.terms.items() if self.degree_of_key(k) <= max_degree}
-        return TensorElement(self.engines, kept, self.truncated or len(kept) < len(self.terms))
-
     # -- multiplication --------------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
         return tensor_mul(self, other)
 
-    __rmul__ = scale
+    __rmul__ = LinearCombination.scale
 
     # -- leg operations ----------------------------------------------------------
     def flip_adjacent(self, pos: int) -> "TensorElement":
@@ -137,7 +80,7 @@ class TensorElement:
             s = -c if (pa and pb) else c
             prev = out.get(nk)
             out[nk] = s if prev is None else prev + s
-        return TensorElement(tuple(engines), out, self.truncated)
+        return TensorElement(tuple(engines), out)
 
     def insert_unit_leg(self, pos: int, engine: Engine) -> "TensorElement":
         """R -> R_{13}-style embedding: insert the unit in a new leg at pos."""
@@ -146,7 +89,7 @@ class TensorElement:
         out = {}
         for key, c in self.terms.items():
             out[key[:pos] + (unit,) + key[pos:]] = c
-        return TensorElement(engines, out, self.truncated)
+        return TensorElement(engines, out)
 
     def apply_leg(self, pos: int, fn) -> "TensorElement":
         """Apply an even linear map (monomial -> PbwElement) to one leg."""
@@ -159,7 +102,23 @@ class TensorElement:
                 nk = key[:pos] + (m,) + key[pos + 1:]
                 if self.central_degree_of_key(nk) <= W:
                     terms[nk] = mc
-            out = out + TensorElement(self.engines, terms, img.truncated).scale(c)
+            out.add_scaled(TensorElement(self.engines, terms), c)
+        return out
+
+    def multiply_legs(self, pos: int = 0):
+        """The multiplication map (no sign) on legs pos, pos+1 of one engine:
+        one leg fewer, and a PbwElement when a single leg is left."""
+        eng = self.engines[pos]
+        if self.engines[pos + 1] is not eng:
+            raise PresentationError("leg mismatch")
+        engines = self.engines[:pos + 1] + self.engines[pos + 2:]
+        out = PbwElement(eng) if len(engines) == 1 else TensorElement(engines)
+        one = Scalar.one()
+        for key, c in self.terms.items():
+            prod = eng.multiply(PbwElement(eng, {key[pos]: one}), PbwElement(eng, {key[pos + 1]: one}))
+            head, tail = key[:pos], key[pos + 2:]
+            out.add_scaled(out._new({out._key(head + (m,) + tail): v
+                                     for m, v in prod.terms.items()}), c)
         return out
 
     def expand_leg(self, pos: int, fn) -> "TensorElement":
@@ -167,12 +126,10 @@ class TensorElement:
         2-leg tensor), splicing in place; used for coproduct leg application."""
         sample = None
         out_terms: dict = {}
-        truncated = self.truncated
         W = min(e.cutoffs.word_degree for e in self.engines)
         for key, c in self.terms.items():
             img = fn(key[pos])  # TensorElement with 2 legs
             sample = img
-            truncated = truncated or img.truncated
             for ik, ic in img.terms.items():
                 nk = key[:pos] + ik + key[pos + 1:]
                 s = ic * c
@@ -180,7 +137,7 @@ class TensorElement:
                 out_terms[nk] = s if prev is None else prev + s
         if sample is None:
             engines = self.engines[:pos] + (self.engines[pos], self.engines[pos]) + self.engines[pos + 1:]
-            return TensorElement(engines, {}, truncated)
+            return TensorElement(engines)
         engines = self.engines[:pos] + sample.engines + self.engines[pos + 1:]
         N = min(e.cutoffs.h_order for e in engines)
 
@@ -189,7 +146,7 @@ class TensorElement:
 
         out_terms = {k: v.truncate(N) for k, v in out_terms.items()
                      if not v.is_zero() and central(k) <= W}
-        return TensorElement(engines, out_terms, truncated)
+        return TensorElement(engines, out_terms)
 
     def __repr__(self):
         if not self.terms:
@@ -209,9 +166,7 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
     engines = a.engines
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
-    out = TensorElement.zero(engines)
     acc: dict = {}
-    truncated = a.truncated or b.truncated
     for ka, ca in a.terms.items():
         pa = [engines[i].monomial_parity(ka[i]) for i in range(len(engines))]
         for kb, cb in b.terms.items():
@@ -229,10 +184,8 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
             legs = [engines[i].multiply(
                 PbwElement(engines[i], {ka[i]: Scalar.one()}),
                 PbwElement(engines[i], {kb[i]: Scalar.one()})) for i in range(len(engines))]
-            truncated = truncated or any(l.truncated for l in legs)
             _distribute(acc, legs, c, N, W)
-    out = TensorElement(engines, {k: v for k, v in acc.items() if not v.is_zero()}, truncated)
-    return out
+    return TensorElement(engines, _clean(acc))
 
 
 def _distribute(acc, legs, c, N, W=None):
@@ -264,13 +217,11 @@ def _distribute(acc, legs, c, N, W=None):
 def tensor_of(*elements: PbwElement) -> TensorElement:
     """Pure tensor of algebra elements (no signs: this is not a product)."""
     engines = tuple(el.engine for el in elements)
-    out = TensorElement.zero(engines)
     acc: dict = {}
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
     _distribute(acc, list(elements), Scalar.one(), N, W)
-    return TensorElement(engines, {k: v for k, v in acc.items() if not v.is_zero()},
-                         any(el.truncated for el in elements))
+    return TensorElement(engines, _clean(acc))
 
 
 def exp_tensor(x: TensorElement, degree_cutoff: int) -> TensorElement:
@@ -288,7 +239,7 @@ def exp_tensor(x: TensorElement, degree_cutoff: int) -> TensorElement:
         fact = fact / n
         if power.is_zero():
             break
-        out = out + power.scale(fact)
+        out.add_scaled(power, fact)
     return out
 
 

@@ -70,6 +70,16 @@ def test_psi_of_s_has_antipoded_third_placement(dbl):
 
 # ------------------------------------------------------------ cross relations
 
+def test_antipode_inverse_requires_an_involution():
+    d = Double(standard_pair(Cutoffs(4, 8), alpha2=True))
+    d.h_ops._anti["T"] = d.H.generator("T").scale(2)  # S^2(T) = 4T
+    x, f = d.H.generator("S"), d.K.generator("xi")
+    with pytest.raises(NotImplementedError):
+        d.psi(x)
+    with pytest.raises(NotImplementedError):
+        d.cross_product_via_structure_constants(x, f)
+
+
 def test_cross_product_t_tau_commutes(dbl):
     assert dbl.cross_bracket("T", "tau", "contraction").is_zero()
     assert dbl.cross_bracket("T", "xi", "contraction").is_zero()

@@ -105,7 +105,7 @@ def test_antipode_axiom_on_tau_vanishes(brst_ops):
     # m(S (x) id) Delta tau = -tau + tau - (h/sinh h) xi^2 = 0
     eng = brst_ops.engine
     two = brst_ops.coproduct(eng.generator("tau"))
-    out = brst_ops.multiply_legs(two.apply_leg(0, brst_ops.antipode_mono))
+    out = two.apply_leg(0, brst_ops.antipode_mono).multiply_legs()
     assert out.is_zero()
 
 
@@ -115,6 +115,17 @@ def test_antipode_squared_identity_all_files():
         assert ops.antipode_squared_is_identity(), name
         g = ops.engine.generator(ops.engine.gen_names[0])
         assert ops.antipode_inverse(g) == ops.antipode(g)
+
+
+def test_involution_is_checked_once_per_ops(monkeypatch):
+    ops = HopfOps(Engine(load_presentation("brst_q"), Cutoffs(4, 8)))
+    calls = []
+    check = ops.antipode_squared_is_identity
+    monkeypatch.setattr(ops, "antipode_squared_is_identity", lambda: calls.append(1) or check())
+    for name in ops.engine.gen_names:
+        g = ops.engine.generator(name)
+        assert ops.antipode_inverse(g) == ops.antipode(g)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -105,6 +105,30 @@ def test_leg_mismatch_rejected(sd):
         tensor_mul(tensor_of(g["S"], g["xi"]), tensor_of(g["S"], g["xi"], g["T"]))
 
 
+def test_addition_rejects_leg_mismatch(sd):
+    g = gens(sd)
+    with pytest.raises(PresentationError):
+        tensor_of(g["S"], g["T"]) + tensor_of(g["S"], g["T"], sd.one())
+    other = Engine(load_presentation("sd_line"), Cutoffs(4, 12))
+    with pytest.raises(PresentationError):
+        tensor_of(g["S"], g["T"]) + tensor_of(g["S"], other.generator("T"))
+    with pytest.raises(PresentationError):
+        g["S"] - other.generator("S")
+
+
+def test_moved_to_matches_generators_by_name(sd):
+    ptsa = Engine(load_presentation("ptsa_q"), Cutoffs(4, 12))
+    S, T = ptsa.generator("S"), ptsa.generator("T")
+    el = ptsa.multiply(S, T).scale(Scalar.h())
+    assert el.moved_to(sd) == sd.multiply(sd.generator("S"), sd.generator("T")).scale(Scalar.h())
+    assert tensor_of(S, T).moved_to((sd, sd)) == tensor_of(sd.generator("S"), sd.generator("T"))
+    # xi and tau have no place in ptsa_q
+    with pytest.raises(PresentationError):
+        sd.generator("S").moved_to(ptsa)
+    with pytest.raises(PresentationError):
+        tensor_of(S, T).moved_to((sd, sd, sd))
+
+
 # ------------------------------------------------------------- exponentials
 
 def test_exp_tensor_low_degree(sd):
