@@ -13,6 +13,7 @@ deterministic given inputs, cutoffs and seed.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import families
@@ -20,6 +21,7 @@ from .bialgebra import check_cocycle, check_cojacobi, check_jacobi, from_family
 from .double import (derive_double_presentation, verify_route_equivalence,
                      verify_universal_identity)
 from .hopf import verify_hopf
+from .lang import ParseError, parse_expr_text
 from .pairing import verify_duality
 from .pbw import Cutoffs, Engine
 from .presentation import PresentationError, emit_presentation, load_presentation
@@ -192,6 +194,21 @@ def run_entry(args, entry):
 
 # ----------------------------------------------------------------- subcommands
 
+def _mixed(value) -> bool:
+    """Whether ``--mixed`` was given; its VALUE must read h1=<expr>,h2=<expr>."""
+    if value is None:
+        return False
+    m = re.fullmatch(r"h1=([^,]*),h2=([^,]*)", value)
+    if m is None:
+        raise PresentationError(f"--mixed takes h1=<expr>,h2=<expr>, not {value!r}")
+    for name, text in zip(("h1", "h2"), m.groups()):
+        try:
+            parse_expr_text(text)
+        except ParseError as e:
+            raise PresentationError(f"--mixed {name}: {e}") from None
+    return True
+
+
 def cmd_check_family(args) -> int:
     bindings = {}
     for item in args.bind or []:
@@ -205,11 +222,7 @@ def cmd_check_family(args) -> int:
                                 f"not {args.id!r}")
     entry = (("bialgebra", args.id) if args.limit == "first-order"
              else ("family", args.id, args.limit, bindings or None))
-    try:
-        return _emit(run_entry(args, entry), args)
-    except KeyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    return _emit(run_entry(args, entry), args)
 
 
 def cmd_suite_all(args) -> int:
@@ -261,10 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bind", action="append", metavar="k=v")
     p.add_argument("--limit", choices=("h0", "h1", "field", "first-order"))
     p.set_defaults(func=cmd_check_family)
-    p = entry_parser(chsub, "bialgebra", lambda a: ("bialgebra", a.id, bool(a.mixed)))
+    p = entry_parser(chsub, "bialgebra", lambda a: ("bialgebra", a.id, _mixed(a.mixed)))
     p.add_argument("id")
-    p.add_argument("--mixed", metavar="h1=...,h2=...",
-                   help="mix bracket and cobracket from two frozen coordinates")
+    p.add_argument("--mixed", metavar="h1=EXPR,h2=EXPR",
+                   help="run only the 1-cocycle check, with the bracket frozen at "
+                        "coordinate h1 and the cobracket at h2; each coordinate is "
+                        "abstracted to its own indeterminates (a1, b1 and a2, b2), "
+                        "so the check is generic in both: each EXPR must parse, and "
+                        "its value does not change the verdict")
 
     b = sub.add_parser("build", help="construct derived objects")
     bsub = b.add_subparsers(dest="what", required=True)

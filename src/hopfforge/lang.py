@@ -329,12 +329,14 @@ def expr_to_text(node: Node) -> str:
     if isinstance(node, SeriesCall):
         return f"{node.fn}({expr_to_text(node.arg)})"
     if isinstance(node, Neg):
-        return "-" + wrap(node.arg, 1)
+        # unary minus binds tighter than * and /: -(a*b) is not (-a)*b
+        return "-" + wrap(node.arg, 3)
     if isinstance(node, Add):
         parts = []
         for i, t in enumerate(node.terms):
             if isinstance(t, Neg):
-                parts.append(("- " if i else "-") + wrap(t.arg, 1))
+                # a binary minus takes a whole tensor term
+                parts.append("- " + wrap(t.arg, 1) if i else expr_to_text(t))
             else:
                 parts.append(("+ " if i else "") + wrap(t, 1))
         return " ".join(parts)

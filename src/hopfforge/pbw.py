@@ -22,14 +22,22 @@ termination measure (h-order k, non-central word degree, inversion count) of
 m*g lies below that of the product that needs it; rule tails are validated at
 build time to make that measure sound (pole-free coefficients, and h-free
 tail terms must drop non-central degree).
+
+Each engine also fixes a generator weight that rewriting never lowers (see
+``Engine._find_weight``).  A key of total degree <= D weighs at most
+D * max(w_i/d_i), so ``LinearCombination.window`` and the windowed tensor
+product drop, exactly, what cannot reach degree <= D under further products.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
-from .lang import Add, Div, Gen, HVar, Mul, Neg, Node, Num, Param, Pow, SeriesCall, Tensor
+from .lang import (Add, Div, Gen, HVar, Mul, Neg, Node, Num, Param, Pow, SeriesCall, Tensor,
+                   expr_to_text)
 from .presentation import EVEN, ODD, HopfPresentation, PresentationError
 from .scalars import Scalar, ScalarError, series_fn, _series_coeff
 
@@ -67,6 +75,21 @@ class LinearCombination:
 
     def degree_of_key(self, key) -> int:
         return sum(e.monomial_degree(m) for e, m in zip(self.engines, self._legs(key)))
+
+    def weight_of_key(self, key) -> int:
+        return sum(e.monomial_weight(m) for e, m in zip(self.engines, self._legs(key)))
+
+    def weight_bound(self, max_degree: int) -> Fraction:
+        """The largest weight a key of total degree <= max_degree can have."""
+        return max_degree * max(e.weight_ratio for e in self.engines)
+
+    def window(self, max_degree: int):
+        """The keys within the weight bound of max_degree.  Products and the
+        engine's coproduct never lower weight, so under them a dropped key
+        contributes only above total degree max_degree."""
+        bound = self.weight_bound(max_degree)
+        return self._new({k: c for k, c in self.terms.items()
+                          if self.weight_of_key(k) <= bound})
 
     def _check_space(self, other):
         # tuples of engines compare by identity, leg count included
@@ -238,6 +261,9 @@ class Engine:
         self._right_cache: dict = {}
         self._index_maps: dict = {}
         self._build_rules()
+        self.weight = self._find_weight()
+        self.weight_ratio = max((Fraction(w, d) for w, d in zip(self.weight, self.degrees) if d),
+                                default=Fraction(0))
 
     # -- monomial helpers ----------------------------------------------------
     def one(self) -> PbwElement:
@@ -268,6 +294,9 @@ class Engine:
 
     def monomial_degree(self, mono) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
+
+    def monomial_weight(self, mono) -> int:
+        return sum(e * w for e, w in zip(mono, self.weight))
 
     def word_degree(self, word) -> int:
         return sum(self.degrees[i] for i in word)
@@ -352,6 +381,66 @@ class Engine:
                     raise PresentationError(
                         f"cannot orient relation ({self.gen_names[i]},{self.gen_names[j]}) "
                         f"terminatingly: h-free tail term does not drop degree")
+
+    # -- filtration weight -----------------------------------------------------
+    def _find_weight(self) -> tuple:
+        """The generator weight w with 0 <= w_i <= d_i that rewriting never
+        lowers: the valid one of largest sum, ties to the lexicographically
+        largest.
+
+        Valid means every tail word of every rule weighs at least the pair it
+        replaces, and every term of each generator's coproduct weighs at least
+        the generator.  Then a normal form weighs at least its word, a product
+        at least the sum of its factors and a coproduct image at least its
+        monomial; truncation only drops terms.  The zero weight is always
+        valid, and under it nothing is ever pruned.
+        """
+        zero = (0,) * self.n
+        unit = {g: zero[:i] + (1,) + zero[i + 1:] for i, g in enumerate(self.gen_names)}
+
+        def support(node) -> set:
+            """Exponent vectors such that every word of the node's expansion
+            (a tensor's legs concatenated) is at least one of them, entrywise.
+            Coefficients are not evaluated: a cancellation only removes words."""
+            if isinstance(node, Gen):
+                return {unit.get(node.name, zero)}  # a parameter is a scalar
+            if isinstance(node, Num):
+                return {zero} if node.value else set()
+            if isinstance(node, Add):
+                return set().union(*map(support, node.terms))
+            if isinstance(node, Neg):
+                return support(node.arg)
+            if isinstance(node, Div):  # the denominator is a scalar
+                return support(node.num)
+            if isinstance(node, SeriesCall):
+                # exp and cosh start with the empty word; sinh is odd, so each
+                # of its words holds the argument at least once
+                return support(node.arg) if node.fn == "sinh" else {zero}
+            if isinstance(node, Mul):
+                factors = node.factors
+            elif isinstance(node, Tensor):
+                factors = node.legs
+            elif isinstance(node, Pow):
+                factors = (node.base,) * node.exp
+            else:
+                return {zero}  # h or a parameter
+            out = {zero}
+            for low in map(support, factors):
+                if low != {zero}:
+                    out = {tuple(map(add, x, y)) for x in out for y in low}
+            return out
+
+        lows = set()  # w is valid iff w . v >= 0 for every v here
+        for (i, j), (_, tail) in self._rules.items():
+            up = self.word_to_monomial((i, j))
+            lows.update(tuple(map(sub, self.word_to_monomial(word), up)) for word in tail)
+        for name, node in self.presentation.coproduct:
+            lows.update(tuple(map(sub, low, unit[name])) for low in support(node))
+        lows = [v for v in lows if min(v) < 0]
+        box = itertools.product(*(range(d, -1, -1) for d in self.degrees))
+        # the sort is stable, so the box's descending lex order breaks ties
+        return next(w for w in sorted(box, key=sum, reverse=True)
+                    if all(sum(map(mul, w, v)) >= 0 for v in lows))
 
     def _first_descent(self, word):
         for k in range(len(word) - 1):
@@ -514,11 +603,7 @@ class Engine:
     # -- expression evaluation ------------------------------------------------
     def evaluate(self, node: Node, normalize: bool = True) -> PbwElement:
         """Evaluate an algebra-level expression AST to a PbwElement."""
-        N = self.cutoffs.h_order
-        raw, den = self._eval(node)
-        if den is not None:
-            raw = {w: c.div(den) for w, c in raw.items()}
-        raw = {w: c.truncate(N) for w, c in raw.items()}
+        raw = self._words(node)
         if not normalize:
             for w in raw:
                 if self._first_descent(w) is not None:
@@ -538,11 +623,20 @@ class Engine:
         return el.terms.get(unit, Scalar.zero(self.cutoffs.h_order))
 
     def _raw_words(self, node: Node) -> dict:
-        raw, den = self._eval(node)
-        if den is not None:
-            raw = {w: c.div(den) for w, c in raw.items()}
-        raw = {w: c.truncate(self.cutoffs.h_order) for w, c in raw.items()}
-        return _clean(raw)
+        return _clean(self._words(node))
+
+    def _words(self, node: Node) -> dict:
+        """The expression's words, not normalized, with their coefficients at
+        h-order N.  An expression the series arithmetic rejects, such as
+        sinh(2) or 1/0, is bad input."""
+        try:
+            raw, den = self._eval(node)
+            if den is not None:
+                raw = {w: c.div(den) for w, c in raw.items()}
+        except ScalarError as e:
+            raise PresentationError(f"cannot evaluate {expr_to_text(node)}: {e}") from None
+        N = self.cutoffs.h_order
+        return {w: c.truncate(N) for w, c in raw.items()}
 
     def _eval(self, node: Node):
         """Evaluate to (word -> Scalar, deferred denominator or None); words raw."""

@@ -96,13 +96,14 @@ def verify_intertwining(ctx: RMatrixContext, R: TensorElement, variant: str,
     with Timer() as t:
         status, residual = PASS, None
         details = []
+        D = ctx.degree
         for name in ctx.engine.gen_names:
             g = ctx.engine.generator(name)
             two = ctx.ops.coproduct(g)
-            # residuals are meaningful up to total degree D; the internal
-            # expansion order supplies the headroom
-            diff = (tensor_mul(R, two) - tensor_mul(two.flip_adjacent(0), R)) \
-                .truncate_degree(ctx.degree)
+            # residuals are read at total degree <= D, where the windowed
+            # products are exact
+            diff = (tensor_mul(R, two, D) - tensor_mul(two.flip_adjacent(0), R, D)) \
+                .truncate_degree(D)
             if diff.is_zero():
                 details.append(f"intertwines the coproduct of {name}")
             else:
@@ -126,20 +127,24 @@ def verify_coproduct_laws(ctx: RMatrixContext, R: TensorElement, variant: str,
     """(Delta (x) id) R = R13 R23 and (id (x) Delta) R = R13 R12."""
     with Timer() as t:
         eng = ctx.engine
+        D = ctx.degree
         status, residual = PASS, None
         details = []
+        # the engine's weight is one the coproduct never lowers either, so a
+        # key of R outside the window reaches no term of degree <= D
+        R = R.window(D)
         R13 = R.insert_unit_leg(1, eng)
         R23 = R.insert_unit_leg(0, eng)
         R12 = R.insert_unit_leg(2, eng)
         left = R.expand_leg(0, ctx.ops.coproduct_mono)
-        diff1 = (left - tensor_mul(R13, R23)).truncate_degree(ctx.degree)
+        diff1 = (left - tensor_mul(R13, R23, D)).truncate_degree(D)
         if diff1.is_zero():
             details.append("(Delta (x) id) R = R13 R23")
         else:
             status, residual = FAIL, f"(Delta (x) id) R - R13 R23: {_first_residual_tensor(diff1)}"
         if status == PASS:
             right = R.expand_leg(1, ctx.ops.coproduct_mono)
-            diff2 = (right - tensor_mul(R13, R12)).truncate_degree(ctx.degree)
+            diff2 = (right - tensor_mul(R13, R12, D)).truncate_degree(D)
             if diff2.is_zero():
                 details.append("(id (x) Delta) R = R13 R12")
             else:
@@ -227,25 +232,26 @@ def check_triangularity(ctx: RMatrixContext, R: TensorElement, variant: str) -> 
     """R21 R versus 1 (x) 1, and R^-1 versus R21; records both readings."""
     with Timer() as t:
         eng = ctx.engine
+        D = ctx.degree
         unit = TensorElement.unit((eng, eng))
-        # comparisons live at total degree <= D; keeping terms up to the
-        # internal order is enough headroom and keeps the products small
-        R = R.truncate_degree(ctx.d_int)
+        # comparisons live at total degree <= D, and windowed products are
+        # exact there
+        R = R.window(D)
         R21 = R.flip_adjacent(0)
-        prod = tensor_mul(R21, R)
-        triangular = (prod - unit).truncate_degree(ctx.degree).is_zero()
-        Rinv = _invert(R, unit, ctx)
-        inv_is_r21 = (Rinv - R21).truncate_degree(ctx.degree).is_zero()
+        prod = tensor_mul(R21, R, D)
+        triangular = (prod - unit).truncate_degree(D).is_zero()
+        Rinv = _invert(R, unit, D)
+        inv_is_r21 = (Rinv - R21).truncate_degree(D).is_zero()
         details = [
             f"R21 R == 1 (x) 1: {triangular}",
             f"R^-1 == R21: {inv_is_r21}",
             f"R R^-1 == 1 (x) 1: "
-            f"{(tensor_mul(R, Rinv) - unit).truncate_degree(ctx.degree).is_zero()}",
+            f"{(tensor_mul(R, Rinv, D) - unit).truncate_degree(D).is_zero()}",
         ]
         residual = None
         if not triangular:
             residual = ("R21 R - 1: "
-                        f"{_first_residual_tensor((prod - unit).truncate_degree(ctx.degree))}")
+                        f"{_first_residual_tensor((prod - unit).truncate_degree(D))}")
             details.append("the double is quasitriangular, not triangular; the "
                            "published 'triangularity' claim holds only in the "
                            "quasi reading")
@@ -258,15 +264,20 @@ def check_triangularity(ctx: RMatrixContext, R: TensorElement, variant: str) -> 
         details=details, wall_time=t.elapsed)
 
 
-def _invert(R: TensorElement, unit: TensorElement, ctx: RMatrixContext) -> TensorElement:
-    # Neumann series; Y has filtration degree >= 1, so terms above the internal
-    # degree cannot reach the comparison window and are dropped per step
-    Y = (R - unit).truncate_degree(ctx.d_int)
+def _invert(R: TensorElement, unit: TensorElement, max_degree: int) -> TensorElement:
+    """R^-1 in the window of max_degree, as the Neumann series sum_k (-Y)^k
+    with Y = R - 1.  Every term of Y must weigh at least 1 or carry a factor
+    h: then each factor of (-Y)^k raises the weight or the h-order, the
+    series leaves the window after finitely many terms, and the windowed sum
+    is exact."""
+    Y = (R - unit).window(max_degree)
+    if any(Y.weight_of_key(k) < 1 and c.valuation() < 1 for k, c in Y.terms.items()):
+        raise RuntimeError("R - 1 has an h-free term of weight 0: "
+                           "its Neumann series does not terminate")
     out = unit
     power = unit
-    for _ in range(ctx.d_int + 1):
-        power = tensor_mul(power, Y).scale(-1).truncate_degree(ctx.d_int)
+    while True:
+        power = tensor_mul(power, Y, max_degree).scale(-1)
         if power.is_zero():
-            break
+            return out
         out = out + power
-    return out

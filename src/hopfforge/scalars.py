@@ -326,7 +326,8 @@ class Scalar:
         if other.is_zero():
             raise ScalarError("division by zero")
         if self.is_zero():
-            return Scalar.zero(self.trunc)
+            # O(h^(t+1)) over a divisor of valuation vb is O(h^(t+1-vb))
+            return Scalar.zero(_addcap(self.trunc, -other.valuation()))
         va, vb = self.valuation(), other.valuation()
         lead = other.coeffs[vb]
         both_exact = self.trunc is None and other.trunc is None

@@ -7,6 +7,7 @@ Multiplication is legwise with the sign (-1)^(sum_{i<j} |y_i||x_j|) for
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .lang import Add, Mul, Neg, Node, Num, Tensor
@@ -159,17 +160,32 @@ class TensorElement(LinearCombination):
         return " + ".join(bits)
 
 
-def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
-    """Legwise product with the Koszul sign."""
+def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
+               ) -> TensorElement:
+    """Legwise product with the Koszul sign.
+
+    With ``max_degree`` D, the product's window of D (``LinearCombination.window``):
+    a pair of keys whose weights sum above the bound of D is skipped, since
+    rewriting never lowers weight, so the result is the full product's
+    window, keys, coefficients and ``trunc`` alike.
+    """
     if a.legs != b.legs or any(x is not y for x, y in zip(a.engines, b.engines)):
         raise PresentationError("tensor leg mismatch")
     engines = a.engines
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
+    if max_degree is None:
+        bound, weight = math.inf, lambda key: 0
+    else:
+        bound, weight = a.weight_bound(max_degree), a.weight_of_key
+    b_items = [(kb, cb, weight(kb)) for kb, cb in b.terms.items()]
     acc: dict = {}
     for ka, ca in a.terms.items():
+        room = bound - weight(ka)
         pa = [engines[i].monomial_parity(ka[i]) for i in range(len(engines))]
-        for kb, cb in b.terms.items():
+        for kb, cb, wb in b_items:
+            if wb > room:
+                continue
             pb = [engines[i].monomial_parity(kb[i]) for i in range(len(engines))]
             sgn = 0
             for i in range(len(engines)):
@@ -185,7 +201,8 @@ def tensor_mul(a: TensorElement, b: TensorElement) -> TensorElement:
                 PbwElement(engines[i], {ka[i]: Scalar.one()}),
                 PbwElement(engines[i], {kb[i]: Scalar.one()})) for i in range(len(engines))]
             _distribute(acc, legs, c, N, W)
-    return TensorElement(engines, _clean(acc))
+    out = TensorElement(engines, _clean(acc))
+    return out if max_degree is None else out.window(max_degree)
 
 
 def _distribute(acc, legs, c, N, W=None):

@@ -1,6 +1,7 @@
 import json
 
 from hopfforge.cli import main
+from hopfforge.presentation import data_dir
 
 
 def run(capsys, *argv):
@@ -37,6 +38,18 @@ def test_check_hopf_malformed_file_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "check", "hopf", str(bad))
     assert code == 2
     assert err.startswith("error:") and "line 5" in err
+
+
+def test_check_hopf_unevaluable_expression_exit_two(tmp_path, capsys):
+    # parses, but the series arithmetic rejects it
+    text = (data_dir() / "h1_point.hopf").read_text()
+    for rhs in ("sinh(2)", "1/0"):
+        bad = tmp_path / "bad.hopf"
+        bad.write_text(text.replace("{S,xi} = 2*sinh(T/2)", "{S,xi} = " + rhs))
+        code, out, err = run(capsys, "--h-order", "1", "--word-cutoff", "3",
+                             "check", "hopf", str(bad))
+        assert code == 2 and not out
+        assert f"cannot evaluate {rhs}" in err
 
 
 def test_check_confluence_finding_on_reference(capsys):
@@ -111,6 +124,24 @@ def test_check_bialgebra_mixed_fails_with_residual(capsys):
                        "--mixed", "h1=a,h2=b")
     assert code == 1
     assert "a1*b2" in out
+
+
+def test_check_bialgebra_mixed_value_is_parsed(capsys):
+    code, out, _ = run(capsys, "--format", "json", "check", "bialgebra", "variety3d",
+                       "--mixed", "h1=1,h2=2")
+    assert code == 1
+    assert [r["check"] for r in json.loads(out)] == ["lie-cocycle"]
+    for value in ("garbage", "h1=1", "h2=1,h1=2", "h1=1,h2=2,h3=3", "h1=(,h2=2"):
+        code, out, err = run(capsys, "check", "bialgebra", "variety3d", "--mixed", value)
+        assert code == 2 and not out
+        assert "--mixed" in err
+
+
+def test_check_family_unknown_id_exits_two(capsys):
+    for extra in ((), ("--limit", "first-order")):
+        code, out, err = run(capsys, "check", "family", "nosuch", *extra)
+        assert code == 2 and not out
+        assert "nosuch" in err
 
 
 def test_check_bialgebra_single_point_passes(capsys):

@@ -1,12 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfforge.lang import (Add, Mul, Num, ParseError, SeriesCall, Tensor,
-                            expr_to_text, parse_expr_text)
+from hopfforge.cli import main
+from hopfforge.lang import (Add, Div, Gen, HVar, Mul, Neg, Num, ParseError, Pow,
+                            SeriesCall, Tensor, expr_to_text, parse_expr_text)
 from hopfforge.presentation import (
     NonCentralSeriesError, ParityMismatchError, PresentationError,
-    UnknownGeneratorError, emit_presentation, load_presentation,
+    UnknownGeneratorError, data_dir, emit_presentation, load_presentation,
     parse_presentation,
 )
 
@@ -69,6 +71,15 @@ def test_syntax_error_carries_position():
 def test_expression_text_roundtrip(text):
     node = parse_expr_text(text)
     assert parse_expr_text(expr_to_text(node)) == node
+
+
+def test_unary_minus_keeps_its_argument_whole():
+    a, b = Gen("a"), Gen("b")
+    for node in (Neg(Mul((a, b))), Neg(Div(a, b)), Neg(Tensor((a, b))),
+                 Add((Neg(Mul((a, b))), b))):
+        assert parse_expr_text(expr_to_text(node)) == node
+    assert expr_to_text(Neg(Mul((a, b)))) == "-(a*b)"
+    assert expr_to_text(Add((Neg(a), Neg(Mul((a, b)))))) == "-a - a*b"
 
 
 # ---------------------------------------------------------------- presentations
@@ -219,3 +230,66 @@ A = -A
     p = parse_presentation(text)
     assert parse_presentation(emit_presentation(p)) == p
     assert p.relations == ()
+
+
+# --------------------------------------------------------- fuzzed round trips
+
+NAMES = ("S", "T", "xi", "tau", "mu", "theta", "a1")
+
+# Trees in the parser's image: integer literals are non-negative (a minus is
+# Neg, a fraction is Div), and a product never starts with a product, since
+# the parser flattens a*b*c into one Mul.
+def _product(factors):
+    head, *rest = factors
+    return Mul((head.factors if isinstance(head, Mul) else (head,)) + tuple(rest))
+
+
+def _compound(sub):
+    return st.one_of(
+        st.builds(SeriesCall, st.sampled_from(["exp", "sinh", "cosh"]), sub),
+        st.builds(Neg, sub),
+        st.builds(Add, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+        st.lists(sub, min_size=2, max_size=3).map(_product),
+        st.builds(Div, sub, sub),
+        st.builds(Pow, sub, st.integers(0, 3)),
+        st.builds(Tensor, st.lists(sub, min_size=2, max_size=3).map(tuple)))
+
+
+parsed_trees = st.recursive(
+    st.one_of(st.builds(Num, st.integers(0, 12).map(F)),
+              st.builds(Gen, st.sampled_from(NAMES)),
+              st.just(HVar())),
+    _compound, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parsed_trees)
+def test_fuzzed_expression_roundtrip(node):
+    assert parse_expr_text(expr_to_text(node)) == node
+
+
+SNIPPETS = ("(", ")", "[", "]", "{", "}", ",", "=", "*", "/", "^", "-", "+", " (x) ",
+            "h", "0", "1", "sinh(", "exp(", "odd", "even", "\n", "[relations]",
+            "[generators]", "xi", "zz", "#", "name")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_FILES), st.data())
+def test_fuzzed_malformed_files_exit_two(tmp_path_factory, name, data):
+    text = (data_dir() / f"{name}.hopf").read_text()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 12)))
+        text = text[:i] + data.draw(st.sampled_from(SNIPPETS + ("",))) + text[j:]
+    try:
+        parse_presentation(text)
+        malformed = False
+    except PresentationError:
+        malformed = True
+    path = tmp_path_factory.mktemp("fuzz") / "bad.hopf"
+    path.write_text(text)
+    # any exception escaping main is a traceback for the user
+    code = main(["--h-order", "1", "--word-cutoff", "3", "check", "hopf", str(path)])
+    assert code in (0, 1, 2)
+    if malformed:
+        assert code == 2

@@ -1,11 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfforge.scalars import ParamPoly, Scalar, ScalarError, series_fn
 
-from oracles import ser_div, sinh_coeffs
+from oracles import maclaurin, ser_div, sinh_coeffs
 
 N = 8
 
@@ -65,6 +65,15 @@ def test_inverse_sinh_has_simple_pole():
 def test_division_by_zero_rejected():
     with pytest.raises(ScalarError):
         Scalar.one().div(Scalar.zero())
+
+
+def test_truncated_zero_over_h_loses_precision():
+    # 0 + O(h^2) stands for c*h^2 + ...; divided by h it is known only to O(h^1)
+    zero = Scalar.zero(1)
+    assert zero.div(h()).trunc == 0
+    assert zero.div(sinh_h()).trunc == 0
+    assert zero.div(Scalar.h(-1)).trunc == 2
+    assert Scalar.zero().div(h()).trunc is None
 
 
 def test_non_invertible_leading_coefficient_rejected():
@@ -181,3 +190,140 @@ def test_truncation_coherence():
     q_hi = h().truncate(N + 2) / series_fn("sinh", h(), order=N + 2)
     q_lo = h().truncate(N) / series_fn("sinh", h(), order=N)
     assert q_hi.truncate(q_lo.trunc) == q_lo
+
+
+# ------------------------------------------------ precision soundness (property)
+#
+# A Scalar with trunc t stands for every series whose coefficients agree with it
+# up to h^t.  So an expression evaluated once on its inputs as drawn and once on
+# inputs completed by arbitrary coefficients above their trunc must agree at
+# every exponent up to the first result's trunc, and so must the independent
+# oracle evaluation of the zero completion.
+
+ORACLE_ORDER = 40  # oracle values are exact far beyond any trunc drawn here
+
+
+@st.composite
+def truncated_inputs(draw):
+    """(as drawn, completed above trunc) pairs of parameter-free Scalars."""
+    out = []
+    for _ in range(3):
+        t = draw(st.integers(1, 5))
+        low = {k: ParamPoly.const(draw(small_fracs)) for k in range(draw(st.integers(0, 1)), t + 1)}
+        high = {k: ParamPoly.const(draw(small_fracs)) for k in range(t + 1, t + 4)}
+        low = {k: p for k, p in low.items() if not p.is_zero()}
+        out.append((Scalar(low, t), Scalar({**low, **{k: p for k, p in high.items()
+                                                      if not p.is_zero()}}, t + 3)))
+    return out
+
+
+poles = st.one_of(st.tuples(st.just("hpow"), st.integers(1, 2)),
+                  st.tuples(st.just("sinh_h"), st.integers(3, 8)))
+leaves = st.one_of(st.tuples(st.just("in"), st.integers(0, 2)),
+                   st.tuples(st.just("hpow"), st.integers(0, 2)),
+                   st.tuples(st.just("sinh_h"), st.integers(3, 8)),
+                   st.tuples(st.just("const"), small_fracs))
+expressions = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), sub, sub),
+        st.tuples(st.just("div"), sub, poles),  # division by sinh(h) and by powers of h
+        st.tuples(st.just("series"), st.sampled_from(["exp", "sinh", "cosh"]), sub)),
+    max_leaves=6)
+
+
+def evaluate(node, inputs):
+    op = node[0]
+    if op == "in":
+        return inputs[node[1]]
+    if op == "hpow":
+        return Scalar.h(node[1])
+    if op == "sinh_h":
+        return series_fn("sinh", Scalar.h(), order=node[1])
+    if op == "const":
+        return Scalar.from_fraction(node[1])
+    if op == "series":
+        return series_fn(node[1], evaluate(node[2], inputs))
+    a, b = evaluate(node[1], inputs), evaluate(node[2], inputs)
+    return {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__, "div": a.div}[op](b)
+
+
+def _o_clean(d):
+    return {k: c for k, c in d.items() if c and k <= ORACLE_ORDER}
+
+
+def _o_mul(a, b):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            if i + j <= ORACLE_ORDER:
+                out[i + j] = out.get(i + j, F(0)) + x * y
+    return _o_clean(out)
+
+
+def _o_div(a, b):
+    if not b:
+        raise ZeroDivisionError
+    if not a:
+        return {}
+    va, vb = min(a), min(b)
+    n = ORACLE_ORDER - va + vb
+    q = ser_div([a.get(va + i, F(0)) for i in range(n + 1)],
+                [b.get(vb + i, F(0)) for i in range(n + 1)], n)
+    return _o_clean({va - vb + i: c for i, c in enumerate(q)})
+
+
+def oracle(node, inputs):
+    """The zero completion of the inputs, evaluated as plain h^k -> Fraction
+    dicts with the series code of tests/oracles.py."""
+    op = node[0]
+    if op == "in":
+        return {k: p.constant for k, p in inputs[node[1]].coeffs.items()}
+    if op == "hpow":
+        return {node[1]: F(1)}
+    if op == "sinh_h":
+        return _o_clean(dict(enumerate(sinh_coeffs(ORACLE_ORDER))))
+    if op == "const":
+        return _o_clean({0: node[1]})
+    if op == "series":
+        arg = oracle(node[2], inputs)
+        if arg and min(arg) < 1:
+            raise ZeroDivisionError  # the kernel rejects this argument too
+        out, power = {}, {0: F(1)}
+        for k in range(ORACLE_ORDER + 1):
+            c = maclaurin(node[1], k)
+            out = _o_clean({e: out.get(e, F(0)) + c * power.get(e, F(0))
+                            for e in set(out) | set(power)})
+            power = _o_mul(power, arg)
+            if not power:
+                break
+        return out
+    a, b = oracle(node[1], inputs), oracle(node[2], inputs)
+    if op == "mul":
+        return _o_mul(a, b)
+    if op == "div":
+        return _o_div(a, b)
+    sign = 1 if op == "add" else -1
+    return _o_clean({k: a.get(k, F(0)) + sign * b.get(k, F(0)) for k in set(a) | set(b)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions, truncated_inputs())
+def test_known_coefficients_do_not_depend_on_the_unknown_ones(node, pairs):
+    try:
+        drawn = evaluate(node, [x for x, _ in pairs])
+        completed = evaluate(node, [y for _, y in pairs])
+        zero_completed = oracle(node, [x for x, _ in pairs])
+    except (ScalarError, ZeroDivisionError):
+        assume(False)
+    if drawn.trunc is None:
+        assert completed.trunc is None and completed.coeffs == drawn.coeffs
+        top = ORACLE_ORDER // 2
+    else:
+        assert completed.trunc is None or completed.trunc >= drawn.trunc
+        top = drawn.trunc
+    exps = set(drawn.coeffs) | set(completed.coeffs) | set(zero_completed)
+    for k in range(min(exps, default=0), top + 1):
+        want = drawn.coeff(k)
+        assert completed.coeff(k) == want, (k, drawn, completed)
+        assert ParamPoly.const(zero_completed.get(k, F(0))) == want, (k, drawn)
