@@ -68,9 +68,10 @@ def _poly_coeff_of_param(poly: ParamPoly, pname: str, order: int) -> ParamPoly:
 
 
 def _scalar_coeff_of_param(c: Scalar, pname: str, order: int) -> Scalar:
-    return Scalar({k: p for k, p in
-                   ((k, _poly_coeff_of_param(poly, pname, order))
-                    for k, poly in c.coeffs.items()) if not p.is_zero()}, c.trunc)
+    if pname not in c.names():
+        return c if order == 0 else Scalar.zero(c.trunc)
+    return Scalar({k: _poly_coeff_of_param(c.coeff(k), pname, order)
+                   for k in c.exponents()}, c.trunc)
 
 
 def _first_order(el_terms: dict, pname: str, h_mode: str, atoms, where: str):
@@ -95,14 +96,14 @@ def _abstract_scalar(c: Scalar, h_mode: str, atoms, where: str) -> ParamPoly:
     """Map an h-series coefficient to a polynomial over the atom indeterminates."""
     if h_mode == "zero":
         return c.coeff(0)
-    if set(c.coeffs) == {0} or c.is_zero():
+    if c.exponents() in ([], [0]):
         return c.coeff(0)
     for name, series in atoms.items():
         try:
             q = c.div(series)
         except ScalarError:
             continue
-        if not q.is_zero() and set(q.coeffs) == {0} and q.coeff(0).is_constant():
+        if q.exponents() == [0] and not q.names():
             return ParamPoly.var(name) * q.coeff(0).constant
     raise PresentationError(f"{where}: coefficient {c!r} is not a recognized "
                             f"combination of the frozen coordinate")

@@ -209,8 +209,8 @@ def element_to_ast(el: PbwElement) -> Node:
     terms = []
     for mono in sorted(el.terms):
         c = el.terms[mono]
-        for k in sorted(c.coeffs):
-            poly = c.coeffs[k]
+        for k in c.exponents():
+            poly = c.coeff(k)
             for pkey in sorted(poly.terms):
                 q = poly.terms[pkey]
                 factors = [Num(q)]

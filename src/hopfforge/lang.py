@@ -190,7 +190,11 @@ class _ExprParser:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of expression", self.line, None)
+            # point just past the last token
+            last = self.toks[-1] if self.toks else None
+            raise ParseError("unexpected end of expression",
+                             last.line if last else self.line,
+                             last.col + len(last.text) if last else 1)
         self.i += 1
         return tok
 
@@ -263,12 +267,18 @@ class _ExprParser:
             return Pow(base, int(etok.text))
         return base
 
+    # where an operand is expected, the token '(x)' is a parenthesized x
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "num":
             return Num(Fraction(int(tok.text)))
+        if tok.kind == "tensor":
+            return Gen("x")
         if tok.kind == "ident":
             if tok.text in SERIES_FUNCTIONS:
+                if (nxt := self.peek()) is not None and nxt.kind == "tensor":
+                    self.next()
+                    return SeriesCall(tok.text, Gen("x"))
                 self.expect("(")
                 arg = self.parse_sum()
                 self.expect(")")

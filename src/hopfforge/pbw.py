@@ -235,8 +235,7 @@ class PbwElement(LinearCombination):
             c = self.terms[m]
             word = self.engine.monomial_str(m)
             cs = repr(c)
-            if len(c.coeffs) > 1 or c.trunc is not None or any(
-                    len(p.terms) > 1 for p in c.coeffs.values()) or cs.startswith("-"):
+            if " + " in cs or cs.startswith("-"):
                 cs = f"({cs})"
             bits.append(f"{cs}*{word}" if word != "1" else cs)
         return " + ".join(bits)

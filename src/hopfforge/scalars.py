@@ -9,12 +9,25 @@ Precision bookkeeping: ``trunc`` is the largest h-exponent whose coefficient is
 known; ``None`` means the value is exact (a Laurent polynomial).  Multiplication
 and division propagate precision through valuations, so pole factors such as
 1/sinh(h) cannot silently launder unknown coefficients into the known range.
+
+A Scalar is stored in one of two forms, chosen from its value:
+
+- integer form, when no coefficient carries a parameter: ``{exponent: int}``
+  numerators over one common denominator, with the denominator > 0,
+  gcd(denominator, all numerators) = 1 and no zero numerator;
+- ParamPoly form otherwise: ``{exponent: ParamPoly}`` with no zero polynomial.
+
+In both forms no stored exponent exceeds ``trunc``.  An operation with a
+ParamPoly-form operand lifts the other operand to that form; a result without
+parameters is stored in integer form again.  Only this module reads the
+storage: other code uses ``coeff(k)`` and ``exponents()``.  Scalars are
+immutable and may share storage (``truncate`` can return ``self``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 __all__ = ["ScalarError", "ParamPoly", "Scalar", "series_fn", "gauss_jordan"]
 
@@ -185,40 +198,76 @@ def _addcap(t, v):
     return None if t is None else t + v
 
 
-class Scalar:
-    """Truncated Laurent series in h with ParamPoly coefficients.
+_new = object.__new__
 
-    coeffs maps h-exponent -> nonzero ParamPoly; trunc = largest known exponent
-    (None = exact).  Stored exponents never exceed trunc.
+
+def _make(c: dict, den, trunc) -> "Scalar":
+    """Scalar with stored coefficients c as they are (den None: ParamPoly form)."""
+    s = _new(Scalar)
+    s._c = c
+    s._den = den
+    s.trunc = trunc
+    return s
+
+
+def _reduced(num: dict, den: int, trunc) -> "Scalar":
+    """Integer form of num/den (nonzero numerators, den > 0), divided by their gcd."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: v // g for k, v in num.items()}
+    return _make(num, den, trunc)
+
+
+class Scalar:
+    """Truncated Laurent series in h; see the module docstring for the two forms.
+
+    ``Scalar(coeffs, trunc)`` takes ``{h-exponent: ParamPoly}`` and stores it in
+    integer form when no coefficient carries a parameter.  trunc = largest known
+    exponent (None = exact); stored exponents never exceed it.
     """
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("_c", "_den", "trunc")
 
     def __init__(self, coeffs: dict | None = None, trunc=None):
-        self.coeffs = coeffs or {}
+        polys = {k: p for k, p in (coeffs or {}).items()
+                 if not p.is_zero() and (trunc is None or k <= trunc)}
         self.trunc = trunc
+        if all(p.is_constant() for p in polys.values()):
+            qs = {k: p.constant for k, p in polys.items()}
+            den = lcm(*(q.denominator for q in qs.values()))
+            self._c = {k: q.numerator * (den // q.denominator) for k, q in qs.items()}
+            self._den = den
+        else:
+            self._c = polys
+            self._den = None
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zero(trunc=None) -> "Scalar":
-        return Scalar({}, trunc)
+        return _make({}, 1, trunc)
 
     @staticmethod
     def one() -> "Scalar":
-        return Scalar({0: ParamPoly.const(1)})
+        return _make({0: 1}, 1, None)
 
     @staticmethod
     def from_fraction(q, trunc=None) -> "Scalar":
+        if not q or trunc is not None and trunc < 0:
+            return _make({}, 1, trunc)
+        if type(q) is int:
+            return _make({0: q}, 1, trunc)
         q = Fraction(q)
-        return Scalar({0: ParamPoly.const(q)} if q else {}, trunc)
+        return _make({0: q.numerator}, q.denominator, trunc)
 
     @staticmethod
     def from_poly(p: ParamPoly, trunc=None) -> "Scalar":
-        return Scalar({0: p} if not p.is_zero() else {}, trunc)
+        return Scalar({0: p}, trunc)
 
     @staticmethod
     def h(exp: int = 1) -> "Scalar":
-        return Scalar({exp: ParamPoly.const(1)})
+        return _make({exp: 1}, 1, None)
 
     @staticmethod
     def param(name: str) -> "Scalar":
@@ -226,83 +275,156 @@ class Scalar:
 
     # -- structure ----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     def valuation(self):
         """Lowest stored h-exponent; None for the zero value."""
-        return min(self.coeffs) if self.coeffs else None
+        return min(self._c) if self._c else None
 
     @property
     def pole_order(self) -> int:
         v = self.valuation()
         return max(0, -v) if v is not None else 0
 
+    def exponents(self) -> list:
+        """The h-exponents with a nonzero coefficient, ascending."""
+        return sorted(self._c)
+
     def coeff(self, k: int) -> ParamPoly:
-        return self.coeffs.get(k, ParamPoly())
+        """The coefficient of h^k (zero when not stored)."""
+        if self._den is None:
+            return self._c.get(k, ParamPoly())
+        n = self._c.get(k)
+        return ParamPoly({(): Fraction(n, self._den)}) if n else ParamPoly()
+
+    @property
+    def coeffs(self) -> dict:
+        """{h-exponent: ParamPoly} for every stored coefficient, as a new dict."""
+        return {k: self.coeff(k) for k in self._c}
+
+    def _polys(self) -> dict:
+        """The stored coefficients as {h-exponent: ParamPoly}; shared in ParamPoly form."""
+        return self._c if self._den is None else self.coeffs
 
     def names(self) -> set:
         out = set()
-        for p in self.coeffs.values():
-            out |= p.names()
+        if self._den is None:
+            for p in self._c.values():
+                out |= p.names()
         return out
 
     def truncate(self, order) -> "Scalar":
-        if order is None:
+        t = self.trunc
+        if order is None or (t is not None and t <= order):
             return self
-        t = order if self.trunc is None else min(order, self.trunc)
-        return Scalar({k: v for k, v in self.coeffs.items() if k <= t}, t)
+        c = self._c
+        if c and max(c) > order:
+            c = {k: v for k, v in c.items() if k <= order}
+            if self._den is None:
+                return Scalar(c, order)
+            return _reduced(c, self._den, order)
+        return _make(c, self._den, order)
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
-        t = _minsum(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, ParamPoly()) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        if t is not None:
+        ta, tb = self.trunc, other.trunc
+        t = _minsum(ta, tb)
+        da, db = self._den, other._den
+        if da is None or db is None:
+            out = dict(self._polys())
+            for k, v in other._polys().items():
+                s = out.get(k, ParamPoly()) + v
+                if s.is_zero():
+                    out.pop(k, None)
+                else:
+                    out[k] = s
+            return Scalar(out, t)
+        if da == db:
+            out = dict(self._c)
+            for k, v in other._c.items():
+                s = out.get(k, 0) + v
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            da *= ma
+            out = {k: v * ma for k, v in self._c.items()}
+            for k, v in other._c.items():
+                s = out.get(k, 0) + v * mb
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        if t is not None and (ta != t or tb != t):
             out = {k: v for k, v in out.items() if k <= t}
-        return Scalar(out, t)
+        return _reduced(out, da, t)
 
     def __neg__(self) -> "Scalar":
-        return Scalar({k: -v for k, v in self.coeffs.items()}, self.trunc)
+        return _make({k: -v for k, v in self._c.items()}, self._den, self.trunc)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_fraction(other)
-        if isinstance(other, ParamPoly):
-            other = Scalar.from_poly(other)
-        va, vb = self.valuation(), other.valuation()
-        if va is None or vb is None:
+        if type(other) is not Scalar:
+            if isinstance(other, ParamPoly):
+                other = Scalar.from_poly(other)
+            else:
+                other = Scalar.from_fraction(other)
+        a, b = self._c, other._c
+        ta, tb = self.trunc, other.trunc
+        if not a or not b:
             # zero times anything: an exact zero gives an exact zero; a zero
             # known to O(h^(t+1)) shifts by the other factor's valuation
-            if va is None and self.trunc is None:
-                return Scalar.zero()
-            if vb is None and other.trunc is None:
-                return Scalar.zero()
-            if va is None and vb is None:
-                return Scalar.zero(self.trunc + other.trunc + 1)
-            if va is None:
-                return Scalar.zero(self.trunc + vb)
-            return Scalar.zero(other.trunc + va)
-        t = _minsum(_addcap(self.trunc, vb), _addcap(other.trunc, va))
-        out: dict = {}
-        for ka, pa in self.coeffs.items():
-            for kb, pb in other.coeffs.items():
-                k = ka + kb
-                if t is not None and k > t:
-                    continue
-                s = out.get(k, ParamPoly()) + pa * pb
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return Scalar(out, t)
+            if not a and ta is None or not b and tb is None:
+                return _make({}, 1, None)
+            if not a and not b:
+                return _make({}, 1, ta + tb + 1)
+            if not a:
+                return _make({}, 1, ta + min(b))
+            return _make({}, 1, tb + min(a))
+        va, vb = min(a), min(b)
+        if ta is None:
+            t = None if tb is None else tb + va
+        else:
+            t = ta + vb if tb is None else min(ta + vb, tb + va)
+        da, db = self._den, other._den
+        if da is None or db is None:
+            out: dict = {}
+            for ka, pa in self._polys().items():
+                for kb, pb in other._polys().items():
+                    k = ka + kb
+                    if t is not None and k > t:
+                        continue
+                    s = out.get(k, ParamPoly()) + pa * pb
+                    if s.is_zero():
+                        out.pop(k, None)
+                    else:
+                        out[k] = s
+            return Scalar(out, t)
+        if len(b) == 1:
+            (kb, y), = b.items()
+            if kb == 0 and y == db == 1 and tb is None:
+                return self  # times exact 1
+            out = {ka + kb: x * y for ka, x in a.items() if t is None or ka + kb <= t}
+        elif len(a) == 1:
+            (ka, x), = a.items()
+            if ka == 0 and x == da == 1 and ta is None:
+                return other
+            out = {ka + kb: x * y for kb, y in b.items() if t is None or ka + kb <= t}
+        else:
+            out = {}
+            get = out.get
+            for ka, x in a.items():
+                for kb, y in b.items():
+                    k = ka + kb
+                    if t is None or k <= t:
+                        out[k] = get(k, 0) + x * y
+            out = {k: v for k, v in out.items() if v}
+        return _reduced(out, da * db, t)
 
     __rmul__ = __mul__
 
@@ -329,7 +451,8 @@ class Scalar:
             # O(h^(t+1)) over a divisor of valuation vb is O(h^(t+1-vb))
             return Scalar.zero(_addcap(self.trunc, -other.valuation()))
         va, vb = self.valuation(), other.valuation()
-        lead = other.coeffs[vb]
+        top, bottom = self._polys(), other._polys()
+        lead = bottom[vb]
         both_exact = self.trunc is None and other.trunc is None
         if both_exact:
             rel_prec = _SERIES_DEFAULT_GUARD
@@ -343,9 +466,9 @@ class Scalar:
         # quotient q = sum_n q_n h^(va - vb + n) solves q * other = self
         q: dict = {}
         for n in range(rel_prec + 1):
-            acc = self.coeffs.get(va + n, ParamPoly())
+            acc = top.get(va + n, ParamPoly())
             for i in range(1, n + 1):
-                bi = other.coeffs.get(vb + i)
+                bi = bottom.get(vb + i)
                 if bi is None or bi.is_zero():
                     continue
                 qi = q.get(n - i)
@@ -357,14 +480,13 @@ class Scalar:
             if not d.is_zero():
                 q[n] = d
         shift = va - vb
-        out = Scalar({n + shift: p for n, p in q.items()},
-                     None if both_exact else rel_prec + shift)
+        quotient = {n + shift: p for n, p in q.items()}
         if both_exact:
-            check = Scalar({n + shift: p for n, p in q.items()}, None)
+            check = Scalar(quotient, None)
             if (check * other - self).is_zero():
                 return check
-            out = Scalar(out.coeffs, _SERIES_DEFAULT_GUARD + shift)
-        return out
+            return Scalar(quotient, _SERIES_DEFAULT_GUARD + shift)
+        return Scalar(quotient, rel_prec + shift)
 
     __truediv__ = div
 
@@ -388,10 +510,13 @@ class Scalar:
         h substitution is only allowed to 0 (the constant term); anything else is
         lossy on a truncated series and is rejected by design.
         """
-        bindings = bindings or {}
-        total = Scalar.zero(self.trunc)
-        for k, poly in self.coeffs.items():
-            total = total + Scalar.h(k) * poly.substitute(bindings)
+        if self._den is None:
+            bindings = bindings or {}
+            total = Scalar.zero(self.trunc)
+            for k, poly in self._c.items():
+                total = total + Scalar.h(k) * poly.substitute(bindings)
+        else:
+            total = self
         if h_to_zero:
             if total.pole_order > 0:
                 raise ScalarError("pole at h = 0")
@@ -399,11 +524,11 @@ class Scalar:
         return total
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._c:
             return "0" + ("" if self.trunc is None else f" + O(h^{self.trunc + 1})")
         bits = []
-        for k in sorted(self.coeffs):
-            p = self.coeffs[k]
+        for k in self.exponents():
+            p = self.coeff(k)
             ps = repr(p)
             if len(p.terms) > 1 or (ps.startswith("-")):
                 ps = f"({ps})"

@@ -137,6 +137,18 @@ def test_check_bialgebra_mixed_value_is_parsed(capsys):
         assert "--mixed" in err
 
 
+def test_end_of_expression_error_reports_its_column(tmp_path, capsys):
+    # the column points just past the last token: "(" at column 1 of the value
+    code, out, err = run(capsys, "check", "bialgebra", "variety3d", "--mixed", "h1=(,h2=2")
+    assert code == 2 and not out
+    assert "end of expression at line 1, column 2" in err
+    bad = tmp_path / "bad.hopf"
+    bad.write_text("name bad\n[generators]\nx even 1\n[relations]\n[x,x] = (\n")
+    code, _, err = run(capsys, "check", "hopf", str(bad))
+    assert code == 2
+    assert "end of expression at line 5, column 10" in err
+
+
 def test_check_family_unknown_id_exits_two(capsys):
     for extra in ((), ("--limit", "first-order")):
         code, out, err = run(capsys, "check", "family", "nosuch", *extra)

@@ -73,6 +73,12 @@ def test_expression_text_roundtrip(text):
     assert parse_expr_text(expr_to_text(node)) == node
 
 
+def test_parenthesized_x_is_an_operand():
+    # "(x)" is the tensor symbol only after an operand
+    assert parse_expr_text("exp(x)") == SeriesCall("exp", Gen("x"))
+    assert parse_expr_text("a (x) (x)") == Tensor((Gen("a"), Gen("x")))
+
+
 def test_unary_minus_keeps_its_argument_whole():
     a, b = Gen("a"), Gen("b")
     for node in (Neg(Mul((a, b))), Neg(Div(a, b)), Neg(Tensor((a, b))),
@@ -234,7 +240,7 @@ A = -A
 
 # --------------------------------------------------------- fuzzed round trips
 
-NAMES = ("S", "T", "xi", "tau", "mu", "theta", "a1")
+NAMES = ("S", "T", "xi", "tau", "mu", "theta", "a1", "x")
 
 # Trees in the parser's image: integer literals are non-negative (a minus is
 # Neg, a fraction is Div), and a product never starts with a product, since

@@ -327,3 +327,91 @@ def test_known_coefficients_do_not_depend_on_the_unknown_ones(node, pairs):
         want = drawn.coeff(k)
         assert completed.coeff(k) == want, (k, drawn, completed)
         assert ParamPoly.const(zero_completed.get(k, F(0))) == want, (k, drawn)
+
+
+# --------------------------------------------- the stored-exponent invariant
+
+def _subexpressions(node):
+    yield node
+    if node[0] in ("add", "sub", "mul", "div"):
+        yield from _subexpressions(node[1])
+        yield from _subexpressions(node[2])
+    elif node[0] == "series":
+        yield from _subexpressions(node[2])
+
+
+def _within_trunc(s):
+    return s.trunc is None or all(k <= s.trunc for k in s.coeffs)
+
+
+def test_series_of_a_zero_keeps_exponents_within_trunc():
+    for name in ("exp", "sinh", "cosh"):
+        for t in (-2, -1, 0, 3):
+            s = series_fn(name, Scalar.zero(t))
+            assert _within_trunc(s) and s.trunc == t, (name, t, s)
+    assert repr(series_fn("exp", Scalar.zero(-1))) == "0 + O(h^0)"
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions, truncated_inputs())
+def test_stored_exponents_never_exceed_trunc(node, pairs):
+    # every intermediate value, on parameter-free inputs and on the same
+    # inputs times a parameter
+    drawn = [x for x, _ in pairs]
+    for inputs in (drawn, [x * Scalar.param("mu") for x in drawn]):
+        for sub in _subexpressions(node):
+            try:
+                s = evaluate(sub, inputs)
+            except ScalarError:
+                continue
+            assert _within_trunc(s), (sub, s)
+    assert _within_trunc(series_fn("exp", Scalar.zero(-1)))
+
+
+# ------------------------------------- integer form against the ParamPoly path
+
+@st.composite
+def free_scalars(draw):
+    """Parameter-free Scalars, exact or truncated, poles allowed."""
+    trunc = draw(st.one_of(st.none(), st.integers(-1, 6)))
+    coeffs = {}
+    for k in draw(st.lists(st.integers(-2, 5), max_size=4, unique=True)):
+        q = draw(small_fracs)
+        if q and (trunc is None or k <= trunc):
+            coeffs[k] = ParamPoly.const(q)
+    return Scalar(coeffs, trunc)
+
+
+def _same(fast, lifted):
+    slow = lifted.substitute({"mu": 1})
+    assert (fast.coeffs, fast.trunc, repr(fast)) == (slow.coeffs, slow.trunc, repr(slow))
+
+
+def _agree(fast_op, lifted_op):
+    """fast_op() and lifted_op() both raise ScalarError, or give the same value."""
+    try:
+        fast = fast_op()
+    except ScalarError:
+        with pytest.raises(ScalarError):
+            lifted_op()
+        return
+    _same(fast, lifted_op())
+
+
+@settings(max_examples=200, deadline=None)
+@given(free_scalars(), free_scalars(), st.sampled_from(["exp", "sinh", "cosh"]),
+       st.sampled_from([None, 4]))
+def test_integer_form_agrees_with_the_parampoly_path(a, b, fn, order):
+    mu = Scalar.param("mu")
+    A, B = a * mu, b * mu  # the same values, held as ParamPoly coefficients
+    _agree(lambda: a + b, lambda: A + B)
+    _agree(lambda: a - b, lambda: A - B)
+    _agree(lambda: a * b, lambda: A * B)
+    _agree(lambda: a * F(3, 4), lambda: A * F(3, 4))
+    _agree(lambda: a.div(b), lambda: A.div(B))
+    _agree(lambda: a.div(b), lambda: A.div(b))
+    _agree(lambda: a.truncate(2), lambda: A.truncate(2))
+    assert a.truncate(2).trunc == (2 if a.trunc is None else min(2, a.trunc))
+    # a series argument needs valuation >= 1: shift a there
+    arg = a if a.is_zero() else a * Scalar.h(1 - a.valuation())
+    _agree(lambda: series_fn(fn, arg, order), lambda: series_fn(fn, arg * mu, order))
