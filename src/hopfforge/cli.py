@@ -235,15 +235,25 @@ def cmd_suite_all(args) -> int:
 
 # ------------------------------------------------------------------ entrypoint
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hopfforge",
         description="verify the quantized proper-time/BRST double and its families")
-    ap.add_argument("--h-order", type=int, default=6, metavar="N",
+    ap.add_argument("--h-order", type=_non_negative, default=6, metavar="N",
                     help="series truncation order in h (default 6)")
-    ap.add_argument("--word-cutoff", type=int, default=10, metavar="W",
+    ap.add_argument("--word-cutoff", type=_non_negative, default=10, metavar="W",
                     help="filtration degree cutoff (default 10)")
-    ap.add_argument("--tensor-degree", type=int, default=4, metavar="D",
+    ap.add_argument("--tensor-degree", type=_non_negative, default=4, metavar="D",
                     help="tensor comparison degree (default 4)")
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--jobs", type=int, default=1, metavar="K",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .hopf import verify_hopf
 from .lang import Add, HVar, Mul, Num, Pow, Gen, Node
 from .pairing import Pairing, standard_pair
-from .pbw import Cutoffs, Engine, PbwElement
+from .pbw import Cutoffs, Engine, PbwElement, _droppable
 from .presentation import (HopfPresentation, Relation, load_presentation,
                            validate)
 from .report import FAIL, PASS, Timer, VerificationReport
@@ -85,20 +85,19 @@ class Double:
             return self._carrier.zero()
         gsign = -1 if (px == 1 and pf == 1) else 1
         N = self.cutoffs.h_order
+        floor = self.pairing.skip_order(x.terms, f.terms)
         psi3 = self.psi(x)
         phi3 = self.phi(f)
         acc: dict = {}
         for (k1, k2, k3), cpsi in psi3.terms.items():
             for (l1, l2, l3), cphi in phi3.terms.items():
                 v1 = self.pairing.pair_mono(k1, l1)
-                if v1.is_zero() and v1.trunc is None:
+                if _droppable(v1, floor):
                     continue
                 v2 = self.pairing.pair_mono(k2, l2)
-                if v2.is_zero() and v2.trunc is None:
+                if _droppable(v2, floor):
                     continue
                 coeff = (cpsi * cphi * v1 * v2).truncate(N)
-                if coeff.is_zero() and coeff.trunc is None:
-                    continue
                 mono = self.embed(l3, k3)
                 prev = acc.get(mono)
                 acc[mono] = coeff if prev is None else prev + coeff
@@ -121,6 +120,7 @@ class Double:
             return self._carrier.zero()
         gsign = -1 if (px == 1 and pf == 1) else 1
         N = self.cutoffs.h_order
+        floor = self.pairing.skip_order(x.terms, f.terms)
         # mu_s^{klj}: raw iterated coproduct of x over H
         mu = self.h_ops.iterated_coproduct(x, "left")
         # m^t_{nuk}: raw iterated coproduct of f over K
@@ -138,19 +138,19 @@ class Double:
                 sgn = pn * (pl + pk) + pu * pk
                 # contract k: <e_{k_h}, e^{k_k}>
                 gk = self.pairing.pair_mono(k_h, k_k)
-                if gk.is_zero() and gk.trunc is None:
+                if _droppable(gk, floor):
                     continue
                 # contract n with S^-1 e_{j_h}: sum_{j'} A^{j'}_j <e_{j'}, e^{n_k}>
                 gn = Scalar.zero(N)
                 for jp, a in sj.terms.items():
-                    gn = gn + (a * self.pairing.pair_mono(jp, n_k)).truncate(N)
-                if gn.is_zero() and gn.trunc is None:
+                    v = self.pairing.pair_mono(jp, n_k)
+                    if not _droppable(v, N):
+                        gn = gn + (a * v).truncate(N)
+                if _droppable(gn, floor):
                     continue
                 coeff = (c_mu * c_m * gk * gn).truncate(N)
                 if sgn % 2:
                     coeff = -coeff
-                if coeff.is_zero() and coeff.trunc is None:
-                    continue
                 mono = self.embed(u_k, l_h)
                 prev = acc.get(mono)
                 acc[mono] = coeff if prev is None else prev + coeff

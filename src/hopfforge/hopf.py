@@ -35,7 +35,7 @@ class HopfOps:
         for name, node in pres.antipode:
             self._anti[name] = engine.evaluate(node)
         self._assert_pole_free()
-        self._delta_mono_cache: dict = {}
+        self._delta_mono_cache: dict = {(0,) * engine.n: TensorElement.unit((engine, engine))}
         self._anti_mono_cache: dict = {}
         self._involutive = None
 
@@ -44,6 +44,9 @@ class HopfOps:
             for c in t.terms.values():
                 if c.pole_order > 0:
                     raise PresentationError(f"coproduct of {name} has a pole in h")
+        for name, c in self._eps.items():
+            if c.pole_order > 0:
+                raise PresentationError(f"counit of {name} has a pole in h")
         for name, el in self._anti.items():
             for c in el.terms.values():
                 if c.pole_order > 0:
@@ -58,16 +61,26 @@ class HopfOps:
         return self._delta[name]
 
     def coproduct_mono(self, mono) -> TensorElement:
+        """Delta of a PBW monomial: the left fold of tensor_mul from the unit
+        over its letters, in generator order.  The fold of a prefix of the word
+        is the coproduct of that prefix, so a miss extends the longest cached
+        prefix one letter at a time and caches each prefix it passes."""
         key = tuple(mono)
-        got = self._delta_mono_cache.get(key)
+        cache = self._delta_mono_cache
+        got = cache.get(key)
         if got is None:
             eng = self.engine
-            got = TensorElement.unit((eng, eng))
-            for i, e in enumerate(key):
-                d = self._delta[eng.gen_names[i]]
-                for _ in range(e):
-                    got = tensor_mul(got, d)
-            self._delta_mono_cache[key] = got
+            word = eng.monomial_to_word(key)
+            n = len(word)
+            prefixes = [key]  # prefixes[k] is the monomial of word[:n - k]
+            m = list(key)
+            while got is None:
+                m[word[n - len(prefixes)]] -= 1
+                got = cache.get(tuple(m))
+                if got is None:
+                    prefixes.append(tuple(m))
+            for p, i in zip(reversed(prefixes), word[n - len(prefixes):]):
+                got = cache[p] = tensor_mul(got, self._delta[eng.gen_names[i]])
         return got
 
     def coproduct(self, el: PbwElement) -> TensorElement:

@@ -11,6 +11,17 @@ with the Koszul-signed evaluation <x1 (x) x2, f1 (x) f2> =
 coproduct is a convention; calibrate() keeps the choices under which the
 pairing actually descends to the quotient algebras, and the double module pins
 the final choice by reproducing the published cross relations.
+
+Sparse sums.  Most pairing values are zeros known to h^N, N = min(H, K)
+h-order.  A term of a pairing sum is skipped when one of its factors is such a
+zero (``pbw._droppable(v, N)``: exact, or known to at least h^N).  This is
+exact: every other factor is pole-free (coproduct, counit, antipode and rule
+coefficients by ``HopfOps._assert_pole_free``, and so every pairing value), so
+the skipped product is itself a zero known to h^N, and adding it to an
+accumulator whose ``trunc`` is at most N changes neither its coefficients nor
+its ``trunc``.  A zero known only below h^N goes through the product.  Where a
+sum also carries the coefficients of caller-supplied elements, the threshold
+rises by their pole orders (``Pairing.skip_order``).
 """
 
 from __future__ import annotations
@@ -20,16 +31,16 @@ from fractions import Fraction
 from math import factorial
 
 from .hopf import HopfOps
-from .pbw import Cutoffs, Engine, PbwElement
+from .pbw import Cutoffs, Engine, PbwElement, _droppable
 from .report import FAIL, FINDING, PASS, Timer, VerificationReport
 from .scalars import Scalar, gauss_jordan
+from .tensors import TensorElement
 
-__all__ = ["PairingConvention", "Pairing", "PairingInconsistency", "calibrate",
-           "standard_pair", "verify_duality"]
+__all__ = ["PairingConvention", "Pairing", "calibrate", "standard_pair",
+           "verify_duality"]
 
-
-class PairingInconsistency(ArithmeticError):
-    """The axiom-generated table is over-determined with disagreeing values."""
+# the generator pairs of the standard pair that pair to 1
+STANDARD_SEED = {("T", "tau"): 1, ("S", "xi"): 1}
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,7 @@ class Pairing:
                  convention: PairingConvention = PairingConvention()):
         self.h_ops, self.k_ops = h_ops, k_ops
         self.H, self.K = h_ops.engine, k_ops.engine
+        self.N = min(self.H.cutoffs.h_order, self.K.cutoffs.h_order)
         self.convention = convention
         self._seed = {}
         for (hg, kg), val in seed.items():
@@ -57,6 +69,25 @@ class Pairing:
             ki = self.K.presentation.gen_index(kg)
             self._seed[(hi, ki)] = Fraction(val)
         self._memo: dict = {}
+        self._conv_coproducts: dict = {}
+
+    # -- coproducts under the convention ------------------------------------------
+    def primal_coproduct(self, mh) -> TensorElement:
+        """Delta_H^conv of a monomial of H."""
+        return self._conv_coproduct(self.h_ops, self.convention.flip_primal_coproduct, mh)
+
+    def dual_coproduct(self, mk) -> TensorElement:
+        """Delta_K^conv of a monomial of K."""
+        return self._conv_coproduct(self.k_ops, self.convention.flip_dual_coproduct, mk)
+
+    def _conv_coproduct(self, ops: HopfOps, flip: bool, mono) -> TensorElement:
+        if not flip:
+            return ops.coproduct_mono(mono)
+        key = (ops, mono)
+        got = self._conv_coproducts.get(key)
+        if got is None:
+            got = self._conv_coproducts[key] = ops.coproduct_mono(mono).flip_adjacent(0)
+        return got
 
     # -- monomial pairing -----------------------------------------------------
     def pair_mono(self, mh, mk) -> Scalar:
@@ -68,8 +99,7 @@ class Pairing:
         return got
 
     def _pair_mono(self, mh, mk) -> Scalar:
-        H, K = self.H, self.K
-        N = min(H.cutoffs.h_order, K.cutoffs.h_order)
+        H, K, N = self.H, self.K, self.N
         if H.monomial_parity(mh) != K.monomial_parity(mk):
             return Scalar.zero(N)
         lh, lk = sum(mh), sum(mk)
@@ -87,50 +117,65 @@ class Pairing:
 
     def _split_dual(self, mh, mk) -> Scalar:
         """<x, g * f'> via the primal coproduct on x."""
-        K, H = self.K, self.H
-        N = min(H.cutoffs.h_order, K.cutoffs.h_order)
+        H, K, N = self.H, self.K, self.N
         word = K.monomial_to_word(mk)
         g, rest = word[0], word[1:]
         g_mono = tuple(1 if j == g else 0 for j in range(K.n))
         rest_mono = K.word_to_monomial(rest)
         pg = K.parities[g]
-        two = self.h_ops.coproduct_mono(mh)
-        if self.convention.flip_primal_coproduct:
-            two = two.flip_adjacent(0)
         out = Scalar.zero(N)
-        for (x1, x2), c in two.terms.items():
+        for (x1, x2), c in self.primal_coproduct(mh).terms.items():
+            first = self.pair_mono(x1, g_mono)
+            if _droppable(first, N):
+                continue
+            second = self.pair_mono(x2, rest_mono)
+            if _droppable(second, N):
+                continue
             sign = -1 if (H.monomial_parity(x2) and pg) else 1
-            val = self.pair_mono(x1, g_mono) * self.pair_mono(x2, rest_mono)
-            out = out + (val * c * sign).truncate(N)
+            out = out + (first * second * c * sign).truncate(N)
         return out
 
     def _split_primal(self, mh, mk) -> Scalar:
         """<a * x', f> via the dual coproduct on f."""
-        H, K = self.H, self.K
-        N = min(H.cutoffs.h_order, K.cutoffs.h_order)
+        H, K, N = self.H, self.K, self.N
         word = H.monomial_to_word(mh)
         a, rest = word[0], word[1:]
         a_mono = tuple(1 if j == a else 0 for j in range(H.n))
         rest_mono = H.word_to_monomial(rest)
         prest = H.monomial_parity(rest_mono)
-        two = self.k_ops.coproduct_mono(mk)
-        if self.convention.flip_dual_coproduct:
-            two = two.flip_adjacent(0)
         out = Scalar.zero(N)
-        for (f1, f2), c in two.terms.items():
+        for (f1, f2), c in self.dual_coproduct(mk).terms.items():
+            first = self.pair_mono(a_mono, f1)
+            if _droppable(first, N):
+                continue
+            second = self.pair_mono(rest_mono, f2)
+            if _droppable(second, N):
+                continue
             sign = -1 if (prest and K.monomial_parity(f1)) else 1
-            val = self.pair_mono(a_mono, f1) * self.pair_mono(rest_mono, f2)
-            out = out + (val * c * sign).truncate(N)
+            out = out + (first * second * c * sign).truncate(N)
         return out
 
     # -- element pairing --------------------------------------------------------
     def pair(self, x: PbwElement, f: PbwElement) -> Scalar:
-        N = min(self.H.cutoffs.h_order, self.K.cutoffs.h_order)
+        return self.pair_terms(x.terms, f.terms)
+
+    def skip_order(self, *coefficients: dict) -> int:
+        """The order from which a zero pairing value may be skipped in a sum
+        whose other factors are pole-free or coefficients of these
+        {monomial: coefficient} maps: N plus their largest pole orders."""
+        return self.N + sum(max((c.pole_order for c in terms.values()), default=0)
+                            for terms in coefficients)
+
+    def pair_terms(self, xterms: dict, fterms: dict) -> Scalar:
+        """<x, f> for x, f given as {monomial: coefficient} of H and of K."""
+        N = self.N
+        floor = self.skip_order(xterms, fterms)
         out = Scalar.zero(N)
-        for mh, ch in x.terms.items():
-            for mk, ck in f.terms.items():
+        for mh, ch in xterms.items():
+            for mk, ck in fterms.items():
                 v = self.pair_mono(mh, mk)
-                out = out + (v * ch * ck).truncate(N)
+                if not _droppable(v, floor):
+                    out = out + (v * ch * ck).truncate(N)
         return out
 
 
@@ -147,64 +192,79 @@ def _h_basis(engine: Engine, max_degree: int):
     return sorted(out, key=lambda m: (engine.monomial_degree(m), m))
 
 
-def standard_pair(cutoffs: Cutoffs = Cutoffs(), alpha2: bool = True,
-                  convention: PairingConvention | None = None):
-    """HopfOps pair and Pairing for (ptsa_q, brst_q) in the duality scaling."""
+def _standard_ops(cutoffs: Cutoffs, alpha2: bool):
+    """HopfOps of ptsa_q and of brst_q in the duality (alpha2) or literal scaling."""
     from .presentation import load_presentation
     h_ops = HopfOps(Engine(load_presentation("ptsa_q"), cutoffs))
     k_name = "brst_q_alpha2" if alpha2 else "brst_q"
-    k_ops = HopfOps(Engine(load_presentation(k_name), cutoffs))
-    conv = convention or PairingConvention()
-    return Pairing(h_ops, k_ops, {("T", "tau"): 1, ("S", "xi"): 1}, conv)
+    return h_ops, HopfOps(Engine(load_presentation(k_name), cutoffs))
+
+
+def standard_pair(cutoffs: Cutoffs = Cutoffs(), alpha2: bool = True,
+                  convention: PairingConvention | None = None):
+    """HopfOps pair and Pairing for (ptsa_q, brst_q) in the duality scaling."""
+    h_ops, k_ops = _standard_ops(cutoffs, alpha2)
+    return Pairing(h_ops, k_ops, STANDARD_SEED, convention or PairingConvention())
 
 
 def _consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
-    """Adjointness of products and coproducts on basis pairs; first failures."""
-    H, K = p.H, p.K
+    """Adjointness of products and coproducts on basis pairs; first failures.
+
+    The right-hand sides start from an exact zero; their skipped terms are
+    zeros known to h^N, and the left-hand sides are known to at most h^N, so
+    each difference, and its repr in a witness, is that of the full sum."""
+    H, K, N = p.H, p.K, p.N
+    one = Scalar.one()
     fails = []
     hb = _h_basis(H, max_degree)
     kb = _h_basis(K, max_degree)
     # product-side: <x*y, f> = <x (x) y, Delta_K^conv f> for generator x
     for xg in H.gen_names:
         x = H.generator(xg)
+        (mx,) = x.terms
         for my in hb:
-            y = PbwElement(H, {my: Scalar.one()})
-            xy = H.multiply(x, y)
+            xy = H.multiply(x, PbwElement(H, {my: one}))
+            py = H.monomial_parity(my)
             for mf in kb:
-                f = PbwElement(K, {mf: Scalar.one()})
-                lhs = p.pair(xy, f)
-                two = p.k_ops.coproduct_mono(mf)
-                if p.convention.flip_dual_coproduct:
-                    two = two.flip_adjacent(0)
+                lhs = p.pair_terms(xy.terms, {mf: one})
                 rhs = Scalar.zero()
-                py = H.monomial_parity(my)
-                for (f1, f2), c in two.terms.items():
+                for (f1, f2), c in p.dual_coproduct(mf).terms.items():
+                    first = p.pair_mono(mx, f1)
+                    if _droppable(first, N):
+                        continue
+                    second = p.pair_mono(my, f2)
+                    if _droppable(second, N):
+                        continue
                     sign = -1 if (py and K.monomial_parity(f1)) else 1
-                    rhs = rhs + p.pair(x, PbwElement(K, {f1: Scalar.one()})) \
-                        * p.pair(y, PbwElement(K, {f2: Scalar.one()})) * c * sign
+                    rhs = rhs + first * second * c * sign
                 if not (lhs - rhs).is_zero():
                     fails.append((f"<{xg}*{H.monomial_str(my)}, {K.monomial_str(mf)}>",
                                   repr(lhs - rhs)))
                     if len(fails) >= limit:
                         return fails
     # dual-side: <x, g*f> = <Delta_H^conv x, g (x) f> for generator g
+    products: dict = {}  # g*f, the same for every x
     for mx in hb:
-        x = PbwElement(H, {mx: Scalar.one()})
-        two = p.h_ops.coproduct_mono(mx)
-        if p.convention.flip_primal_coproduct:
-            two = two.flip_adjacent(0)
+        two = p.primal_coproduct(mx)
         for gg in K.gen_names:
             g = K.generator(gg)
+            (mg,) = g.terms
             pg = K.presentation.parity(gg)
             for mf in kb:
-                f = PbwElement(K, {mf: Scalar.one()})
-                gf = K.multiply(g, f)
-                lhs = p.pair(x, gf)
+                gf = products.get((gg, mf))
+                if gf is None:
+                    gf = products[(gg, mf)] = K.multiply(g, PbwElement(K, {mf: one}))
+                lhs = p.pair_terms({mx: one}, gf.terms)
                 rhs = Scalar.zero()
                 for (x1, x2), c in two.terms.items():
+                    first = p.pair_mono(x1, mg)
+                    if _droppable(first, N):
+                        continue
+                    second = p.pair_mono(x2, mf)
+                    if _droppable(second, N):
+                        continue
                     sign = -1 if (H.monomial_parity(x2) and pg) else 1
-                    rhs = rhs + p.pair_mono(x1, K.word_to_monomial((K.presentation.gen_index(gg),))) \
-                        * p.pair(PbwElement(H, {x2: Scalar.one()}), f) * c * sign
+                    rhs = rhs + first * second * c * sign
                 if not (lhs - rhs).is_zero():
                     fails.append((f"<{H.monomial_str(mx)}, {gg}*{K.monomial_str(mf)}>",
                                   repr(lhs - rhs)))
@@ -214,13 +274,17 @@ def _consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
 
 
 def calibrate(cutoffs: Cutoffs = Cutoffs(4, 8), alpha2: bool = True, max_degree: int = 3):
-    """Try all four coproduct conventions; return those that are consistent."""
+    """Try all four coproduct conventions; return those that are consistent.
+
+    Only the pairing table depends on the convention, so the four pairings
+    share one HopfOps per side."""
+    h_ops, k_ops = _standard_ops(cutoffs, alpha2)
     good = []
     for fd in (True, False):
         for fp in (True, False):
             conv = PairingConvention(fd, fp)
-            p = standard_pair(cutoffs, alpha2=alpha2, convention=conv)
-            if not _consistency_failures(p, max_degree, limit=1):
+            if not _consistency_failures(Pairing(h_ops, k_ops, STANDARD_SEED, conv),
+                                         max_degree, limit=1):
                 good.append(conv)
     return good
 

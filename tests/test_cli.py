@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hopfforge.cli import main
 from hopfforge.presentation import data_dir
 
@@ -228,3 +230,15 @@ def test_jobs_is_accepted_and_changes_nothing(capsys):
     code, two, _ = run(capsys, *cuts, "--jobs", "2", "check", "confluence", "sd_reference")
     assert code == 1
     assert _without_wall_time(one) == _without_wall_time(two)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--h-order", "-1", "check", "hopf", "ptsa_q"),
+    ("--word-cutoff", "-1", "check", "hopf", "ptsa_q"),
+    ("--tensor-degree", "-3", "check", "duality"),
+    ("--tensor-degree", "-1", "check", "rmatrix", "--which", "colaws"),
+])
+def test_negative_cutoff_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert f"argument {argv[0]}: expected a non-negative integer, got '{argv[1]}'" in err

@@ -174,3 +174,39 @@ def test_delta_tau_coefficient_mutation_is_hopf_invisible():
     assert mutated != text
     r = verify_hopf(parse_presentation(mutated), Cutoffs(5, 8), audit=False)
     assert r.status == "pass"
+
+
+def from_unit_fold(ops, mono):
+    """Delta of a monomial as the plain left fold of tensor_mul from the unit."""
+    from hopfforge.tensors import TensorElement, tensor_mul
+    eng = ops.engine
+    got = TensorElement.unit((eng, eng))
+    for i, e in enumerate(mono):
+        for _ in range(e):
+            got = tensor_mul(got, ops.coproduct_gen(eng.gen_names[i]))
+    return got
+
+
+def _same_tensor(a, b):
+    assert set(a.terms) == set(b.terms)
+    for key, c in a.terms.items():
+        d = b.terms[key]
+        assert c.exponents() == d.exponents() and c.trunc == d.trunc, key
+        assert all(c.coeff(k) == d.coeff(k) for k in c.exponents()), key
+        assert repr(c) == repr(d), key
+
+
+@pytest.mark.parametrize("cutoffs", [Cutoffs(4, 8), Cutoffs(6, 10)])
+@pytest.mark.parametrize("name", ALL)
+def test_prefix_coproduct_matches_the_from_unit_fold(name, cutoffs):
+    # the cache holds different prefixes depending on the order of requests;
+    # the engine, and so its product cache, is shared
+    from hopfforge.pairing import _h_basis
+    eng = Engine(load_presentation(name), cutoffs)
+    ref_ops = HopfOps(eng)
+    monos = _h_basis(eng, 6)
+    want = {m: from_unit_fold(ref_ops, m) for m in monos}
+    for order in (monos, monos[::-1]):
+        ops = HopfOps(eng)
+        for m in order:
+            _same_tensor(ops.coproduct_mono(m), want[m])

@@ -3,10 +3,122 @@ from math import factorial
 
 import pytest
 
-from hopfforge.pairing import (PairingConvention, calibrate, standard_pair,
+from hopfforge.pairing import (STANDARD_SEED, Pairing, PairingConvention, _consistency_failures,
+                               _h_basis, _standard_ops, calibrate, standard_pair,
                                verify_duality)
 from hopfforge.pbw import Cutoffs, PbwElement
 from hopfforge.scalars import Scalar
+
+CONVENTIONS = [PairingConvention(fd, fp) for fd in (True, False) for fp in (True, False)]
+
+
+class DensePairing(Pairing):
+    """The pairing as it was before sparse sums: every term of every sum is
+    multiplied out and added, zeros known to h^N included."""
+
+    def _split_dual(self, mh, mk) -> Scalar:
+        K, H = self.K, self.H
+        N = min(H.cutoffs.h_order, K.cutoffs.h_order)
+        word = K.monomial_to_word(mk)
+        g, rest = word[0], word[1:]
+        g_mono = tuple(1 if j == g else 0 for j in range(K.n))
+        rest_mono = K.word_to_monomial(rest)
+        pg = K.parities[g]
+        two = self.h_ops.coproduct_mono(mh)
+        if self.convention.flip_primal_coproduct:
+            two = two.flip_adjacent(0)
+        out = Scalar.zero(N)
+        for (x1, x2), c in two.terms.items():
+            sign = -1 if (H.monomial_parity(x2) and pg) else 1
+            val = self.pair_mono(x1, g_mono) * self.pair_mono(x2, rest_mono)
+            out = out + (val * c * sign).truncate(N)
+        return out
+
+    def _split_primal(self, mh, mk) -> Scalar:
+        H, K = self.H, self.K
+        N = min(H.cutoffs.h_order, K.cutoffs.h_order)
+        word = H.monomial_to_word(mh)
+        a, rest = word[0], word[1:]
+        a_mono = tuple(1 if j == a else 0 for j in range(H.n))
+        rest_mono = H.word_to_monomial(rest)
+        prest = H.monomial_parity(rest_mono)
+        two = self.k_ops.coproduct_mono(mk)
+        if self.convention.flip_dual_coproduct:
+            two = two.flip_adjacent(0)
+        out = Scalar.zero(N)
+        for (f1, f2), c in two.terms.items():
+            sign = -1 if (prest and K.monomial_parity(f1)) else 1
+            val = self.pair_mono(a_mono, f1) * self.pair_mono(rest_mono, f2)
+            out = out + (val * c * sign).truncate(N)
+        return out
+
+    def pair(self, x: PbwElement, f: PbwElement) -> Scalar:
+        N = min(self.H.cutoffs.h_order, self.K.cutoffs.h_order)
+        out = Scalar.zero(N)
+        for mh, ch in x.terms.items():
+            for mk, ck in f.terms.items():
+                v = self.pair_mono(mh, mk)
+                out = out + (v * ch * ck).truncate(N)
+        return out
+
+
+def reference_consistency_failures(p: DensePairing, max_degree: int, limit: int = 1):
+    """_consistency_failures before sparse sums, on one-term elements."""
+    H, K = p.H, p.K
+    fails = []
+    hb = _h_basis(H, max_degree)
+    kb = _h_basis(K, max_degree)
+    for xg in H.gen_names:
+        x = H.generator(xg)
+        for my in hb:
+            y = PbwElement(H, {my: Scalar.one()})
+            xy = H.multiply(x, y)
+            for mf in kb:
+                f = PbwElement(K, {mf: Scalar.one()})
+                lhs = p.pair(xy, f)
+                two = p.k_ops.coproduct_mono(mf)
+                if p.convention.flip_dual_coproduct:
+                    two = two.flip_adjacent(0)
+                rhs = Scalar.zero()
+                py = H.monomial_parity(my)
+                for (f1, f2), c in two.terms.items():
+                    sign = -1 if (py and K.monomial_parity(f1)) else 1
+                    rhs = rhs + p.pair(x, PbwElement(K, {f1: Scalar.one()})) \
+                        * p.pair(y, PbwElement(K, {f2: Scalar.one()})) * c * sign
+                if not (lhs - rhs).is_zero():
+                    fails.append((f"<{xg}*{H.monomial_str(my)}, {K.monomial_str(mf)}>",
+                                  repr(lhs - rhs)))
+                    if len(fails) >= limit:
+                        return fails
+    for mx in hb:
+        x = PbwElement(H, {mx: Scalar.one()})
+        two = p.h_ops.coproduct_mono(mx)
+        if p.convention.flip_primal_coproduct:
+            two = two.flip_adjacent(0)
+        for gg in K.gen_names:
+            g = K.generator(gg)
+            pg = K.presentation.parity(gg)
+            for mf in kb:
+                f = PbwElement(K, {mf: Scalar.one()})
+                gf = K.multiply(g, f)
+                lhs = p.pair(x, gf)
+                rhs = Scalar.zero()
+                for (x1, x2), c in two.terms.items():
+                    sign = -1 if (H.monomial_parity(x2) and pg) else 1
+                    rhs = rhs + p.pair_mono(x1, K.word_to_monomial((K.presentation.gen_index(gg),))) \
+                        * p.pair(PbwElement(H, {x2: Scalar.one()}), f) * c * sign
+                if not (lhs - rhs).is_zero():
+                    fails.append((f"<{H.monomial_str(mx)}, {gg}*{K.monomial_str(mf)}>",
+                                  repr(lhs - rhs)))
+                    if len(fails) >= limit:
+                        return fails
+    return fails
+
+
+def _same_scalar(a: Scalar, b: Scalar) -> bool:
+    return (a.exponents() == b.exponents() and a.trunc == b.trunc
+            and all(a.coeff(k) == b.coeff(k) for k in a.exponents())
+            and repr(a) == repr(b))
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +240,6 @@ def test_broken_normalization_does_not_downgrade_a_failure(monkeypatch):
 def test_mutated_dual_coefficient_detected():
     # doubling the xi (x) xi coefficient of Delta tau breaks adjointness
     from hopfforge.hopf import HopfOps
-    from hopfforge.pairing import Pairing, _consistency_failures
     from hopfforge.pbw import Engine
     from hopfforge.presentation import (emit_presentation, load_presentation,
                                         parse_presentation)
@@ -136,14 +247,13 @@ def test_mutated_dual_coefficient_detected():
         "(h/sinh(h))*xi (x) xi", "(2*h/sinh(h))*xi (x) xi")
     k = HopfOps(Engine(parse_presentation(text), Cutoffs(4, 8)))
     h = HopfOps(Engine(load_presentation("ptsa_q"), Cutoffs(4, 8)))
-    p = Pairing(h, k, {("T", "tau"): 1, ("S", "xi"): 1}, PairingConvention(True, False))
+    p = Pairing(h, k, STANDARD_SEED, PairingConvention(True, False))
     fails = _consistency_failures(p, 2, limit=1)
     assert fails
 
 
 def test_toy_abelian_pair_passes():
     from hopfforge.hopf import HopfOps
-    from hopfforge.pairing import Pairing, _consistency_failures
     from hopfforge.pbw import Engine
     from hopfforge.presentation import parse_presentation
     toy = """
@@ -162,3 +272,42 @@ A = -A
     assert not _consistency_failures(p, 3, limit=1)
     mono2 = (2,)
     assert p.pair_mono(mono2, mono2) == Scalar.from_fraction(2).truncate(4)
+
+
+@pytest.mark.parametrize("cutoffs, max_degree",
+                         [(Cutoffs(4, 8), 6), (Cutoffs(6, 10), 6), (Cutoffs(7, 12), 5)])
+@pytest.mark.parametrize("alpha2", [True, False])
+def test_sparse_sums_match_the_dense_reference(cutoffs, max_degree, alpha2):
+    # every failure with its witness text, and every pairing value either side
+    # computed, equal in coefficients, trunc and repr
+    h_ops, k_ops = _standard_ops(cutoffs, alpha2)
+    for conv in CONVENTIONS:
+        sparse = Pairing(h_ops, k_ops, STANDARD_SEED, conv)
+        dense = DensePairing(h_ops, k_ops, STANDARD_SEED, conv)
+        assert _consistency_failures(sparse, max_degree, limit=10**6) == \
+            reference_consistency_failures(dense, max_degree, limit=10**6)
+        for key in list(sparse._memo):
+            assert _same_scalar(sparse._memo[key], dense.pair_mono(*key)), (conv, key)
+        for key in list(dense._memo):
+            assert _same_scalar(sparse.pair_mono(*key), dense._memo[key]), (conv, key)
+
+
+def test_pair_keeps_a_zero_known_below_the_h_order(monkeypatch):
+    # a zero pairing value known only to h^(N-2) must lower the sum's trunc:
+    # a skip rule that ignored trunc would return 2 + O(h^(N+1))
+    p = standard_pair(Cutoffs(6, 10))
+    N = p.N
+    patched_key = (hmono(p, T=1), kmono(p, xi=1))
+    real_pair_mono = Pairing.pair_mono
+
+    def pair_mono(self, mh, mk):
+        if (tuple(mh), tuple(mk)) == patched_key:
+            return Scalar.zero(N - 2)
+        return real_pair_mono(self, mh, mk)
+
+    monkeypatch.setattr(Pairing, "pair_mono", pair_mono)
+    x = p.H.generator("T") + p.H.generator("S")
+    f = p.K.generator("tau") + p.K.generator("xi")
+    got = p.pair(x, f)
+    assert got.trunc == N - 2
+    assert got.exponents() == [0] and got.coeff(0).constant == 2
