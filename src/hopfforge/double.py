@@ -124,22 +124,20 @@ class Double:
         # mu_s^{klj}: raw iterated coproduct of x over H
         mu = self.h_ops.iterated_coproduct(x, "left")
         # m^t_{nuk}: raw iterated coproduct of f over K
-        mm = self.k_ops.iterated_coproduct(f, "left")
+        mm = [(n_k, u_k, k_k, c_m, K.monomial_parity(n_k),
+               K.monomial_parity(u_k), K.monomial_parity(k_k))
+              for (n_k, u_k, k_k), c_m in self.k_ops.iterated_coproduct(f, "left").terms.items()]
         acc: dict = {}
         for (k_h, l_h, j_h), c_mu in mu.terms.items():
             # antipode-inverse matrix applied to the j index
             sj = self.h_ops.antipode_inverse_mono(j_h)
             pl = H.monomial_parity(l_h)
-            pk_h = H.monomial_parity(k_h)
-            for (n_k, u_k, k_k), c_m in mm.terms.items():
-                pn = K.monomial_parity(n_k)
-                pu = K.monomial_parity(u_k)
-                pk = K.monomial_parity(k_k)
-                sgn = pn * (pl + pk) + pu * pk
+            for n_k, u_k, k_k, c_m, pn, pu, pk in mm:
                 # contract k: <e_{k_h}, e^{k_k}>
                 gk = self.pairing.pair_mono(k_h, k_k)
                 if _droppable(gk, floor):
                     continue
+                sgn = pn * (pl + pk) + pu * pk
                 # contract n with S^-1 e_{j_h}: sum_{j'} A^{j'}_j <e_{j'}, e^{n_k}>
                 gn = Scalar.zero(N)
                 for jp, a in sj.terms.items():

@@ -540,21 +540,26 @@ class Engine:
                 return i
         return None
 
+    def product(self, ma, mb) -> dict:
+        """The terms {monomial: coefficient} of the normal form of ma*mb,
+        memoized per (ma, mb).  Shared with the cache: do not mutate."""
+        key = (ma, mb)
+        terms = self._product_cache.get(key)
+        if terms is None:
+            terms = self.normal_form(self.monomial_to_word(ma) + self.monomial_to_word(mb)).terms
+            self._product_cache[key] = terms
+        return terms
+
     def multiply(self, a: PbwElement, b: PbwElement) -> PbwElement:
-        assert a.engine is self and b.engine is self, "presentation mismatch"
+        if a.engine is not self or b.engine is not self:
+            raise PresentationError("leg mismatch")
         N = self.cutoffs.h_order
         out = self.zero()
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
                 c = (ca * cb).truncate(N)
-                if _droppable(c, N):
-                    continue
-                key = (ma, mb)
-                nf = self._product_cache.get(key)
-                if nf is None:
-                    nf = self.normal_form(self.monomial_to_word(ma) + self.monomial_to_word(mb))
-                    self._product_cache[key] = nf
-                out.add_scaled(nf, c)
+                if not _droppable(c, N):
+                    out.add_scaled(PbwElement(self, self.product(ma, mb)), c)
         return out
 
     def graded_commutator(self, a: str, b: str) -> PbwElement:

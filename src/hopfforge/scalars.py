@@ -10,18 +10,28 @@ known; ``None`` means the value is exact (a Laurent polynomial).  Multiplication
 and division propagate precision through valuations, so pole factors such as
 1/sinh(h) cannot silently launder unknown coefficients into the known range.
 
-A Scalar is stored in one of two forms, chosen from its value:
+A Scalar holds integer numerators over one common denominator, in one of two
+forms chosen from its value:
 
-- integer form, when no coefficient carries a parameter: ``{exponent: int}``
-  numerators over one common denominator, with the denominator > 0,
-  gcd(denominator, all numerators) = 1 and no zero numerator;
-- ParamPoly form otherwise: ``{exponent: ParamPoly}`` with no zero polynomial.
+- integer form, when no coefficient carries a parameter: ``{exponent: int}``;
+- parameter form otherwise: ``{(exponent, monomial): int}``, where a monomial
+  is a sorted tuple of (parameter name, positive exponent) and at least one
+  stored monomial is not the empty one.
 
-In both forms no stored exponent exceeds ``trunc``.  An operation with a
-ParamPoly-form operand lifts the other operand to that form; a result without
-parameters is stored in integer form again.  Only this module reads the
-storage: other code uses ``coeff(k)`` and ``exponents()``.  Scalars are
-immutable and may share storage (``truncate`` can return ``self``).
+Both forms keep the denominator > 0, gcd(denominator, all numerators) = 1, no
+zero numerator and no stored exponent above ``trunc``; each operation reduces
+its result by one gcd.  An operation with a parameter-form operand reads the
+other operand's exponents as (exponent, ()) keys; a result whose parameters
+cancel or are truncated away is stored in integer form again.  Monomial
+products are memoized.  Only this module reads the storage: other code uses
+``coeff(k)``, ``coeffs`` and ``exponents()``.  Scalars are immutable and may
+share storage (``truncate`` can return ``self``).
+
+``ParamPoly`` (a polynomial over Q with Fraction coefficients) is the public
+coefficient type.  A Scalar builds ParamPolys only to hand them out or to read
+them in: ``Scalar(coeffs, trunc)``, ``coeff(k)``/``coeffs`` (and so ``repr``),
+Laurent division (``div``, whose exact polynomial division works on
+ParamPolys) and ``substitute``.
 """
 
 from __future__ import annotations
@@ -34,23 +44,31 @@ __all__ = ["ScalarError", "ParamPoly", "Scalar", "series_fn", "gauss_jordan"]
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 
-# key: sorted tuple of (parameter name, positive exponent)
+# key of a parameter monomial: sorted tuple of (parameter name, positive exponent)
 PPKey = tuple
+
+# the memo of _mono_mul: a pure function of monomials in the few parameters
+# of the loaded presentations, at the low degrees truncation leaves
+_MONO_PRODUCTS: dict = {}
 
 
 class ScalarError(ArithmeticError):
     """Raised for invalid scalar operations (bad division, bad series argument)."""
 
 
-def _key_mul(a: PPKey, b: PPKey) -> PPKey:
+def _mono_mul(a: PPKey, b: PPKey) -> PPKey:
+    """The product of two parameter monomials, memoized."""
     if not a:
         return b
     if not b:
         return a
-    d = dict(a)
-    for name, e in b:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted(d.items()))
+    m = _MONO_PRODUCTS.get((a, b))
+    if m is None:
+        d = dict(a)
+        for name, e in b:
+            d[name] = d.get(name, 0) + e
+        m = _MONO_PRODUCTS[(a, b)] = tuple(sorted(d.items()))
+    return m
 
 
 class ParamPoly:
@@ -116,7 +134,7 @@ class ParamPoly:
         out: dict = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
-                k = _key_mul(ka, kb)
+                k = _mono_mul(ka, kb)
                 s = out.get(k, Q0) + va * vb
                 if s:
                     out[k] = s
@@ -201,11 +219,12 @@ def _addcap(t, v):
 _new = object.__new__
 
 
-def _make(c: dict, den, trunc) -> "Scalar":
-    """Scalar with stored coefficients c as they are (den None: ParamPoly form)."""
+def _make(c: dict, den: int, trunc, params: bool = False) -> "Scalar":
+    """Scalar with stored numerators c over den as they are."""
     s = _new(Scalar)
     s._c = c
     s._den = den
+    s._params = params
     s.trunc = trunc
     return s
 
@@ -220,6 +239,42 @@ def _reduced(num: dict, den: int, trunc) -> "Scalar":
     return _make(num, den, trunc)
 
 
+def _from_terms(num: dict, den: int, trunc) -> "Scalar":
+    """num/den for parameter-form numerators (nonzero, den > 0), divided by
+    their gcd; in integer form when no parameter is left."""
+    if not any(m for _, m in num):
+        return _reduced({k: v for (k, _), v in num.items()}, den, trunc)
+    s = _reduced(num, den, trunc)
+    s._params = True
+    return s
+
+
+def _terms(s: "Scalar") -> dict:
+    """The numerators of s keyed by (exponent, monomial)."""
+    return s._c if s._params else {(k, ()): v for k, v in s._c.items()}
+
+
+def _product(a: dict, b: dict, t) -> dict:
+    """The nonzero numerators of the product of two parameter-form numerator
+    maps, exponents above t (None: no bound) dropped."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        # a monomial times a fixed one is injective: no two keys collide
+        ((kb, mb), y), = b.items()
+        return {(ka + kb, _mono_mul(ma, mb)): x * y for (ka, ma), x in a.items()
+                if t is None or ka + kb <= t}
+    out: dict = {}
+    get = out.get
+    for (ka, ma), x in a.items():
+        for (kb, mb), y in b.items():
+            k = ka + kb
+            if t is None or k <= t:
+                key = (k, _mono_mul(ma, mb))
+                out[key] = get(key, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
 class Scalar:
     """Truncated Laurent series in h; see the module docstring for the two forms.
 
@@ -228,20 +283,15 @@ class Scalar:
     exponent (None = exact); stored exponents never exceed it.
     """
 
-    __slots__ = ("_c", "_den", "trunc")
+    __slots__ = ("_c", "_den", "_params", "trunc")
 
     def __init__(self, coeffs: dict | None = None, trunc=None):
-        polys = {k: p for k, p in (coeffs or {}).items()
-                 if not p.is_zero() and (trunc is None or k <= trunc)}
-        self.trunc = trunc
-        if all(p.is_constant() for p in polys.values()):
-            qs = {k: p.constant for k, p in polys.items()}
-            den = lcm(*(q.denominator for q in qs.values()))
-            self._c = {k: q.numerator * (den // q.denominator) for k, q in qs.items()}
-            self._den = den
-        else:
-            self._c = polys
-            self._den = None
+        qs = {(k, m): q for k, p in (coeffs or {}).items() if trunc is None or k <= trunc
+              for m, q in p.terms.items() if q}
+        den = lcm(*(q.denominator for q in qs.values()))
+        s = _from_terms({km: q.numerator * (den // q.denominator) for km, q in qs.items()},
+                        den, trunc)
+        self._c, self._den, self._params, self.trunc = s._c, s._den, s._params, trunc
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -271,7 +321,7 @@ class Scalar:
 
     @staticmethod
     def param(name: str) -> "Scalar":
-        return Scalar({0: ParamPoly.var(name)})
+        return _make({(0, ((name, 1),)): 1}, 1, None, True)
 
     # -- structure ----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -279,7 +329,11 @@ class Scalar:
 
     def valuation(self):
         """Lowest stored h-exponent; None for the zero value."""
-        return min(self._c) if self._c else None
+        if not self._c:
+            return None
+        if self._params:
+            return min(k for k, _ in self._c)
+        return min(self._c)
 
     @property
     def pole_order(self) -> int:
@@ -288,60 +342,58 @@ class Scalar:
 
     def exponents(self) -> list:
         """The h-exponents with a nonzero coefficient, ascending."""
+        if self._params:
+            return sorted({k for k, _ in self._c})
         return sorted(self._c)
 
     def coeff(self, k: int) -> ParamPoly:
         """The coefficient of h^k (zero when not stored)."""
-        if self._den is None:
-            return self._c.get(k, ParamPoly())
+        den = self._den
+        if self._params:
+            return ParamPoly({m: Fraction(n, den) for (e, m), n in self._c.items() if e == k})
         n = self._c.get(k)
-        return ParamPoly({(): Fraction(n, self._den)}) if n else ParamPoly()
+        return ParamPoly({(): Fraction(n, den)}) if n else ParamPoly()
 
     @property
     def coeffs(self) -> dict:
         """{h-exponent: ParamPoly} for every stored coefficient, as a new dict."""
-        return {k: self.coeff(k) for k in self._c}
-
-    def _polys(self) -> dict:
-        """The stored coefficients as {h-exponent: ParamPoly}; shared in ParamPoly form."""
-        return self._c if self._den is None else self.coeffs
+        den = self._den
+        if not self._params:
+            return {k: ParamPoly({(): Fraction(n, den)}) for k, n in self._c.items()}
+        out: dict = {}
+        for (k, m), n in self._c.items():
+            out.setdefault(k, {})[m] = Fraction(n, den)
+        return {k: ParamPoly(t) for k, t in out.items()}
 
     def names(self) -> set:
-        out = set()
-        if self._den is None:
-            for p in self._c.values():
-                out |= p.names()
-        return out
+        if not self._params:
+            return set()
+        return {name for _, m in self._c for name, _ in m}
 
     def truncate(self, order) -> "Scalar":
         t = self.trunc
         if order is None or (t is not None and t <= order):
             return self
-        c = self._c
-        if c and max(c) > order:
-            c = {k: v for k, v in c.items() if k <= order}
-            if self._den is None:
-                return Scalar(c, order)
-            return _reduced(c, self._den, order)
-        return _make(c, self._den, order)
+        c, params = self._c, self._params
+        exps = [k for k, _ in c] if params else c
+        if exps and max(exps) > order:
+            kept = {k: v for k, v in c.items() if (k[0] if params else k) <= order}
+            return (_from_terms if params else _reduced)(kept, self._den, order)
+        return _make(c, self._den, order, params)
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other: "Scalar") -> "Scalar":
         ta, tb = self.trunc, other.trunc
         t = _minsum(ta, tb)
         da, db = self._den, other._den
-        if da is None or db is None:
-            out = dict(self._polys())
-            for k, v in other._polys().items():
-                s = out.get(k, ParamPoly()) + v
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-            return Scalar(out, t)
+        params = self._params or other._params
+        if params:
+            a, b = _terms(self), _terms(other)
+        else:
+            a, b = self._c, other._c
         if da == db:
-            out = dict(self._c)
-            for k, v in other._c.items():
+            out = dict(a)
+            for k, v in b.items():
                 s = out.get(k, 0) + v
                 if s:
                     out[k] = s
@@ -351,19 +403,19 @@ class Scalar:
             g = gcd(da, db)
             ma, mb = db // g, da // g
             da *= ma
-            out = {k: v * ma for k, v in self._c.items()}
-            for k, v in other._c.items():
+            out = {k: v * ma for k, v in a.items()}
+            for k, v in b.items():
                 s = out.get(k, 0) + v * mb
                 if s:
                     out[k] = s
                 else:
                     del out[k]
         if t is not None and (ta != t or tb != t):
-            out = {k: v for k, v in out.items() if k <= t}
-        return _reduced(out, da, t)
+            out = {k: v for k, v in out.items() if (k[0] if params else k) <= t}
+        return (_from_terms if params else _reduced)(out, da, t)
 
     def __neg__(self) -> "Scalar":
-        return _make({k: -v for k, v in self._c.items()}, self._den, self.trunc)
+        return _make({k: -v for k, v in self._c.items()}, self._den, self.trunc, self._params)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -384,27 +436,17 @@ class Scalar:
             if not a and not b:
                 return _make({}, 1, ta + tb + 1)
             if not a:
-                return _make({}, 1, ta + min(b))
-            return _make({}, 1, tb + min(a))
-        va, vb = min(a), min(b)
+                return _make({}, 1, ta + other.valuation())
+            return _make({}, 1, tb + self.valuation())
+        params = self._params or other._params
+        va, vb = (self.valuation(), other.valuation()) if params else (min(a), min(b))
         if ta is None:
             t = None if tb is None else tb + va
         else:
             t = ta + vb if tb is None else min(ta + vb, tb + va)
         da, db = self._den, other._den
-        if da is None or db is None:
-            out: dict = {}
-            for ka, pa in self._polys().items():
-                for kb, pb in other._polys().items():
-                    k = ka + kb
-                    if t is not None and k > t:
-                        continue
-                    s = out.get(k, ParamPoly()) + pa * pb
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-            return Scalar(out, t)
+        if params:
+            return _from_terms(_product(_terms(self), _terms(other), t), da * db, t)
         if len(b) == 1:
             (kb, y), = b.items()
             if kb == 0 and y == db == 1 and tb is None:
@@ -451,7 +493,7 @@ class Scalar:
             # O(h^(t+1)) over a divisor of valuation vb is O(h^(t+1-vb))
             return Scalar.zero(_addcap(self.trunc, -other.valuation()))
         va, vb = self.valuation(), other.valuation()
-        top, bottom = self._polys(), other._polys()
+        top, bottom = self.coeffs, other.coeffs
         lead = bottom[vb]
         both_exact = self.trunc is None and other.trunc is None
         if both_exact:
@@ -510,10 +552,10 @@ class Scalar:
         h substitution is only allowed to 0 (the constant term); anything else is
         lossy on a truncated series and is rejected by design.
         """
-        if self._den is None:
+        if self._params:
             bindings = bindings or {}
             total = Scalar.zero(self.trunc)
-            for k, poly in self._c.items():
+            for k, poly in self.coeffs.items():
                 total = total + Scalar.h(k) * poly.substitute(bindings)
         else:
             total = self

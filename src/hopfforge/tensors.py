@@ -114,12 +114,10 @@ class TensorElement(LinearCombination):
             raise PresentationError("leg mismatch")
         engines = self.engines[:pos + 1] + self.engines[pos + 2:]
         out = PbwElement(eng) if len(engines) == 1 else TensorElement(engines)
-        one = Scalar.one()
         for key, c in self.terms.items():
-            prod = eng.multiply(PbwElement(eng, {key[pos]: one}), PbwElement(eng, {key[pos + 1]: one}))
             head, tail = key[:pos], key[pos + 2:]
             out.add_scaled(out._new({out._key(head + (m,) + tail): v
-                                     for m, v in prod.terms.items()}), c)
+                                     for m, v in eng.product(key[pos], key[pos + 1]).items()}), c)
         return out
 
     def expand_leg(self, pos: int, fn) -> "TensorElement":
@@ -162,7 +160,8 @@ class TensorElement(LinearCombination):
 
 def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
                ) -> TensorElement:
-    """Legwise product with the Koszul sign.
+    """Legwise product with the Koszul sign; each leg product is read from its
+    engine's product cache.
 
     With ``max_degree`` D, the product's window of D (``LinearCombination.window``):
     a pair of keys whose weights sum above the bound of D is skipped, since
@@ -172,63 +171,62 @@ def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
     if a.legs != b.legs or any(x is not y for x, y in zip(a.engines, b.engines)):
         raise PresentationError("tensor leg mismatch")
     engines = a.engines
+    n = len(engines)
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
     if max_degree is None:
         bound, weight = math.inf, lambda key: 0
     else:
         bound, weight = a.weight_bound(max_degree), a.weight_of_key
-    b_items = [(kb, cb, weight(kb)) for kb, cb in b.terms.items()]
+
+    def parities(key):
+        return [e.monomial_parity(m) for e, m in zip(engines, key)]
+
+    b_items = [(kb, cb, weight(kb), parities(kb)) for kb, cb in b.terms.items()]
     acc: dict = {}
     for ka, ca in a.terms.items():
         room = bound - weight(ka)
-        pa = [engines[i].monomial_parity(ka[i]) for i in range(len(engines))]
-        for kb, cb, wb in b_items:
+        # the Koszul sign of a pair is (-1)^(sum_i |b_i| after_a[i]), where
+        # after_a[i] = sum_{j>i} |a_j|
+        pa = parities(ka)
+        after_a = [sum(pa[i + 1:]) for i in range(n)]
+        for kb, cb, wb, pb in b_items:
             if wb > room:
                 continue
-            pb = [engines[i].monomial_parity(kb[i]) for i in range(len(engines))]
-            sgn = 0
-            for i in range(len(engines)):
-                for j in range(i + 1, len(engines)):
-                    sgn += pb[i] * pa[j]
             c = (ca * cb).truncate(N)
-            if sgn % 2:
+            if sum(x * y for x, y in zip(pb, after_a)) % 2:
                 c = -c
             if _droppable(c, N):
                 continue
-            # legwise normal-form products
-            legs = [engines[i].multiply(
-                PbwElement(engines[i], {ka[i]: Scalar.one()}),
-                PbwElement(engines[i], {kb[i]: Scalar.one()})) for i in range(len(engines))]
-            _distribute(acc, legs, c, N, W)
+            _distribute(acc, engines, [e.product(x, y) for e, x, y in zip(engines, ka, kb)],
+                        c, N, W)
     out = TensorElement(engines, _clean(acc))
     return out if max_degree is None else out.window(max_degree)
 
 
-def _distribute(acc, legs, c, N, W=None):
-    """Accumulate the outer product of leg elements times c into acc.
+def _distribute(acc, engines, legs, c, N, W):
+    """Accumulate the outer product of the legs' terms ({monomial:
+    coefficient} maps, one per engine) times c into acc.
 
     Keys whose total central degree exceeds W live in the tensor-square image
-    of the engine's central-degree ideal and are quotiented away.
+    of the engine's central-degree ideal and are quotiented away.  Central
+    degrees are not negative, so a partial key above W is not extended.
     """
-    engines = [l.engine for l in legs]
+    legs = [[(m, mc, e.monomial_degree_central(m)) for m, mc in leg.items()]
+            for e, leg in zip(engines, legs)]
 
-    def central(key):
-        return sum(e.monomial_degree_central(m) for e, m in zip(engines, key))
-
-    def rec(i, key, coeff):
+    def rec(i, key, coeff, central):
         if _droppable(coeff, N):
             return
         if i == len(legs):
-            if W is not None and central(key) > W:
-                return
             s = coeff.truncate(N)
             prev = acc.get(key)
             acc[key] = s if prev is None else prev + s
             return
-        for m, mc in legs[i].terms.items():
-            rec(i + 1, key + (m,), coeff * mc)
-    rec(0, (), c)
+        for m, mc, d in legs[i]:
+            if central + d <= W:
+                rec(i + 1, key + (m,), coeff * mc, central + d)
+    rec(0, (), c, 0)
 
 
 def tensor_of(*elements: PbwElement) -> TensorElement:
@@ -237,7 +235,7 @@ def tensor_of(*elements: PbwElement) -> TensorElement:
     acc: dict = {}
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
-    _distribute(acc, list(elements), Scalar.one(), N, W)
+    _distribute(acc, engines, [el.terms for el in elements], Scalar.one(), N, W)
     return TensorElement(engines, _clean(acc))
 
 

@@ -1,0 +1,123 @@
+"""Tensor products read each leg product from the engine's product cache.
+
+``reference_tensor_mul`` is the earlier product: it wraps both monomials of
+every leg in a PbwElement and multiplies them with ``Engine.multiply``, which
+copies the cached normal form through ``add_scaled``.  ``tensor_mul`` and
+``multiply_legs`` must give the same keys, coefficients, ``trunc`` and
+``repr``.
+"""
+
+import math
+from fractions import Fraction as F
+
+from hypothesis import given, strategies as st
+
+from hopfforge.pbw import PbwElement, _clean, _droppable
+from hopfforge.scalars import Scalar
+from hopfforge.tensors import TensorElement, tensor_mul
+
+from test_window import ENGINES, SETTINGS, hopf_ops
+
+
+def reference_tensor_mul(a, b, max_degree=None):
+    engines = a.engines
+    N = min(e.cutoffs.h_order for e in engines)
+    W = min(e.cutoffs.word_degree for e in engines)
+    if max_degree is None:
+        bound, weight = math.inf, lambda key: 0
+    else:
+        bound, weight = a.weight_bound(max_degree), a.weight_of_key
+    b_items = [(kb, cb, weight(kb)) for kb, cb in b.terms.items()]
+    acc: dict = {}
+    for ka, ca in a.terms.items():
+        room = bound - weight(ka)
+        pa = [engines[i].monomial_parity(ka[i]) for i in range(len(engines))]
+        for kb, cb, wb in b_items:
+            if wb > room:
+                continue
+            pb = [engines[i].monomial_parity(kb[i]) for i in range(len(engines))]
+            sgn = 0
+            for i in range(len(engines)):
+                for j in range(i + 1, len(engines)):
+                    sgn += pb[i] * pa[j]
+            c = (ca * cb).truncate(N)
+            if sgn % 2:
+                c = -c
+            if _droppable(c, N):
+                continue
+            legs = [engines[i].multiply(
+                PbwElement(engines[i], {ka[i]: Scalar.one()}),
+                PbwElement(engines[i], {kb[i]: Scalar.one()})) for i in range(len(engines))]
+            _reference_distribute(acc, legs, c, N, W)
+    out = TensorElement(engines, _clean(acc))
+    return out if max_degree is None else out.window(max_degree)
+
+
+def _reference_distribute(acc, legs, c, N, W):
+    engines = [leg.engine for leg in legs]
+
+    def rec(i, key, coeff):
+        if _droppable(coeff, N):
+            return
+        if i == len(legs):
+            if sum(e.monomial_degree_central(m) for e, m in zip(engines, key)) > W:
+                return
+            s = coeff.truncate(N)
+            prev = acc.get(key)
+            acc[key] = s if prev is None else prev + s
+            return
+        for m, mc in legs[i].terms.items():
+            rec(i + 1, key + (m,), coeff * mc)
+    rec(0, (), c)
+
+
+def reference_multiply_legs(t, pos):
+    eng = t.engines[pos]
+    engines = t.engines[:pos + 1] + t.engines[pos + 2:]
+    out = PbwElement(eng) if len(engines) == 1 else TensorElement(engines)
+    one = Scalar.one()
+    for key, c in t.terms.items():
+        prod = eng.multiply(PbwElement(eng, {key[pos]: one}), PbwElement(eng, {key[pos + 1]: one}))
+        head, tail = key[:pos], key[pos + 2:]
+        out.add_scaled(out._new({out._key(head + (m,) + tail): v
+                                 for m, v in prod.terms.items()}), c)
+    return out
+
+
+def identical(x, y):
+    assert list(x.terms) == list(y.terms)
+    for k, c in x.terms.items():
+        assert (c.coeffs, c.trunc) == (y.terms[k].coeffs, y.terms[k].trunc), k
+    assert repr(x) == repr(y)
+
+
+@st.composite
+def tensors(draw, engine, legs):
+    """A few terms of at most four letters in all; coefficients c*h^k, k may
+    be -1, some truncated, some times a parameter of the presentation."""
+    params = sorted(engine.presentation.params)
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = [[0] * engine.n for _ in range(legs)]
+        for leg, i in draw(st.lists(st.tuples(st.integers(0, legs - 1),
+                                              st.integers(0, engine.n - 1)), max_size=4)):
+            key[leg][i] = 1 if engine.parities[i] else key[leg][i] + 1
+        c = Scalar.from_fraction(F(draw(st.integers(-3, 3)) or 1, draw(st.integers(1, 3))))
+        c = c * Scalar.h(draw(st.integers(-1, 2)))
+        if params and draw(st.booleans()):
+            c = c * Scalar.param(draw(st.sampled_from(params)))
+        terms[tuple(map(tuple, key))] = c.truncate(draw(st.sampled_from([None, 2, 3])))
+    return TensorElement((engine,) * legs, terms)
+
+
+@ENGINES
+@SETTINGS
+@given(data=st.data())
+def test_leg_products_from_the_cache_match_the_reference(name, data):
+    eng = hopf_ops(name).engine
+    legs = data.draw(st.sampled_from([2, 3]))
+    D = data.draw(st.sampled_from([None, 0, 2, 4]))
+    a, b = data.draw(tensors(eng, legs)), data.draw(tensors(eng, legs))
+    identical(tensor_mul(a, b, D), reference_tensor_mul(a, b, D))
+    pos = data.draw(st.integers(0, legs - 2))
+    identical(a.multiply_legs(pos), reference_multiply_legs(a, pos))

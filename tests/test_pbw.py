@@ -199,3 +199,10 @@ def test_rewrite_is_cutoff_capped(sd):
     assert el.is_zero()
     el2 = sd.normal_form((2, 2))  # S*S rewrites below the cutoff, survives
     assert not el2.is_zero()
+
+
+def test_multiply_rejects_an_element_of_another_engine(brst, sd):
+    with pytest.raises(PresentationError, match="leg mismatch"):
+        brst.multiply(brst.generator("xi"), sd.generator("xi"))
+    with pytest.raises(PresentationError, match="leg mismatch"):
+        sd.multiply(brst.generator("xi"), brst.generator("xi"))

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -415,3 +416,199 @@ def test_integer_form_agrees_with_the_parampoly_path(a, b, fn, order):
     # a series argument needs valuation >= 1: shift a there
     arg = a if a.is_zero() else a * Scalar.h(1 - a.valuation())
     _agree(lambda: series_fn(fn, arg, order), lambda: series_fn(fn, arg * mu, order))
+
+
+# ---------------------------- parameter form against a Fraction reference
+#
+# Ref holds {(h-exponent, monomial): Fraction} and follows the kernel's
+# precision rules (the trunc of a product, of a quotient, of a series) with
+# plain Fraction arithmetic of its own.
+
+MONOS = ((), (("mu", 1),), (("theta", 1),), (("mu", 2),), (("mu", 1), ("theta", 1)))
+
+
+def _ref_mono(a, b):
+    d = dict(a)
+    for name, e in b:
+        d[name] = d.get(name, 0) + e
+    return tuple(sorted(d.items()))
+
+
+class Ref:
+    def __init__(self, terms, trunc):
+        self.trunc = trunc
+        self.terms = {km: q for km, q in terms.items() if q and (trunc is None or km[0] <= trunc)}
+
+    @staticmethod
+    def const(q, k=0):
+        return Ref({(k, ()): F(q)}, None)
+
+    def val(self):
+        return min((k for k, _ in self.terms), default=None)
+
+    def __add__(self, other):
+        ts = [t for t in (self.trunc, other.trunc) if t is not None]
+        out = dict(self.terms)
+        for km, q in other.terms.items():
+            out[km] = out.get(km, F(0)) + q
+        return Ref(out, min(ts, default=None))
+
+    def __neg__(self):
+        return Ref({km: -q for km, q in self.terms.items()}, self.trunc)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        ta, tb = self.trunc, other.trunc
+        if not self.terms or not other.terms:
+            if not self.terms and ta is None or not other.terms and tb is None:
+                return Ref({}, None)
+            if not self.terms and not other.terms:
+                return Ref({}, ta + tb + 1)
+            return Ref({}, ta + other.val() if not self.terms else tb + self.val())
+        ts = [t + v for t, v in ((ta, other.val()), (tb, self.val())) if t is not None]
+        out = {}
+        for (ka, ma), x in self.terms.items():
+            for (kb, mb), y in other.terms.items():
+                km = (ka + kb, _ref_mono(ma, mb))
+                out[km] = out.get(km, F(0)) + x * y
+        return Ref(out, min(ts, default=None))
+
+    def truncate(self, order):
+        return Ref(self.terms, order if self.trunc is None else min(self.trunc, order))
+
+    def div(self, other):
+        """Long division by a divisor whose leading coefficient is rational."""
+        vb = other.val()
+        if not self.terms:
+            return Ref({}, None if self.trunc is None else self.trunc - vb)
+        va = self.val()
+        lead = other.terms[(vb, ())]
+        exact = self.trunc is None and other.trunc is None
+        if exact:
+            n_max = 24
+        else:
+            n_max = min(t - v for t, v in ((self.trunc, va), (other.trunc, vb)) if t is not None)
+        q = {}  # n -> {monomial: coefficient of h^(va - vb + n)}
+        for n in range(n_max + 1):
+            acc = {m: x for (k, m), x in self.terms.items() if k == va + n}
+            for (k, mb), y in other.terms.items():
+                if 1 <= k - vb <= n:
+                    for mq, x in q[n - k + vb].items():
+                        m = _ref_mono(mb, mq)
+                        acc[m] = acc.get(m, F(0)) - x * y
+            q[n] = {m: x / lead for m, x in acc.items() if x}
+        shift = va - vb
+        quotient = {(n + shift, m): x for n, qn in q.items() for m, x in qn.items()}
+        if exact:
+            if not (Ref(quotient, None) * other - self).terms:
+                return Ref(quotient, None)
+            return Ref(quotient, 24 + shift)
+        return Ref(quotient, n_max + shift)
+
+    def series(self, fn, order):
+        if not self.terms:
+            return Ref({(0, ()): maclaurin(fn, 0)}, order if order is not None else self.trunc)
+        order = self.trunc if order is None else order
+        if order is None:
+            raise ScalarError("exact argument")
+        arg = self.truncate(order)
+        out, power = Ref({(0, ()): maclaurin(fn, 0)}, order), Ref.const(1).truncate(order)
+        for k in range(1, order // self.val() + 1):
+            power = (power * arg).truncate(order)
+            if maclaurin(fn, k):
+                out = out + power * Ref.const(maclaurin(fn, k))
+        return out.truncate(order)
+
+    def scalar(self):
+        polys = {}
+        for (k, m), q in self.terms.items():
+            polys.setdefault(k, {})[m] = q
+        return Scalar({k: ParamPoly(p) for k, p in polys.items()}, self.trunc)
+
+    def __repr__(self):
+        polys = {}
+        for (k, m), q in self.terms.items():
+            polys.setdefault(k, {})[m] = q
+        bits = []
+        for k in sorted(polys):
+            p = polys[k]
+            terms = []
+            for m in sorted(p, key=lambda m: (sum(e for _, e in m), m)):
+                word = "*".join(f"{n}^{e}" if e > 1 else n for n, e in m)
+                terms.append(str(p[m]) if not word else word if p[m] == 1 else f"{p[m]}*{word}")
+            ps = " + ".join(terms)
+            if len(terms) > 1 or ps.startswith("-"):
+                ps = f"({ps})"
+            hpow = "" if k == 0 else "h" if k == 1 else f"h^{k}"
+            bits.append(ps if not hpow else hpow if ps == "1" else f"{ps}*{hpow}")
+        s = " + ".join(bits) or "0"
+        return s if self.trunc is None else f"{s} + O(h^{self.trunc + 1})"
+
+
+def _check_storage(s):
+    """The storage invariant of both forms."""
+    c, den = s._c, s._den
+    assert den > 0 and 0 not in c.values() and gcd(den, *c.values()) == 1, s
+    exps = [k for k, _ in c] if s._params else list(c)
+    assert all(type(k) is int for k in exps)
+    assert s.trunc is None or all(k <= s.trunc for k in exps), s
+    # the parameter form holds a parameter; the integer form holds none
+    assert not s._params or any(m for _, m in c), s
+
+
+def _matches(s, ref):
+    _check_storage(s)
+    assert s.trunc == ref.trunc
+    assert s.exponents() == sorted({k for k, _ in ref.terms})
+    for k in s.exponents():
+        assert s.coeff(k) == ParamPoly({m: q for (e, m), q in ref.terms.items() if e == k})
+    assert repr(s) == repr(ref)
+
+
+@st.composite
+def param_refs(draw, min_k=-2, max_terms=5):
+    trunc = draw(st.one_of(st.none(), st.integers(-1, 6)))
+    terms = {}
+    for k, m, q in draw(st.lists(st.tuples(st.integers(min_k, 5), st.sampled_from(MONOS),
+                                           small_fracs), max_size=max_terms)):
+        terms[(k, m)] = q
+    return Ref(terms, trunc)
+
+
+@st.composite
+def rational_lead_divisors(draw):
+    v = draw(st.integers(-1, 2))
+    lead = draw(small_fracs.filter(bool))
+    rest = draw(param_refs(min_k=v + 1, max_terms=2))
+    return Ref({**{km: q for km, q in rest.terms.items() if km[0] > v}, (v, ()): lead},
+               None if rest.trunc is None else max(rest.trunc, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(param_refs(), param_refs(), param_refs(), rational_lead_divisors(), small_fracs,
+       st.integers(-1, 4), st.sampled_from(["exp", "sinh", "cosh"]), st.sampled_from([None, 4]))
+def test_parameter_form_matches_a_fraction_reference(ra, rb, rc, rd, q, order, fn, s_order):
+    a, b, c, d = ra.scalar(), rb.scalar(), rc.scalar(), rd.scalar()
+    for s, ref in ((a, ra), (b, rb), (d, rd)):
+        _matches(s, ref)
+    _matches(a + b, ra + rb)
+    _matches(a - b, ra - rb)
+    _matches(-a, -ra)
+    _matches(a * b, ra * rb)
+    _matches((a * b) * c + a, (ra * rb) * rc + ra)
+    _matches(a * q, ra * Ref.const(q))
+    _matches(a.truncate(order), ra.truncate(order))
+    _matches(a.div(d), ra.div(rd))
+    _matches((a * b).div(d), (ra * rb).div(rd))
+    # a series argument needs valuation >= 1: shift a there
+    shift = 0 if not ra.terms else 1 - ra.val()
+    arg, rarg = a * Scalar.h(shift), ra * Ref.const(1, shift)
+    try:
+        got = series_fn(fn, arg, s_order)
+    except ScalarError:
+        with pytest.raises(ScalarError):
+            rarg.series(fn, s_order)
+        return
+    _matches(got, rarg.series(fn, s_order))
