@@ -27,6 +27,13 @@ Each engine also fixes a generator weight that rewriting never lowers (see
 ``Engine._find_weight``).  A key of total degree <= D weighs at most
 D * max(w_i/d_i), so ``LinearCombination.window`` and the windowed tensor
 product drop, exactly, what cannot reach degree <= D under further products.
+
+A monomial's parity, weight and central degree are pure functions of it, so
+each engine memoizes them (``parity_of``, ``weight_of``, ``central_degree_of``:
+dicts filled on first lookup).  The product cache holds one entry per (ma, mb):
+the terms of the normal form of ma*mb, both as a {monomial: coefficient} dict
+(``Engine.product``) and as (monomial, coefficient, central degree) triples
+(``Engine.product_triples``), which tensor products read.
 """
 
 from __future__ import annotations
@@ -71,13 +78,13 @@ class LinearCombination:
         return min(e.cutoffs.h_order for e in self.engines)
 
     def parity_of_key(self, key) -> int:
-        return sum(e.monomial_parity(m) for e, m in zip(self.engines, self._legs(key))) % 2
+        return sum(e.parity_of[m] for e, m in zip(self.engines, self._legs(key))) % 2
 
     def degree_of_key(self, key) -> int:
         return sum(e.monomial_degree(m) for e, m in zip(self.engines, self._legs(key)))
 
     def weight_of_key(self, key) -> int:
-        return sum(e.monomial_weight(m) for e, m in zip(self.engines, self._legs(key)))
+        return sum(e.weight_of[m] for e, m in zip(self.engines, self._legs(key)))
 
     def weight_bound(self, max_degree: int) -> Fraction:
         """The largest weight a key of total degree <= max_degree can have."""
@@ -259,8 +266,14 @@ class Engine:
         self._product_cache: dict = {}
         self._right_cache: dict = {}
         self._index_maps: dict = {}
+        # pure functions of a monomial, memoized: {monomial: invariant}
+        odd = tuple(p == ODD for p in self.parities)
+        central = tuple(d if c else 0 for d, c in zip(self.degrees, self.central))
+        self.parity_of = _Memo(lambda m: sum(itertools.compress(m, odd)) % 2)
+        self.central_degree_of = _Memo(lambda m: sum(map(mul, m, central)))
         self._build_rules()
         self.weight = self._find_weight()
+        self.weight_of = _Memo(lambda m: sum(map(mul, m, self.weight)))
         self.weight_ratio = max((Fraction(w, d) for w, d in zip(self.weight, self.degrees) if d),
                                 default=Fraction(0))
 
@@ -273,6 +286,10 @@ class Engine:
 
     def generator(self, name: str) -> PbwElement:
         i = self.presentation.gen_index(name)
+        # the prune of normal_form: a central generator above the degree
+        # cutoff is zero in the quotient
+        if self.word_degree_central((i,)) > self.cutoffs.word_degree:
+            return self.zero()
         mono = tuple(1 if j == i else 0 for j in range(self.n))
         return PbwElement(self, {mono: Scalar.one()})
 
@@ -289,13 +306,10 @@ class Engine:
         return got
 
     def monomial_parity(self, mono) -> int:
-        return sum(e for e, p in zip(mono, self.parities) if p == ODD) % 2
+        return self.parity_of[mono]
 
     def monomial_degree(self, mono) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
-
-    def monomial_weight(self, mono) -> int:
-        return sum(e * w for e, w in zip(mono, self.weight))
 
     def word_degree(self, word) -> int:
         return sum(self.degrees[i] for i in word)
@@ -307,7 +321,7 @@ class Engine:
         return sum(self.degrees[i] for i in word if self.central[i])
 
     def monomial_degree_central(self, mono) -> int:
-        return sum(e * d for e, d, c in zip(mono, self.degrees, self.central) if c)
+        return self.central_degree_of[mono]
 
     def monomial_degree_noncentral(self, mono) -> int:
         return sum(e * d for e, d, c in zip(mono, self.degrees, self.central) if not c)
@@ -540,15 +554,25 @@ class Engine:
                 return i
         return None
 
+    def _fill_product(self, ma, mb) -> tuple:
+        """Compute and cache the entry for ma*mb: the terms {monomial:
+        coefficient} of its normal form, and the same terms as (monomial,
+        coefficient, central degree) triples."""
+        terms = self.normal_form(self.monomial_to_word(ma) + self.monomial_to_word(mb)).terms
+        central = self.central_degree_of
+        entry = self._product_cache[(ma, mb)] = (
+            terms, tuple((m, c, central[m]) for m, c in terms.items()))
+        return entry
+
     def product(self, ma, mb) -> dict:
         """The terms {monomial: coefficient} of the normal form of ma*mb,
         memoized per (ma, mb).  Shared with the cache: do not mutate."""
-        key = (ma, mb)
-        terms = self._product_cache.get(key)
-        if terms is None:
-            terms = self.normal_form(self.monomial_to_word(ma) + self.monomial_to_word(mb)).terms
-            self._product_cache[key] = terms
-        return terms
+        return (self._product_cache.get((ma, mb)) or self._fill_product(ma, mb))[0]
+
+    def product_triples(self, ma, mb) -> tuple:
+        """The same terms as (monomial, coefficient, central degree) triples,
+        from the same cache entry."""
+        return (self._product_cache.get((ma, mb)) or self._fill_product(ma, mb))[1]
 
     def multiply(self, a: PbwElement, b: PbwElement) -> PbwElement:
         if a.engine is not self or b.engine is not self:
@@ -787,6 +811,20 @@ class Engine:
                     if not (left - right).is_zero():
                         failures.append((tuple(self.gen_names[x] for x in word), left, right))
         return (not failures, failures, checked)
+
+
+class _Memo(dict):
+    """{key: fn(key)}, each value computed on its first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _clean(terms: dict) -> dict:

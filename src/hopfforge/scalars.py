@@ -23,15 +23,21 @@ zero numerator and no stored exponent above ``trunc``; each operation reduces
 its result by one gcd.  An operation with a parameter-form operand reads the
 other operand's exponents as (exponent, ()) keys; a result whose parameters
 cancel or are truncated away is stored in integer form again.  Monomial
-products are memoized.  Only this module reads the storage: other code uses
+products are memoized.
+
+A unit, stored as {0: 1} over 1 (the exact 1 and every 1 + O(h^(t+1))), is
+always in integer form, and a product with it is the other factor truncated
+at the product's usual trunc, with no numerator work: leg coefficients of
+normal forms are mostly such units.  Division of parameter-free values runs
+the long division on integer numerators, with one gcd at the end.  Only this module reads the storage: other code uses
 ``coeff(k)``, ``coeffs`` and ``exponents()``.  Scalars are immutable and may
 share storage (``truncate`` can return ``self``).
 
 ``ParamPoly`` (a polynomial over Q with Fraction coefficients) is the public
 coefficient type.  A Scalar builds ParamPolys only to hand them out or to read
 them in: ``Scalar(coeffs, trunc)``, ``coeff(k)``/``coeffs`` (and so ``repr``),
-Laurent division (``div``, whose exact polynomial division works on
-ParamPolys) and ``substitute``.
+Laurent division with a parameter-form operand (``div``, whose exact
+polynomial division works on ParamPolys) and ``substitute``.
 """
 
 from __future__ import annotations
@@ -438,24 +444,27 @@ class Scalar:
             if not a:
                 return _make({}, 1, ta + other.valuation())
             return _make({}, 1, tb + self.valuation())
+        da, db = self._den, other._den
+        # times a unit 1 + O(h^(tu+1)) (exact when tu is None), stored as {0: 1}
+        # over 1 in either form: the other factor at the product's trunc
+        # min(tx, tu + vx), which truncate(tu + vx) gives
+        if len(b) == 1 and db == 1 and b.get(0) == 1:
+            return self if tb is None else self.truncate(tb + self.valuation())
+        if len(a) == 1 and da == 1 and a.get(0) == 1:
+            return other if ta is None else other.truncate(ta + other.valuation())
         params = self._params or other._params
         va, vb = (self.valuation(), other.valuation()) if params else (min(a), min(b))
         if ta is None:
             t = None if tb is None else tb + va
         else:
             t = ta + vb if tb is None else min(ta + vb, tb + va)
-        da, db = self._den, other._den
         if params:
             return _from_terms(_product(_terms(self), _terms(other), t), da * db, t)
         if len(b) == 1:
             (kb, y), = b.items()
-            if kb == 0 and y == db == 1 and tb is None:
-                return self  # times exact 1
             out = {ka + kb: x * y for ka, x in a.items() if t is None or ka + kb <= t}
         elif len(a) == 1:
             (ka, x), = a.items()
-            if ka == 0 and x == da == 1 and ta is None:
-                return other
             out = {ka + kb: x * y for kb, y in b.items() if t is None or ka + kb <= t}
         else:
             out = {}
@@ -485,7 +494,8 @@ class Scalar:
         (rational) leading coefficients always work; a parameter-polynomial
         leading coefficient works when the quotient genuinely exists (mu*h/mu).
         Anything needing the inverse of a non-constant parameter polynomial
-        raises ScalarError.
+        raises ScalarError.  Parameter-free operands divide on their integer
+        numerators (``_integer_quotient``), the others on ParamPolys.
         """
         if other.is_zero():
             raise ScalarError("division by zero")
@@ -493,42 +503,30 @@ class Scalar:
             # O(h^(t+1)) over a divisor of valuation vb is O(h^(t+1-vb))
             return Scalar.zero(_addcap(self.trunc, -other.valuation()))
         va, vb = self.valuation(), other.valuation()
-        top, bottom = self.coeffs, other.coeffs
-        lead = bottom[vb]
         both_exact = self.trunc is None and other.trunc is None
         if both_exact:
             rel_prec = _SERIES_DEFAULT_GUARD
         else:
-            cand = []
-            if self.trunc is not None:
-                cand.append(self.trunc - va)
-            if other.trunc is not None:
-                cand.append(other.trunc - vb)
-            rel_prec = min(cand)
+            rel_prec = min(t - v for t, v in ((self.trunc, va), (other.trunc, vb))
+                           if t is not None)
         # quotient q = sum_n q_n h^(va - vb + n) solves q * other = self
-        q: dict = {}
-        for n in range(rel_prec + 1):
-            acc = top.get(va + n, ParamPoly())
-            for i in range(1, n + 1):
-                bi = bottom.get(vb + i)
-                if bi is None or bi.is_zero():
-                    continue
-                qi = q.get(n - i)
-                if qi is not None:
-                    acc = acc - bi * qi
-            d = acc.divide_exact(lead)
-            if d is None:
-                raise ScalarError("non-invertible leading coefficient in division")
-            if not d.is_zero():
-                q[n] = d
         shift = va - vb
-        quotient = {n + shift: p for n, p in q.items()}
+        if self._params or other._params:
+            quotient = _param_quotient(self.coeffs, other.coeffs, va, vb, rel_prec)
+
+            def make(trunc):
+                return Scalar(quotient, trunc)
+        else:
+            num, den = _integer_quotient(self, other, va, vb, rel_prec)
+
+            def make(trunc):
+                return _reduced(num, den, trunc)
         if both_exact:
-            check = Scalar(quotient, None)
+            check = make(None)
             if (check * other - self).is_zero():
                 return check
-            return Scalar(quotient, _SERIES_DEFAULT_GUARD + shift)
-        return Scalar(quotient, rel_prec + shift)
+            return make(_SERIES_DEFAULT_GUARD + shift)
+        return make(rel_prec + shift)
 
     __truediv__ = div
 
@@ -583,6 +581,59 @@ class Scalar:
         if self.trunc is not None:
             s += f" + O(h^{self.trunc + 1})"
         return s
+
+
+def _param_quotient(top: dict, bottom: dict, va: int, vb: int, n_max: int) -> dict:
+    """{exponent: ParamPoly}: the quotient coefficients q_0..q_n_max of
+    top/bottom ({h-exponent: ParamPoly} maps of valuations va, vb), at
+    exponents va - vb + n."""
+    lead = bottom[vb]
+    q: dict = {}
+    for n in range(n_max + 1):
+        acc = top.get(va + n, ParamPoly())
+        for i in range(1, n + 1):
+            bi = bottom.get(vb + i)
+            if bi is None or bi.is_zero():
+                continue
+            qi = q.get(n - i)
+            if qi is not None:
+                acc = acc - bi * qi
+        d = acc.divide_exact(lead)
+        if d is None:
+            raise ScalarError("non-invertible leading coefficient in division")
+        if not d.is_zero():
+            q[n] = d
+    return {n + va - vb: p for n, p in q.items()}
+
+
+def _integer_quotient(a: "Scalar", b: "Scalar", va: int, vb: int, n_max: int):
+    """(numerators, denominator): the quotient coefficients q_0..q_n_max of
+    a/b, both in integer form, at exponents va - vb + n, not yet reduced.
+
+    With A, B the numerators of a, b and L = B_vb, the series A/B has the
+    coefficients P_n / L^(n+1), where P_n = A_(va+n) L^n - sum_(i=1..n)
+    B_(vb+i) P_(n-i) L^(i-1) is an integer; q_n is that times b's over a's
+    denominator.
+    """
+    A, B = a._c, b._c
+    L = B[vb]
+    tail = sorted((k - vb, y) for k, y in B.items() if k > vb)
+    powers = [1]
+    for _ in range(n_max + 1):
+        powers.append(powers[-1] * L)
+    P: list = []
+    for n in range(n_max + 1):
+        p = A.get(va + n, 0) * powers[n]
+        for i, y in tail:
+            if i > n:
+                break
+            if P[n - i]:
+                p -= y * P[n - i] * powers[i - 1]
+        P.append(p)
+    den = a._den * powers[n_max + 1]
+    sign = -1 if den < 0 else 1
+    num = {n + va - vb: sign * b._den * p * powers[n_max - n] for n, p in enumerate(P) if p}
+    return num, sign * den
 
 
 # guard order used when inverting an exact series (result is transcendental);

@@ -3,12 +3,19 @@
 Multiplication is legwise with the sign (-1)^(sum_{i<j} |y_i||x_j|) for
 (x_1 (x) ... (x) x_n)(y_1 (x) ... (x) y_n); the graded flip carries
 (-1)^{|x||y|}.  Legs may belong to different presentations (different engines).
+
+Products and leg maps read each monomial's parity, weight and central degree
+from its engine's memos, and ``tensor_mul`` reads each leg product as the
+(monomial, coefficient, central degree) triples of the engine's product cache
+entry, so no leg list is rebuilt per key pair.  Most leg coefficients are
+units 1 + O(h^(N+1)), and a Scalar product with a unit does no numerator work.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .lang import Add, Mul, Neg, Node, Num, Tensor
 from .pbw import Engine, LinearCombination, PbwElement, _clean, _droppable
@@ -52,7 +59,7 @@ class TensorElement(LinearCombination):
         return TensorElement(engines, {key: Scalar.one()})
 
     def central_degree_of_key(self, key) -> int:
-        return sum(e.monomial_degree_central(m) for e, m in zip(self.engines, key))
+        return sum(e.central_degree_of[m] for e, m in zip(self.engines, key))
 
     def min_degree(self):
         degs = [self.degree_of_key(k) for k, c in self.terms.items() if not c.is_zero()]
@@ -73,8 +80,8 @@ class TensorElement(LinearCombination):
         engines[pos], engines[pos + 1] = engines[pos + 1], engines[pos]
         out: dict = {}
         for key, c in self.terms.items():
-            pa = self.engines[pos].monomial_parity(key[pos])
-            pb = self.engines[pos + 1].monomial_parity(key[pos + 1])
+            pa = self.engines[pos].parity_of[key[pos]]
+            pb = self.engines[pos + 1].parity_of[key[pos + 1]]
             nk = list(key)
             nk[pos], nk[pos + 1] = nk[pos + 1], nk[pos]
             nk = tuple(nk)
@@ -139,12 +146,9 @@ class TensorElement(LinearCombination):
             return TensorElement(engines)
         engines = self.engines[:pos] + sample.engines + self.engines[pos + 1:]
         N = min(e.cutoffs.h_order for e in engines)
-
-        def central(k):
-            return sum(e.monomial_degree_central(m) for e, m in zip(engines, k))
-
+        central = [e.central_degree_of for e in engines]
         out_terms = {k: v.truncate(N) for k, v in out_terms.items()
-                     if not v.is_zero() and central(k) <= W}
+                     if not v.is_zero() and sum(d[m] for d, m in zip(central, k)) <= W}
         return TensorElement(engines, out_terms)
 
     def __repr__(self):
@@ -161,7 +165,7 @@ class TensorElement(LinearCombination):
 def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
                ) -> TensorElement:
     """Legwise product with the Koszul sign; each leg product is read from its
-    engine's product cache.
+    engine's product cache as (monomial, coefficient, central degree) triples.
 
     With ``max_degree`` D, the product's window of D (``LinearCombination.window``):
     a pair of keys whose weights sum above the bound of D is skipped, since
@@ -178,9 +182,11 @@ def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
         bound, weight = math.inf, lambda key: 0
     else:
         bound, weight = a.weight_bound(max_degree), a.weight_of_key
+    parity = [e.parity_of for e in engines]
+    products = [e.product_triples for e in engines]
 
     def parities(key):
-        return [e.monomial_parity(m) for e, m in zip(engines, key)]
+        return [p[m] for p, m in zip(parity, key)]
 
     b_items = [(kb, cb, weight(kb), parities(kb)) for kb, cb in b.terms.items()]
     acc: dict = {}
@@ -194,38 +200,39 @@ def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
             if wb > room:
                 continue
             c = (ca * cb).truncate(N)
-            if sum(x * y for x, y in zip(pb, after_a)) % 2:
+            if sum(map(mul, pb, after_a)) % 2:
                 c = -c
-            if _droppable(c, N):
-                continue
-            _distribute(acc, engines, [e.product(x, y) for e, x, y in zip(engines, ka, kb)],
-                        c, N, W)
+            if not _droppable(c, N):
+                _distribute(acc, [prod(x, y) for prod, x, y in zip(products, ka, kb)], c, N, W)
     out = TensorElement(engines, _clean(acc))
     return out if max_degree is None else out.window(max_degree)
 
 
-def _distribute(acc, engines, legs, c, N, W):
-    """Accumulate the outer product of the legs' terms ({monomial:
-    coefficient} maps, one per engine) times c into acc.
+def _distribute(acc, legs, c, N, W):
+    """Accumulate the outer product of the legs' terms times c into acc; each
+    leg is a sequence of (monomial, coefficient, central degree) triples.
 
     Keys whose total central degree exceeds W live in the tensor-square image
     of the engine's central-degree ideal and are quotiented away.  Central
     degrees are not negative, so a partial key above W is not extended.
     """
-    legs = [[(m, mc, e.monomial_degree_central(m)) for m, mc in leg.items()]
-            for e, leg in zip(engines, legs)]
+    last = len(legs) - 1
 
     def rec(i, key, coeff, central):
-        if _droppable(coeff, N):
-            return
-        if i == len(legs):
-            s = coeff.truncate(N)
-            prev = acc.get(key)
-            acc[key] = s if prev is None else prev + s
-            return
         for m, mc, d in legs[i]:
-            if central + d <= W:
-                rec(i + 1, key + (m,), coeff * mc, central + d)
+            d += central
+            if d > W:
+                continue
+            x = coeff * mc
+            if _droppable(x, N):
+                continue
+            if i == last:
+                x = x.truncate(N)
+                k = key + (m,)
+                prev = acc.get(k)
+                acc[k] = x if prev is None else prev + x
+            else:
+                rec(i + 1, key + (m,), x, d)
     rec(0, (), c, 0)
 
 
@@ -235,7 +242,9 @@ def tensor_of(*elements: PbwElement) -> TensorElement:
     acc: dict = {}
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
-    _distribute(acc, engines, [el.terms for el in elements], Scalar.one(), N, W)
+    legs = [[(m, c, el.engine.central_degree_of[m]) for m, c in el.terms.items()]
+            for el in elements]
+    _distribute(acc, legs, Scalar.one(), N, W)
     return TensorElement(engines, _clean(acc))
 
 

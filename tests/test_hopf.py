@@ -134,6 +134,22 @@ def test_verify_hopf_passes_everywhere(name):
     assert r.status == "pass", r.text()
 
 
+@pytest.mark.parametrize("name", ALL)
+def test_verify_hopf_passes_at_word_cutoff_zero(name):
+    # at W = 0 a central generator of degree 1 is zero in the quotient, on
+    # the generator side as on the coproduct side of the counit axiom
+    pres = load_presentation(name)
+    assert verify_hopf(pres, Cutoffs(6, 0)).status == "pass"
+    eng = Engine(pres, Cutoffs(6, 0))
+    for g in pres.generators:
+        el = eng.generator(g.name)
+        if pres.is_central(g.name) and g.degree > 0:
+            assert el.is_zero() and not el.terms
+        else:
+            (c,) = el.terms.values()
+            assert c.trunc is None and c == Scalar.one()
+
+
 def test_homomorphism_on_random_pairs(sd_ops):
     # Delta(ab) = Delta(a) Delta(b) on random element pairs
     from hopfforge.tensors import tensor_mul

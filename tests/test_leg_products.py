@@ -2,21 +2,36 @@
 
 ``reference_tensor_mul`` is the earlier product: it wraps both monomials of
 every leg in a PbwElement and multiplies them with ``Engine.multiply``, which
-copies the cached normal form through ``add_scaled``.  ``tensor_mul`` and
-``multiply_legs`` must give the same keys, coefficients, ``trunc`` and
-``repr``.
+copies the cached normal form through ``add_scaled``, and it computes each
+monomial's parity, weight and central degree from the generator data instead
+of the engine's memos.  ``tensor_mul`` and ``multiply_legs`` must give the
+same keys, coefficients, ``trunc`` and ``repr``.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
 from hopfforge.pbw import PbwElement, _clean, _droppable
+from hopfforge.presentation import ODD
 from hopfforge.scalars import Scalar
 from hopfforge.tensors import TensorElement, tensor_mul
 
 from test_window import ENGINES, SETTINGS, hopf_ops
+
+
+def direct_parity(e, m):
+    return sum(x for x, p in zip(m, e.parities) if p == ODD) % 2
+
+
+def direct_weight(e, m):
+    return sum(x * w for x, w in zip(m, e.weight))
+
+
+def direct_central(e, m):
+    return sum(x * d for x, d, c in zip(m, e.degrees, e.central) if c)
 
 
 def reference_tensor_mul(a, b, max_degree=None):
@@ -26,16 +41,19 @@ def reference_tensor_mul(a, b, max_degree=None):
     if max_degree is None:
         bound, weight = math.inf, lambda key: 0
     else:
-        bound, weight = a.weight_bound(max_degree), a.weight_of_key
+        bound = a.weight_bound(max_degree)
+
+        def weight(key):
+            return sum(direct_weight(e, m) for e, m in zip(engines, key))
     b_items = [(kb, cb, weight(kb)) for kb, cb in b.terms.items()]
     acc: dict = {}
     for ka, ca in a.terms.items():
         room = bound - weight(ka)
-        pa = [engines[i].monomial_parity(ka[i]) for i in range(len(engines))]
+        pa = [direct_parity(engines[i], ka[i]) for i in range(len(engines))]
         for kb, cb, wb in b_items:
             if wb > room:
                 continue
-            pb = [engines[i].monomial_parity(kb[i]) for i in range(len(engines))]
+            pb = [direct_parity(engines[i], kb[i]) for i in range(len(engines))]
             sgn = 0
             for i in range(len(engines)):
                 for j in range(i + 1, len(engines)):
@@ -60,7 +78,7 @@ def _reference_distribute(acc, legs, c, N, W):
         if _droppable(coeff, N):
             return
         if i == len(legs):
-            if sum(e.monomial_degree_central(m) for e, m in zip(engines, key)) > W:
+            if sum(direct_central(e, m) for e, m in zip(engines, key)) > W:
                 return
             s = coeff.truncate(N)
             prev = acc.get(key)
@@ -118,6 +136,36 @@ def test_leg_products_from_the_cache_match_the_reference(name, data):
     legs = data.draw(st.sampled_from([2, 3]))
     D = data.draw(st.sampled_from([None, 0, 2, 4]))
     a, b = data.draw(tensors(eng, legs)), data.draw(tensors(eng, legs))
-    identical(tensor_mul(a, b, D), reference_tensor_mul(a, b, D))
+    first = tensor_mul(a, b, D)
+    identical(first, reference_tensor_mul(a, b, D))
+    identical(tensor_mul(a, b, D), first)  # every leg product now cached
     pos = data.draw(st.integers(0, legs - 2))
     identical(a.multiply_legs(pos), reference_multiply_legs(a, pos))
+
+
+def basis(e, max_degree):
+    """Every monomial of total degree <= max_degree (odd exponents 0 or 1)."""
+    ranges = [range(2) if p == ODD else range(max_degree // d + 1)
+              for p, d in zip(e.parities, e.degrees)]
+    return [m for m in itertools.product(*ranges) if e.monomial_degree(m) <= max_degree]
+
+
+@ENGINES
+def test_memoized_invariants_and_cached_triples_match_the_formulas(name):
+    eng = hopf_ops(name).engine
+    monomials = basis(eng, 6)
+    for m in monomials:
+        assert eng.parity_of[m] == eng.monomial_parity(m) == direct_parity(eng, m)
+        assert eng.weight_of[m] == direct_weight(eng, m)
+        assert (eng.central_degree_of[m] == eng.monomial_degree_central(m)
+                == direct_central(eng, m))
+    low = basis(eng, 2)
+    for ma, mb in itertools.product(low, low):
+        terms = eng.product(ma, mb)
+        assert eng.product_triples(ma, mb) == tuple(
+            (m, c, direct_central(eng, m)) for m, c in terms.items())
+        assert all(c is terms[m] for m, c, _ in eng.product_triples(ma, mb))
+        nf = eng.normal_form(eng.monomial_to_word(ma) + eng.monomial_to_word(mb))
+        assert list(nf.terms) == list(terms)
+        assert all((nf.terms[m].coeffs, nf.terms[m].trunc) == (c.coeffs, c.trunc)
+                   for m, c in terms.items())

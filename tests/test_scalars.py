@@ -612,3 +612,28 @@ def test_parameter_form_matches_a_fraction_reference(ra, rb, rc, rd, q, order, f
             rarg.series(fn, s_order)
         return
     _matches(got, rarg.series(fn, s_order))
+
+
+# ------------------------------------------------- products with a unit factor
+#
+# Scalar.__mul__ returns the other factor, truncated, for any operand stored as
+# {0: 1} over 1: the exact 1 and every 1 + O(h^(t+1)).  The reference runs the
+# full product.
+
+@st.composite
+def zero_or_param_refs(draw):
+    """Either form, poles allowed, or a zero known to O(h^(j+1))."""
+    if draw(st.booleans()):
+        return Ref({}, draw(st.integers(-3, N + 2)))
+    return draw(param_refs())
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_or_param_refs(), st.one_of(st.none(), st.integers(-2, N + 1)))
+def test_a_unit_factor_matches_the_full_product(rx, t):
+    # u = 1 + O(h^(t+1)), t from -2 (a zero, not a unit) to N + 1, or the exact 1
+    ru = Ref.const(1) if t is None else Ref.const(1).truncate(t)
+    x, u = rx.scalar(), ru.scalar()
+    _matches(x * u, rx * ru)
+    _matches(u * x, ru * rx)
+    _matches(u * u, ru * ru)
