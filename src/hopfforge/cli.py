@@ -187,8 +187,19 @@ SUITE_FINDINGS = {
 }
 
 
+def _check_cutoffs(args, group):
+    """Reject cutoffs at which the central T vanishes but its dual tau does not."""
+    W, D = args.word_cutoff, args.tensor_degree
+    if group == "duality" and W < D + 2:
+        raise PresentationError(f"duality pairs up to degree D + 2 and needs "
+                                f"--word-cutoff >= --tensor-degree + 2, not W={W}, D={D}")
+    if group == "double" and W < 1:
+        raise PresentationError(f"the double needs --word-cutoff >= 1, not W={W}")
+
+
 def run_entry(args, entry):
     group, *options = entry
+    _check_cutoffs(args, group)
     return GROUPS[group](args, *options)
 
 
@@ -226,6 +237,8 @@ def cmd_check_family(args) -> int:
 
 
 def cmd_suite_all(args) -> int:
+    for group, *_ in REGISTRY:
+        _check_cutoffs(args, group)
     reports = []
     for entry in REGISTRY:
         note = SUITE_FINDINGS.get(entry)

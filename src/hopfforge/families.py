@@ -2,9 +2,8 @@
 the flow field, and every stated inter-family relation.
 
 The h -> 1 endpoint cannot be reached inside truncated series, so that check
-walks the expression trees instead: pure polynomials in h evaluate exactly at
-h = 1, sinh(h) survives only inside factors that a vanishing (1-h) kills, and
-series arguments h*T/2 become exact rational T-series.
+evaluates sd_line's expressions with ``Engine._eval`` in the exact domain
+``AtH1``: h becomes 1, sinh(h) the symbol sinh(1), and a factor (1-h) zero.
 """
 
 from __future__ import annotations
@@ -13,13 +12,12 @@ from fractions import Fraction
 
 from .bialgebra import compare_bialgebras, from_family
 from .hopf import HopfOps, verify_hopf, _first_residual_element, _first_residual_tensor
-from .lang import (Add, Div, Gen, HVar, Mul, Neg, Node, Num, Param, Pow,
-                   SeriesCall, Tensor, ast_atoms, ast_map)
-from .pbw import Cutoffs, Engine, PbwElement
+from .lang import HVar
+from .pbw import Cutoffs, Engine
 from .presentation import HopfPresentation, PresentationError, load_presentation
 from .report import FAIL, PASS, Timer, VerificationReport
 from .scalars import Scalar
-from .tensors import TensorElement
+from .tensors import TensorElement, evaluate_tensor, tensor_of
 
 __all__ = ["FAMILY_IDS", "instantiate", "structural_compare", "limit_h0",
            "deforming_field_at_0", "verify_h1_limit", "verify_newquant_consistency",
@@ -164,7 +162,6 @@ def verify_deforming_field(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
             ("S", "S"): g("T").scale(mu * (-2)),
             ("xi", "S"): g("T").scale(mu),                          # {xi,S} = {S,xi}
         }
-        from .tensors import tensor_of
         one = eng.one()
         ts = tensor_of(g("T"), g("S"))
         st = tensor_of(g("S"), g("T"))
@@ -205,149 +202,79 @@ class NotClosedForm(PresentationError):
     pass
 
 
-def _h1_scalar(node: Node):
-    """Value of a pure-scalar expression at h = 1 as (q, sinh(1)-power)."""
-    if isinstance(node, Num):
-        return node.value, 0
-    if isinstance(node, HVar):
-        return Fraction(1), 0
-    if isinstance(node, Param):
-        raise NotClosedForm(f"free parameter {node.name} at h=1")
-    if isinstance(node, Neg):
-        q, s = _h1_scalar(node.arg)
-        return -q, s
-    if isinstance(node, Pow):
-        q, s = _h1_scalar(node.base)
-        return q ** node.exp, s * node.exp
-    if isinstance(node, Mul):
-        q, s = Fraction(1), 0
-        for f in node.factors:
-            fq, fs = _h1_scalar(f)
-            q, s = q * fq, s + fs
-            if q == 0:
-                return Fraction(0), 0
-        return q, s
-    if isinstance(node, Div):
-        nq, ns = _h1_scalar(node.num)
-        if nq == 0:
-            return Fraction(0), 0
-        dq, ds = _h1_scalar(node.den)
-        if dq == 0:
-            raise NotClosedForm("division by a factor vanishing at h=1")
-        return nq / dq, ns - ds
-    if isinstance(node, Add):
-        vals = [_h1_scalar(tm) for tm in node.terms]
-        vals = [(q, s) for q, s in vals if q != 0]
-        if not vals:
-            return Fraction(0), 0
-        if len({s for _, s in vals}) > 1:
-            raise NotClosedForm("sum mixes sinh(1) powers at h=1")
-        return sum(q for q, _ in vals), vals[0][1]
-    if isinstance(node, SeriesCall):
-        # pure-h argument: sinh(0) = 0, exp(0) = cosh(0) = 1, sinh(1) symbolic
-        q, s = _h1_scalar(node.arg)
-        if s != 0:
+class AtH1:
+    """An exact value q * sinh(1)^p at h = 1, q rational: the coefficient
+    domain in which ``Engine._eval`` takes an expression to h = 1.
+
+    sinh(h) becomes the symbol sinh(1), and a factor (1-h) zero.  A series
+    function of another nonzero value, a sum of two powers of sinh(1), a
+    denominator that vanishes at h = 1 and a sinh(1) left in a final
+    coefficient raise NotClosedForm.
+    """
+
+    __slots__ = ("q", "p")
+
+    # a zero may be a factor such as (1-h) that vanishes at h = 1: 0/0 has no value
+    exact_zeros = False
+
+    def __init__(self, q, p: int = 0):
+        self.q = Fraction(q)
+        self.p = p if q else 0
+
+    @staticmethod
+    def from_fraction(q) -> "AtH1":
+        return AtH1(q)
+
+    @staticmethod
+    def h() -> "AtH1":
+        return AtH1(1)
+
+    @staticmethod
+    def param(name: str):
+        raise NotClosedForm(f"free parameter {name} at h=1")
+
+    @staticmethod
+    def series(fn: str, arg: "AtH1", order: int) -> "AtH1":
+        if arg.p:
             raise NotClosedForm("series function of a sinh(1)-carrying argument")
-        if q == 0:
-            return (Fraction(0), 0) if node.fn == "sinh" else (Fraction(1), 0)
-        if node.fn == "sinh" and q == 1:
-            return Fraction(1), -1
-        raise NotClosedForm(f"{node.fn}({q}) at h=1 is not rational")
-    raise NotClosedForm(f"cannot evaluate {node!r} at h=1")
+        if not arg.q:
+            return AtH1(0 if fn == "sinh" else 1)
+        if fn == "sinh" and arg.q == 1:
+            return AtH1(1, 1)
+        raise NotClosedForm(f"{fn}({arg.q}) at h=1 is not rational")
 
+    @staticmethod
+    def from_scalar(s: Scalar) -> "AtH1":
+        if s.exponents() not in ([], [0]) or s.names():
+            raise NotClosedForm(f"coefficient {s!r} depends on h or a parameter at h=1")
+        return AtH1(s.coeff(0).constant)
 
-def _is_scalar_ast(node: Node) -> bool:
-    return not any(isinstance(a, (Gen, Tensor)) for a in ast_atoms(node))
+    def to_scalar(self, order: int) -> Scalar:
+        if self.p:
+            raise NotClosedForm(f"sinh(1)^{self.p} survives in a coefficient at h=1")
+        return Scalar.from_fraction(self.q, trunc=order)
 
+    def is_zero(self) -> bool:
+        return not self.q
 
-def _subst_h1(node: Node) -> Node:
-    return ast_map(node, lambda n: Num(Fraction(1)) if isinstance(n, HVar) else n)
+    def truncate(self, order) -> "AtH1":
+        return self
 
+    def __neg__(self) -> "AtH1":
+        return AtH1(-self.q, self.p)
 
-def _flatten_mul(node: Node, inverted: bool = False):
-    """Multiplicative atoms of nested products/quotients, order preserved."""
-    if isinstance(node, Mul):
-        out = []
-        for f in node.factors:
-            out.extend(_flatten_mul(f, inverted))
-        return out
-    if isinstance(node, Div):
-        return _flatten_mul(node.num, inverted) + _flatten_mul(node.den, not inverted)
-    return [(node, inverted)]
+    def __add__(self, other: "AtH1") -> "AtH1":
+        if self.q and other.q and self.p != other.p:
+            raise NotClosedForm("sum mixes sinh(1) powers at h=1")
+        return AtH1(self.q + other.q, self.p or other.p)
 
+    def __mul__(self, other: "AtH1") -> "AtH1":
+        return AtH1(self.q * other.q, self.p + other.p)
 
-def _h1_element(eng: Engine, node: Node) -> PbwElement:
-    """Evaluate a relation rhs at h = 1 in an h-free target engine."""
-    if isinstance(node, Add):
-        out = eng.zero()
-        for tm in node.terms:
-            out = out + _h1_element(eng, tm)
-        return out
-    if isinstance(node, Neg):
-        return -_h1_element(eng, node.arg)
-    if _is_scalar_ast(node):
-        q, s = _h1_scalar(node)
-        if q == 0:
-            return eng.zero()
-        if s != 0:
-            raise NotClosedForm(f"sinh(1)^{-s} survives in a scalar term")
-        return eng.one().scale(q)
-    if isinstance(node, (Mul, Div)):
-        scal_q, scal_s = Fraction(1), 0
-        gen_factors = []
-        for f, inverted in _flatten_mul(node):
-            if _is_scalar_ast(f):
-                q, s = _h1_scalar(f)
-                if inverted:
-                    if q == 0:
-                        raise NotClosedForm("division by a factor vanishing at h=1")
-                    scal_q /= q
-                    scal_s -= s
-                else:
-                    scal_q *= q
-                    scal_s += s
-            else:
-                if inverted:
-                    raise NotClosedForm("division by a generator expression")
-                gen_factors.append(f)
-        if scal_q == 0:
-            return eng.zero()
-        if scal_s != 0:
-            raise NotClosedForm("sinh(1) survives against a nonvanishing factor")
-        out = eng.one().scale(scal_q)
-        for f in gen_factors:
-            out = eng.multiply(out, eng.evaluate(_subst_h1(f)))
-        return out
-    # bare generator or series factor
-    return eng.evaluate(_subst_h1(node))
-
-
-def _h1_tensor(eng: Engine, node: Node) -> TensorElement:
-    if isinstance(node, Add):
-        out = TensorElement.zero((eng, eng))
-        for tm in node.terms:
-            out = out + _h1_tensor(eng, tm)
-        return out
-    if isinstance(node, Neg):
-        return -_h1_tensor(eng, node.arg)
-    if isinstance(node, Tensor):
-        from .tensors import tensor_of
-        return tensor_of(*(_h1_element(eng, l) for l in node.legs))
-    if isinstance(node, Mul):
-        tensors = [f for f in node.factors if any(isinstance(a, Tensor) for a in ast_atoms(f))]
-        scalars = [f for f in node.factors if f not in tensors]
-        if len(tensors) != 1:
-            raise NotClosedForm("expected scalar * tensor at h=1")
-        q, s = Fraction(1), 0
-        for f in scalars:
-            fq, fs = _h1_scalar(f)
-            q, s = q * fq, s + fs
-        if q == 0:
-            return TensorElement.zero((eng, eng))
-        if s != 0:
-            raise NotClosedForm("sinh(1) survives in a coproduct coefficient")
-        return _h1_tensor(eng, tensors[0]).scale(q)
-    raise NotClosedForm(f"cannot evaluate {node!r} as a tensor at h=1")
+    def div(self, other: "AtH1") -> "AtH1":
+        if not other.q:
+            raise NotClosedForm("division by a factor vanishing at h=1")
+        return AtH1(self.q / other.q, self.p - other.p)
 
 
 def verify_h1_limit(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
@@ -368,7 +295,7 @@ def verify_h1_limit(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
                     want = teng.graded_commutator(a, b)
                 else:
                     # compare in the orientation the relation was written in
-                    got = _h1_element(teng, rel.rhs)
+                    got = teng.evaluate(rel.rhs, AtH1)
                     want = teng.graded_commutator(rel.a, rel.b)
                 d = got - want
                 if not d.is_zero():
@@ -379,7 +306,7 @@ def verify_h1_limit(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
                 break
         if status == PASS:
             for g in names:
-                got = _h1_tensor(teng, line.structure_map("coproduct", g))
+                got = evaluate_tensor(teng, line.structure_map("coproduct", g), domain=AtH1)
                 want = tops.coproduct_gen(g)
                 d = got - want
                 if not d.is_zero():

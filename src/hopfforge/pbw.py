@@ -46,7 +46,7 @@ from operator import add, mul, sub
 from .lang import (Add, Div, Gen, HVar, Mul, Neg, Node, Num, Param, Pow, SeriesCall, Tensor,
                    expr_to_text)
 from .presentation import EVEN, ODD, HopfPresentation, PresentationError
-from .scalars import Scalar, ScalarError, series_fn, _series_coeff
+from .scalars import Scalar, ScalarError, _series_coeff
 
 __all__ = ["Cutoffs", "RewriteError", "LinearCombination", "PbwElement", "Engine"]
 
@@ -293,9 +293,6 @@ class Engine:
         mono = tuple(1 if j == i else 0 for j in range(self.n))
         return PbwElement(self, {mono: Scalar.one()})
 
-    def element(self, terms: dict) -> PbwElement:
-        return PbwElement(self, _clean({tuple(m): c for m, c in terms.items()}))
-
     def index_map(self, src: "Engine") -> tuple:
         """Position in this engine of each generator of ``src``, by name;
         a name this engine lacks raises UnknownGeneratorError."""
@@ -366,10 +363,10 @@ class Engine:
                     tail = {}
                 elif (pres.gen_index(rel.a), pres.gen_index(rel.b)) == (i, j):
                     # rel: g_i g_j - sign g_j g_i = rhs
-                    tail = self._raw_words(rel.rhs)
+                    tail = self._words(rel.rhs)
                 else:
                     # rel: g_j g_i - sign g_i g_j = rhs  =>  tail = -sign * rhs
-                    tail = {w: c * (-sign) for w, c in self._raw_words(rel.rhs).items()}
+                    tail = {w: c * (-sign) for w, c in self._words(rel.rhs).items()}
                 if i == j:
                     # odd square: 2 g^2 = {g,g}  =>  g g -> rhs/2, no swap term
                     tail = {w: c * Fraction(1, 2) for w, c in tail.items()}
@@ -629,124 +626,123 @@ class Engine:
         return PbwElement(self, _clean(terms))
 
     # -- expression evaluation ------------------------------------------------
-    def evaluate(self, node: Node, normalize: bool = True) -> PbwElement:
-        """Evaluate an algebra-level expression AST to a PbwElement."""
-        raw = self._words(node)
-        if not normalize:
-            for w in raw:
-                if self._first_descent(w) is not None:
-                    raise PresentationError("expression is not in PBW normal form")
-            return self.element({self.word_to_monomial(w): c for w, c in raw.items()})
+    def evaluate(self, node: Node, domain=Scalar) -> PbwElement:
+        """Evaluate an algebra-level expression AST to a PbwElement over ``domain``."""
         out = self.zero()
-        for w, c in raw.items():
+        for w, c in self._words(node, domain).items():
             out = out + self.normal_form(w, c)
         return out
 
     def evaluate_scalar(self, node: Node) -> Scalar:
-        el = self.evaluate(node)
-        unit = (0,) * self.n
-        for m, c in el.terms.items():
-            if m != unit and not c.is_zero():
-                raise PresentationError("expected a scalar expression")
-        return el.terms.get(unit, Scalar.zero(self.cutoffs.h_order))
+        words = self._words(node)
+        if words.keys() - {()}:
+            raise PresentationError("expected a scalar expression")
+        return words.get((), Scalar.zero(self.cutoffs.h_order))
 
-    def _raw_words(self, node: Node) -> dict:
-        return _clean(self._words(node))
-
-    def _words(self, node: Node) -> dict:
-        """The expression's words, not normalized, with their coefficients at
-        h-order N.  An expression the series arithmetic rejects, such as
-        sinh(2) or 1/0, is bad input."""
+    def _words(self, node: Node, domain=Scalar, legs=None) -> dict:
+        """The expression's words (tensor keys with ``legs``), not normalized,
+        with nonzero Scalar coefficients at h-order N.  An expression the
+        series arithmetic rejects, such as sinh(2) or 0/0, is bad input."""
         try:
-            raw, den = self._eval(node)
+            raw, den = self._eval(node, domain, legs)
             if den is not None:
-                raw = {w: c.div(den) for w, c in raw.items()}
+                # an empty numerator is divided too, so 0/0 is rejected
+                raw = {w: c.div(den) for w, c in (raw or {(): domain.from_fraction(0)}).items()}
         except ScalarError as e:
             raise PresentationError(f"cannot evaluate {expr_to_text(node)}: {e}") from None
         N = self.cutoffs.h_order
-        return {w: c.truncate(N) for w, c in raw.items()}
+        return _clean({w: c.to_scalar(N) for w, c in raw.items()})
 
-    def _eval(self, node: Node):
-        """Evaluate to (word -> Scalar, deferred denominator or None); words raw."""
+    def _eval(self, node: Node, dom, legs):
+        """Evaluate to (key -> coefficient, deferred denominator or None).
+
+        Keys are raw words.  With ``legs`` set, a Tensor node of that many legs
+        may appear in sums, in products with scalars and over scalars; its legs
+        are normalized once, and its keys are tuples of monomials.  The domain
+        ``dom`` is Scalar (truncated h-series) or a class with Scalar's
+        from_fraction, h, param, series, from_scalar and exact_zeros, whose
+        values have +, -, *, div, is_zero, truncate and to_scalar.
+        """
         N = self._eval_order
         if isinstance(node, Num):
-            return ({(): Scalar.from_fraction(node.value)} if node.value else {}), None
+            return ({(): dom.from_fraction(node.value)} if node.value else {}), None
         if isinstance(node, HVar):
-            return {(): Scalar.h()}, None
+            return {(): dom.h()}, None
+        if isinstance(node, (Param, Gen)) and node.name in self.presentation.params:
+            return {(): dom.param(node.name)}, None
         if isinstance(node, Param):
-            if node.name not in self.presentation.params:
-                raise PresentationError(f"unbound parameter {node.name!r}")
-            return {(): Scalar.param(node.name)}, None
+            raise PresentationError(f"unbound parameter {node.name!r}")
         if isinstance(node, Gen):
-            if node.name in self.presentation.params:
-                return {(): Scalar.param(node.name)}, None
-            i = self.presentation.gen_index(node.name)
-            return {(i,): Scalar.one()}, None
+            return {(self.presentation.gen_index(node.name),): dom.from_fraction(1)}, None
         if isinstance(node, Neg):
-            raw, den = self._eval(node.arg)
+            raw, den = self._eval(node.arg, dom, legs)
             return {w: -c for w, c in raw.items()}, den
         if isinstance(node, Add):
             total: dict = {}
             total_den = None
             for t in node.terms:
-                raw, den = self._eval(t)
+                raw, den = self._eval(t, dom, legs)
                 if den is not None:
                     # fold invertible denominators immediately, defer the rest
                     try:
-                        raw = {w: c.div(den) for w, c in raw.items()}
+                        raw = {w: c.div(den) for w, c in (raw or {(): dom.from_fraction(0)}).items()}
                         den = None
                     except ScalarError:
                         pass
-                if den is None:
-                    if total_den is not None:
-                        raw = {w: c * total_den for w, c in raw.items()}
-                elif total_den is None:
-                    total = {w: c * den for w, c in total.items()}
-                    total_den = den
-                else:
+                # over the common denominator total_den * den
+                if total_den is not None:
                     raw = {w: c * total_den for w, c in raw.items()}
+                if den is not None:
                     total = {w: c * den for w, c in total.items()}
-                    total_den = total_den * den
+                    total_den = den if total_den is None else total_den * den
                 for w, c in raw.items():
                     prev = total.get(w)
                     total[w] = c if prev is None else prev + c
             return _clean(total), total_den
-        if isinstance(node, Mul):
-            raw: dict = {(): Scalar.one()}
-            den = None
-            for f in node.factors:
-                fraw, fden = self._eval(f)
+        if isinstance(node, (Mul, Pow)):
+            # a power's base is evaluated once, even when the exponent is 0
+            factors = ([self._eval(f, dom, legs) for f in node.factors] if isinstance(node, Mul)
+                       else [self._eval(node.base, dom, None)] * node.exp)
+            raw: dict = {(): dom.from_fraction(1)}
+            den, tensors, zero = None, [], False
+            for fraw, fden in factors:
+                zero = zero or fden is None and all(c.is_zero() for c in fraw.values())
                 if fden is not None:
                     den = fden if den is None else den * fden
-                raw = self._raw_mul(raw, fraw)
-            return raw, den
-        if isinstance(node, Pow):
-            raw: dict = {(): Scalar.one()}
-            den = None
-            base_raw, base_den = self._eval(node.base)
-            for _ in range(node.exp):
-                raw = self._raw_mul(raw, base_raw)
-                if base_den is not None:
-                    den = base_den if den is None else den * base_den
-            return raw, den
+                if legs and any(w and type(w[0]) is tuple for w in fraw):
+                    tensors.append(fraw)
+                else:
+                    raw = self._raw_mul(raw, fraw)
+            if tensors:
+                scal = _as_scalar(raw, dom)
+                if scal is None or len(tensors) > 1:
+                    raise PresentationError("expected scalar * tensor")
+                raw = _clean({k: (c * scal).truncate(N) for k, c in tensors[0].items()})
+            # an exactly zero factor makes the product zero, and absorbs the
+            # 0/0 of another factor (see the Div case)
+            return (raw, den) if not zero else ({}, None)
         if isinstance(node, Div):
-            nraw, nden = self._eval(node.num)
-            draw, dden = self._eval(node.den)
-            dscalar = _as_scalar(draw)
+            nraw, nden = self._eval(node.num, dom, legs)
+            draw, dden = self._eval(node.den, dom, None)
+            dscalar = _as_scalar(draw, dom)
             if dscalar is None:
                 raise PresentationError("division by a non-scalar expression")
+            if dscalar.is_zero() and (nraw or not dom.exact_zeros):
+                # the domain's division-by-zero error; where zeros are exact, 0/0
+                # is deferred, and only an exactly zero factor of its product absorbs it
+                dscalar.div(dscalar)
             if dden is not None:
                 # (a/d1) / (b/d2) = a d2 / (d1 b)
                 nraw = {w: c * dden for w, c in nraw.items()}
             den = dscalar if nden is None else nden * dscalar
             return nraw, den
         if isinstance(node, SeriesCall):
-            araw, aden = self._eval(node.arg)
-            scal = _as_scalar(araw)
+            araw, aden = self._eval(node.arg, dom, None)
+            scal = _as_scalar(araw, dom)
             if scal is not None:
                 if aden is not None:
                     scal = scal.div(aden)
-                return {(): series_fn(node.fn, scal.truncate(N), order=N)}, None
+                return {(): dom.series(node.fn, scal, N)}, None
             gens = {w for w in araw if w}
             if len(gens) != 1 or len(next(iter(gens))) != 1 or araw.get(()) not in (None,):
                 raise PresentationError(
@@ -755,10 +751,16 @@ class Engine:
             coeff = araw[(gi,)]
             if aden is not None:
                 coeff = coeff.div(aden)
-            el = self.central_series(node.fn, coeff, self.gen_names[gi], order=N)
-            return {self.monomial_to_word(m): c for m, c in el.terms.items()}, None
+            el = self.central_series(node.fn, coeff.to_scalar(N), self.gen_names[gi], order=N)
+            return {self.monomial_to_word(m): dom.from_scalar(c) for m, c in el.terms.items()}, None
         if isinstance(node, Tensor):
-            raise PresentationError("tensor expression where an algebra element was expected")
+            if legs is None:
+                raise PresentationError("tensor expression where an algebra element was expected")
+            if len(node.legs) != legs:
+                raise PresentationError(f"expected a {legs}-leg tensor")
+            from .tensors import tensor_of  # tensors imports this module
+            t = tensor_of(*(self.evaluate(leg, dom) for leg in node.legs))
+            return {k: dom.from_scalar(c) for k, c in t.terms.items()}, None
         raise TypeError(node)
 
     def _raw_mul(self, a: dict, b: dict) -> dict:
@@ -843,8 +845,8 @@ def _droppable(c, N: int) -> bool:
     return c.trunc is None or c.trunc >= N
 
 
-def _as_scalar(raw: dict):
+def _as_scalar(raw: dict, dom):
     for w, c in raw.items():
         if w and not c.is_zero():
             return None
-    return raw.get((), Scalar.zero())
+    return raw.get((), dom.from_fraction(0))

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .lang import Add, Mul, Neg, Node, Num, Tensor
+from .lang import Node, expr_to_text
 from .pbw import Engine, LinearCombination, PbwElement, _clean, _droppable
 from .presentation import PresentationError
 from .scalars import Scalar
@@ -267,35 +267,10 @@ def exp_tensor(x: TensorElement, degree_cutoff: int) -> TensorElement:
     return out
 
 
-def evaluate_tensor(engine: Engine, node: Node, legs: int = 2) -> TensorElement:
-    """Evaluate a coproduct-style expression: a sum of leg tensors over one engine."""
-    engines = (engine,) * legs
-    if isinstance(node, Num) and node.value == 0:
-        return TensorElement.zero(engines)
-    if isinstance(node, Add):
-        out = TensorElement.zero(engines)
-        for t in node.terms:
-            out = out + evaluate_tensor(engine, t, legs)
-        return out
-    if isinstance(node, Neg):
-        return -evaluate_tensor(engine, node.arg, legs)
-    if isinstance(node, Tensor):
-        if len(node.legs) != legs:
-            raise PresentationError(f"expected a {legs}-leg tensor")
-        return tensor_of(*(engine.evaluate(l) for l in node.legs))
-    if isinstance(node, Mul):
-        # split scalar prefactors from one tensor factor
-        tensors = [f for f in node.factors if _has_tensor(f)]
-        scalars = [f for f in node.factors if not _has_tensor(f)]
-        if len(tensors) != 1:
-            raise PresentationError("expected scalar * tensor")
-        out = evaluate_tensor(engine, tensors[0], legs)
-        for s in scalars:
-            out = out.scale(engine.evaluate_scalar(s))
-        return out
-    raise PresentationError(f"cannot evaluate {node!r} as a {legs}-leg tensor")
-
-
-def _has_tensor(node: Node) -> bool:
-    from .lang import ast_atoms
-    return any(isinstance(a, Tensor) for a in ast_atoms(node))
+def evaluate_tensor(engine: Engine, node: Node, legs: int = 2, domain=Scalar) -> TensorElement:
+    """Evaluate a coproduct-style expression, scalar multiples of ``legs``-leg
+    tensors over one engine, with coefficients in ``domain`` (``Engine._eval``)."""
+    terms = engine._words(node, domain, legs)
+    if not all(k and type(k[0]) is tuple for k in terms):
+        raise PresentationError(f"cannot evaluate {expr_to_text(node)} as a {legs}-leg tensor")
+    return TensorElement((engine,) * legs, terms)

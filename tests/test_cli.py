@@ -45,7 +45,7 @@ def test_check_hopf_malformed_file_exit_two(tmp_path, capsys):
 def test_check_hopf_unevaluable_expression_exit_two(tmp_path, capsys):
     # parses, but the series arithmetic rejects it
     text = (data_dir() / "h1_point.hopf").read_text()
-    for rhs in ("sinh(2)", "1/0"):
+    for rhs in ("sinh(2)", "1/0", "0/0", "0/0 + 1"):
         bad = tmp_path / "bad.hopf"
         bad.write_text(text.replace("{S,xi} = 2*sinh(T/2)", "{S,xi} = " + rhs))
         code, out, err = run(capsys, "--h-order", "1", "--word-cutoff", "3",
@@ -230,6 +230,35 @@ def test_jobs_is_accepted_and_changes_nothing(capsys):
     code, two, _ = run(capsys, *cuts, "--jobs", "2", "check", "confluence", "sd_reference")
     assert code == 1
     assert _without_wall_time(one) == _without_wall_time(two)
+
+
+@pytest.mark.parametrize("w", range(7))
+def test_duality_needs_word_cutoff_at_least_tensor_degree_plus_two(capsys, w):
+    # at the default D = 4; below W = 6 the check used to report a false FAIL
+    code, out, err = run(capsys, "--word-cutoff", str(w), "check", "duality")
+    if w >= 6:
+        assert code == 0
+    else:
+        assert code == 2 and not out
+        assert "--word-cutoff >= --tensor-degree + 2" in err
+
+
+@pytest.mark.parametrize("w", [0, 1])
+def test_build_double_needs_word_cutoff_at_least_one(capsys, w):
+    code, out, err = run(capsys, "--word-cutoff", str(w), "build", "double")
+    if w:
+        assert code == 0
+    else:
+        assert code == 2 and not out
+        assert "--word-cutoff >= 1" in err
+
+
+def test_suite_all_rejects_inconsistent_cutoffs_before_running(monkeypatch, capsys):
+    from hopfforge import cli
+    monkeypatch.setattr(cli, "GROUPS", {})  # no entry may run
+    code, out, err = run(capsys, "--word-cutoff", "5", "suite", "all")
+    assert code == 2 and not out
+    assert "--word-cutoff >= --tensor-degree + 2" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from hopfforge.families import (compare_limit_with, deforming_field_at_0,
+from hopfforge.families import (AtH1, NotClosedForm, compare_limit_with, deforming_field_at_0,
                                 instantiate, limit_h0, structural_compare,
                                 verify_alpha_arbitrariness, verify_deforming_field,
                                 verify_h1_limit, verify_newquant_consistency)
-from hopfforge.lang import HVar
+from hopfforge.lang import Add, Div, HVar, Mul, Neg, Num, Pow, parse_expr_text
 from hopfforge.pbw import Cutoffs, Engine
 from hopfforge.presentation import load_presentation
 from hopfforge.scalars import Scalar
@@ -110,15 +112,18 @@ def test_h1_limit_factorwise():
 def test_h1_limit_not_closed_form_reported():
     # without a vanishing (1-h) factor the sinh(1) denominator survives and the
     # expression is not closed-form evaluable at h=1
-    from hopfforge.families import NotClosedForm, _h1_element
-    from hopfforge.lang import parse_expr_text
     teng = Engine(load_presentation("h1_point"), CUT)
     with pytest.raises(NotClosedForm):
-        _h1_element(teng, parse_expr_text("h*S - (2*h/sinh(h))*xi*cosh(h*T/2)"))
+        teng.evaluate(parse_expr_text("h*S - (2*h/sinh(h))*xi*cosh(h*T/2)"), AtH1)
     with pytest.raises(NotClosedForm):
-        _h1_element(teng, parse_expr_text("xi/sinh(h)"))
+        teng.evaluate(parse_expr_text("xi/sinh(h)"), AtH1)
+    # a denominator that vanishes at h=1 has no value there, even over a
+    # vanishing numerator or in a product with one: (1-h)/(1-h) is 1 near h=1
+    for text in ("(1-h)/(1-h)", "(1-h)*((1-h)/(1-h))"):
+        with pytest.raises(NotClosedForm):
+            teng.evaluate(parse_expr_text(text), AtH1)
     # while the (1-h)-carrying factor evaluates to zero cleanly
-    el = _h1_element(teng, parse_expr_text("(2*h*(1-h)/sinh(h))*xi*cosh(h*T/2)"))
+    el = teng.evaluate(parse_expr_text("(2*h*(1-h)/sinh(h))*xi*cosh(h*T/2)"), AtH1)
     assert el.is_zero()
 
 
@@ -156,3 +161,59 @@ def test_structural_compare_reports_differences():
     p2 = load_presentation("sd_reference")
     diffs = structural_compare(p1, p2, Cutoffs(4, 8))
     assert any("(xi,tau)" in d or "(tau,xi)" in d for d in diffs)
+
+
+# ------------------------------------------------ the h = 1 domain, against sympy
+
+H = sympy.Symbol("h")
+
+# rational expressions in h, with no series function
+rational_in_h = st.recursive(
+    st.one_of(st.integers(-3, 3).map(lambda v: Num(F(v))), st.just(HVar())),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.lists(sub, min_size=2, max_size=3).map(lambda ts: Add(tuple(ts))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda fs: Mul(tuple(fs))),
+        st.builds(Pow, sub, st.integers(0, 3)),
+        st.builds(Div, sub, sub)),
+    max_leaves=10)
+
+
+def to_sympy(node, poles: list):
+    """The node as a sympy expression in h; appends to ``poles`` the first
+    denominator sub-expression found that vanishes at h = 1."""
+    if isinstance(node, Num):
+        return sympy.Rational(node.value.numerator, node.value.denominator)
+    if isinstance(node, HVar):
+        return H
+    if isinstance(node, Neg):
+        return -to_sympy(node.arg, poles)
+    if isinstance(node, Pow):
+        return to_sympy(node.base, poles) ** node.exp
+    if isinstance(node, Div):
+        num, den = to_sympy(node.num, poles), to_sympy(node.den, poles)
+        if not poles and den.subs(H, 1) == 0:
+            poles.append(den)
+        return num / den
+    if isinstance(node, Add):
+        return sympy.Add(*(to_sympy(t, poles) for t in node.terms))
+    return sympy.Mul(*(to_sympy(f, poles) for f in node.factors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_in_h)
+def test_h1_domain_matches_sympy_at_h_equal_1(node):
+    teng = Engine(load_presentation("h1_point"), CUT)
+    poles = []
+    expr = to_sympy(node, poles)
+    if poles:
+        with pytest.raises(NotClosedForm):
+            teng.evaluate(node, AtH1)
+        return
+    want = expr.subs(H, 1)
+    got = teng.evaluate(node, AtH1)
+    unit = (0,) * teng.n
+    assert set(got.terms) <= {unit}
+    c = got.terms.get(unit, Scalar.zero())
+    assert c.exponents() in ([], [0])
+    assert c.coeff(0).constant == F(int(want.p), int(want.q))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from hopfforge.pbw import Cutoffs, Engine, PbwElement
 from hopfforge.presentation import load_presentation, PresentationError
 from hopfforge.scalars import Scalar
-from hopfforge.tensors import TensorElement, exp_tensor, tensor_mul, tensor_of
+from hopfforge.lang import parse_expr_text
+from hopfforge.tensors import TensorElement, evaluate_tensor, exp_tensor, tensor_mul, tensor_of
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +116,31 @@ def test_addition_rejects_leg_mismatch(sd):
         tensor_of(g["S"], g["T"]) + tensor_of(g["S"], other.generator("T"))
     with pytest.raises(PresentationError):
         g["S"] - other.generator("S")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("S*(xi (x) T)", "expected scalar * tensor"),
+    ("(xi (x) T)*(T (x) xi)", "expected scalar * tensor"),
+    ("xi (x) xi (x) xi", "expected a 2-leg tensor"),
+])
+def test_evaluate_tensor_rejects_malformed_expressions(sd, text, message):
+    # load-time validation keeps these out of presentation files
+    with pytest.raises(PresentationError, match=re.escape(message)):
+        evaluate_tensor(sd, parse_expr_text(text))
+
+
+def test_evaluate_rejects_a_tensor(sd):
+    with pytest.raises(PresentationError,
+                       match="tensor expression where an algebra element was expected"):
+        sd.evaluate(parse_expr_text("xi (x) T"))
+
+
+def test_evaluate_tensor_scales_and_divides(sd):
+    g = gens(sd)
+    got = evaluate_tensor(sd, parse_expr_text("(h*T (x) xi - xi (x) 1)/2"))
+    want = tensor_of(g["T"], g["xi"]).scale(Scalar.h() * F(1, 2)) \
+        - tensor_of(g["xi"], sd.one()).scale(F(1, 2))
+    assert got == want
 
 
 def test_moved_to_matches_generators_by_name(sd):
