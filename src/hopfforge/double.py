@@ -27,7 +27,7 @@ from .presentation import (HopfPresentation, Relation, load_presentation,
                            validate)
 from .report import FAIL, PASS, Timer, VerificationReport
 from .scalars import Scalar
-from .tensors import TensorElement, tensor_mul, tensor_of
+from .tensors import TensorElement, evaluate_tensor, tensor_mul, tensor_of
 
 __all__ = ["Double", "derive_double_presentation", "verify_universal_identity"]
 
@@ -280,11 +280,10 @@ def derive_double_presentation(cutoffs: Cutoffs = Cutoffs(), audit: bool = True)
             else:
                 details.append("derived double passes the full Hopf axiom suite")
             # coproducts and antipodes inherited from the two halves match
+            d_eng = Engine(derived, dbl.cutoffs)
             for name in ("xi", "tau", "S", "T"):
                 ref_ast = reference.structure_map("coproduct", name)
                 der_ast = derived.structure_map("coproduct", name)
-                from .tensors import evaluate_tensor
-                d_eng = Engine(derived, dbl.cutoffs)
                 if not (evaluate_tensor(d_eng, ref_ast, 2)
                         - evaluate_tensor(d_eng, der_ast, 2)).is_zero():
                     status = FAIL

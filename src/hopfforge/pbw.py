@@ -700,9 +700,14 @@ class Engine:
                     total[w] = c if prev is None else prev + c
             return _clean(total), total_den
         if isinstance(node, (Mul, Pow)):
-            # a power's base is evaluated once, even when the exponent is 0
-            factors = ([self._eval(f, dom, legs) for f in node.factors] if isinstance(node, Mul)
-                       else [self._eval(node.base, dom, None)] * node.exp)
+            if isinstance(node, Mul):
+                factors = [self._eval(f, dom, legs) for f in node.factors]
+            else:
+                # a power's base is evaluated once, even when the exponent is 0
+                base, base_den = self._eval(node.base, dom, None)
+                if node.exp == 0 and base_den is not None and base_den.is_zero():
+                    base_den.div(base_den)  # (0/0)^0: the domain's division-by-zero error
+                factors = [(base, base_den)] * node.exp
             raw: dict = {(): dom.from_fraction(1)}
             den, tensors, zero = None, [], False
             for fraw, fden in factors:

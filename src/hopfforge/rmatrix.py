@@ -23,7 +23,12 @@ __all__ = ["RMatrixContext", "build_R", "verify_intertwining",
 
 
 class RMatrixContext:
-    """Derived double engine plus pairing data at R-matrix cutoffs."""
+    """Derived double engine plus pairing data at R-matrix cutoffs.
+
+    The canonical R and the audit context at (D+1, N+1) are built on first
+    use and kept here, so every check and every stability audit of one
+    command shares them, and they go when the context goes.
+    """
 
     def __init__(self, degree: int, h_order: int):
         self.degree = degree
@@ -39,6 +44,22 @@ class RMatrixContext:
         self.derived = derived
         self.engine = Engine(derived, cut)
         self.ops = HopfOps(self.engine)
+        self._canonical = None
+        self._audit = None
+
+    @property
+    def canonical(self) -> TensorElement:
+        """The canonical R; the checks read it and never mutate it."""
+        if self._canonical is None:
+            self._canonical = _canonical_element(self)
+        return self._canonical
+
+    @property
+    def audit_context(self) -> "RMatrixContext":
+        """The context at (D+1, N+1) that the stability audits re-run in."""
+        if self._audit is None:
+            self._audit = RMatrixContext(self.degree + 1, self.h_order + 1)
+        return self._audit
 
 
 def build_R(ctx: RMatrixContext, variant: str = "closed-form") -> TensorElement:
@@ -49,7 +70,7 @@ def build_R(ctx: RMatrixContext, variant: str = "closed-form") -> TensorElement:
         S_xi = tensor_of(eng.generator("S"), eng.generator("xi"))
         return tensor_mul(TensorElement.unit((eng, eng)) + S_xi, E)
     if variant == "canonical":
-        return _canonical_element(ctx)
+        return ctx.canonical
     raise ValueError(f"unknown R variant {variant!r}")
 
 
@@ -84,9 +105,9 @@ def _canonical_element(ctx: RMatrixContext) -> TensorElement:
 
 
 def _audit(ctx: RMatrixContext, status: str, check) -> str:
-    """Stability audit: re-run check in a fresh context at (D+1, N+1) and
-    report whether its verdict agrees with status."""
-    rep = check(RMatrixContext(ctx.degree + 1, ctx.h_order + 1))
+    """Stability audit: re-run check in the context's audit context at
+    (D+1, N+1) and report whether its verdict agrees with status."""
+    rep = check(ctx.audit_context)
     return PASS if rep.status == status else FAIL
 
 
@@ -179,20 +200,23 @@ def verify_auxiliary(ctx: RMatrixContext, audit: bool = True) -> VerificationRep
         gamma = h.truncate(N + 3).div(sinh_h)
 
         X = tensor_of(T, one, tau) + tensor_of(T, tau, one)
-        E = exp_tensor(X, ctx.d_int + 2)
+        # the comparison lives at total degree <= D, and windowed products and
+        # exponentials are exact there
+        D = ctx.degree
+        E = exp_tensor(X, ctx.d_int + 2, D)
         g_elem = (eng.central_series("exp", h * 2, "T", order=N + 3) - eng.one()) \
             .scale(Scalar.one().div(sinh_h * 2))
-        lhs = tensor_mul(TensorElement.unit((eng,) * 3) + tensor_of(g_elem, xi, xi), E)
+        lhs = tensor_mul(TensorElement.unit((eng,) * 3) + tensor_of(g_elem, xi, xi), E, D)
         Y = X + tensor_of(T, xi, xi).scale(gamma.truncate(N))
-        rhs = exp_tensor(Y, ctx.d_int + 2)
-        diff = (rhs - lhs).truncate_degree(ctx.degree)
+        rhs = exp_tensor(Y, ctx.d_int + 2, D)
+        diff = (rhs - lhs).truncate_degree(D)
         status, residual = PASS, None
         details = ["published prefactor (e^{2hT}-1)/(e^h-e^{-h}) confirmed exactly"
                    " under the alpha=2 scaling"]
         if not diff.is_zero():
             status = FINDING
             residual = _first_residual_tensor(diff)
-            corrected = _solve_prefactor(ctx, E, rhs)
+            corrected = _solve_prefactor(ctx, exp_tensor(Y, ctx.d_int + 2))
             details = [f"published prefactor fails; corrected prefactor: {corrected}"]
         audit_status = "skipped"
         if audit:
@@ -205,8 +229,9 @@ def verify_auxiliary(ctx: RMatrixContext, audit: bool = True) -> VerificationRep
         details=details, wall_time=t.elapsed)
 
 
-def _solve_prefactor(ctx: RMatrixContext, E: TensorElement, rhs: TensorElement):
-    """g with rhs = (1 + g (x) xi (x) xi) E; returns the series string."""
+def _solve_prefactor(ctx: RMatrixContext, rhs: TensorElement):
+    """g with rhs = (1 + g (x) xi (x) xi) E, E = exp(T (x) 1 (x) tau + T (x) tau (x) 1);
+    returns the series string."""
     eng = ctx.engine
     Einv = exp_tensor(_neg_exponent(ctx), ctx.d_int + 2)
     prod = tensor_mul(rhs, Einv) - TensorElement.unit((eng,) * 3)

@@ -248,8 +248,15 @@ def tensor_of(*elements: PbwElement) -> TensorElement:
     return TensorElement(engines, _clean(acc))
 
 
-def exp_tensor(x: TensorElement, degree_cutoff: int) -> TensorElement:
-    """sum_{n<=degree_cutoff} x^n / n! for an even, filtration-positive x."""
+def exp_tensor(x: TensorElement, degree_cutoff: int, max_degree: int | None = None
+               ) -> TensorElement:
+    """sum_{n<=degree_cutoff} x^n / n! for an even, filtration-positive x.
+
+    With ``max_degree`` D, the window of D of that sum: each power is a
+    windowed ``tensor_mul``, which is the window of the full power, and a
+    window is taken key by key, so the sum of the windowed powers is the
+    window of the full sum, keys, coefficients and ``trunc`` alike.
+    """
     if x.parity() not in (0, None):
         raise PresentationError("exp of a tensor that is not even")
     md = x.min_degree()
@@ -259,12 +266,12 @@ def exp_tensor(x: TensorElement, degree_cutoff: int) -> TensorElement:
     power = TensorElement.unit(x.engines)
     fact = Fraction(1)
     for n in range(1, degree_cutoff + 1):
-        power = tensor_mul(power, x)
+        power = tensor_mul(power, x, max_degree)
         fact = fact / n
         if power.is_zero():
             break
         out.add_scaled(power, fact)
-    return out
+    return out if max_degree is None else out.window(max_degree)
 
 
 def evaluate_tensor(engine: Engine, node: Node, legs: int = 2, domain=Scalar) -> TensorElement:

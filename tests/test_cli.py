@@ -45,7 +45,7 @@ def test_check_hopf_malformed_file_exit_two(tmp_path, capsys):
 def test_check_hopf_unevaluable_expression_exit_two(tmp_path, capsys):
     # parses, but the series arithmetic rejects it
     text = (data_dir() / "h1_point.hopf").read_text()
-    for rhs in ("sinh(2)", "1/0", "0/0", "0/0 + 1"):
+    for rhs in ("sinh(2)", "1/0", "0/0", "0/0 + 1", "(0/0)^0"):
         bad = tmp_path / "bad.hopf"
         bad.write_text(text.replace("{S,xi} = 2*sinh(T/2)", "{S,xi} = " + rhs))
         code, out, err = run(capsys, "--h-order", "1", "--word-cutoff", "3",

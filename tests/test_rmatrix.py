@@ -1,10 +1,12 @@
+from argparse import Namespace
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
+from hopfforge import cli
 from hopfforge.double import verify_universal_identity
-from hopfforge.pbw import Cutoffs
+from hopfforge.pbw import Cutoffs, Engine
 from hopfforge.rmatrix import (RMatrixContext, build_R, check_triangularity,
                                verify_auxiliary, verify_coproduct_laws,
                                verify_intertwining)
@@ -97,6 +99,21 @@ def test_auxiliary_identity_confirmed(ctx):
     assert any("confirmed exactly" in d for d in r.details)
 
 
+def test_auxiliary_finding_text_matches_full_products(ctx, monkeypatch):
+    # a wrong prefactor, exp(3hT) for exp(2hT), fails the identity; the residual
+    # and the corrected prefactor are those the unwindowed products gave
+    central_series = Engine.central_series
+    monkeypatch.setattr(Engine, "central_series", lambda self, fn, x, gen, order:
+                        central_series(self, fn, x * F(3, 2), gen, order=order))
+    r = verify_auxiliary(ctx, audit=False)
+    assert r.status == "finding"
+    assert r.residual == "((-1/2) + 1/12*h^2 + (-7/720)*h^4 + O(h^5))*[T (x) xi (x) xi]"
+    assert r.details == [
+        "published prefactor fails; corrected prefactor: (1 + (-1/6)*h^2 + 7/360*h^4 + "
+        "O(h^5))*T + (h + (-1/6)*h^3 + O(h^5))*T^2 + (2/3*h^2 + (-1/9)*h^4 + O(h^5))*T^3"
+        " + (1/3*h^3 + O(h^5))*T^4 + (2/15*h^4 + O(h^5))*T^5"]
+
+
 def test_triangularity_is_a_finding(ctx, R_canon):
     r = check_triangularity(ctx, R_canon, "canonical")
     assert r.status == "finding"
@@ -132,3 +149,71 @@ def test_stability_of_retained_terms():
         kk_big = tuple(tuple(m) + (0,) * 0 for m in kk)
         cb = r_big.coefficient(kk_big).truncate(c.trunc)
         assert (cb - c).is_zero(), kk
+
+
+# ------------------------------------------------------- shared audit context
+
+AUDITED = {
+    "intertwining": lambda c: verify_intertwining(c, build_R(c, "canonical"), "canonical",
+                                                  audit=False),
+    "coproduct-laws": lambda c: verify_coproduct_laws(c, build_R(c, "canonical"), "canonical",
+                                                      audit=False),
+    "auxiliary": lambda c: verify_auxiliary(c, audit=False),
+}
+
+
+def snapshot(t):
+    return {k: (c.coeffs, c.trunc) for k, c in t.terms.items()}
+
+
+def test_check_rmatrix_builds_one_audit_context(monkeypatch):
+    built = []
+    init = RMatrixContext.__init__
+
+    def counting(self, degree, h_order):
+        built.append((degree, h_order))
+        init(self, degree, h_order)
+
+    monkeypatch.setattr(RMatrixContext, "__init__", counting)
+    reports = cli._rmatrix(Namespace(tensor_degree=3, h_order=3), "all")
+    assert built == [(3, 3), (4, 4)]
+    # the canonical intertwining, coproduct laws and auxiliary identity
+    assert [reports[i].audit for i in (0, 2, 3)] == ["pass"] * 3
+
+
+def test_audits_on_the_shared_context_match_fresh_contexts(ctx):
+    shared = ctx.audit_context
+    assert ctx.audit_context is shared
+    assert (shared.degree, shared.h_order) == (ctx.degree + 1, ctx.h_order + 1)
+    on_shared = {name: check(shared) for name, check in AUDITED.items()}
+    for name, check in AUDITED.items():
+        fresh = check(RMatrixContext(shared.degree, shared.h_order))
+        got = on_shared[name]
+        assert (got.status, got.residual, got.details) == \
+            (fresh.status, fresh.residual, fresh.details), name
+
+
+def test_no_check_mutates_the_shared_canonical_r(ctx):
+    R = build_R(ctx, "canonical")
+    assert R is ctx.canonical
+    before = snapshot(R)
+    verify_intertwining(ctx, R, "canonical", audit=False)
+    verify_coproduct_laws(ctx, R, "canonical", audit=False)
+    verify_auxiliary(ctx, audit=False)
+    check_triangularity(ctx, R, "canonical")
+    verify_universal_identity(ctx.dbl, ctx.derived, R, max_degree=1,
+                              cutoffs=Cutoffs(4, ctx.d_int), compare_degree=4)
+    assert build_R(ctx, "canonical") is R
+    assert snapshot(R) == before
+    audit_R = ctx.audit_context.canonical
+    audit_before = snapshot(audit_R)
+    for check in AUDITED.values():
+        check(ctx.audit_context)
+    assert snapshot(audit_R) == audit_before
+
+
+def test_audit_context_is_not_shared_between_contexts():
+    # no process-wide cache: each context owns its audit context
+    a, b = RMatrixContext(2, 2), RMatrixContext(2, 2)
+    assert a.audit_context is not b.audit_context
+    assert a.audit_context.canonical is not b.audit_context.canonical

@@ -16,8 +16,8 @@ from hopfforge.hopf import HopfOps
 from hopfforge.pbw import Cutoffs, Engine
 from hopfforge.presentation import load_presentation, parse_presentation
 from hopfforge.rmatrix import RMatrixContext, build_R
-from hopfforge.scalars import Scalar
-from hopfforge.tensors import TensorElement, tensor_mul, tensor_of
+from hopfforge.scalars import Scalar, series_fn
+from hopfforge.tensors import TensorElement, exp_tensor, tensor_mul, tensor_of
 
 SHIPPED = ("ptsa_q", "brst_q", "brst_q_alpha2", "sd_reference", "sd_hp", "sd_line",
            "h0_point", "d0_variety", "h1_point", "d1_variety", "variety_3d", "newquant")
@@ -25,11 +25,16 @@ DOUBLES = ((4, 4), (5, 5))
 
 
 @functools.cache
+def double_context(cut) -> RMatrixContext:
+    return RMatrixContext(*cut)
+
+
+@functools.cache
 def hopf_ops(name) -> HopfOps:
     """HopfOps of a shipped presentation at (N, W) = (3, 6), or of the R-matrix
     double at (D, N)."""
     if isinstance(name, tuple):
-        return RMatrixContext(*name).ops
+        return double_context(name).ops
     return HopfOps(Engine(load_presentation(name), Cutoffs(3, 6)))
 
 
@@ -101,6 +106,51 @@ def test_double_weight_prunes_the_coproduct_law_product():
     windowed = tensor_mul(R13, R23, ctx.degree)
     assert len(windowed.terms) < len(full.terms)
     assert same(windowed.truncate_degree(ctx.degree), full.truncate_degree(ctx.degree))
+
+
+def auxiliary_exponents(ctx):
+    """The 2-leg exponent T (x) tau of the closed form, and the 3-leg exponents X
+    and Y and the published prefactor g of ``verify_auxiliary``."""
+    eng = ctx.engine
+    N = ctx.h_order
+    T, tau, xi, one = eng.generator("T"), eng.generator("tau"), eng.generator("xi"), eng.one()
+    h = Scalar.h()
+    sinh_h = series_fn("sinh", h, order=N + 3)
+    X = tensor_of(T, one, tau) + tensor_of(T, tau, one)
+    Y = X + tensor_of(T, xi, xi).scale(h.truncate(N + 3).div(sinh_h).truncate(N))
+    g = (eng.central_series("exp", h * 2, "T", order=N + 3) - one) \
+        .scale(Scalar.one().div(sinh_h * 2))
+    return tensor_of(T, tau), X, Y, g
+
+
+@pytest.mark.parametrize("cut", DOUBLES, ids=str)
+def test_windowed_exponential_is_the_window_of_the_full_exponential(cut):
+    ctx = double_context(cut)
+    two, X, Y, _ = auxiliary_exponents(ctx)
+    for x in (two, X, Y):
+        full = exp_tensor(x, ctx.d_int + 2)
+        for D in range(ctx.degree + 1):
+            windowed = exp_tensor(x, ctx.d_int + 2, D)
+            assert same(windowed, full.window(D)), D
+            assert len(windowed.terms) < len(full.terms)
+
+
+@pytest.mark.parametrize("cut", DOUBLES, ids=str)
+def test_windowed_auxiliary_difference_matches_the_full_one(cut):
+    ctx = double_context(cut)
+    eng = ctx.engine
+    D, n = ctx.degree, ctx.d_int + 2
+    _, X, Y, g = auxiliary_exponents(ctx)
+    xi, unit = eng.generator("xi"), TensorElement.unit((eng,) * 3)
+    E, rhs = exp_tensor(X, n), exp_tensor(Y, n)
+    E_w, rhs_w = exp_tensor(X, n, D), exp_tensor(Y, n, D)
+    # the published prefactor (the identity holds) and a wrong one (it fails)
+    for prefactor in (g, g.scale(2)):
+        one_plus = unit + tensor_of(prefactor, xi, xi)
+        full = (rhs - tensor_mul(one_plus, E)).truncate_degree(D)
+        windowed = (rhs_w - tensor_mul(one_plus, E_w, D)).truncate_degree(D)
+        assert same(windowed, full)
+    assert full.terms and not windowed.is_zero()
 
 
 ZERO_ONLY = """
