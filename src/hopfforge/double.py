@@ -15,6 +15,11 @@ independent ways:
 
 Both must agree term by term; the derived cross relations are compared against
 the published double presentation.
+
+Psi(x), Phi(f) and the raw iterated coproducts that both routes read are built
+once per monomial and kept on the Double (``Double._per_monomial``): the route
+check draws its pairs from a few basis monomials, and the generator brackets
+reuse the generators.  The kept tensors are shared and never mutated.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ class Double:
         self.cutoffs = Cutoffs(min(self.H.cutoffs.h_order, self.K.cutoffs.h_order),
                                min(self.H.cutoffs.word_degree, self.K.cutoffs.word_degree))
         self._carrier = self._build_carrier()
+        self._tensors: dict = {}  # {(kind, monomial): 3-leg tensor}
 
     # the carrier engine only represents normal-ordered words (dual letters
     # left); its cross brackets are placeholders and are never used to rewrite
@@ -59,17 +65,39 @@ class Double:
     def embed(self, k_mono, h_mono):
         return tuple(k_mono) + tuple(h_mono)
 
-    # -- the two 3-leg tensors ---------------------------------------------------
+    # -- the 3-leg tensors ----------------------------------------------------------
+    def _per_monomial(self, kind: str, el: PbwElement, build) -> TensorElement:
+        """build(el), kept per monomial when el is one monomial with coefficient
+        exactly 1; any other element is built afresh."""
+        if len(el.terms) == 1:
+            (mono, c), = el.terms.items()
+            if c.trunc is None and c == Scalar.one():
+                got = self._tensors.get((kind, mono))
+                if got is None:
+                    got = self._tensors[(kind, mono)] = build(el)
+                return got
+        return build(el)
+
+    def iterated_primal(self, x: PbwElement) -> TensorElement:
+        """(Delta_H (x) id) Delta_H of x."""
+        return self._per_monomial("delta2_h", x,
+                                  lambda x: self.h_ops.iterated_coproduct(x, "left"))
+
+    def iterated_dual(self, f: PbwElement) -> TensorElement:
+        """(Delta_K (x) id) Delta_K of f."""
+        return self._per_monomial("delta2_k", f,
+                                  lambda f: self.k_ops.iterated_coproduct(f, "left"))
+
     def phi(self, f: PbwElement) -> TensorElement:
         """(id (x) graded flip) of the iterated dual coproduct."""
-        three = self.k_ops.iterated_coproduct(f, "left")
-        return three.flip_adjacent(1)
+        return self._per_monomial("phi", f, lambda f: self.iterated_dual(f).flip_adjacent(1))
 
     def psi(self, x: PbwElement) -> TensorElement:
         """Leg-3 antipode inverse, then legs 2,3 and 1,2 graded flips."""
-        three = self.h_ops.iterated_coproduct(x, "left")
-        three = three.apply_leg(2, self.h_ops.antipode_inverse_mono)
-        return three.flip_adjacent(1).flip_adjacent(0)
+        def build(x):
+            three = self.iterated_primal(x).apply_leg(2, self.h_ops.antipode_inverse_mono)
+            return three.flip_adjacent(1).flip_adjacent(0)
+        return self._per_monomial("psi", x, build)
 
     # -- route 1: contraction ------------------------------------------------------
     def cross_product(self, x: PbwElement, f: PbwElement) -> PbwElement:
@@ -86,21 +114,24 @@ class Double:
         gsign = -1 if (px == 1 and pf == 1) else 1
         N = self.cutoffs.h_order
         floor = self.pairing.skip_order(x.terms, f.terms)
-        psi3 = self.psi(x)
-        phi3 = self.phi(f)
+        # Phi's terms by their first leg, so each <k1, l1> is read once per Psi term
+        phi_by_l1: dict = {}
+        for (l1, l2, l3), cphi in self.phi(f).terms.items():
+            phi_by_l1.setdefault(l1, []).append((l2, l3, cphi))
         acc: dict = {}
-        for (k1, k2, k3), cpsi in psi3.terms.items():
-            for (l1, l2, l3), cphi in phi3.terms.items():
+        for (k1, k2, k3), cpsi in self.psi(x).terms.items():
+            for l1, rest in phi_by_l1.items():
                 v1 = self.pairing.pair_mono(k1, l1)
                 if _droppable(v1, floor):
                     continue
-                v2 = self.pairing.pair_mono(k2, l2)
-                if _droppable(v2, floor):
-                    continue
-                coeff = (cpsi * cphi * v1 * v2).truncate(N)
-                mono = self.embed(l3, k3)
-                prev = acc.get(mono)
-                acc[mono] = coeff if prev is None else prev + coeff
+                for l2, l3, cphi in rest:
+                    v2 = self.pairing.pair_mono(k2, l2)
+                    if _droppable(v2, floor):
+                        continue
+                    coeff = (cpsi * cphi * v1 * v2).truncate(N)
+                    mono = self.embed(l3, k3)
+                    prev = acc.get(mono)
+                    acc[mono] = coeff if prev is None else prev + coeff
         out = PbwElement(self._carrier,
                          {m: c for m, c in acc.items() if not c.is_zero()})
         return out.scale(gsign)
@@ -122,11 +153,11 @@ class Double:
         N = self.cutoffs.h_order
         floor = self.pairing.skip_order(x.terms, f.terms)
         # mu_s^{klj}: raw iterated coproduct of x over H
-        mu = self.h_ops.iterated_coproduct(x, "left")
+        mu = self.iterated_primal(x)
         # m^t_{nuk}: raw iterated coproduct of f over K
         mm = [(n_k, u_k, k_k, c_m, K.monomial_parity(n_k),
                K.monomial_parity(u_k), K.monomial_parity(k_k))
-              for (n_k, u_k, k_k), c_m in self.k_ops.iterated_coproduct(f, "left").terms.items()]
+              for (n_k, u_k, k_k), c_m in self.iterated_dual(f).terms.items()]
         acc: dict = {}
         for (k_h, l_h, j_h), c_mu in mu.terms.items():
             # antipode-inverse matrix applied to the j index
@@ -396,18 +427,13 @@ def verify_universal_identity(dbl: Double, derived: HopfPresentation,
             r_matrix = r_matrix.window(D)
         status, residual = PASS, None
         checked = 0
+        r13 = r_matrix.insert_unit_leg(0, d_eng)  # 1 (x) R1 (x) R2
         from .pairing import _h_basis
         for mono in _h_basis(dbl.H, max_degree):
             x = PbwElement(dbl.H, {mono: Scalar.one()})
             # Psi over H, embedded into the double
-            psi3 = dbl.psi(x)
-            emb = psi3.moved_to((d_eng,) * 3)
-            big = TensorElement((d_eng,) * 3, {})
-            for (r1, r2), rc in r_matrix.terms.items():
-                one = (0,) * d_eng.n
-                piece = TensorElement((d_eng,) * 3, {(one, r1, r2): rc})
-                big = big + tensor_mul(piece, emb, D)
-            lhs = big.multiply_legs(0)
+            emb = dbl.psi(x).moved_to((d_eng,) * 3)
+            lhs = tensor_mul(r13, emb, D).multiply_legs(0)
             x_d = x.moved_to(d_eng)
             rhs_t = tensor_mul(tensor_of(d_eng.one(), x_d), r_matrix, D)
             diff = lhs - rhs_t

@@ -167,11 +167,6 @@ class HopfOps:
             out.add_scaled(PbwElement(eng, {key[1 - pos]: Scalar.one()}), c * e)
         return out
 
-    def relation_sides(self, rel):
-        """(graded bracket of the pair as an element, rhs element)."""
-        eng = self.engine
-        return eng.graded_commutator(rel.a, rel.b), eng.evaluate(rel.rhs)
-
 
 def _first_residual_tensor(t: TensorElement):
     for key in sorted(t.terms):
@@ -196,12 +191,14 @@ def _run_axioms(pres: HopfPresentation, cutoffs: Cutoffs):
     ops = HopfOps(eng)
     details = []
 
-    # (a)+(b): structure maps respect every relation
+    # (a)+(b): structure maps respect every relation [a,b]_s = ab - s ba = rhs,
+    # s = (-1)^{|a||b|}: Delta and eps as algebra maps, S as an anti-homomorphism,
+    # S([a,b]_s) = s (S(b)S(a) - s S(a)S(b))
     for rel in pres.relations:
-        lhs, rhs = ops.relation_sides(rel)
+        rhs = eng.evaluate(rel.rhs)
         name = f"{'{' if rel.kind == 'anti' else '['}{rel.a},{rel.b}{'}' if rel.kind == 'anti' else ']'}"
-        da = ops.coproduct_mono(_pair_mono(eng, rel, 0))
-        db = ops.coproduct_mono(_pair_mono(eng, rel, 1))
+        ma, mb = _pair_mono(eng, rel, 0), _pair_mono(eng, rel, 1)
+        da, db = ops.coproduct_mono(ma), ops.coproduct_mono(mb)
         d = tensor_mul(da, db)
         sign = -1 if (pres.parity(rel.a) and pres.parity(rel.b)) else 1
         # for {a,a} the reversed product is the same product
@@ -209,10 +206,14 @@ def _run_axioms(pres: HopfPresentation, cutoffs: Cutoffs):
         diff = (d - d_rev) - ops.coproduct(rhs)
         if not diff.is_zero():
             return (f"coproduct does not respect {name}", _first_residual_tensor(diff), details)
-        e_diff = ops.counit(lhs) - ops.counit(rhs)
+        ea, eb = ops.counit_mono(ma), ops.counit_mono(mb)
+        e_diff = ea * eb - eb * ea * sign - ops.counit(rhs)
         if not e_diff.is_zero():
             return (f"counit does not respect {name}", repr(e_diff), details)
-        s_diff = ops.antipode(lhs) - ops.antipode(rhs)
+        sa, sb = ops.antipode_mono(ma), ops.antipode_mono(mb)
+        s_ba = eng.multiply(sb, sa)
+        s_ab = s_ba if rel.a == rel.b else eng.multiply(sa, sb)
+        s_diff = (s_ba - s_ab.scale(sign)).scale(sign) - ops.antipode(rhs)
         if not s_diff.is_zero():
             return (f"antipode does not respect {name}", _first_residual_element(s_diff), details)
     details.append(f"{len(pres.relations)} relations respected by all three maps")

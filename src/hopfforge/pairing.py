@@ -22,6 +22,18 @@ accumulator whose ``trunc`` is at most N changes neither its coefficients nor
 its ``trunc``.  A zero known only below h^N goes through the product.  Where a
 sum also carries the coefficients of caller-supplied elements, the threshold
 rises by their pole orders (``Pairing.skip_order``).
+
+Contracted rows.  <x, g f> for a generator g of K sums
+(-1)^{|x2||g|} <x1, g> <x2, f> c over the terms c x1 (x) x2 of Delta_H^conv(x),
+and every f shares the factors <x1, g> c.  So the pairing keeps, per (x, g),
+the row of (x2, <x1, g> c, |x2|) over the terms whose <x1, g> is not skipped
+(``Pairing.primal_row``), and per (a, f) for a generator a of H the mirror row
+of (f2, <a, f1> c, |f1|) (``Pairing.dual_row``).  Both recursions and both
+sides of the consistency check read these rows.  This is exact: the skip tests
+on both factors are those of the full sum; exact multiplication is associative
+and commutative, and so is the ``trunc`` rule min(ta + vb, tb + va) on these
+pole-free factors.  A row holds the untruncated product, since the right-hand
+sides of the consistency check are not truncated either.
 """
 
 from __future__ import annotations
@@ -70,6 +82,8 @@ class Pairing:
             self._seed[(hi, ki)] = Fraction(val)
         self._memo: dict = {}
         self._conv_coproducts: dict = {}
+        self._primal_rows: dict = {}
+        self._dual_rows: dict = {}
 
     # -- coproducts under the convention ------------------------------------------
     def primal_coproduct(self, mh) -> TensorElement:
@@ -117,42 +131,65 @@ class Pairing:
 
     def _split_dual(self, mh, mk) -> Scalar:
         """<x, g * f'> via the primal coproduct on x."""
-        H, K, N = self.H, self.K, self.N
-        word = K.monomial_to_word(mk)
-        g, rest = word[0], word[1:]
-        g_mono = tuple(1 if j == g else 0 for j in range(K.n))
-        rest_mono = K.word_to_monomial(rest)
-        pg = K.parities[g]
-        out = Scalar.zero(N)
-        for (x1, x2), c in self.primal_coproduct(mh).terms.items():
-            first = self.pair_mono(x1, g_mono)
-            if _droppable(first, N):
-                continue
-            second = self.pair_mono(x2, rest_mono)
-            if _droppable(second, N):
-                continue
-            sign = -1 if (H.monomial_parity(x2) and pg) else 1
-            out = out + (first * second * c * sign).truncate(N)
-        return out
+        word = self.K.monomial_to_word(mk)
+        return self.pair_split_dual(mh, word[0], self.K.word_to_monomial(word[1:]), self.N)
 
     def _split_primal(self, mh, mk) -> Scalar:
         """<a * x', f> via the dual coproduct on f."""
-        H, K, N = self.H, self.K, self.N
-        word = H.monomial_to_word(mh)
-        a, rest = word[0], word[1:]
-        a_mono = tuple(1 if j == a else 0 for j in range(H.n))
-        rest_mono = H.word_to_monomial(rest)
-        prest = H.monomial_parity(rest_mono)
-        out = Scalar.zero(N)
-        for (f1, f2), c in self.dual_coproduct(mk).terms.items():
-            first = self.pair_mono(a_mono, f1)
-            if _droppable(first, N):
-                continue
-            second = self.pair_mono(rest_mono, f2)
-            if _droppable(second, N):
-                continue
-            sign = -1 if (prest and K.monomial_parity(f1)) else 1
-            out = out + (first * second * c * sign).truncate(N)
+        word = self.H.monomial_to_word(mh)
+        return self.pair_split_primal(word[0], self.H.word_to_monomial(word[1:]), mk, self.N)
+
+    # -- coproduct rows contracted on their first leg ------------------------------
+    def primal_row(self, mh, g: int) -> list:
+        """(x2, <x1, g> c, |x2|) over the terms c x1 (x) x2 of Delta_H^conv(mh)
+        whose <x1, g> is not skipped; g is the index of a generator of K."""
+        key = (tuple(mh), g)
+        row = self._primal_rows.get(key)
+        if row is None:
+            g_mono = tuple(1 if j == g else 0 for j in range(self.K.n))
+            row = []
+            for (x1, x2), c in self.primal_coproduct(key[0]).terms.items():
+                first = self.pair_mono(x1, g_mono)
+                if not _droppable(first, self.N):
+                    row.append((x2, first * c, self.H.parity_of[x2]))
+            self._primal_rows[key] = row
+        return row
+
+    def dual_row(self, a: int, mk) -> list:
+        """(f2, <a, f1> c, |f1|) over the terms c f1 (x) f2 of Delta_K^conv(mk)
+        whose <a, f1> is not skipped; a is the index of a generator of H."""
+        key = (a, tuple(mk))
+        row = self._dual_rows.get(key)
+        if row is None:
+            a_mono = tuple(1 if j == a else 0 for j in range(self.H.n))
+            row = []
+            for (f1, f2), c in self.dual_coproduct(key[1]).terms.items():
+                first = self.pair_mono(a_mono, f1)
+                if not _droppable(first, self.N):
+                    row.append((f2, first * c, self.K.parity_of[f1]))
+            self._dual_rows[key] = row
+        return row
+
+    def pair_split_dual(self, mh, g: int, mk, order=None) -> Scalar:
+        """<Delta_H^conv(mh), g (x) mk>, each term truncated at ``order``."""
+        N, odd = self.N, self.K.parities[g]
+        out = Scalar.zero(order)
+        for x2, v, p2 in self.primal_row(mh, g):
+            second = self.pair_mono(x2, mk)
+            if not _droppable(second, N):
+                t = v * second
+                out = out + (-t if p2 and odd else t).truncate(order)
+        return out
+
+    def pair_split_primal(self, a: int, mh, mk, order=None) -> Scalar:
+        """<a (x) mh, Delta_K^conv(mk)>, each term truncated at ``order``."""
+        N, odd = self.N, self.H.parity_of[mh]
+        out = Scalar.zero(order)
+        for f2, v, p1 in self.dual_row(a, mk):
+            second = self.pair_mono(mh, f2)
+            if not _droppable(second, N):
+                t = v * second
+                out = out + (-t if p1 and odd else t).truncate(order)
         return out
 
     # -- element pairing --------------------------------------------------------
@@ -210,33 +247,23 @@ def standard_pair(cutoffs: Cutoffs = Cutoffs(), alpha2: bool = True,
 def _consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
     """Adjointness of products and coproducts on basis pairs; first failures.
 
-    The right-hand sides start from an exact zero; their skipped terms are
-    zeros known to h^N, and the left-hand sides are known to at most h^N, so
-    each difference, and its repr in a witness, is that of the full sum."""
-    H, K, N = p.H, p.K, p.N
+    The right-hand sides are the untruncated sums of the contracted rows; their
+    skipped terms are zeros known to h^N, and the left-hand sides are known to
+    at most h^N, so each difference, and its repr in a witness, is that of the
+    full sum."""
+    H, K = p.H, p.K
     one = Scalar.one()
     fails = []
     hb = _h_basis(H, max_degree)
     kb = _h_basis(K, max_degree)
     # product-side: <x*y, f> = <x (x) y, Delta_K^conv f> for generator x
-    for xg in H.gen_names:
+    for a, xg in enumerate(H.gen_names):
         x = H.generator(xg)
-        (mx,) = x.terms
         for my in hb:
             xy = H.multiply(x, PbwElement(H, {my: one}))
-            py = H.monomial_parity(my)
             for mf in kb:
                 lhs = p.pair_terms(xy.terms, {mf: one})
-                rhs = Scalar.zero()
-                for (f1, f2), c in p.dual_coproduct(mf).terms.items():
-                    first = p.pair_mono(mx, f1)
-                    if _droppable(first, N):
-                        continue
-                    second = p.pair_mono(my, f2)
-                    if _droppable(second, N):
-                        continue
-                    sign = -1 if (py and K.monomial_parity(f1)) else 1
-                    rhs = rhs + first * second * c * sign
+                rhs = p.pair_split_primal(a, my, mf)
                 if not (lhs - rhs).is_zero():
                     fails.append((f"<{xg}*{H.monomial_str(my)}, {K.monomial_str(mf)}>",
                                   repr(lhs - rhs)))
@@ -245,26 +272,13 @@ def _consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
     # dual-side: <x, g*f> = <Delta_H^conv x, g (x) f> for generator g
     products: dict = {}  # g*f, the same for every x
     for mx in hb:
-        two = p.primal_coproduct(mx)
-        for gg in K.gen_names:
-            g = K.generator(gg)
-            (mg,) = g.terms
-            pg = K.presentation.parity(gg)
+        for g, gg in enumerate(K.gen_names):
             for mf in kb:
-                gf = products.get((gg, mf))
+                gf = products.get((g, mf))
                 if gf is None:
-                    gf = products[(gg, mf)] = K.multiply(g, PbwElement(K, {mf: one}))
+                    gf = products[(g, mf)] = K.multiply(K.generator(gg), PbwElement(K, {mf: one}))
                 lhs = p.pair_terms({mx: one}, gf.terms)
-                rhs = Scalar.zero()
-                for (x1, x2), c in two.terms.items():
-                    first = p.pair_mono(x1, mg)
-                    if _droppable(first, N):
-                        continue
-                    second = p.pair_mono(x2, mf)
-                    if _droppable(second, N):
-                        continue
-                    sign = -1 if (H.monomial_parity(x2) and pg) else 1
-                    rhs = rhs + first * second * c * sign
+                rhs = p.pair_split_dual(mx, g, mf)
                 if not (lhs - rhs).is_zero():
                     fails.append((f"<{H.monomial_str(mx)}, {gg}*{K.monomial_str(mf)}>",
                                   repr(lhs - rhs)))

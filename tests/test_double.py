@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from hopfforge.double import Double, derive_double_presentation
-from hopfforge.pairing import standard_pair
+from hopfforge.pairing import _h_basis, standard_pair
 from hopfforge.pbw import Cutoffs, Engine, PbwElement
 from hopfforge.presentation import load_presentation
 from hopfforge.scalars import Scalar, series_fn
@@ -66,6 +66,59 @@ def test_psi_of_s_has_antipoded_third_placement(dbl):
     S, e = mono(dbl.H, S=1), mono(dbl.H)
     # the S (x) e^{hT/2} (x) e^{hT/2} block appears with the antipode sign
     assert (t.coefficient((S, e, e)) + Scalar.one().truncate(6)).is_zero()
+
+
+# ------------------------------------------------------- per-monomial memo
+
+def _terms(t):
+    """Keys with the exact coefficients and trunc of each, for comparison."""
+    return {k: (c.coeffs, c.trunc) for k, c in t.terms.items()}
+
+
+def _tensors_of(d, mh, mk):
+    x = PbwElement(d.H, {mh: Scalar.one()})
+    f = PbwElement(d.K, {mk: Scalar.one()})
+    return [d.psi(x), d.phi(f), d.iterated_primal(x), d.iterated_dual(f)]
+
+
+def _low_degree_pairs(d, count, seed):
+    rng = random.Random(seed)
+    hb, kb = _h_basis(d.H, 3), _h_basis(d.K, 3)
+    return [(rng.choice(hb), rng.choice(kb)) for _ in range(count)]
+
+
+def test_memoized_tensors_equal_a_fresh_double():
+    d = Double(standard_pair(Cutoffs(4, 8), alpha2=True))
+    for mh, mk in _low_degree_pairs(d, 20, 7):
+        kept = _tensors_of(d, mh, mk)
+        fresh = _tensors_of(Double(standard_pair(Cutoffs(4, 8), alpha2=True)), mh, mk)
+        assert [_terms(t) for t in kept] == [_terms(t) for t in fresh], (mh, mk)
+        # the second read is the kept tensor itself
+        assert all(a is b for a, b in zip(kept, _tensors_of(d, mh, mk)))
+
+
+def test_route_check_leaves_memoized_tensors_unchanged():
+    d = Double(standard_pair(Cutoffs(4, 8), alpha2=True))
+    pairs = _low_degree_pairs(d, 20, 11)
+    for mh, mk in pairs:
+        _tensors_of(d, mh, mk)
+    before = {key: _terms(t) for key, t in d._tensors.items()}
+    for mh, mk in pairs:
+        x = PbwElement(d.H, {mh: Scalar.one()})
+        f = PbwElement(d.K, {mk: Scalar.one()})
+        assert (d.cross_product(x, f) - d.cross_product_via_structure_constants(x, f)).is_zero()
+    assert {key: _terms(t) for key, t in d._tensors.items()} == before
+
+
+def test_only_unit_monomials_are_memoized():
+    d = Double(standard_pair(Cutoffs(4, 8), alpha2=True))
+    T = mono(d.H, T=1)
+    psi_t = d.psi(d.H.generator("T"))
+    for c in (Scalar.from_fraction(2), Scalar.one().truncate(3)):
+        got = d.psi(PbwElement(d.H, {T: c}))
+        assert got is not psi_t
+        assert _terms(got) == _terms(psi_t.scale(c))
+    assert [key for key in d._tensors if key[1] == T] == [("delta2_h", T), ("psi", T)]
 
 
 # ------------------------------------------------------------ cross relations

@@ -182,6 +182,25 @@ def test_coefficient_mutation_breaks_axioms():
     assert r.status == "fail"
 
 
+@pytest.mark.parametrize("section, mutated, failure", [
+    # S(T) = T: S({S,S}) = -2 S^2 = -2 sinh(hT)/sinh(h), but S(rhs) = +2 sinh(hT)/sinh(h)
+    ("[antipode]\nS = -S\nT = -T", "[antipode]\nS = -S\nT = T",
+     "antipode does not respect {S,S}"),
+    # eps(T) = 1: eps({S,S}) = 2 eps(S)^2 = 0, but eps(rhs) = 2 sinh(h)/sinh(h) = 2
+    ("[counit]\nS = 0\nT = 0", "[counit]\nS = 0\nT = 1",
+     "counit does not respect {S,S}"),
+])
+def test_relation_checks_read_the_maps_on_both_sides(section, mutated, failure):
+    # the images of the bracket are built from the images of its letters, so
+    # a wrong map fails at the relation, before the generator axioms
+    text = emit_presentation(load_presentation("ptsa_q"))
+    assert section in text
+    r = verify_hopf(parse_presentation(text.replace(section, mutated)), Cutoffs(6, 10),
+                    audit=False)
+    assert r.status == "fail"
+    assert r.details == [failure]
+
+
 def test_delta_tau_coefficient_mutation_is_hopf_invisible():
     # rescaling the xi (x) xi coefficient of Delta tau keeps every Hopf axiom
     # intact (xi^2 = 0 hides it); the duality suite is what detects it

@@ -6,7 +6,7 @@ import pytest
 from hopfforge.pairing import (STANDARD_SEED, Pairing, PairingConvention, _consistency_failures,
                                _h_basis, _standard_ops, calibrate, standard_pair,
                                verify_duality)
-from hopfforge.pbw import Cutoffs, PbwElement
+from hopfforge.pbw import Cutoffs, PbwElement, _droppable
 from hopfforge.scalars import Scalar
 
 CONVENTIONS = [PairingConvention(fd, fp) for fd in (True, False) for fp in (True, False)]
@@ -60,6 +60,109 @@ class DensePairing(Pairing):
                 v = self.pair_mono(mh, mk)
                 out = out + (v * ch * ck).truncate(N)
         return out
+
+
+class UncontractedPairing(Pairing):
+    """The sparse pairing before contracted rows: every recursion step walks
+    the whole coproduct and reads <x1, g> (or <a, f1>) afresh."""
+
+    def _split_dual(self, mh, mk) -> Scalar:
+        H, K, N = self.H, self.K, self.N
+        word = K.monomial_to_word(mk)
+        g, rest = word[0], word[1:]
+        g_mono = tuple(1 if j == g else 0 for j in range(K.n))
+        rest_mono = K.word_to_monomial(rest)
+        pg = K.parities[g]
+        out = Scalar.zero(N)
+        for (x1, x2), c in self.primal_coproduct(mh).terms.items():
+            first = self.pair_mono(x1, g_mono)
+            if _droppable(first, N):
+                continue
+            second = self.pair_mono(x2, rest_mono)
+            if _droppable(second, N):
+                continue
+            sign = -1 if (H.monomial_parity(x2) and pg) else 1
+            out = out + (first * second * c * sign).truncate(N)
+        return out
+
+    def _split_primal(self, mh, mk) -> Scalar:
+        H, K, N = self.H, self.K, self.N
+        word = H.monomial_to_word(mh)
+        a, rest = word[0], word[1:]
+        a_mono = tuple(1 if j == a else 0 for j in range(H.n))
+        rest_mono = H.word_to_monomial(rest)
+        prest = H.monomial_parity(rest_mono)
+        out = Scalar.zero(N)
+        for (f1, f2), c in self.dual_coproduct(mk).terms.items():
+            first = self.pair_mono(a_mono, f1)
+            if _droppable(first, N):
+                continue
+            second = self.pair_mono(rest_mono, f2)
+            if _droppable(second, N):
+                continue
+            sign = -1 if (prest and K.monomial_parity(f1)) else 1
+            out = out + (first * second * c * sign).truncate(N)
+        return out
+
+
+def uncontracted_consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
+    """_consistency_failures before contracted rows."""
+    H, K, N = p.H, p.K, p.N
+    one = Scalar.one()
+    fails = []
+    hb = _h_basis(H, max_degree)
+    kb = _h_basis(K, max_degree)
+    for xg in H.gen_names:
+        x = H.generator(xg)
+        (mx,) = x.terms
+        for my in hb:
+            xy = H.multiply(x, PbwElement(H, {my: one}))
+            py = H.monomial_parity(my)
+            for mf in kb:
+                lhs = p.pair_terms(xy.terms, {mf: one})
+                rhs = Scalar.zero()
+                for (f1, f2), c in p.dual_coproduct(mf).terms.items():
+                    first = p.pair_mono(mx, f1)
+                    if _droppable(first, N):
+                        continue
+                    second = p.pair_mono(my, f2)
+                    if _droppable(second, N):
+                        continue
+                    sign = -1 if (py and K.monomial_parity(f1)) else 1
+                    rhs = rhs + first * second * c * sign
+                if not (lhs - rhs).is_zero():
+                    fails.append((f"<{xg}*{H.monomial_str(my)}, {K.monomial_str(mf)}>",
+                                  repr(lhs - rhs)))
+                    if len(fails) >= limit:
+                        return fails
+    products: dict = {}
+    for mx in hb:
+        two = p.primal_coproduct(mx)
+        for gg in K.gen_names:
+            g = K.generator(gg)
+            (mg,) = g.terms
+            pg = K.presentation.parity(gg)
+            for mf in kb:
+                gf = products.get((gg, mf))
+                if gf is None:
+                    gf = products[(gg, mf)] = K.multiply(g, PbwElement(K, {mf: one}))
+                lhs = p.pair_terms({mx: one}, gf.terms)
+                rhs = Scalar.zero()
+                for (x1, x2), c in two.terms.items():
+                    first = p.pair_mono(x1, mg)
+                    if _droppable(first, N):
+                        continue
+                    second = p.pair_mono(x2, mf)
+                    if _droppable(second, N):
+                        continue
+                    sign = -1 if (H.monomial_parity(x2) and pg) else 1
+                    rhs = rhs + first * second * c * sign
+                if not (lhs - rhs).is_zero():
+                    fails.append((f"<{H.monomial_str(mx)}, {gg}*{K.monomial_str(mf)}>",
+                                  repr(lhs - rhs)))
+                    if len(fails) >= limit:
+                        return fails
+    return fails
 
 
 def reference_consistency_failures(p: DensePairing, max_degree: int, limit: int = 1):
@@ -311,3 +414,25 @@ def test_pair_keeps_a_zero_known_below_the_h_order(monkeypatch):
     got = p.pair(x, f)
     assert got.trunc == N - 2
     assert got.exponents() == [0] and got.coeff(0).constant == 2
+
+
+@pytest.mark.parametrize("cutoffs", [Cutoffs(6, 10), Cutoffs(7, 12), Cutoffs(4, 9),
+                                     Cutoffs(2, 5), Cutoffs(0, 4), Cutoffs(3, 3)], ids=str)
+@pytest.mark.parametrize("alpha2", [True, False])
+def test_contracted_rows_match_the_uncontracted_pairing(cutoffs, alpha2):
+    # the first failures with their witnesses, and every memoized pairing
+    # value, equal in coefficients, trunc and repr; the literal scaling fails
+    h_ops, k_ops = _standard_ops(cutoffs, alpha2)
+    failed = []
+    for conv in CONVENTIONS:
+        for max_degree in (2, 4, 6):
+            rows = Pairing(h_ops, k_ops, STANDARD_SEED, conv)
+            plain = UncontractedPairing(h_ops, k_ops, STANDARD_SEED, conv)
+            got = _consistency_failures(rows, max_degree, limit=5)
+            assert got == uncontracted_consistency_failures(plain, max_degree, limit=5), \
+                (conv, max_degree)
+            assert rows._memo.keys() == plain._memo.keys(), (conv, max_degree)
+            for key, value in rows._memo.items():
+                assert _same_scalar(value, plain._memo[key]), (conv, max_degree, key)
+            failed += got
+    assert failed  # the witnesses were compared too

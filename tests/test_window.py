@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfforge.hopf import HopfOps
-from hopfforge.pbw import Cutoffs, Engine
+from hopfforge.pairing import _h_basis
+from hopfforge.pbw import Cutoffs, Engine, PbwElement
 from hopfforge.presentation import load_presentation, parse_presentation
 from hopfforge.rmatrix import RMatrixContext, build_R
 from hopfforge.scalars import Scalar, series_fn
@@ -151,6 +152,24 @@ def test_windowed_auxiliary_difference_matches_the_full_one(cut):
         windowed = (rhs_w - tensor_mul(one_plus, E_w, D)).truncate_degree(D)
         assert same(windowed, full)
     assert full.terms and not windowed.is_zero()
+
+
+def test_universal_identity_lhs_is_one_windowed_product():
+    # tensor_mul(1 (x) R, Psi(e_s), D) equals the sum of the products of its
+    # one-term pieces, as verify_universal_identity once built it
+    ctx = double_context((4, 4))
+    D = ctx.degree
+    r = ctx.canonical.window(D)
+    eng = r.engines[0]
+    one, legs = (0,) * eng.n, (eng,) * 3
+    basis = _h_basis(ctx.dbl.H, 3)
+    for mono in basis:
+        emb = ctx.dbl.psi(PbwElement(ctx.dbl.H, {mono: Scalar.one()})).moved_to(legs)
+        pieces = TensorElement(legs, {})
+        for (r1, r2), rc in r.terms.items():
+            pieces = pieces + tensor_mul(TensorElement(legs, {(one, r1, r2): rc}), emb, D)
+        assert same(tensor_mul(r.insert_unit_leg(0, eng), emb, D), pieces), mono
+    assert len(basis) == 7
 
 
 ZERO_ONLY = """
