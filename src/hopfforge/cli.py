@@ -117,8 +117,7 @@ def _rmatrix(args, which):
         reports.append(check_triangularity(ctx, canonical, "canonical"))
     if which in ("all", "universal"):
         reports.append(verify_universal_identity(
-            ctx.dbl, ctx.derived, canonical, max_degree=3,
-            cutoffs=Cutoffs(ctx.h_order, ctx.d_int), compare_degree=ctx.degree))
+            ctx.dbl, canonical, max_degree=3, compare_degree=ctx.degree))
     return reports
 
 

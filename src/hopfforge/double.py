@@ -24,9 +24,12 @@ reuse the generators.  The kept tensors are shared and never mutated.
 
 from __future__ import annotations
 
-from .hopf import verify_hopf
+import random
+from fractions import Fraction
+
+from .hopf import _first_residual_tensor, verify_hopf
 from .lang import Add, HVar, Mul, Num, Pow, Gen, Node
-from .pairing import Pairing, standard_pair
+from .pairing import Pairing, _h_basis, standard_pair
 from .pbw import Cutoffs, Engine, PbwElement, _droppable
 from .presentation import (HopfPresentation, Relation, load_presentation,
                            validate)
@@ -35,8 +38,6 @@ from .scalars import Scalar
 from .tensors import TensorElement, evaluate_tensor, tensor_mul, tensor_of
 
 __all__ = ["Double", "derive_double_presentation", "verify_universal_identity"]
-
-from fractions import Fraction
 
 
 class Double:
@@ -389,9 +390,7 @@ def _assemble_derived(dbl: Double, reference: HopfPresentation, derived_rhs,
 def verify_route_equivalence(dbl: Double, count: int = 20, max_degree: int = 3,
                              seed: int = 0) -> VerificationReport:
     """Contraction route versus structure-constant route on random pairs."""
-    import random
     rng = random.Random(seed)
-    from .pairing import _h_basis
     hb = [m for m in _h_basis(dbl.H, max_degree)]
     kb = [m for m in _h_basis(dbl.K, max_degree)]
     with Timer() as t:
@@ -413,13 +412,12 @@ def verify_route_equivalence(dbl: Double, count: int = 20, max_degree: int = 3,
         status=status, residual=residual, wall_time=t.elapsed)
 
 
-def verify_universal_identity(dbl: Double, derived: HopfPresentation,
-                              r_matrix: TensorElement, max_degree: int = 3,
-                              cutoffs: Cutoffs = Cutoffs(),
+def verify_universal_identity(dbl: Double, r_matrix: TensorElement, max_degree: int = 3,
                               compare_degree: int | None = None) -> VerificationReport:
-    """(m (x) id)[(1 (x) R1 (x) R2) Psi(e_s)] = (1 (x) e_s) R for basis e_s."""
+    """(m (x) id)[(1 (x) R1 (x) R2) Psi(e_s)] = (1 (x) e_s) R for basis e_s,
+    computed in R's engine, whose cutoffs the report states."""
+    d_eng = r_matrix.engines[0]
     with Timer() as t:
-        d_eng = r_matrix.engines[0]
         D = compare_degree
         if D is not None:
             # products of windowed factors are exact at degree <= D, and so is
@@ -428,7 +426,6 @@ def verify_universal_identity(dbl: Double, derived: HopfPresentation,
         status, residual = PASS, None
         checked = 0
         r13 = r_matrix.insert_unit_leg(0, d_eng)  # 1 (x) R1 (x) R2
-        from .pairing import _h_basis
         for mono in _h_basis(dbl.H, max_degree):
             x = PbwElement(dbl.H, {mono: Scalar.one()})
             # Psi over H, embedded into the double
@@ -442,14 +439,14 @@ def verify_universal_identity(dbl: Double, derived: HopfPresentation,
             checked += 1
             if not diff.is_zero():
                 status = FAIL
-                from .hopf import _first_residual_tensor
                 residual = (f"universal identity fails on {dbl.H.monomial_str(mono)}: "
                             f"{_first_residual_tensor(diff)}")
                 break
     return VerificationReport(
         check="universal-identity",
         target=f"basis elements of degree <= {max_degree}",
-        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree, "D": max_degree},
+        cutoffs={"N": d_eng.cutoffs.h_order, "W": d_eng.cutoffs.word_degree,
+                 "D": max_degree},
         status=status,
         residual=residual,
         details=[f"{checked} basis elements checked"],

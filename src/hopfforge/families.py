@@ -1,6 +1,10 @@
 """The parameterized families as first-class objects: instantiation, limits,
 the flow field, and every stated inter-family relation.
 
+Every check compares ``structure()`` extractions label by label with
+``differences()``: the bracket of each generator pair, then each generator's
+coproduct, counit and antipode, at a point, a limit or the first h-order.
+
 The h -> 1 endpoint cannot be reached inside truncated series, so that check
 evaluates sd_line's expressions with ``Engine._eval`` in the exact domain
 ``AtH1``: h becomes 1, sinh(h) the symbol sinh(1), and a factor (1-h) zero.
@@ -19,9 +23,10 @@ from .report import FAIL, PASS, Timer, VerificationReport
 from .scalars import Scalar
 from .tensors import TensorElement, evaluate_tensor, tensor_of
 
-__all__ = ["FAMILY_IDS", "instantiate", "structural_compare", "limit_h0",
-           "deforming_field_at_0", "verify_h1_limit", "verify_newquant_consistency",
-           "verify_alpha_arbitrariness", "verify_family_relations"]
+__all__ = ["FAMILY_IDS", "instantiate", "structure", "differences", "structural_compare",
+           "compare_limit_with", "verify_h1_limit", "verify_deforming_field",
+           "verify_newquant_consistency", "verify_alpha_arbitrariness",
+           "verify_family_relations"]
 
 FAMILY_IDS = ("sd_hp", "sd_line", "d0_variety", "d1_variety", "variety_3d",
               "newquant", "h0_point", "h1_point")
@@ -44,156 +49,110 @@ def instantiate(family_id: str, bindings: dict | None = None,
 
 # ------------------------------------------------------------------ comparison
 
+def structure(eng: Engine, coeff=None) -> dict:
+    """The structure data of ``eng``'s presentation by label: the bracket of
+    every generator pair in generator order, then each generator's coproduct,
+    counit and antipode.  ``coeff``, when given, maps every coefficient."""
+    ops = HopfOps(eng)
+    names = eng.gen_names
+    out = {f"bracket ({a},{b})": eng.graded_commutator(a, b)
+           for i, a in enumerate(names) for b in names[i:]}
+    for g in names:
+        out[f"coproduct of {g}"] = ops.coproduct_gen(g)
+        out[f"counit of {g}"] = ops._eps[g]
+        out[f"antipode of {g}"] = ops._anti[g]
+    if coeff is None:
+        return out
+    return {label: coeff(v) if isinstance(v, Scalar) else v.map_coeffs(coeff)
+            for label, v in out.items()}
+
+
+def differences(got: dict, want: dict, where: str) -> list:
+    """One "<label> <where>: <first residual>" per label of ``want`` that
+    ``got`` does not match.  ``got``'s elements are moved to ``want``'s
+    engines by generator name, and a label ``got`` lacks reads as zero."""
+    out = []
+    for label, w in want.items():
+        if isinstance(w, Scalar):
+            target, residual = None, repr
+        elif isinstance(w, TensorElement):
+            target, residual = w.engines, _first_residual_tensor
+        else:
+            target, residual = w.engine, _first_residual_element
+        g = got.get(label)
+        d = -w if g is None else (g if target is None else g.moved_to(target)) - w
+        if not d.is_zero():
+            out.append(f"{label} {where}: {residual(d)}")
+    return out
+
+
+def _brackets_and_coproducts(data: dict) -> dict:
+    return {label: v for label, v in data.items()
+            if label.startswith(("bracket", "coproduct"))}
+
+
+def _report(check: str, target: str, cutoffs: Cutoffs, t: Timer, diffs: list,
+            passed: list = ()) -> VerificationReport:
+    """A pass with the ``passed`` details, or a fail on the first of ``diffs``
+    that lists them all."""
+    return VerificationReport(
+        check=check, target=target,
+        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
+        status=FAIL if diffs else PASS, residual=diffs[0] if diffs else None,
+        details=list(diffs or passed), wall_time=t.elapsed)
+
+
 def structural_compare(p1: HopfPresentation, p2: HopfPresentation,
                        cutoffs: Cutoffs = Cutoffs()):
     """Engine-level equality of two presentations; returns list of differences."""
-    diffs = []
     if p1.gen_names() != p2.gen_names():
         return [f"generator lists differ: {p1.gen_names()} vs {p2.gen_names()}"]
+    diffs = []
     if tuple(sorted(p1.params)) != tuple(sorted(p2.params)):
         diffs.append(f"parameter lists differ: {p1.params} vs {p2.params}")
-    e1, e2 = Engine(p1, cutoffs), Engine(p2, cutoffs)
-    ops1, ops2 = HopfOps(e1), HopfOps(e2)
-    names = p1.gen_names()
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            d = e1.graded_commutator(a, b) - e2.graded_commutator(a, b).moved_to(e1)
-            if not d.is_zero():
-                diffs.append(f"bracket ({a},{b}) differs: {_first_residual_element(d)}")
-    for g in names:
-        d = ops1.coproduct_gen(g) - ops2.coproduct_gen(g).moved_to((e1, e1))
-        if not d.is_zero():
-            diffs.append(f"coproduct of {g} differs: {_first_residual_tensor(d)}")
-        if not (ops1._eps[g] - ops2._eps[g]).is_zero():
-            diffs.append(f"counit of {g} differs")
-        da = ops1._anti[g] - ops2._anti[g].moved_to(e1)
-        if not da.is_zero():
-            diffs.append(f"antipode of {g} differs: {_first_residual_element(da)}")
-    return diffs
+    return diffs + differences(structure(Engine(p1, cutoffs)),
+                               structure(Engine(p2, cutoffs)), "differs")
 
 
 # ------------------------------------------------------------------- h -> 0
 
-def limit_h0(family_id: str, bindings: dict | None = None,
-             cutoffs: Cutoffs = Cutoffs()):
-    """Constant terms of all structure data at h -> 0, as comparison data."""
-    pres = instantiate(family_id, bindings) if bindings or family_id in DEFAULTS \
-        else load_presentation(family_id)
-    eng = Engine(pres, cutoffs)
-    ops = HopfOps(eng)
-    names = pres.gen_names()
-    brackets = {}
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            brackets[(a, b)] = eng.graded_commutator(a, b).substitute(h_to_zero=True)
-    coproducts = {g: ops.coproduct_gen(g).map_coeffs(
-        lambda c: c.substitute(h_to_zero=True)) for g in names}
-    antipodes = {g: ops._anti[g].substitute(h_to_zero=True) for g in names}
-    return eng, brackets, coproducts, antipodes
-
-
 def compare_limit_with(family_id: str, target_id: str,
                        cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
-    """limit_h0(family) versus a shipped h-free presentation, element by element."""
+    """A family's structure at h -> 0 versus a shipped h-free presentation."""
     with Timer() as t:
-        eng, brackets, coproducts, antipodes = limit_h0(family_id, cutoffs=cutoffs)
-        target = load_presentation(target_id)
-        teng = Engine(target, cutoffs)
-        tops = HopfOps(teng)
-        status, residual = PASS, None
-        details = []
-        for (a, b), el in brackets.items():
-            want = teng.graded_commutator(a, b)
-            d = el.moved_to(teng) - want
-            if not d.is_zero():
-                status = FAIL
-                residual = f"bracket ({a},{b}) at h->0: {_first_residual_element(d)}"
-                break
-        if status == PASS:
-            for g, tv in coproducts.items():
-                want = tops.coproduct_gen(g)
-                d = tv.moved_to((teng, teng)) - want
-                if not d.is_zero():
-                    status = FAIL
-                    residual = f"coproduct of {g} at h->0: {_first_residual_tensor(d)}"
-                    break
-            else:
-                details.append("all brackets and coproducts match the endpoint")
-    return VerificationReport(
-        check="limit-h0", target=f"{family_id} -> {target_id}",
-        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-        status=status, residual=residual, details=details, wall_time=t.elapsed)
+        pres = instantiate(family_id) if family_id in DEFAULTS else load_presentation(family_id)
+        limit = structure(Engine(pres, cutoffs), lambda c: c.substitute(h_to_zero=True))
+        target = structure(Engine(load_presentation(target_id), cutoffs))
+        diffs = differences(limit, target, "at h->0")
+    return _report("limit-h0", f"{family_id} -> {target_id}", cutoffs, t, diffs,
+                   ["all brackets and coproducts match the endpoint"])
 
 
 # ------------------------------------------------------------- the flow field
 
-def deforming_field_at_0(family_id: str = "variety_3d",
-                         cutoffs: Cutoffs = Cutoffs()):
-    """First h-derivative of every composition: bracket and coproduct parts."""
-    pres = load_presentation(family_id)
-    eng = Engine(pres, cutoffs)
-    ops = HopfOps(eng)
-    names = pres.gen_names()
-    brackets = {}
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            el = eng.graded_commutator(a, b).h_coefficient(1)
-            if not el.is_zero():
-                brackets[(a, b)] = el
-    coproducts = {}
-    for g in names:
-        tv = ops.coproduct_gen(g).map_coeffs(lambda c: Scalar.from_poly(c.coeff(1)))
-        if not tv.is_zero():
-            coproducts[g] = tv
-    return eng, brackets, coproducts
-
-
 def verify_deforming_field(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """The 3-dimensional variety's first-order field versus the published one."""
     with Timer() as t:
-        eng, brackets, coproducts = deforming_field_at_0("variety_3d", cutoffs)
+        eng = Engine(load_presentation("variety_3d"), cutoffs)
+        field = structure(eng, lambda c: Scalar.from_poly(c.coeff(1)))
         mu = Scalar.param("mu")
         theta = Scalar.param("theta")
         g = eng.generator
-        # stored pair keys follow generator order (xi < tau < S < T)
-        want = {
-            ("tau", "S"): (g("S") + g("xi").scale(2)).scale(-mu),   # [tau,S] = -[S,tau]
-            ("xi", "tau"): g("xi").scale(-mu),                      # [xi,tau] = -[tau,xi]
-            ("S", "S"): g("T").scale(mu * (-2)),
-            ("xi", "S"): g("T").scale(mu),                          # {xi,S} = {S,xi}
-        }
-        one = eng.one()
-        ts = tensor_of(g("T"), g("S"))
-        st = tensor_of(g("S"), g("T"))
-        want_cop = {
-            "S": (ts - st).scale(theta * Fraction(1, 2)),
-            "tau": tensor_of(g("xi"), g("xi")).scale(-theta),
-        }
-        status, residual = PASS, None
-        details = []
-        mismatches = []
-        for key in set(brackets) | set(want):
-            got = brackets.get(key, eng.zero())
-            exp = want.get(key, eng.zero())
-            d = got - exp
-            if not d.is_zero():
-                mismatches.append(f"bracket {key}: {_first_residual_element(d)}")
-        for gname in set(coproducts) | set(want_cop):
-            got = coproducts.get(gname, TensorElement.zero((eng, eng)))
-            exp = want_cop.get(gname, TensorElement.zero((eng, eng)))
-            d = got - exp
-            if not d.is_zero():
-                mismatches.append(f"coproduct {gname}: {_first_residual_tensor(d)}")
-        if mismatches:
-            status = FAIL
-            residual = mismatches[0]
-            details = mismatches
-        else:
-            details.append("field matches the published first-order flow term for term")
-    return VerificationReport(
-        check="deforming-field", target="variety_3d at h=0",
-        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-        status=status, residual=residual, details=details, wall_time=t.elapsed)
+        # zero but for the published terms; labels follow generator order
+        # (xi < tau < S < T)
+        want = {label: v.scale(0) for label, v in _brackets_and_coproducts(field).items()}
+        want.update({
+            "bracket (tau,S)": (g("S") + g("xi").scale(2)).scale(-mu),  # [tau,S] = -[S,tau]
+            "bracket (xi,tau)": g("xi").scale(-mu),                     # [xi,tau] = -[tau,xi]
+            "bracket (S,S)": g("T").scale(mu * (-2)),
+            "bracket (xi,S)": g("T").scale(mu),                         # {xi,S} = {S,xi}
+            "coproduct of S": (tensor_of(g("T"), g("S")) - tensor_of(g("S"), g("T")))
+            .scale(theta * Fraction(1, 2)),
+            "coproduct of tau": tensor_of(g("xi"), g("xi")).scale(-theta),
+        })
+        diffs = differences(field, want, "at first order")
+    return _report("deforming-field", "variety_3d at h=0", cutoffs, t, diffs,
+                   ["field matches the published first-order flow term for term"])
 
 
 # ----------------------------------------------------------------- h -> 1
@@ -281,98 +240,53 @@ def verify_h1_limit(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """sd_line at h = 1, factor by factor, against the shipped endpoint."""
     with Timer() as t:
         line = load_presentation("sd_line")
-        target = load_presentation("h1_point")
-        teng = Engine(target, cutoffs)
-        tops = HopfOps(teng)
-        status, residual = PASS, None
-        details = []
-        names = line.gen_names()
-        for i, a in enumerate(names):
-            for b in names[i:]:
+        teng = Engine(load_presentation("h1_point"), cutoffs)
+        want = _brackets_and_coproducts(structure(teng))
+        got = {f"coproduct of {g}": evaluate_tensor(
+            teng, line.structure_map("coproduct", g), domain=AtH1) for g in teng.gen_names}
+        for i, a in enumerate(teng.gen_names):
+            for b in teng.gen_names[i:]:
                 rel = line.bracket(a, b)
-                if rel is None:
-                    got = teng.zero()
-                    want = teng.graded_commutator(a, b)
-                else:
+                if rel is not None:
                     # compare in the orientation the relation was written in
-                    got = teng.evaluate(rel.rhs, AtH1)
-                    want = teng.graded_commutator(rel.a, rel.b)
-                d = got - want
-                if not d.is_zero():
-                    status = FAIL
-                    residual = f"bracket ({a},{b}) at h=1: {_first_residual_element(d)}"
-                    break
-            if status == FAIL:
-                break
-        if status == PASS:
-            for g in names:
-                got = evaluate_tensor(teng, line.structure_map("coproduct", g), domain=AtH1)
-                want = tops.coproduct_gen(g)
-                d = got - want
-                if not d.is_zero():
-                    status = FAIL
-                    residual = f"coproduct of {g} at h=1: {_first_residual_tensor(d)}"
-                    break
-            else:
-                details.append("every composition lands on the endpoint: factors "
-                               "carrying (1-h) vanish, factors carrying h become 1, "
-                               "series arguments h*T/2 become T/2")
-    return VerificationReport(
-        check="limit-h1", target="sd_line -> h1_point",
-        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-        status=status, residual=residual, details=details, wall_time=t.elapsed)
+                    got[f"bracket ({a},{b})"] = teng.evaluate(rel.rhs, AtH1)
+                    want[f"bracket ({a},{b})"] = teng.graded_commutator(rel.a, rel.b)
+        diffs = differences(got, want, "at h=1")
+    return _report("limit-h1", "sd_line -> h1_point", cutoffs, t, diffs,
+                   ["every composition lands on the endpoint: factors "
+                    "carrying (1-h) vanish, factors carrying h become 1, "
+                    "series arguments h*T/2 become T/2"])
 
 
 # ------------------------------------------------------------------- newquant
 
 def verify_newquant_consistency(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     with Timer() as t:
-        status, residual = PASS, None
         details = []
         # (a) theta -> h in the 3-dimensional variety reproduces the new quantization
         v3 = load_presentation("variety_3d").bind({"theta": HVar()}, name="variety_3d@theta=h")
         nq = load_presentation("newquant")
         diffs = structural_compare(v3, nq, cutoffs)
-        if diffs:
-            status, residual = FAIL, diffs[0]
-        else:
-            details.append("variety at theta = h equals the new quantization")
         # (b) first-order structures agree with the h->0 variety's
-        if status == PASS:
+        if not diffs:
+            details.append("variety at theta = h equals the new quantization")
             b_nq = from_family("newquant", "mu", "h", h_mode="zero", cutoffs=cutoffs)
             b_d0 = from_family("d0_variety", "mu", "theta", h_mode="zero", cutoffs=cutoffs)
             cmp = compare_bialgebras(b_nq, b_d0)
-            if cmp.status != PASS:
-                status, residual = FAIL, cmp.residual
-            else:
-                details.append("first-order structure equals the trivially "
-                               "quantized one (identity rescaling)")
+            diffs = [] if cmp.status == PASS else [cmp.residual]
         # (c) mu -> 0 kills every bracket; coproducts stay those of the double form
-        if status == PASS:
-            flat = nq.bind({"mu": 0}, name="newquant@mu=0")
-            eng = Engine(flat, cutoffs)
-            for i, a in enumerate(flat.gen_names()):
-                for b in flat.gen_names()[i:]:
-                    if not eng.graded_commutator(a, b).is_zero():
-                        status = FAIL
-                        residual = f"bracket ({a},{b}) survives at mu=0"
-                        break
-            ops_flat = HopfOps(eng)
-            eng_nq = Engine(nq, cutoffs)
-            ops_nq = HopfOps(eng_nq)
-            for g in flat.gen_names():
-                d = ops_flat.coproduct_gen(g).moved_to((eng_nq, eng_nq)) - ops_nq.coproduct_gen(g)
-                if not d.is_zero():
-                    status = FAIL
-                    residual = f"coproduct of {g} changed at mu=0"
-                    break
-            if status == PASS:
-                details.append("mu -> 0 gives a supercommutative algebra with the "
-                               "group-like coproducts unchanged")
-    return VerificationReport(
-        check="newquant-consistency", target="newquant vs variety_3d / d0_variety",
-        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-        status=status, residual=residual, details=details, wall_time=t.elapsed)
+        if not diffs:
+            details.append("first-order structure equals the trivially "
+                           "quantized one (identity rescaling)")
+            want = {label: v.scale(0) if label.startswith("bracket") else v for label, v
+                    in _brackets_and_coproducts(structure(Engine(nq, cutoffs))).items()}
+            flat = Engine(nq.bind({"mu": 0}, name="newquant@mu=0"), cutoffs)
+            diffs = differences(structure(flat), want, "at mu=0")
+        if not diffs:
+            details.append("mu -> 0 gives a supercommutative algebra with the "
+                           "group-like coproducts unchanged")
+    return _report("newquant-consistency", "newquant vs variety_3d / d0_variety",
+                   cutoffs, t, diffs, details)
 
 
 def verify_alpha_arbitrariness(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
@@ -403,11 +317,7 @@ def verify_family_relations(cutoffs: Cutoffs = Cutoffs()):
              "d0(0,0) == d1(0,0) (trivial point)")):
         with Timer() as t:
             diffs = structural_compare(lhs, rhs, cutoffs)
-        reports.append(VerificationReport(
-            check="family-instantiation", target=target,
-            cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-            status=PASS if not diffs else FAIL,
-            residual=None if not diffs else diffs[0], wall_time=t.elapsed))
+        reports.append(_report("family-instantiation", target, cutoffs, t, diffs))
     reports.append(compare_limit_with("sd_line", "h0_point", cutoffs))
     reports.append(verify_h1_limit(cutoffs))
     reports.append(verify_deforming_field(cutoffs))

@@ -106,9 +106,6 @@ class ParamPoly:
     def constant(self) -> Fraction:
         return self.terms.get((), Q0)
 
-    def names(self) -> set:
-        return {name for key in self.terms for name, _ in key}
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ParamPoly) and self.terms == other.terms
 

@@ -1,17 +1,21 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from hopfforge.families import (AtH1, NotClosedForm, compare_limit_with, deforming_field_at_0,
-                                instantiate, limit_h0, structural_compare,
+from hopfforge import presentation
+from hopfforge.families import (AtH1, NotClosedForm, compare_limit_with, differences,
+                                instantiate, structural_compare, structure,
                                 verify_alpha_arbitrariness, verify_deforming_field,
-                                verify_h1_limit, verify_newquant_consistency)
+                                verify_family_relations, verify_h1_limit,
+                                verify_newquant_consistency)
 from hopfforge.lang import Add, Div, HVar, Mul, Neg, Num, Pow, parse_expr_text
 from hopfforge.pbw import Cutoffs, Engine
-from hopfforge.presentation import load_presentation
+from hopfforge.presentation import load_presentation, parse_presentation
 from hopfforge.scalars import Scalar
+from hopfforge.tensors import tensor_of
 
 CUT = Cutoffs(6, 10)
 
@@ -47,21 +51,22 @@ def test_limit_h0_of_line_is_endpoint():
 
 
 def test_limit_h0_values():
-    eng, brackets, coproducts, _ = limit_h0("sd_line", cutoffs=CUT)
+    eng = Engine(load_presentation("sd_line"), CUT)
+    limit = structure(eng, lambda c: c.substitute(h_to_zero=True))
     # {S,S} -> 2T, [tau,xi] -> 0, Delta tau -> ... + xi (x) xi
     iT = eng.presentation.gen_index("T")
-    ss = brackets[("S", "S")]
+    ss = limit["bracket (S,S)"]
     mono = tuple(1 if i == iT else 0 for i in range(eng.n))
     assert ss.coefficient(mono) == Scalar.from_fraction(2)
-    assert brackets[("xi", "tau")].is_zero()
+    assert limit["bracket (xi,tau)"].is_zero()
     ixi = eng.presentation.gen_index("xi")
     xi_m = tuple(1 if i == ixi else 0 for i in range(eng.n))
-    assert coproducts["tau"].coefficient((xi_m, xi_m)) == Scalar.one()
+    assert limit["coproduct of tau"].coefficient((xi_m, xi_m)) == Scalar.one()
 
 
 def test_limit_h0_pole_rejected():
     # a pole in a structure constant is refused before any limit is attempted
-    from hopfforge.presentation import parse_presentation, PresentationError
+    from hopfforge.presentation import PresentationError
     bad = """
 name bad
 [generators]
@@ -75,16 +80,15 @@ T = 0
 T = -T
 """
     with pytest.raises(PresentationError):
-        limit_h0_of(parse_presentation(bad))
+        structure(Engine(parse_presentation(bad), CUT), lambda c: c.substitute(h_to_zero=True))
 
 
-def limit_h0_of(pres):
-    from hopfforge.hopf import HopfOps
-    eng = Engine(pres, CUT)
-    ops = HopfOps(eng)
-    cop = {g: ops.coproduct_gen(g).map_coeffs(lambda c: c.substitute(h_to_zero=True))
-           for g in pres.gen_names()}
-    return eng, cop
+def test_limit_h0_of_a_subalgebra_is_not_the_endpoint():
+    # ptsa_q has only S and T: the endpoint's brackets and coproducts of xi
+    # and tau have nothing to match, so they read as zero
+    r = compare_limit_with("ptsa_q", "h0_point", CUT)
+    assert r.status == "fail"
+    assert r.residual == "bracket (tau,S) at h->0: ((-2) + O(h^7))*xi"
 
 
 def test_deforming_field_matches_published_flow():
@@ -93,15 +97,56 @@ def test_deforming_field_matches_published_flow():
 
 
 def test_deforming_field_values():
-    eng, brackets, coproducts = deforming_field_at_0("variety_3d", CUT)
+    eng = Engine(load_presentation("variety_3d"), CUT)
+    field = structure(eng, lambda c: Scalar.from_poly(c.coeff(1)))
     # {S,xi} first order: mu*T; [tau,xi] first order: -mu*xi (stored orientation)
     iT = eng.presentation.gen_index("T")
     t_m = tuple(1 if i == iT else 0 for i in range(eng.n))
-    got = brackets[("xi", "S")]
+    got = field["bracket (xi,S)"]
     assert got.coefficient(t_m) == Scalar.param("mu")
     # mu -> 0 kills every bracket perturbation
-    for el in brackets.values():
+    brackets = [el for label, el in field.items() if label.startswith("bracket")]
+    assert len(brackets) == 10
+    for el in brackets:
         assert el.substitute({"mu": 0}).is_zero()
+
+
+def test_structure_labels_in_generator_order():
+    labels = list(structure(Engine(load_presentation("h0_point"), CUT)))
+    assert labels[:4] == ["bracket (xi,xi)", "bracket (xi,tau)", "bracket (xi,S)",
+                          "bracket (xi,T)"]
+    assert labels[10:13] == ["coproduct of xi", "counit of xi", "antipode of xi"]
+    assert len(labels) == 10 + 4 * 3
+
+
+def test_differences_moves_by_name_and_reads_missing_as_zero():
+    text = (presentation.data_dir() / "h0_point.hopf").read_text()
+    order = "xi odd 1\ntau even 1\nS odd 1\nT even 1\n"
+    assert order in text
+    e1 = Engine(load_presentation("h0_point"), CUT)
+    e2 = Engine(parse_presentation(
+        text.replace(order, "T even 1\nS odd 1\ntau even 1\nxi odd 1\n")), CUT)
+    assert e1.gen_names != e2.gen_names
+    want = {
+        "element": e1.generator("S"),
+        "tensor": tensor_of(e1.generator("S"), e1.generator("T")),
+        "scalar": Scalar.from_fraction(2),
+        "missing": e1.generator("xi"),
+    }
+    # the same values on the other engine: only the missing label differs
+    got = {"element": e2.generator("S"),
+           "tensor": tensor_of(e2.generator("S"), e2.generator("T")),
+           "scalar": Scalar.from_fraction(2)}
+    assert differences(got, want, "here") == ["missing here: ((-1))*xi"]
+    got = {"element": e2.generator("S") + e2.generator("T"),
+           "tensor": tensor_of(e2.generator("T"), e2.generator("S")),
+           "scalar": Scalar.one(),
+           "missing": e2.generator("xi")}
+    assert differences(got, want, "here") == [
+        "element here: (1)*T",
+        "tensor here: (1 + O(h^7))*[T (x) S]",
+        "scalar here: (-1)",
+    ]
 
 
 def test_h1_limit_factorwise():
@@ -154,6 +199,43 @@ def test_rational_points_are_hopf(family, point):
     pres = instantiate(family, point)
     r = verify_hopf(pres, Cutoffs(5, 8), audit=False)
     assert r.status == "pass", r.text()
+
+
+DATA = Path(presentation.__file__).parent / "data"
+LINE = "sd_hp(p=1-h, alpha=2) == sd_line"
+VARIETY = "variety_3d(mu=1, theta=1) == sd_line"
+
+
+@pytest.mark.parametrize("family,old,new,failing", [
+    ("sd_line", "{S,xi} = 2*sinh(h*T/2)", "{S,xi} = 2*sinh(h*T/2) + h*T",
+     {LINE, VARIETY, "limit-h1"}),
+    ("sd_line", "[tau,xi] = h*xi", "[tau,xi] = 2*h*xi", {LINE, VARIETY, "limit-h1"}),
+    ("variety_3d", "{S,xi} = 2*(mu/theta)*sinh(h*theta*T/2)",
+     "{S,xi} = 2*(mu/theta)*sinh(h*theta*T/2) + h*mu*theta*T",
+     {VARIETY, "deforming-field", "newquant-consistency"}),
+    ("newquant", "{S,xi} = 2*(mu/h)*sinh(h^2*T/2)", "{S,xi} = 2*(mu/h)*sinh(h^2*T/2) + h*T",
+     {"newquant-consistency"}),
+    ("h1_point", "{S,xi} = 2*sinh(T/2)", "{S,xi} = 2*sinh(T/2) + T", {"limit-h1"}),
+    ("h0_point", "{S,S} = 2*T", "{S,S} = 3*T", {"limit-h0"}),
+])
+def test_family_checks_catch_a_one_line_mutation(tmp_path, monkeypatch, family, old, new,
+                                                 failing):
+    files = sorted(DATA.glob("*.hopf"))
+    assert len(files) == 12
+    for src in files:
+        lines = src.read_text().splitlines(keepends=True)
+        if src.stem == family:
+            at = [i for i, line in enumerate(lines) if line.rstrip("\n") == old]
+            assert len(at) == 1, (family, old)
+            lines[at[0]] = new + "\n"
+        (tmp_path / src.name).write_text("".join(lines))
+    monkeypatch.setenv("HOPFFORGE_DATA_DIR", str(tmp_path))
+    reports = verify_family_relations(Cutoffs(5, 8))
+    assert len(reports) == 8
+    failed = {r.target if r.check == "family-instantiation" else r.check
+              for r in reports if r.status == "fail"}
+    assert failed == failing
+    assert all(r.status == "pass" for r in reports if r.status != "fail")
 
 
 def test_structural_compare_reports_differences():

@@ -6,7 +6,7 @@ import pytest
 
 from hopfforge import cli
 from hopfforge.double import verify_universal_identity
-from hopfforge.pbw import Cutoffs, Engine
+from hopfforge.pbw import Engine
 from hopfforge.rmatrix import (RMatrixContext, build_R, check_triangularity,
                                verify_auxiliary, verify_coproduct_laws,
                                verify_intertwining)
@@ -123,20 +123,19 @@ def test_triangularity_is_a_finding(ctx, R_canon):
 
 
 def test_universal_identity_canonical(ctx, R_canon):
-    r = verify_universal_identity(ctx.dbl, ctx.derived, R_canon, max_degree=3,
-                                  cutoffs=Cutoffs(4, ctx.d_int), compare_degree=4)
+    r = verify_universal_identity(ctx.dbl, R_canon, max_degree=3, compare_degree=4)
     assert r.status == "pass", r.text()
+    # the cutoffs stated are those of the engine R lives in
+    assert r.cutoffs == {"N": ctx.h_order, "W": ctx.d_int, "D": 3}
 
 
 def test_universal_identity_unit_case(ctx, R_canon):
-    r = verify_universal_identity(ctx.dbl, ctx.derived, R_canon, max_degree=0,
-                                  cutoffs=Cutoffs(4, ctx.d_int), compare_degree=4)
+    r = verify_universal_identity(ctx.dbl, R_canon, max_degree=0, compare_degree=4)
     assert r.status == "pass"
 
 
 def test_universal_identity_closed_form_fails(ctx, R_closed):
-    r = verify_universal_identity(ctx.dbl, ctx.derived, R_closed, max_degree=2,
-                                  cutoffs=Cutoffs(4, ctx.d_int), compare_degree=4)
+    r = verify_universal_identity(ctx.dbl, R_closed, max_degree=2, compare_degree=4)
     assert r.status == "fail"
 
 
@@ -201,8 +200,7 @@ def test_no_check_mutates_the_shared_canonical_r(ctx):
     verify_coproduct_laws(ctx, R, "canonical", audit=False)
     verify_auxiliary(ctx, audit=False)
     check_triangularity(ctx, R, "canonical")
-    verify_universal_identity(ctx.dbl, ctx.derived, R, max_degree=1,
-                              cutoffs=Cutoffs(4, ctx.d_int), compare_degree=4)
+    verify_universal_identity(ctx.dbl, R, max_degree=1, compare_degree=4)
     assert build_R(ctx, "canonical") is R
     assert snapshot(R) == before
     audit_R = ctx.audit_context.canonical
