@@ -369,13 +369,14 @@ def compare_bialgebras(b1: LieSuperBialgebra, b2: LieSuperBialgebra) -> Verifica
                         residual = (f"bracket support differs at [{b1.basis[i]},"
                                     f"{b1.basis[j]}] -> {b1.basis[k]}")
                         break
-                    ratio = p2.divide_exact(p1)
-                    if ratio is None or not ratio.is_constant():
+                    m = next(iter(p1.terms))
+                    ratio = p2.terms.get(m, 0) / p1.terms[m]
+                    if p1 * ratio != p2:
                         status = FAIL
                         residual = (f"bracket entry ratio not constant at "
                                     f"[{b1.basis[i]},{b1.basis[j]}] -> {b1.basis[k]}")
                         break
-                    constraints.append(((i, j, k), ratio.constant))
+                    constraints.append(((i, j, k), ratio))
                 if status == FAIL:
                     break
             if status == FAIL:
@@ -390,12 +391,13 @@ def compare_bialgebras(b1: LieSuperBialgebra, b2: LieSuperBialgebra) -> Verifica
                         status = FAIL
                         residual = f"cobracket support differs at delta({b1.basis[i]})"
                         break
-                    ratio = p2.divide_exact(p1)
-                    if ratio is None or not ratio.is_constant():
+                    m = next(iter(p1.terms))
+                    ratio = p2.terms.get(m, 0) / p1.terms[m]
+                    if p1 * ratio != p2:
                         status = FAIL
                         residual = f"cobracket ratio not constant at delta({b1.basis[i]})"
                         break
-                    constraints.append((("co", i) + key, ratio.constant))
+                    constraints.append((("co", i) + key, ratio))
                 if status == FAIL:
                     break
         scaling = None

@@ -122,7 +122,7 @@ def _rmatrix(args, which):
 
 
 # The limits that exist for one family only.
-LIMIT_TARGETS = {"h1": "sd_line", "field": "variety_3d"}
+LIMIT_TARGETS = {"h0": "sd_line", "h1": "sd_line", "field": "variety_3d"}
 
 
 def _family(args, fam=None, limit=None, bindings=None):

@@ -28,16 +28,16 @@ products are memoized.
 A unit, stored as {0: 1} over 1 (the exact 1 and every 1 + O(h^(t+1))), is
 always in integer form, and a product with it is the other factor truncated
 at the product's usual trunc, with no numerator work: leg coefficients of
-normal forms are mostly such units.  Division of parameter-free values runs
-the long division on integer numerators, with one gcd at the end.  Only this module reads the storage: other code uses
-``coeff(k)``, ``coeffs`` and ``exponents()``.  Scalars are immutable and may
-share storage (``truncate`` can return ``self``).
+normal forms are mostly such units.  Division runs one pseudo-division on the
+(exponent, monomial) numerators of both forms, with one gcd at the end.  Only
+this module reads the storage: other code uses ``coeff(k)``, ``coeffs`` and
+``exponents()``.  Scalars are immutable and may share storage (``truncate``
+can return ``self``).
 
 ``ParamPoly`` (a polynomial over Q with Fraction coefficients) is the public
 coefficient type.  A Scalar builds ParamPolys only to hand them out or to read
-them in: ``Scalar(coeffs, trunc)``, ``coeff(k)``/``coeffs`` (and so ``repr``),
-Laurent division with a parameter-form operand (``div``, whose exact
-polynomial division works on ParamPolys) and ``substitute``.
+them in: ``Scalar(coeffs, trunc)``, ``coeff(k)``/``coeffs`` (and so ``repr``)
+and ``substitute``.
 """
 
 from __future__ import annotations
@@ -165,34 +165,6 @@ class ParamPoly:
             total = total + factor
         return total
 
-    def divide_exact(self, other: "ParamPoly"):
-        """Exact polynomial division; returns None when the quotient does not exist."""
-        if other.is_zero():
-            raise ScalarError("division by zero polynomial")
-        if other.is_constant():
-            return self * (Q1 / other.constant)
-        # single-divisor reduction in a fixed monomial order
-        def order_key(k):
-            return (sum(e for _, e in k), k)
-        lt_key = max(other.terms, key=order_key)
-        lt_coeff = other.terms[lt_key]
-        lt = dict(lt_key)
-        rem = dict(self.terms)
-        quot: dict = {}
-        while rem:
-            k = max(rem, key=order_key)
-            v = rem[k]
-            kd = dict(k)
-            if any(kd.get(n, 0) < e for n, e in lt.items()):
-                return None
-            qk = tuple(sorted((n, e) for n, e in ((n, kd.get(n, 0) - lt.get(n, 0)) for n in set(kd) | set(lt)) if e))
-            qv = v / lt_coeff
-            quot[qk] = quot.get(qk, Q0) + qv
-            prod = ParamPoly(dict(other.terms)) * ParamPoly({qk: qv})
-            rem_pp = ParamPoly(rem) - prod
-            rem = rem_pp.terms
-        return ParamPoly({k: v for k, v in quot.items() if v})
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -276,6 +248,71 @@ def _product(a: dict, b: dict, t) -> dict:
                 key = (k, _mono_mul(ma, mb))
                 out[key] = get(key, 0) + x * y
     return {k: v for k, v in out.items() if v}
+
+
+def _quotient(a: "Scalar", b: "Scalar", va: int, vb: int, n_max: int):
+    """(numerators, denominator): the quotient a/b at exponents up to
+    va - vb + n_max, keyed by (exponent, monomial), not yet reduced.
+
+    One pseudo-division on the numerators: each step cancels the remainder's
+    lead term (its lowest h-exponent, and there its largest monomial) against
+    b's lead term at vb, first scaling the remainder when b's lead numerator
+    does not divide the remainder's.  Monomials are ranked by total degree,
+    then lexicographically with earlier names ranking higher: a monomial
+    order, so a step finds no divisible lead exactly when the quotient does
+    not exist.  Exponents above va + n_max are never formed.
+    """
+    top = va + n_max
+    A, B = _terms(a), _terms(b)
+    names = sorted({n for _, m in (*A, *B) for n, _ in m})
+    rem: dict = {}  # exponent -> {monomial: numerator}
+    for (k, m), x in A.items():
+        if k <= top:
+            rem.setdefault(k, {})[m] = x
+
+    def rank(m):
+        d = dict(m)
+        return sum(d.values()), [d.get(n, 0) for n in names]
+
+    lead = max((m for k, m in B if k == vb), key=rank)
+    v = B[(vb, lead)]
+    found = []  # (key, numerator, scale of the remainder when found)
+    scale = 1
+    for e in range(va, top + 1):
+        row = rem.get(e)
+        while row:
+            m = max(row, key=rank) if len(row) > 1 else next(iter(row))
+            c = row[m]
+            qm = m
+            if lead:
+                d = dict(m)
+                for n, x in lead:
+                    if d.get(n, 0) < x:
+                        raise ScalarError("non-invertible leading coefficient in division")
+                    d[n] -= x
+                qm = tuple((n, x) for n, x in d.items() if x)
+            if c % v:
+                f = abs(v) // gcd(c, v)
+                for r in rem.values():
+                    for k in r:
+                        r[k] *= f
+                scale *= f
+                c *= f
+            t = c // v
+            found.append(((e - vb, qm), t, scale))
+            for (kb, mb), y in B.items():
+                k = e - vb + kb
+                if k <= top:
+                    r = rem.setdefault(k, {})
+                    mk = _mono_mul(qm, mb)
+                    x = r.get(mk, 0) - t * y
+                    if x:
+                        r[mk] = x
+                    else:
+                        del r[mk]
+        rem.pop(e, None)
+    db = b._den
+    return {k: t * db * (scale // s) for k, t, s in found}, a._den * scale
 
 
 class Scalar:
@@ -485,14 +522,13 @@ class Scalar:
         return out
 
     def div(self, other: "Scalar") -> "Scalar":
-        """Laurent long division, exact at every coefficient step.
+        """Laurent long division, exact at every coefficient step (``_quotient``).
 
         Succeeds whenever each step divides exactly in the parameter ring: unit
         (rational) leading coefficients always work; a parameter-polynomial
-        leading coefficient works when the quotient genuinely exists (mu*h/mu).
-        Anything needing the inverse of a non-constant parameter polynomial
-        raises ScalarError.  Parameter-free operands divide on their integer
-        numerators (``_integer_quotient``), the others on ParamPolys.
+        leading coefficient works when the quotient genuinely exists (mu*h/mu,
+        (mu^2 - theta^2)/(mu - theta)).  Anything needing the inverse of a
+        non-constant parameter polynomial raises ScalarError.
         """
         if other.is_zero():
             raise ScalarError("division by zero")
@@ -508,22 +544,13 @@ class Scalar:
                            if t is not None)
         # quotient q = sum_n q_n h^(va - vb + n) solves q * other = self
         shift = va - vb
-        if self._params or other._params:
-            quotient = _param_quotient(self.coeffs, other.coeffs, va, vb, rel_prec)
-
-            def make(trunc):
-                return Scalar(quotient, trunc)
-        else:
-            num, den = _integer_quotient(self, other, va, vb, rel_prec)
-
-            def make(trunc):
-                return _reduced(num, den, trunc)
+        num, den = _quotient(self, other, va, vb, rel_prec)
         if both_exact:
-            check = make(None)
+            check = _from_terms(num, den, None)
             if (check * other - self).is_zero():
                 return check
-            return make(_SERIES_DEFAULT_GUARD + shift)
-        return make(rel_prec + shift)
+            return _from_terms(num, den, _SERIES_DEFAULT_GUARD + shift)
+        return _from_terms(num, den, rel_prec + shift)
 
     __truediv__ = div
 
@@ -591,59 +618,6 @@ class Scalar:
         if self.trunc is not None:
             s += f" + O(h^{self.trunc + 1})"
         return s
-
-
-def _param_quotient(top: dict, bottom: dict, va: int, vb: int, n_max: int) -> dict:
-    """{exponent: ParamPoly}: the quotient coefficients q_0..q_n_max of
-    top/bottom ({h-exponent: ParamPoly} maps of valuations va, vb), at
-    exponents va - vb + n."""
-    lead = bottom[vb]
-    q: dict = {}
-    for n in range(n_max + 1):
-        acc = top.get(va + n, ParamPoly())
-        for i in range(1, n + 1):
-            bi = bottom.get(vb + i)
-            if bi is None or bi.is_zero():
-                continue
-            qi = q.get(n - i)
-            if qi is not None:
-                acc = acc - bi * qi
-        d = acc.divide_exact(lead)
-        if d is None:
-            raise ScalarError("non-invertible leading coefficient in division")
-        if not d.is_zero():
-            q[n] = d
-    return {n + va - vb: p for n, p in q.items()}
-
-
-def _integer_quotient(a: "Scalar", b: "Scalar", va: int, vb: int, n_max: int):
-    """(numerators, denominator): the quotient coefficients q_0..q_n_max of
-    a/b, both in integer form, at exponents va - vb + n, not yet reduced.
-
-    With A, B the numerators of a, b and L = B_vb, the series A/B has the
-    coefficients P_n / L^(n+1), where P_n = A_(va+n) L^n - sum_(i=1..n)
-    B_(vb+i) P_(n-i) L^(i-1) is an integer; q_n is that times b's over a's
-    denominator.
-    """
-    A, B = a._c, b._c
-    L = B[vb]
-    tail = sorted((k - vb, y) for k, y in B.items() if k > vb)
-    powers = [1]
-    for _ in range(n_max + 1):
-        powers.append(powers[-1] * L)
-    P: list = []
-    for n in range(n_max + 1):
-        p = A.get(va + n, 0) * powers[n]
-        for i, y in tail:
-            if i > n:
-                break
-            if P[n - i]:
-                p -= y * P[n - i] * powers[i - 1]
-        P.append(p)
-    den = a._den * powers[n_max + 1]
-    sign = -1 if den < 0 else 1
-    num = {n + va - vb: sign * b._den * p * powers[n_max - n] for n, p in enumerate(P) if p}
-    return num, sign * den
 
 
 # guard order used when inverting an exact series (result is transcendental);

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,25 @@ def test_check_hopf_unevaluable_expression_exit_two(tmp_path, capsys):
         assert f"cannot evaluate {rhs}" in err
 
 
+def test_check_hopf_divides_by_a_parameter_polynomial(tmp_path, capsys):
+    # (mu^2 - theta^2)/(mu - theta) - theta is mu: the relation is d0_variety's
+    text = (data_dir() / "d0_variety.hopf").read_text()
+    edited = tmp_path / "d0_quotient.hopf"
+    edited.write_text(text.replace(
+        "[S,tau] = -2*mu*xi", "[S,tau] = -2*((mu^2 - theta^2)/(mu - theta) - theta)*xi"))
+    code, out, err = run(capsys, "check", "hopf", str(edited))
+    assert (code, err) == (0, "")
+    assert "PASS" in out
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-m", "hopfforge", "--format", "json",
+                           "check", "hopf", "ptsa_q"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)[0]["status"] == "pass"
+
+
 def test_check_confluence_finding_on_reference(capsys):
     code, out, _ = run(capsys, "--h-order", "5", "--word-cutoff", "8",
                        "check", "confluence", "sd_reference")
@@ -100,7 +123,7 @@ def test_check_family_limits(capsys):
 
 
 def test_check_family_limit_rejects_other_families(capsys):
-    for fam, limit in (("ptsa_q", "field"), ("variety_3d", "h1")):
+    for fam, limit in (("ptsa_q", "field"), ("variety_3d", "h1"), ("ptsa_q", "h0")):
         code, _, err = run(capsys, "--h-order", "4", "--word-cutoff", "8",
                            "check", "family", fam, "--limit", limit)
         assert code == 2

@@ -5,7 +5,7 @@ removed.  A change that should not alter any report (a refactor, a speed-up)
 must leave it byte-identical.  A change that alters the JSON on purpose
 regenerates the file and lists each changed report:
 
-    hopfforge --format json suite all | python -c "import json, sys; \\
+    PYTHONPATH=src python -m hopfforge --format json suite all | python -c "import json, sys; \\
         d = json.load(sys.stdin); [r.pop('wall_time') for r in d]; \\
         print(json.dumps(d, indent=2))" > tests/golden/suite_all.json
 """

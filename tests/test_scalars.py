@@ -84,10 +84,23 @@ def test_non_invertible_leading_coefficient_rejected():
 
 
 def test_exact_division_by_parameter_polynomial():
-    mu, th = ParamPoly.var("mu"), ParamPoly.var("theta")
-    assert (mu * th).divide_exact(th) == mu
-    assert (mu * th + th * th).divide_exact(th) == mu + th
-    assert mu.divide_exact(th) is None
+    mu, th = Scalar.param("mu"), Scalar.param("theta")
+    assert (mu * th).div(th) == mu
+    assert (mu * th + th * th).div(th) == mu + th
+    assert ((mu + th) * h()).div(mu + th) == h()
+    for top, bottom in ((mu, th), (mu * mu + th, mu + th)):
+        with pytest.raises(ScalarError, match="non-invertible"):
+            top.div(bottom)
+
+
+def test_division_lead_terms_follow_a_monomial_order():
+    # these quotients exist; a lead-term rule that is not a monomial order
+    # (theta above mu in degree 1, yet mu^2 above mu*theta) rejects them
+    mu, th = Scalar.param("mu"), Scalar.param("theta")
+    assert (mu * mu - th * th).div(mu - th) == mu + th
+    assert (th * th - mu * mu).div(th - mu) == mu + th
+    quotient = ((mu * mu - th * th) * h()).div((mu - th) * sinh_h())
+    assert quotient == (mu + th) * (h().truncate(N) / sinh_h())
 
 
 # ---------------------------------------------------------------- series_fn
@@ -369,7 +382,7 @@ def test_stored_exponents_never_exceed_trunc(node, pairs):
     assert _within_trunc(series_fn("exp", Scalar.zero(-1)))
 
 
-# ------------------------------------- integer form against the ParamPoly path
+# ------------------------------------- integer form against the parameter form
 
 @st.composite
 def free_scalars(draw):
@@ -402,9 +415,9 @@ def _agree(fast_op, lifted_op):
 @settings(max_examples=200, deadline=None)
 @given(free_scalars(), free_scalars(), st.sampled_from(["exp", "sinh", "cosh"]),
        st.sampled_from([None, 4]))
-def test_integer_form_agrees_with_the_parampoly_path(a, b, fn, order):
+def test_integer_form_agrees_with_the_parameter_form(a, b, fn, order):
     mu = Scalar.param("mu")
-    A, B = a * mu, b * mu  # the same values, held as ParamPoly coefficients
+    A, B = a * mu, b * mu  # the same values, held in parameter form
     _agree(lambda: a + b, lambda: A + B)
     _agree(lambda: a - b, lambda: A - B)
     _agree(lambda: a * b, lambda: A * B)
@@ -432,6 +445,34 @@ def _ref_mono(a, b):
     for name, e in b:
         d[name] = d.get(name, 0) + e
     return tuple(sorted(d.items()))
+
+
+def _poly_div(p, d):
+    """The exact quotient of {monomial: Fraction} polynomials p/d, by division
+    in pure lex order with later names ranking higher; ScalarError when d does
+    not divide p."""
+    names = sorted({n for m in (*p, *d) for n, _ in m}, reverse=True)
+
+    def rank(m):
+        return tuple(dict(m).get(n, 0) for n in names)
+
+    lm = max(d, key=rank)
+    p, q = dict(p), {}
+    while p:
+        m = max(p, key=rank)
+        mq = dict(m)
+        for n, e in lm:
+            mq[n] = mq.get(n, 0) - e
+        if any(e < 0 for e in mq.values()):
+            raise ScalarError("not divisible")
+        mq = tuple(sorted((n, e) for n, e in mq.items() if e))
+        x = q[mq] = p[m] / d[lm]
+        for md, y in d.items():
+            k = _ref_mono(mq, md)
+            p[k] = p.get(k, F(0)) - x * y
+            if not p[k]:
+                del p[k]
+    return q
 
 
 class Ref:
@@ -479,12 +520,13 @@ class Ref:
         return Ref(self.terms, order if self.trunc is None else min(self.trunc, order))
 
     def div(self, other):
-        """Long division by a divisor whose leading coefficient is rational."""
+        """Long division; each step divides exactly by the leading coefficient
+        (_poly_div) or raises ScalarError."""
         vb = other.val()
         if not self.terms:
             return Ref({}, None if self.trunc is None else self.trunc - vb)
         va = self.val()
-        lead = other.terms[(vb, ())]
+        lead = {m: y for (k, m), y in other.terms.items() if k == vb}
         exact = self.trunc is None and other.trunc is None
         if exact:
             n_max = 24
@@ -498,7 +540,7 @@ class Ref:
                     for mq, x in q[n - k + vb].items():
                         m = _ref_mono(mb, mq)
                         acc[m] = acc.get(m, F(0)) - x * y
-            q[n] = {m: x / lead for m, x in acc.items() if x}
+            q[n] = _poly_div({m: x for m, x in acc.items() if x}, lead)
         shift = va - vb
         quotient = {(n + shift, m): x for n, qn in q.items() for m, x in qn.items()}
         if exact:
@@ -612,6 +654,40 @@ def test_parameter_form_matches_a_fraction_reference(ra, rb, rc, rd, q, order, f
             rarg.series(fn, s_order)
         return
     _matches(got, rarg.series(fn, s_order))
+
+
+@st.composite
+def param_lead_divisors(draw):
+    """Divisors whose leading coefficient is a rational, a monomial or a
+    two-term parameter polynomial."""
+    v = draw(st.integers(-1, 2))
+    lead = {(v, m): draw(small_fracs.filter(bool))
+            for m in draw(st.lists(st.sampled_from(MONOS), min_size=1, max_size=2, unique=True))}
+    rest = draw(param_refs(min_k=v + 1, max_terms=2))
+    return Ref({**{km: q for km, q in rest.terms.items() if km[0] > v}, **lead},
+               None if rest.trunc is None else max(rest.trunc, v))
+
+
+def _divides_like(x, d, rx, rd):
+    """x/d matches rx/rd, or both raise ScalarError."""
+    try:
+        want = rx.div(rd)
+    except ScalarError:
+        with pytest.raises(ScalarError):
+            x.div(d)
+        return
+    _matches(x.div(d), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(param_refs(), param_lead_divisors())
+def test_division_by_parameter_leads_matches_the_reference(ra, rd):
+    a, d = ra.scalar(), rd.scalar()
+    _divides_like(a, d, ra, rd)
+    # multiples of d and of d^2 (a lead of up to three terms) divide exactly
+    # up to their known order
+    _divides_like(a * d, d, ra * rd, rd)
+    _divides_like(a * d * d, d * d, ra * rd * rd, rd * rd)
 
 
 # ------------------------------------------------- products with a unit factor
