@@ -1,8 +1,11 @@
 """Classical-level structures: Lie superbialgebras extracted at first order.
 
-The bracket is the first-order term of the (anti)commutators in the
-quantization parameter (with the dual parameter switched off), the cobracket
-the first-order term of (Delta - Delta^op)/2 in the dual parameter.  Scalar
+Both tables are read from ``hopf.structure()``: the bracket is the first-order
+term of each graded commutator ``bracket (a,b)`` in the quantization parameter
+(with the dual parameter switched off), the cobracket the first-order term of
+(Delta - Delta^op)/2 of each ``coproduct of g`` in the dual parameter.  Either
+parameter may be h or one the presentation declares; one rule reads both, and
+every first-order term must be linear in the generators.  Scalar
 combinations of the frozen deformation coordinate are abstracted to the
 independent indeterminates ``a`` (the coordinate itself) and ``b`` (the
 coordinate times (1-coordinate)/sinh(coordinate)); every check is an exact
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .hopf import structure
 from .pbw import Cutoffs, Engine
 from .presentation import PresentationError, load_presentation
 from .report import FAIL, PASS, Timer, VerificationReport
@@ -74,22 +78,32 @@ def _scalar_coeff_of_param(c: Scalar, pname: str, order: int) -> Scalar:
                    for k in c.exponents()}, c.trunc)
 
 
-def _first_order(el_terms: dict, pname: str, h_mode: str, atoms, where: str):
-    """Linearize coefficients in pname and express them over the atom table."""
+def _first_order(c: Scalar, param: str, h_mode: str, atoms, where: str) -> ParamPoly:
+    """The first-order part of c in param (h or a parameter) over the atom
+    table; a nonzero zeroth-order part is rejected."""
+    if param == "h":
+        zeroth, first = c.coeff(0), Scalar.from_poly(c.coeff(1))
+    else:
+        zeroth, first = (_scalar_coeff_of_param(c, param, k) for k in (0, 1))
+    if not zeroth.is_zero():
+        raise PresentationError(f"{where}: nonzero zeroth-order term in {param}")
+    return _abstract_scalar(first, h_mode, atoms, where)
+
+
+def _linear(el, param: str, h_mode: str, atoms, where: str) -> dict:
+    """The first-order parts of a PbwElement or TensorElement, keyed by the
+    generator index of each leg (``el._key`` of the indices); a nonzero part
+    on a key that is not one generator per leg is rejected."""
     out = {}
-    for mono, c in el_terms.items():
-        zero_part = _scalar_coeff_of_param(c, pname, 0) if pname != "h" else None
-        if pname == "h":
-            lin = c.coeff(1)  # h^1 coefficient, a ParamPoly
-            if not c.coeff(0).is_zero():
-                raise PresentationError(f"{where}: nonzero zeroth-order term")
-            out[mono] = ParamPoly(dict(lin.terms))
+    for key, c in el.terms.items():
+        p = _first_order(c, param, h_mode, atoms, where)
+        if p.is_zero():
             continue
-        if not zero_part.is_zero():
-            raise PresentationError(f"{where}: nonzero zeroth-order term in {pname}")
-        lin = _scalar_coeff_of_param(c, pname, 1)
-        out[mono] = _abstract_scalar(lin, h_mode, atoms, where)
-    return {m: p for m, p in out.items() if not p.is_zero()}
+        legs = el._legs(key)
+        if any(sum(m) != 1 for m in legs):
+            raise PresentationError(f"{where}: first-order term is not linear")
+        out[el._key(tuple(m.index(1) for m in legs))] = p
+    return out
 
 
 def _abstract_scalar(c: Scalar, h_mode: str, atoms, where: str) -> ParamPoly:
@@ -127,79 +141,34 @@ def from_family(pres, bracket_param: str = "mu", cobracket_param: str = "theta",
     """
     if isinstance(pres, str):
         pres = load_presentation(pres)
+    for param in (bracket_param, cobracket_param):
+        if param != "h" and param not in pres.params:
+            raise PresentationError(f"{pres.name} has no parameter {param!r}")
+    # each table is read with the other parameter switched off
+    bracket_off, cobracket_off = ({} if p == "h" else {p: 0}
+                                  for p in (bracket_param, cobracket_param))
     eng = Engine(pres, cutoffs)
-    from .hopf import HopfOps
-    ops = HopfOps(eng)
+    data = structure(eng)
     atoms = _atom_table(cutoffs, *atom_names)
-    basis = eng.gen_names
-    parities = eng.parities
-    n = eng.n
-
-    def as_linear(terms: dict, where: str) -> dict:
-        out = {}
-        for mono, p in terms.items():
-            letters = [i for i, e in enumerate(mono) for _ in range(e)]
-            if len(letters) != 1:
-                raise PresentationError(f"{where}: first-order term is not linear")
-            out[letters[0]] = out.get(letters[0], ParamPoly()) + p
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    bind_off = {cobracket_param: 0} if cobracket_param in pres.params else {}
-    bracket = {}
-    for i in range(n):
-        for j in range(n):
-            if j < i:
-                continue
-            if i == j and parities[i] == 0:
-                continue
-            gi, gj = basis[i], basis[j]
-            val = eng.graded_commutator(gi, gj).substitute(bind_off)
-            terms = _first_order(val.terms, bracket_param, h_mode, atoms,
-                                 f"bracket({gi},{gj})")
-            lin = as_linear(terms, f"bracket({gi},{gj})")
-            if lin:
-                bracket[(i, j)] = lin
-    # graded antisymmetry fills the other order: [y,x] = -(-1)^{|x||y|}[x,y]
-    for (i, j), val in list(bracket.items()):
-        if i != j:
-            s = -1 if not (parities[i] and parities[j]) else 1
-            bracket[(j, i)] = {k: p * s for k, p in val.items()}
-
-    bind_mu = {bracket_param: 0} if bracket_param in pres.params else {}
-    cobracket = {}
-    for i in range(n):
-        g = eng.generator(basis[i])
-        two = ops.coproduct(g)
+    names, parities = eng.gen_names, eng.parities
+    bracket, cobracket = {}, {}
+    for i, a in enumerate(names):
+        for j in range(i, eng.n):
+            label = f"bracket ({a},{names[j]})"
+            val = _linear(data[label].substitute(cobracket_off), bracket_param, h_mode,
+                          atoms, label)
+            if val:
+                bracket[(i, j)] = val
+                # graded antisymmetry fills the other order: [y,x] = -(-1)^{|x||y|}[x,y]
+                s = 1 if parities[i] and parities[j] else -1
+                bracket[(j, i)] = {k: p * s for k, p in val.items()}
+        two = data[f"coproduct of {a}"]
         anti = (two - two.flip_adjacent(0)).scale(Fraction(1, 2)).map_coeffs(
-            lambda c: c.substitute(bind_mu))
-        terms = {}
-        for (m1, m2), c in anti.terms.items():
-            l1 = [k for k, e in enumerate(m1) for _ in range(e)]
-            l2 = [k for k, e in enumerate(m2) for _ in range(e)]
-            if not l1 and not l2:
-                continue
-            key_terms = {(tuple(m1), tuple(m2)): c}
-            if cobracket_param == "h":
-                lin = c.coeff(1)
-                if not c.coeff(0).is_zero():
-                    raise PresentationError(f"cobracket({basis[i]}): zeroth order")
-                p = ParamPoly(dict(lin.terms))
-            else:
-                if not _scalar_coeff_of_param(c, cobracket_param, 0).is_zero():
-                    raise PresentationError(f"cobracket({basis[i]}): zeroth order")
-                p = _abstract_scalar(_scalar_coeff_of_param(c, cobracket_param, 1),
-                                     h_mode, atoms, f"cobracket({basis[i]})")
-            if len(l1) != 1 or len(l2) != 1:
-                if not p.is_zero():
-                    raise PresentationError(f"cobracket({basis[i]}): not linear")
-                continue
-            if not p.is_zero():
-                key = (l1[0], l2[0])
-                terms[key] = terms.get(key, ParamPoly()) + p
-        terms = {k: v for k, v in terms.items() if not v.is_zero()}
-        if terms:
-            cobracket[i] = terms
-    return LieSuperBialgebra(pres.name, tuple(basis), tuple(parities), bracket, cobracket)
+            lambda c: c.substitute(bracket_off))
+        val = _linear(anti, cobracket_param, h_mode, atoms, f"cobracket of {a}")
+        if val:
+            cobracket[i] = val
+    return LieSuperBialgebra(pres.name, tuple(names), tuple(parities), bracket, cobracket)
 
 
 # ----------------------------------------------------------------------- checks
@@ -338,6 +307,14 @@ def check_cocycle(b: LieSuperBialgebra, cobracket_from: LieSuperBialgebra | None
         residual=residual, wall_time=t.elapsed)
 
 
+def _entries(b: LieSuperBialgebra) -> dict:
+    """Every bracket entry (i, j, k) and cobracket entry ("co", i, j, k) of b."""
+    out = {(i, j, k): p for (i, j), val in b.bracket.items() for k, p in val.items()}
+    out.update((("co", i, j, k), p) for i, val in b.cobracket.items()
+               for (j, k), p in val.items())
+    return out
+
+
 def compare_bialgebras(b1: LieSuperBialgebra, b2: LieSuperBialgebra) -> VerificationReport:
     """Structural equality up to a diagonal basis rescaling.
 
@@ -358,48 +335,23 @@ def compare_bialgebras(b1: LieSuperBialgebra, b2: LieSuperBialgebra) -> Verifica
         # collect multiplicative constraints lambda_i lambda_j / lambda_k = r
         constraints = []
         n = len(b1.basis)
-        for i in range(n):
-            for j in range(n):
-                v1 = b1.bracket_of(i, j)
-                v2 = b2.bracket_of(i, j)
-                for k in set(v1) | set(v2):
-                    p1, p2 = v1.get(k), v2.get(k)
-                    if p1 is None or p2 is None:
-                        status = FAIL
-                        residual = (f"bracket support differs at [{b1.basis[i]},"
-                                    f"{b1.basis[j]}] -> {b1.basis[k]}")
-                        break
-                    m = next(iter(p1.terms))
-                    ratio = p2.terms.get(m, 0) / p1.terms[m]
-                    if p1 * ratio != p2:
-                        status = FAIL
-                        residual = (f"bracket entry ratio not constant at "
-                                    f"[{b1.basis[i]},{b1.basis[j]}] -> {b1.basis[k]}")
-                        break
-                    constraints.append(((i, j, k), ratio))
-                if status == FAIL:
-                    break
-            if status == FAIL:
+        e1, e2 = _entries(b1), _entries(b2)
+        for key in sorted(e1.keys() | e2.keys(), key=lambda k: (k[0] == "co", k)):
+            co = key[0] == "co"
+            i, j, k = (b1.basis[t] for t in key[-3:])
+            at = f"delta({i})" if co else f"[{i},{j}] -> {k}"
+            p1, p2 = e1.get(key), e2.get(key)
+            if p1 is None or p2 is None:
+                status = FAIL
+                residual = f"{'cobracket' if co else 'bracket'} support differs at {at}"
                 break
-        if status == PASS:
-            for i in range(n):
-                v1 = b1.cobracket.get(i, {})
-                v2 = b2.cobracket.get(i, {})
-                for key in set(v1) | set(v2):
-                    p1, p2 = v1.get(key), v2.get(key)
-                    if p1 is None or p2 is None:
-                        status = FAIL
-                        residual = f"cobracket support differs at delta({b1.basis[i]})"
-                        break
-                    m = next(iter(p1.terms))
-                    ratio = p2.terms.get(m, 0) / p1.terms[m]
-                    if p1 * ratio != p2:
-                        status = FAIL
-                        residual = f"cobracket ratio not constant at delta({b1.basis[i]})"
-                        break
-                    constraints.append((("co", i) + key, ratio))
-                if status == FAIL:
-                    break
+            m = next(iter(p1.terms))
+            ratio = p2.terms.get(m, 0) / p1.terms[m]
+            if p1 * ratio != p2:
+                status = FAIL
+                residual = f"{'cobracket' if co else 'bracket entry'} ratio not constant at {at}"
+                break
+            constraints.append((key, ratio))
         scaling = None
         if status == PASS:
             scaling = _solve_rescaling(constraints, n)

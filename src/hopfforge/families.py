@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bialgebra import compare_bialgebras, from_family
-from .hopf import HopfOps, verify_hopf, _first_residual_element, _first_residual_tensor
+from .hopf import structure, verify_hopf, _first_residual_element, _first_residual_tensor
 from .lang import HVar
 from .pbw import Cutoffs, Engine
 from .presentation import HopfPresentation, PresentationError, load_presentation
@@ -48,24 +48,6 @@ def instantiate(family_id: str, bindings: dict | None = None,
 
 
 # ------------------------------------------------------------------ comparison
-
-def structure(eng: Engine, coeff=None) -> dict:
-    """The structure data of ``eng``'s presentation by label: the bracket of
-    every generator pair in generator order, then each generator's coproduct,
-    counit and antipode.  ``coeff``, when given, maps every coefficient."""
-    ops = HopfOps(eng)
-    names = eng.gen_names
-    out = {f"bracket ({a},{b})": eng.graded_commutator(a, b)
-           for i, a in enumerate(names) for b in names[i:]}
-    for g in names:
-        out[f"coproduct of {g}"] = ops.coproduct_gen(g)
-        out[f"counit of {g}"] = ops._eps[g]
-        out[f"antipode of {g}"] = ops._anti[g]
-    if coeff is None:
-        return out
-    return {label: coeff(v) if isinstance(v, Scalar) else v.map_coeffs(coeff)
-            for label, v in out.items()}
-
 
 def differences(got: dict, want: dict, where: str) -> list:
     """One "<label> <where>: <first residual>" per label of ``want`` that

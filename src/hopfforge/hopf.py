@@ -15,7 +15,7 @@ from .report import FAIL, PASS, Timer, VerificationReport
 from .scalars import Scalar
 from .tensors import TensorElement, evaluate_tensor, tensor_mul
 
-__all__ = ["HopfOps", "verify_hopf"]
+__all__ = ["HopfOps", "structure", "verify_hopf"]
 
 
 class HopfOps:
@@ -166,6 +166,24 @@ class HopfOps:
             e = self.counit_mono(key[pos])
             out.add_scaled(PbwElement(eng, {key[1 - pos]: Scalar.one()}), c * e)
         return out
+
+
+def structure(eng: Engine, coeff=None) -> dict:
+    """The structure data of ``eng``'s presentation by label: the bracket of
+    every generator pair in generator order, then each generator's coproduct,
+    counit and antipode.  ``coeff``, when given, maps every coefficient."""
+    ops = HopfOps(eng)
+    names = eng.gen_names
+    out = {f"bracket ({a},{b})": eng.graded_commutator(a, b)
+           for i, a in enumerate(names) for b in names[i:]}
+    for g in names:
+        out[f"coproduct of {g}"] = ops.coproduct_gen(g)
+        out[f"counit of {g}"] = ops._eps[g]
+        out[f"antipode of {g}"] = ops._anti[g]
+    if coeff is None:
+        return out
+    return {label: coeff(v) if isinstance(v, Scalar) else v.map_coeffs(coeff)
+            for label, v in out.items()}
 
 
 def _first_residual_tensor(t: TensorElement):

@@ -230,10 +230,6 @@ class PbwElement(LinearCombination):
     def substitute(self, bindings=None, h_to_zero=False):
         return self.map_coeffs(lambda c: c.substitute(bindings, h_to_zero))
 
-    def h_coefficient(self, k: int) -> "PbwElement":
-        """Element of h^k coefficients (parameters only), as exact scalars."""
-        return self.map_coeffs(lambda c: Scalar.from_poly(c.coeff(k)))
-
     def __repr__(self):
         if not self.terms:
             return "0"

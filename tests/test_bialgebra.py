@@ -7,6 +7,7 @@ from hopfforge.bialgebra import (LieSuperBialgebra, _solve_rescaling, check_cocy
                                  check_cojacobi, check_jacobi, compare_bialgebras,
                                  from_family)
 from hopfforge.pbw import Cutoffs
+from hopfforge.presentation import PresentationError
 from hopfforge.scalars import ParamPoly
 
 CUT = Cutoffs(6, 10)
@@ -158,5 +159,24 @@ def test_rescaling_solver_finds_a_solution_whenever_one_exists(data):
 
 
 def test_extraction_rejects_nonabelian_zeroth_order():
-    with pytest.raises(Exception):
-        from_family("sd_line", "mu", "theta", h_mode="zero", cutoffs=CUT)
+    # sd_hp's brackets do not vanish at p = 0
+    with pytest.raises(PresentationError, match="nonzero zeroth-order term in p"):
+        from_family("sd_hp", "p", "alpha", h_mode="zero", cutoffs=CUT)
+
+
+_D0 = "[tau,S] = (2)*xi; {S,S} = (2)*T; delta(tau) = (1)*xi(x)xi"
+
+
+@pytest.mark.parametrize("family, cobracket_param, h_mode, want", [
+    ("newquant", "h", "zero", _D0),
+    ("d0_variety", "theta", "zero", _D0),
+    ("d1_variety", "theta", "zero",
+     "[xi,tau] = (-1)*xi; {xi,S} = (1)*T; [tau,S] = (-1)*S; "
+     "delta(S) = (-1/2)*S(x)T + (1/2)*T(x)S"),
+    ("variety_3d", "theta", "abstract",
+     "[xi,tau] = (-1*a)*xi; {xi,S} = (a)*T; [tau,S] = (2*b)*xi + (-1*a)*S; "
+     "{S,S} = (2*b)*T; delta(tau) = (b)*xi(x)xi; delta(S) = (-1/2*a)*S(x)T + (1/2*a)*T(x)S"),
+])
+def test_every_family_extraction_is_pinned(family, cobracket_param, h_mode, want):
+    got = from_family(family, "mu", cobracket_param, h_mode=h_mode, cutoffs=CUT)
+    assert got.serialize() == want

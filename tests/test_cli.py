@@ -77,6 +77,22 @@ def test_python_dash_m_runs_the_command_line():
     assert json.loads(done.stdout)[0]["status"] == "pass"
 
 
+def test_every_module_imports_on_its_own():
+    # an import cycle among the modules shows up only when one of its members
+    # is imported first, so each module is imported into an empty module cache
+    src = Path(__file__).resolve().parent.parent / "src"
+    names = ["hopfforge" if p.stem == "__init__" else f"hopfforge.{p.stem}"
+             for p in sorted((src / "hopfforge").glob("*.py")) if p.stem != "__main__"]
+    script = ("import importlib, sys\n"
+              "for name in sys.argv[1:]:\n"
+              "    for key in [k for k in sys.modules if k.split('.')[0] == 'hopfforge']:\n"
+              "        del sys.modules[key]\n"
+              "    importlib.import_module(name)\n")
+    done = subprocess.run([sys.executable, "-c", script, *names], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+
+
 def test_check_confluence_finding_on_reference(capsys):
     code, out, _ = run(capsys, "--h-order", "5", "--word-cutoff", "8",
                        "check", "confluence", "sd_reference")
@@ -179,6 +195,14 @@ def test_check_family_unknown_id_exits_two(capsys):
         code, out, err = run(capsys, "check", "family", "nosuch", *extra)
         assert code == 2 and not out
         assert "nosuch" in err
+
+
+@pytest.mark.parametrize("argv", [("family", "ptsa_q", "--limit", "first-order"),
+                                  ("bialgebra", "sd_line")])
+def test_first_order_needs_the_parameter_mu(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and not out
+    assert "has no parameter 'mu'" in err
 
 
 def test_check_bialgebra_single_point_passes(capsys):
