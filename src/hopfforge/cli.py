@@ -25,7 +25,8 @@ from .lang import ParseError, parse_expr_text
 from .pairing import verify_duality
 from .pbw import Cutoffs, Engine
 from .presentation import PresentationError, emit_presentation, load_presentation
-from .report import FAIL, FINDING, PASS, Timer, VerificationReport, reports_to_json
+from .report import (FAIL, FINDING, PASS, Timer, VerificationReport, audited,
+                     reports_to_json)
 from .rmatrix import (RMatrixContext, build_R, check_triangularity, verify_auxiliary,
                       verify_coproduct_laws, verify_intertwining)
 
@@ -59,9 +60,15 @@ def _as_finding(report: VerificationReport, note: str) -> VerificationReport:
 
 # ---------------------------------------------------------------- check groups
 # Each group maps the parsed arguments and its own options to a report list.
+# The groups pass the reports that carry a stability audit through audited(),
+# with a re-run at Cutoffs.bumped(), or on the (D+1, N+1) R-matrix context.
+
+def _audited_hopf(pres, cut):
+    return audited(verify_hopf(pres, cut), lambda: verify_hopf(pres, cut.bumped()))
+
 
 def _hopf(args, name):
-    return [verify_hopf(load_presentation(name), _cutoffs(args))]
+    return [_audited_hopf(load_presentation(name), _cutoffs(args))]
 
 
 def _confluence(args, name):
@@ -79,17 +86,20 @@ def _confluence(args, name):
 
 def _duality(args, literal):
     """The pairing certification; with literal, the (h/2) scaling diagnostic too."""
-    reports = [verify_duality(_cutoffs(args), max_degree=args.tensor_degree + 2)]
+    cut, degree = _cutoffs(args), args.tensor_degree + 2
+    reports = [audited(verify_duality(cut, max_degree=degree),
+                       lambda: verify_duality(cut.bumped(), max_degree=degree))]
     if literal:
         reports.append(_as_finding(
-            verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False, audit=False),
+            verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False),
             "expected: no rational pairing at the literal scaling"))
     return reports
 
 
 def _double(args, emit=None):
-    derived, report, dbl = derive_double_presentation(_cutoffs(args))
-    reports = [report]
+    cut = _cutoffs(args)
+    derived, report, dbl = derive_double_presentation(cut)
+    reports = [audited(report, lambda: derive_double_presentation(cut.bumped())[1])]
     if derived is not None:
         reports.append(verify_route_equivalence(dbl, count=20, max_degree=3,
                                                 seed=args.seed))
@@ -103,16 +113,24 @@ def _double(args, emit=None):
 def _rmatrix(args, which):
     ctx = RMatrixContext(args.tensor_degree, min(args.h_order, 4))
     canonical = build_R(ctx, "canonical")
+
+    def on_both(check):
+        """check(ctx), audited by check(ctx.audit_context)."""
+        return audited(check(ctx), lambda: check(ctx.audit_context))
+
+    def with_R(check, variant):
+        return lambda c: check(c, build_R(c, variant), variant)
+
     reports = []
     if which in ("all", "intertwine"):
-        reports.append(verify_intertwining(ctx, canonical, "canonical"))
+        reports.append(on_both(with_R(verify_intertwining, "canonical")))
         reports.append(_as_finding(
-            verify_intertwining(ctx, build_R(ctx, "closed-form"), "closed-form", audit=False),
+            on_both(with_R(verify_intertwining, "closed-form")),
             "expected: published closed form lacks the e^{hT/2} factor"))
     if which in ("all", "colaws"):
-        reports.append(verify_coproduct_laws(ctx, canonical, "canonical"))
+        reports.append(on_both(with_R(verify_coproduct_laws, "canonical")))
     if which in ("all", "aux"):
-        reports.append(verify_auxiliary(ctx))
+        reports.append(on_both(verify_auxiliary))
     if which in ("all", "triangular"):
         reports.append(check_triangularity(ctx, canonical, "canonical"))
     if which in ("all", "universal"):
@@ -136,7 +154,7 @@ def _family(args, fam=None, limit=None, bindings=None):
         return [families.verify_h1_limit(cut)]
     if limit == "field":
         return [families.verify_deforming_field(cut)]
-    return [verify_hopf(families.instantiate(fam, bindings), cut)]
+    return [_audited_hopf(families.instantiate(fam, bindings), cut)]
 
 
 def _first_order(args, fam, mixed=False):

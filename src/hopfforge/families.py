@@ -275,7 +275,7 @@ def verify_alpha_arbitrariness(cutoffs: Cutoffs = Cutoffs()) -> VerificationRepo
     """The rescaling parameter alpha stays symbolic: the axioms hold identically."""
     with Timer() as t:
         pres = load_presentation("sd_hp")  # alpha, p both symbolic
-        rep = verify_hopf(pres, cutoffs, audit=False)
+        rep = verify_hopf(pres, cutoffs)
         details = ["Hopf axioms hold as polynomial identities in alpha and p "
                    "(every alpha admissible)"] if rep.status == PASS else []
     return VerificationReport(

@@ -271,16 +271,10 @@ def _pair_mono(eng: Engine, rel, which: int):
     return tuple(1 if j == i else 0 for j in range(eng.n))
 
 
-def verify_hopf(pres: HopfPresentation, cutoffs: Cutoffs = Cutoffs(),
-                audit: bool = True) -> VerificationReport:
+def verify_hopf(pres: HopfPresentation, cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """Certify the full Hopf-superalgebra axiom suite for a presentation."""
     with Timer() as t:
         failure, residual, details = _run_axioms(pres, cutoffs)
-        audit_status = "skipped"
-        if audit:
-            b = cutoffs.bumped()
-            failure2, residual2, _ = _run_axioms(pres, b)
-            audit_status = PASS if (failure2 is None) == (failure is None) else FAIL
     status = PASS if failure is None else FAIL
     if failure is not None:
         details = details + [failure]
@@ -290,7 +284,6 @@ def verify_hopf(pres: HopfPresentation, cutoffs: Cutoffs = Cutoffs(),
         cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
         status=status,
         residual=residual,
-        audit=audit_status,
         details=details,
         wall_time=t.elapsed,
     )

@@ -59,8 +59,9 @@ class Cutoffs:
     h_order: int = 6   # N: drop h-exponents above this
     word_degree: int = 10  # W: drop monomials of filtration degree above this
 
-    def bumped(self, dn: int = 1, dw: int = 2) -> "Cutoffs":
-        return Cutoffs(self.h_order + dn, self.word_degree + dw)
+    def bumped(self) -> "Cutoffs":
+        """The cutoffs a stability audit re-runs at."""
+        return Cutoffs(self.h_order + 1, self.word_degree + 2)
 
 
 class LinearCombination:

@@ -6,7 +6,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["VerificationReport", "Timer", "reports_to_json"]
+__all__ = ["VerificationReport", "Timer", "audited", "reports_to_json"]
 
 PASS, FAIL, FINDING = "pass", "fail", "finding"
 
@@ -18,7 +18,7 @@ class VerificationReport:
     cutoffs: dict
     status: str  # pass | fail | finding
     residual: str | None = None
-    audit: str = "not-run"  # pass | fail | not-run | skipped
+    audit: str = "not-run"  # set by audited(): pass | fail | skipped; else not-run
     details: list = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -68,6 +68,20 @@ class Timer:
         if self._final is not None:
             return self._final
         return time.perf_counter() - self.t0
+
+
+def audited(report: VerificationReport, rerun) -> VerificationReport:
+    """The stability audit.  A pass is re-run by rerun() at bumped cutoffs and
+    its audit reads pass only if the re-run passes too; any other status is
+    never re-run and reads skipped.  The re-run's time joins wall_time."""
+    if report.status != PASS:
+        report.audit = "skipped"
+        return report
+    with Timer() as t:
+        again = rerun()
+    report.audit = PASS if again.status == PASS else FAIL
+    report.wall_time += t.elapsed
+    return report
 
 
 def reports_to_json(reports) -> str:

@@ -25,9 +25,9 @@ __all__ = ["RMatrixContext", "build_R", "verify_intertwining",
 class RMatrixContext:
     """Derived double engine plus pairing data at R-matrix cutoffs.
 
-    The canonical R and the audit context at (D+1, N+1) are built on first
-    use and kept here, so every check and every stability audit of one
-    command shares them, and they go when the context goes.
+    The canonical R and ``audit_context``, the context at (D+1, N+1), are
+    built on first use and kept here, so the checks of one command and their
+    re-runs at bumped cutoffs share them, and they go when the context goes.
     """
 
     def __init__(self, degree: int, h_order: int):
@@ -37,7 +37,7 @@ class RMatrixContext:
         # central degree > D_int, so identities hold exactly there
         self.d_int = degree + h_order + 2
         cut = Cutoffs(h_order, self.d_int)
-        derived, report, dbl = derive_double_presentation(cut, audit=False)
+        derived, report, dbl = derive_double_presentation(cut)
         if derived is None:
             raise RuntimeError(f"double derivation failed: {report.residual}")
         self.dbl = dbl
@@ -45,7 +45,7 @@ class RMatrixContext:
         self.engine = Engine(derived, cut)
         self.ops = HopfOps(self.engine)
         self._canonical = None
-        self._audit = None
+        self._audit_context = None
 
     @property
     def canonical(self) -> TensorElement:
@@ -56,10 +56,10 @@ class RMatrixContext:
 
     @property
     def audit_context(self) -> "RMatrixContext":
-        """The context at (D+1, N+1) that the stability audits re-run in."""
-        if self._audit is None:
-            self._audit = RMatrixContext(self.degree + 1, self.h_order + 1)
-        return self._audit
+        """The context at (D+1, N+1) that checks re-run in at bumped cutoffs."""
+        if self._audit_context is None:
+            self._audit_context = RMatrixContext(self.degree + 1, self.h_order + 1)
+        return self._audit_context
 
 
 def build_R(ctx: RMatrixContext, variant: str = "closed-form") -> TensorElement:
@@ -104,15 +104,8 @@ def _canonical_element(ctx: RMatrixContext) -> TensorElement:
     return out
 
 
-def _audit(ctx: RMatrixContext, status: str, check) -> str:
-    """Stability audit: re-run check in the context's audit context at
-    (D+1, N+1) and report whether its verdict agrees with status."""
-    rep = check(ctx.audit_context)
-    return PASS if rep.status == status else FAIL
-
-
-def verify_intertwining(ctx: RMatrixContext, R: TensorElement, variant: str,
-                        audit: bool = True) -> VerificationReport:
+def verify_intertwining(ctx: RMatrixContext, R: TensorElement,
+                        variant: str) -> VerificationReport:
     """R Delta(x) = Delta^op(x) R for every generator."""
     with Timer() as t:
         status, residual = PASS, None
@@ -131,20 +124,16 @@ def verify_intertwining(ctx: RMatrixContext, R: TensorElement, variant: str,
                 status = FAIL
                 residual = f"on {name}: {_first_residual_tensor(diff)}"
                 break
-        audit_status = "skipped"
-        if audit:
-            audit_status = _audit(ctx, status, lambda c: verify_intertwining(
-                c, build_R(c, variant), variant, audit=False))
     return VerificationReport(
         check=f"rmatrix-intertwining[{variant}]",
         target="all four generators",
         cutoffs={"D": ctx.degree, "N": ctx.h_order, "D_int": ctx.d_int},
-        status=status, residual=residual, audit=audit_status,
+        status=status, residual=residual,
         details=details, wall_time=t.elapsed)
 
 
-def verify_coproduct_laws(ctx: RMatrixContext, R: TensorElement, variant: str,
-                          audit: bool = True) -> VerificationReport:
+def verify_coproduct_laws(ctx: RMatrixContext, R: TensorElement,
+                          variant: str) -> VerificationReport:
     """(Delta (x) id) R = R13 R23 and (id (x) Delta) R = R13 R12."""
     with Timer() as t:
         eng = ctx.engine
@@ -170,19 +159,15 @@ def verify_coproduct_laws(ctx: RMatrixContext, R: TensorElement, variant: str,
                 details.append("(id (x) Delta) R = R13 R12")
             else:
                 status, residual = FAIL, f"(id (x) Delta) R - R13 R12: {_first_residual_tensor(diff2)}"
-        audit_status = "skipped"
-        if audit:
-            audit_status = _audit(ctx, status, lambda c: verify_coproduct_laws(
-                c, build_R(c, variant), variant, audit=False))
     return VerificationReport(
         check=f"rmatrix-coproduct-laws[{variant}]",
         target="both coproduct laws",
         cutoffs={"D": ctx.degree, "N": ctx.h_order, "D_int": ctx.d_int},
-        status=status, residual=residual, audit=audit_status,
+        status=status, residual=residual,
         details=details, wall_time=t.elapsed)
 
 
-def verify_auxiliary(ctx: RMatrixContext, audit: bool = True) -> VerificationReport:
+def verify_auxiliary(ctx: RMatrixContext) -> VerificationReport:
     """The 3-leg exponential rearrangement identity behind the coproduct law.
 
     lhs = (1 + g(T) (x) xi (x) xi) exp(T (x) 1 (x) tau + T (x) tau (x) 1) with the
@@ -218,14 +203,11 @@ def verify_auxiliary(ctx: RMatrixContext, audit: bool = True) -> VerificationRep
             residual = _first_residual_tensor(diff)
             corrected = _solve_prefactor(ctx, exp_tensor(Y, ctx.d_int + 2))
             details = [f"published prefactor fails; corrected prefactor: {corrected}"]
-        audit_status = "skipped"
-        if audit:
-            audit_status = _audit(ctx, status, lambda c: verify_auxiliary(c, audit=False))
     return VerificationReport(
         check="rmatrix-auxiliary-identity",
         target="3-leg exponential rearrangement",
         cutoffs={"D": ctx.degree, "N": ctx.h_order, "D_int": ctx.d_int},
-        status=status, residual=residual, audit=audit_status,
+        status=status, residual=residual,
         details=details, wall_time=t.elapsed)
 
 

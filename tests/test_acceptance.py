@@ -22,6 +22,7 @@ from hopfforge.pbw import Cutoffs
 from hopfforge.presentation import (emit_presentation, load_presentation,
                                     parse_presentation, ParityMismatchError,
                                     UnknownGeneratorError, NonCentralSeriesError)
+from hopfforge.report import audited
 from hopfforge.lang import ParseError
 from hopfforge.rmatrix import (RMatrixContext, build_R, check_triangularity,
                                verify_auxiliary, verify_coproduct_laws,
@@ -43,7 +44,9 @@ def _verdict(name, ok, extra=""):
 
 @pytest.fixture(scope="module")
 def derivation():
-    return derive_double_presentation(CUT, audit=True)
+    derived, report, dbl = derive_double_presentation(CUT)
+    audited(report, lambda: derive_double_presentation(CUT.bumped())[1])
+    return derived, report, dbl
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +60,8 @@ def test_criterion_1_hopf_certification():
     worst = 0.0
     for name in HOPF_TARGETS:
         t0 = time.perf_counter()
-        rep = verify_hopf(load_presentation(name), CUT, audit=True)
+        pres = load_presentation(name)
+        rep = audited(verify_hopf(pres, CUT), lambda: verify_hopf(pres, CUT.bumped()))
         dt = time.perf_counter() - t0
         worst = max(worst, dt)
         assert rep.status == "pass", f"{name}: {rep.residual}"
@@ -85,10 +89,11 @@ def test_criterion_2_double_reconstruction(derivation):
 # -------------------------------------------------------------- criterion 3
 
 def test_criterion_3_duality():
-    rep = verify_duality(CUT, max_degree=6, alpha2=True, audit=True)
+    rep = audited(verify_duality(CUT, max_degree=6, alpha2=True),
+                  lambda: verify_duality(CUT.bumped(), max_degree=6, alpha2=True))
     ok = rep.status == "pass" and rep.audit == "pass"
     ok = ok and any("n! * delta_nm" in d for d in rep.details)
-    lit = verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False, audit=False)
+    lit = verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False)
     ok = ok and lit.status == "fail" and "inconsistent extension" in lit.residual
     _verdict("3 duality on all basis pairs to degree 6 + normalization finding",
              ok, "literal (h/2) scaling refused with witness, alpha=2 exact")
@@ -98,13 +103,16 @@ def test_criterion_3_duality():
 
 def test_criterion_4_rmatrix(rctx):
     R = build_R(rctx, "canonical")
-    inter = verify_intertwining(rctx, R, "canonical", audit=True)
-    laws = verify_coproduct_laws(rctx, R, "canonical", audit=True)
+    bumped = rctx.audit_context
+    inter = audited(verify_intertwining(rctx, R, "canonical"), lambda: verify_intertwining(
+        bumped, build_R(bumped, "canonical"), "canonical"))
+    laws = audited(verify_coproduct_laws(rctx, R, "canonical"), lambda: verify_coproduct_laws(
+        bumped, build_R(bumped, "canonical"), "canonical"))
     uni = verify_universal_identity(rctx.dbl, R, max_degree=3, compare_degree=4)
     ok = all(r.status == "pass" for r in (inter, laws, uni))
     ok = ok and inter.audit == "pass" and laws.audit == "pass"
     # the published closed form is pinpointed as inconsistent
-    paper = verify_intertwining(rctx, build_R(rctx, "closed-form"), "closed-form", audit=False)
+    paper = verify_intertwining(rctx, build_R(rctx, "closed-form"), "closed-form")
     ok = ok and paper.status == "fail" and "T^2 (x) xi" in paper.residual
     _verdict("4 R-matrix: intertwining + coproduct laws + universal identity "
              "at (D,N)=(4,4)", ok,
@@ -114,7 +122,7 @@ def test_criterion_4_rmatrix(rctx):
 # -------------------------------------------------------------- criterion 5
 
 def test_criterion_5_auxiliary_relation(rctx):
-    rep = verify_auxiliary(rctx, audit=True)
+    rep = audited(verify_auxiliary(rctx), lambda: verify_auxiliary(rctx.audit_context))
     ok = rep.status in ("pass", "finding") and rep.audit == "pass"
     confirmed = rep.status == "pass" and any("confirmed exactly" in d for d in rep.details)
     corrected = rep.status == "finding" and any("corrected prefactor" in d for d in rep.details)
@@ -191,7 +199,7 @@ def test_criterion_8_mutation_sensitivity(derivation):
         text = base_text.replace(old, new, 1)
         assert text != base_text, (old, new)
         mutated = parse_presentation(text)
-        hopf = verify_hopf(mutated, cut, audit=False)
+        hopf = verify_hopf(mutated, cut)
         if hopf.status == "fail":
             detected += 1
             continue

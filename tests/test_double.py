@@ -18,7 +18,7 @@ def dbl():
 
 @pytest.fixture(scope="module")
 def derivation():
-    return derive_double_presentation(Cutoffs(6, 10), audit=False)
+    return derive_double_presentation(Cutoffs(6, 10))
 
 
 def mono(eng, **kw):
@@ -199,7 +199,7 @@ def test_derived_double_matches_published_cross_relations(derivation):
 def test_derived_double_is_hopf_and_confluent(derivation):
     derived, _, dbl = derivation
     from hopfforge.hopf import verify_hopf
-    assert verify_hopf(derived, Cutoffs(5, 8), audit=False).status == "pass"
+    assert verify_hopf(derived, Cutoffs(5, 8)).status == "pass"
     eng = Engine(derived, Cutoffs(5, 8))
     ok, failures, _ = eng.check_confluence()
     assert ok, failures

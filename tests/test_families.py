@@ -197,7 +197,7 @@ def test_alpha_stays_arbitrary():
 def test_rational_points_are_hopf(family, point):
     from hopfforge.hopf import verify_hopf
     pres = instantiate(family, point)
-    r = verify_hopf(pres, Cutoffs(5, 8), audit=False)
+    r = verify_hopf(pres, Cutoffs(5, 8))
     assert r.status == "pass", r.text()
 
 

@@ -97,7 +97,7 @@ def test_counit_values_are_forced(brst_ops):
     text = emit_presentation(load_presentation("brst_q")).replace(
         "[counit]\nxi = 0\ntau = 0", "[counit]\nxi = 0\ntau = 1")
     pres = parse_presentation(text)
-    r = verify_hopf(pres, Cutoffs(4, 8), audit=False)
+    r = verify_hopf(pres, Cutoffs(4, 8))
     assert r.status == "fail"
 
 
@@ -130,7 +130,7 @@ def test_involution_is_checked_once_per_ops(monkeypatch):
 
 @pytest.mark.parametrize("name", ALL)
 def test_verify_hopf_passes_everywhere(name):
-    r = verify_hopf(load_presentation(name), Cutoffs(5, 8), audit=False)
+    r = verify_hopf(load_presentation(name), Cutoffs(5, 8))
     assert r.status == "pass", r.text()
 
 
@@ -170,7 +170,7 @@ def test_sign_flip_mutation_breaks_axioms():
     text = emit_presentation(load_presentation("sd_line"))
     mutated = text.replace("{S,xi} = 2*sinh(h*T/2)", "{S,xi} = -2*sinh(h*T/2)")
     assert mutated != text
-    r = verify_hopf(parse_presentation(mutated), Cutoffs(5, 8), audit=False)
+    r = verify_hopf(parse_presentation(mutated), Cutoffs(5, 8))
     assert r.status == "fail"
 
 
@@ -178,7 +178,7 @@ def test_coefficient_mutation_breaks_axioms():
     text = emit_presentation(load_presentation("brst_q"))
     mutated = text.replace("xi = xi (x) 1 + 1 (x) xi", "xi = xi (x) 1 - 1 (x) xi")
     assert mutated != text
-    r = verify_hopf(parse_presentation(mutated), Cutoffs(5, 8), audit=False)
+    r = verify_hopf(parse_presentation(mutated), Cutoffs(5, 8))
     assert r.status == "fail"
 
 
@@ -195,8 +195,7 @@ def test_relation_checks_read_the_maps_on_both_sides(section, mutated, failure):
     # a wrong map fails at the relation, before the generator axioms
     text = emit_presentation(load_presentation("ptsa_q"))
     assert section in text
-    r = verify_hopf(parse_presentation(text.replace(section, mutated)), Cutoffs(6, 10),
-                    audit=False)
+    r = verify_hopf(parse_presentation(text.replace(section, mutated)), Cutoffs(6, 10))
     assert r.status == "fail"
     assert r.details == [failure]
 
@@ -207,7 +206,7 @@ def test_delta_tau_coefficient_mutation_is_hopf_invisible():
     text = emit_presentation(load_presentation("brst_q"))
     mutated = text.replace("(h/sinh(h))*xi (x) xi", "(2*h/sinh(h))*xi (x) xi")
     assert mutated != text
-    r = verify_hopf(parse_presentation(mutated), Cutoffs(5, 8), audit=False)
+    r = verify_hopf(parse_presentation(mutated), Cutoffs(5, 8))
     assert r.status == "pass"
 
 

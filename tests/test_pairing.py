@@ -310,13 +310,13 @@ def test_no_convention_for_literal_scaling():
 
 
 def test_verify_duality_passes_dual_scaling():
-    r = verify_duality(Cutoffs(5, 8), max_degree=4, alpha2=True, audit=False)
+    r = verify_duality(Cutoffs(5, 8), max_degree=4, alpha2=True)
     assert r.status == "pass"
     assert any("n! * delta_nm" in d for d in r.details)
 
 
 def test_verify_duality_fails_literal_scaling_with_witness():
-    r = verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False, audit=False)
+    r = verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False)
     assert r.status == "fail"
     assert "inconsistent extension" in r.residual
 
@@ -335,7 +335,7 @@ def test_broken_normalization_does_not_downgrade_a_failure(monkeypatch):
         return convs
 
     monkeypatch.setattr(pairing_mod, "calibrate", calibrate_then_break)
-    r = verify_duality(Cutoffs(3, 6), max_degree=2, alpha2=True, audit=False)
+    r = verify_duality(Cutoffs(3, 6), max_degree=2, alpha2=True)
     assert r.status == "fail"
     assert not any("n! * delta_nm" in d for d in r.details)
 

@@ -70,12 +70,12 @@ def test_canonical_r_has_the_exponential_correction(ctx, R_closed, R_canon):
 # ------------------------------------------------------------------- checks
 
 def test_intertwining_canonical_passes(ctx, R_canon):
-    r = verify_intertwining(ctx, R_canon, "canonical", audit=False)
+    r = verify_intertwining(ctx, R_canon, "canonical")
     assert r.status == "pass", r.text()
 
 
 def test_intertwining_closed_form_fails_at_order_h2(ctx, R_closed):
-    r = verify_intertwining(ctx, R_closed, "closed-form", audit=False)
+    r = verify_intertwining(ctx, R_closed, "closed-form")
     assert r.status == "fail"
     assert "T^2 (x) xi" in r.residual and "1/2*h^2" in r.residual
 
@@ -89,12 +89,12 @@ def test_intertwining_on_t_is_trivial(ctx, R_canon):
 
 
 def test_coproduct_laws_canonical(ctx, R_canon):
-    r = verify_coproduct_laws(ctx, R_canon, "canonical", audit=False)
+    r = verify_coproduct_laws(ctx, R_canon, "canonical")
     assert r.status == "pass", r.text()
 
 
 def test_auxiliary_identity_confirmed(ctx):
-    r = verify_auxiliary(ctx, audit=False)
+    r = verify_auxiliary(ctx)
     assert r.status == "pass"
     assert any("confirmed exactly" in d for d in r.details)
 
@@ -105,7 +105,7 @@ def test_auxiliary_finding_text_matches_full_products(ctx, monkeypatch):
     central_series = Engine.central_series
     monkeypatch.setattr(Engine, "central_series", lambda self, fn, x, gen, order:
                         central_series(self, fn, x * F(3, 2), gen, order=order))
-    r = verify_auxiliary(ctx, audit=False)
+    r = verify_auxiliary(ctx)
     assert r.status == "finding"
     assert r.residual == "((-1/2) + 1/12*h^2 + (-7/720)*h^4 + O(h^5))*[T (x) xi (x) xi]"
     assert r.details == [
@@ -153,11 +153,9 @@ def test_stability_of_retained_terms():
 # ------------------------------------------------------- shared audit context
 
 AUDITED = {
-    "intertwining": lambda c: verify_intertwining(c, build_R(c, "canonical"), "canonical",
-                                                  audit=False),
-    "coproduct-laws": lambda c: verify_coproduct_laws(c, build_R(c, "canonical"), "canonical",
-                                                      audit=False),
-    "auxiliary": lambda c: verify_auxiliary(c, audit=False),
+    "intertwining": lambda c: verify_intertwining(c, build_R(c, "canonical"), "canonical"),
+    "coproduct-laws": lambda c: verify_coproduct_laws(c, build_R(c, "canonical"), "canonical"),
+    "auxiliary": verify_auxiliary,
 }
 
 
@@ -196,9 +194,9 @@ def test_no_check_mutates_the_shared_canonical_r(ctx):
     R = build_R(ctx, "canonical")
     assert R is ctx.canonical
     before = snapshot(R)
-    verify_intertwining(ctx, R, "canonical", audit=False)
-    verify_coproduct_laws(ctx, R, "canonical", audit=False)
-    verify_auxiliary(ctx, audit=False)
+    verify_intertwining(ctx, R, "canonical")
+    verify_coproduct_laws(ctx, R, "canonical")
+    verify_auxiliary(ctx)
     check_triangularity(ctx, R, "canonical")
     verify_universal_identity(ctx.dbl, R, max_degree=1, compare_degree=4)
     assert build_R(ctx, "canonical") is R
