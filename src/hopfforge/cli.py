@@ -112,7 +112,6 @@ def _double(args, emit=None):
 
 def _rmatrix(args, which):
     ctx = RMatrixContext(args.tensor_degree, min(args.h_order, 4))
-    canonical = build_R(ctx, "canonical")
 
     def on_both(check):
         """check(ctx), audited by check(ctx.audit_context)."""
@@ -132,10 +131,10 @@ def _rmatrix(args, which):
     if which in ("all", "aux"):
         reports.append(on_both(verify_auxiliary))
     if which in ("all", "triangular"):
-        reports.append(check_triangularity(ctx, canonical, "canonical"))
+        reports.append(check_triangularity(ctx, ctx.canonical, "canonical"))
     if which in ("all", "universal"):
         reports.append(verify_universal_identity(
-            ctx.dbl, canonical, max_degree=3, compare_degree=ctx.degree))
+            ctx.dbl, ctx.canonical, max_degree=3, compare_degree=ctx.degree))
     return reports
 
 

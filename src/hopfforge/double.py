@@ -13,8 +13,13 @@ independent ways:
   (-1)^{sigma_n(sigma_l+sigma_k) + sigma_u sigma_k + sigma_s sigma_t}, and all
   index contractions running through the pairing Gram matrix.
 
-Both must agree term by term; the derived cross relations are compared against
-the published double presentation.
+``double_presentation`` is the double's presentation: both halves, with the
+published double's (sd_reference's) relations for the four cross pairs.  The
+R-matrix context runs on it directly.  ``derive_double_presentation`` certifies
+it: both routes must agree term by term on each cross bracket, each derived
+bracket must equal the presentation's graded commutator, the presentation must
+pass the Hopf axiom suite, and its coproducts and antipodes must be the
+published ones.
 
 Psi(x), Phi(f) and the raw iterated coproducts that both routes read are built
 once per monomial and kept on the Double (``Double._per_monomial``): the route
@@ -25,19 +30,17 @@ reuse the generators.  The kept tensors are shared and never mutated.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .hopf import _first_residual_tensor, verify_hopf
-from .lang import Add, HVar, Mul, Num, Pow, Gen, Node
+from .hopf import _first_residual_tensor, differences, verify_hopf
 from .pairing import Pairing, _h_basis, standard_pair
 from .pbw import Cutoffs, Engine, PbwElement, _droppable
-from .presentation import (HopfPresentation, Relation, load_presentation,
-                           validate)
+from .presentation import HopfPresentation, load_presentation, validate
 from .report import FAIL, PASS, Timer, VerificationReport
 from .scalars import Scalar
 from .tensors import TensorElement, evaluate_tensor, tensor_mul, tensor_of
 
-__all__ = ["Double", "derive_double_presentation", "verify_universal_identity"]
+__all__ = ["Double", "double_presentation", "derive_double_presentation",
+           "verify_universal_identity"]
 
 
 class Double:
@@ -49,22 +52,11 @@ class Double:
         self.h_ops, self.k_ops = pairing.h_ops, pairing.k_ops
         self.cutoffs = Cutoffs(min(self.H.cutoffs.h_order, self.K.cutoffs.h_order),
                                min(self.H.cutoffs.word_degree, self.K.cutoffs.word_degree))
-        self._carrier = self._build_carrier()
+        # the carrier engine only represents normal-ordered words (dual letters
+        # left); its cross brackets are placeholders and are never used to rewrite
+        self.carrier = Engine(merge_presentations(
+            self.K.presentation, self.H.presentation, name="double_carrier"), self.cutoffs)
         self._tensors: dict = {}  # {(kind, monomial): 3-leg tensor}
-
-    # the carrier engine only represents normal-ordered words (dual letters
-    # left); its cross brackets are placeholders and are never used to rewrite
-    def _build_carrier(self) -> Engine:
-        pres = merge_presentations(
-            self.K.presentation, self.H.presentation, name="double_carrier")
-        return Engine(pres, self.cutoffs)
-
-    @property
-    def carrier(self) -> Engine:
-        return self._carrier
-
-    def embed(self, k_mono, h_mono):
-        return tuple(k_mono) + tuple(h_mono)
 
     # -- the 3-leg tensors ----------------------------------------------------------
     def _per_monomial(self, kind: str, el: PbwElement, build) -> TensorElement:
@@ -102,7 +94,7 @@ class Double:
 
     # -- route 1: contraction ------------------------------------------------------
     def cross_product(self, x: PbwElement, f: PbwElement) -> PbwElement:
-        out = self._carrier.zero()
+        out = self.carrier.zero()
         for xp in _parity_components(x):
             for fp in _parity_components(f):
                 out = out + self._cross_homogeneous(xp, fp)
@@ -111,7 +103,7 @@ class Double:
     def _cross_homogeneous(self, x: PbwElement, f: PbwElement) -> PbwElement:
         px, pf = x.parity(), f.parity()
         if px is None or pf is None:
-            return self._carrier.zero()
+            return self.carrier.zero()
         gsign = -1 if (px == 1 and pf == 1) else 1
         N = self.cutoffs.h_order
         floor = self.pairing.skip_order(x.terms, f.terms)
@@ -130,16 +122,16 @@ class Double:
                     if _droppable(v2, floor):
                         continue
                     coeff = (cpsi * cphi * v1 * v2).truncate(N)
-                    mono = self.embed(l3, k3)
+                    mono = l3 + k3
                     prev = acc.get(mono)
                     acc[mono] = coeff if prev is None else prev + coeff
-        out = PbwElement(self._carrier,
+        out = PbwElement(self.carrier,
                          {m: c for m, c in acc.items() if not c.is_zero()})
         return out.scale(gsign)
 
     # -- route 2: explicit structure-constant sum ------------------------------------
     def cross_product_via_structure_constants(self, x: PbwElement, f: PbwElement) -> PbwElement:
-        out = self._carrier.zero()
+        out = self.carrier.zero()
         for xp in _parity_components(x):
             for fp in _parity_components(f):
                 out = out + self._cross_sc_homogeneous(xp, fp)
@@ -149,7 +141,7 @@ class Double:
         H, K = self.H, self.K
         px, pf = x.parity(), f.parity()
         if px is None or pf is None:
-            return self._carrier.zero()
+            return self.carrier.zero()
         gsign = -1 if (px == 1 and pf == 1) else 1
         N = self.cutoffs.h_order
         floor = self.pairing.skip_order(x.terms, f.terms)
@@ -181,10 +173,10 @@ class Double:
                 coeff = (c_mu * c_m * gk * gn).truncate(N)
                 if sgn % 2:
                     coeff = -coeff
-                mono = self.embed(u_k, l_h)
+                mono = u_k + l_h
                 prev = acc.get(mono)
                 acc[mono] = coeff if prev is None else prev + coeff
-        out = PbwElement(self._carrier,
+        out = PbwElement(self.carrier,
                          {m: c for m, c in acc.items() if not c.is_zero()})
         return out.scale(gsign)
 
@@ -200,8 +192,8 @@ class Double:
         ph = self.H.presentation.parity(hgen)
         pk = self.K.presentation.parity(kgen)
         sign = -1 if (ph and pk) else 1
-        fx = self._carrier.multiply(
-            f.moved_to(self._carrier), x.moved_to(self._carrier))  # already normal ordered
+        fx = self.carrier.multiply(
+            f.moved_to(self.carrier), x.moved_to(self.carrier))  # already normal ordered
         return xf - fx.scale(sign)
 
 
@@ -233,152 +225,83 @@ def merge_presentations(k_pres: HopfPresentation, h_pres: HopfPresentation,
     return validate(pres)
 
 
-def element_to_ast(el: PbwElement) -> Node:
-    """Exact expression tree for a PBW element with polynomial coefficients."""
-    eng = el.engine
-    terms = []
-    for mono in sorted(el.terms):
-        c = el.terms[mono]
-        for k in c.exponents():
-            poly = c.coeff(k)
-            for pkey in sorted(poly.terms):
-                q = poly.terms[pkey]
-                factors = [Num(q)]
-                for pname, pe in pkey:
-                    factors.append(Pow(Gen(pname), pe) if pe > 1 else Gen(pname))
-                if k:
-                    factors.append(Pow(HVar(), k) if k > 1 else HVar())
-                for i, e in enumerate(mono):
-                    gname = eng.gen_names[i]
-                    factors.append(Pow(Gen(gname), e) if e > 1 else Gen(gname))
-                    if e == 1:
-                        factors[-1] = Gen(gname)
-                terms.append(Mul(tuple(factors)) if len(factors) > 1 else factors[0])
-    if not terms:
-        return Num(Fraction(0))
-    return terms[0] if len(terms) == 1 else Add(tuple(terms))
+# the cross pairs (algebra generator, dual generator), in the order they are
+# derived, reported and emitted
+CROSS_PAIRS = (("T", "tau"), ("T", "xi"), ("S", "tau"), ("S", "xi"))
+
+
+def double_presentation(dbl: Double) -> HopfPresentation:
+    """The presentation of the double: both halves, and sd_reference's own
+    relation for each cross pair that it declares."""
+    reference = load_presentation("sd_reference")
+    cross = [reference.bracket(hg, kg) for hg, kg in CROSS_PAIRS]
+    return merge_presentations(dbl.K.presentation, dbl.H.presentation, name="sd_derived",
+                               cross_relations=[rel for rel in cross if rel is not None])
 
 
 def derive_double_presentation(cutoffs: Cutoffs = Cutoffs()):
-    """Build the double, compare with the published presentation, and report.
+    """Derive the cross brackets both ways and certify the double's presentation
+    against them and against the published double.
 
-    Returns (derived HopfPresentation, VerificationReport, Double).
+    Returns (the presentation, or None when a step fails; VerificationReport; Double).
     """
     with Timer() as t:
-        pairing = standard_pair(cutoffs, alpha2=True)
-        dbl = Double(pairing)
-        reference = load_presentation("sd_reference")
-        ref_engine = Engine(reference, dbl.cutoffs)
-        details = []
-        status = PASS
-        residual = None
-
-        # derive the four cross brackets both ways and compare with reference
-        pairs = [("T", "tau"), ("T", "xi"), ("S", "tau"), ("S", "xi")]
-        derived_rhs = {}
-        for hg, kg in pairs:
-            rhs1 = dbl.cross_bracket(hg, kg, "contraction")
-            rhs2 = dbl.cross_bracket(hg, kg, "structure-constants")
-            if not (rhs1 - rhs2).is_zero():
-                status = FAIL
-                residual = f"route disagreement on ({hg},{kg}): {(rhs1 - rhs2)!r}"
+        dbl = Double(standard_pair(cutoffs, alpha2=True))
+        derived = double_presentation(dbl)
+        details, diffs = [], []
+        for diffs, passed in _reconstruction_steps(dbl, derived):
+            if diffs:
                 break
-            derived_rhs[(hg, kg)] = rhs1
-        if status == PASS:
-            details.append("contraction and structure-constant routes agree on all "
-                           "generator pairs")
-            for (hg, kg), rhs in derived_rhs.items():
-                rel = reference.bracket(hg, kg)
-                want = _reference_bracket_element(ref_engine, reference, hg, kg, dbl)
-                diff = rhs - want
-                if not diff.is_zero():
-                    status = FAIL
-                    residual = f"cross relation ({hg},{kg}) differs: {diff!r}"
-                    break
-                br = "{%s,%s}" % (hg, kg) if rel is not None and rel.kind == "anti" \
-                    else f"[{hg},{kg}]"
-                details.append(f"derived {br} matches the published double")
-        # the dual-subalgebra normalization difference is a finding, not a failure
-        alpha_note = ("published [tau,xi] = (h/2)*xi is the alpha=1 scaling; the "
-                      "pairing-consistent double carries [tau,xi] = h*xi (alpha=2)")
-
-        derived = None
-        if status == PASS:
-            derived = _assemble_derived(dbl, reference, derived_rhs, cutoffs)
-            hopf_rep = verify_hopf(derived, dbl.cutoffs)
-            if hopf_rep.status != PASS:
-                status = FAIL
-                residual = f"derived double fails Hopf axioms: {hopf_rep.residual}"
-            else:
-                details.append("derived double passes the full Hopf axiom suite")
-            # coproducts and antipodes inherited from the two halves match
-            d_eng = Engine(derived, dbl.cutoffs)
-            for name in ("xi", "tau", "S", "T"):
-                ref_ast = reference.structure_map("coproduct", name)
-                der_ast = derived.structure_map("coproduct", name)
-                if not (evaluate_tensor(d_eng, ref_ast, 2)
-                        - evaluate_tensor(d_eng, der_ast, 2)).is_zero():
-                    status = FAIL
-                    residual = f"coproduct of {name} differs from reference"
-                    break
-                ref_anti = d_eng.evaluate(reference.structure_map("antipode", name))
-                der_anti = d_eng.evaluate(derived.structure_map("antipode", name))
-                if not (ref_anti - der_anti).is_zero():
-                    status = FAIL
-                    residual = f"antipode of {name} differs from reference"
-                    break
-            else:
-                details.append("coproducts and antipodes match the published double")
-
+            details += passed
+    # the dual-subalgebra normalization difference is a finding, not a failure
+    alpha_note = ("published [tau,xi] = (h/2)*xi is the alpha=1 scaling; the "
+                  "pairing-consistent double carries [tau,xi] = h*xi (alpha=2)")
     report = VerificationReport(
         check="double-reconstruction",
         target="SD(ptsa_q, brst_q_alpha2)",
         cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-        status=status,
-        residual=residual,
-        details=details + ["finding: " + alpha_note],
+        status=FAIL if diffs else PASS,
+        residual=diffs[0] if diffs else None,
+        details=details + diffs + ["finding: " + alpha_note],
         wall_time=t.elapsed,
     )
-    return derived, report, dbl
+    return None if diffs else derived, report, dbl
 
 
-def _reference_bracket_element(ref_engine: Engine, reference: HopfPresentation,
-                               hg: str, kg: str, dbl: Double) -> PbwElement:
-    """The published bracket rhs for (hg, kg), in carrier coordinates."""
-    rel = reference.bracket(hg, kg)
-    if rel is None:
-        return dbl.carrier.zero()
-    rhs = ref_engine.evaluate(rel.rhs)
-    # reference orders the pair as written; our derived bracket is [hg, kg]
-    same_order = (rel.a == hg)
-    el = rhs.moved_to(dbl.carrier)
-    if same_order:
-        return el
-    pa = reference.parity(rel.a)
-    pb = reference.parity(rel.b)
-    # [b,a] = -(-1)^{|a||b|} [a,b]
-    return el.scale(-1 if not (pa and pb) else 1)
+def _reconstruction_steps(dbl: Double, derived: HopfPresentation):
+    """Each step as (differences, details when there are none), computed only
+    when the steps before it have passed."""
+    d_eng = Engine(derived, dbl.cutoffs)
+    labels = {(hg, kg): "{%s,%s}" % (hg, kg)
+              if derived.parity(hg) and derived.parity(kg) else f"[{hg},{kg}]"
+              for hg, kg in CROSS_PAIRS}
+    contraction = {label: dbl.cross_bracket(hg, kg, "contraction")
+                   for (hg, kg), label in labels.items()}
+    via_constants = {label: dbl.cross_bracket(hg, kg, "structure-constants")
+                     for (hg, kg), label in labels.items()}
+    yield (differences(via_constants, contraction, "differs between the routes"),
+           ["contraction and structure-constant routes agree on all generator pairs"])
+    published = {label: d_eng.graded_commutator(hg, kg) for (hg, kg), label in labels.items()}
+    yield (differences(contraction, published, "differs from the published double"),
+           [f"derived {label} matches the published double" for label in labels.values()])
+    hopf_rep = verify_hopf(derived, dbl.cutoffs)
+    yield ([] if hopf_rep.status == PASS else
+           [f"derived double fails Hopf axioms: {hopf_rep.residual}"],
+           ["derived double passes the full Hopf axiom suite"])
+    reference = load_presentation("sd_reference")
+    yield (differences(_coproducts_and_antipodes(d_eng, derived),
+                       _coproducts_and_antipodes(d_eng, reference), "differs from reference"),
+           ["coproducts and antipodes match the published double"])
 
 
-def _assemble_derived(dbl: Double, reference: HopfPresentation, derived_rhs,
-                      cutoffs: Cutoffs) -> HopfPresentation:
-    """Derived presentation: closed forms from the reference where they matched,
-    with the dual subalgebra in the duality scaling."""
-    cross = []
-    for (hg, kg), rhs in derived_rhs.items():
-        rel = reference.bracket(hg, kg)
-        ph, pk = dbl.H.presentation.parity(hg), dbl.K.presentation.parity(kg)
-        kind = "anti" if (ph and pk) else "comm"
-        if rel is not None and rel.a == hg and rel.kind == kind:
-            cross.append(Relation(kind, hg, kg, rel.rhs))
-        elif rel is not None and rel.kind == kind:
-            # stored in the opposite order: emit as written in the reference
-            cross.append(Relation(kind, rel.a, rel.b, rel.rhs))
-        else:
-            cross.append(Relation(kind, hg, kg, element_to_ast(rhs)))
-    merged = merge_presentations(dbl.K.presentation, dbl.H.presentation,
-                                 name="sd_derived", cross_relations=cross)
-    return merged
+def _coproducts_and_antipodes(eng: Engine, pres: HopfPresentation) -> dict:
+    """Each generator's coproduct and antipode as ``pres`` writes them,
+    evaluated in ``eng``."""
+    out = {}
+    for g in eng.gen_names:
+        out[f"coproduct of {g}"] = evaluate_tensor(eng, pres.structure_map("coproduct", g), 2)
+        out[f"antipode of {g}"] = eng.evaluate(pres.structure_map("antipode", g))
+    return out
 
 
 def verify_route_equivalence(dbl: Double, count: int = 20, max_degree: int = 3,

@@ -15,13 +15,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bialgebra import compare_bialgebras, from_family
-from .hopf import structure, verify_hopf, _first_residual_element, _first_residual_tensor
+from .hopf import differences, structure, verify_hopf
 from .lang import HVar
 from .pbw import Cutoffs, Engine
 from .presentation import HopfPresentation, PresentationError, load_presentation
 from .report import FAIL, PASS, Timer, VerificationReport
 from .scalars import Scalar
-from .tensors import TensorElement, evaluate_tensor, tensor_of
+from .tensors import evaluate_tensor, tensor_of
 
 __all__ = ["FAMILY_IDS", "instantiate", "structure", "differences", "structural_compare",
            "compare_limit_with", "verify_h1_limit", "verify_deforming_field",
@@ -48,25 +48,6 @@ def instantiate(family_id: str, bindings: dict | None = None,
 
 
 # ------------------------------------------------------------------ comparison
-
-def differences(got: dict, want: dict, where: str) -> list:
-    """One "<label> <where>: <first residual>" per label of ``want`` that
-    ``got`` does not match.  ``got``'s elements are moved to ``want``'s
-    engines by generator name, and a label ``got`` lacks reads as zero."""
-    out = []
-    for label, w in want.items():
-        if isinstance(w, Scalar):
-            target, residual = None, repr
-        elif isinstance(w, TensorElement):
-            target, residual = w.engines, _first_residual_tensor
-        else:
-            target, residual = w.engine, _first_residual_element
-        g = got.get(label)
-        d = -w if g is None else (g if target is None else g.moved_to(target)) - w
-        if not d.is_zero():
-            out.append(f"{label} {where}: {residual(d)}")
-    return out
-
 
 def _brackets_and_coproducts(data: dict) -> dict:
     return {label: v for label, v in data.items()

@@ -15,7 +15,7 @@ from .report import FAIL, PASS, Timer, VerificationReport
 from .scalars import Scalar
 from .tensors import TensorElement, evaluate_tensor, tensor_mul
 
-__all__ = ["HopfOps", "structure", "verify_hopf"]
+__all__ = ["HopfOps", "structure", "differences", "verify_hopf"]
 
 
 class HopfOps:
@@ -184,6 +184,25 @@ def structure(eng: Engine, coeff=None) -> dict:
         return out
     return {label: coeff(v) if isinstance(v, Scalar) else v.map_coeffs(coeff)
             for label, v in out.items()}
+
+
+def differences(got: dict, want: dict, where: str) -> list:
+    """One "<label> <where>: <first residual>" per label of ``want`` that
+    ``got`` does not match.  ``got``'s elements are moved to ``want``'s
+    engines by generator name, and a label ``got`` lacks reads as zero."""
+    out = []
+    for label, w in want.items():
+        if isinstance(w, Scalar):
+            target, residual = None, repr
+        elif isinstance(w, TensorElement):
+            target, residual = w.engines, _first_residual_tensor
+        else:
+            target, residual = w.engine, _first_residual_element
+        g = got.get(label)
+        d = -w if g is None else (g if target is None else g.moved_to(target)) - w
+        if not d.is_zero():
+            out.append(f"{label} {where}: {residual(d)}")
+    return out
 
 
 def _first_residual_tensor(t: TensorElement):

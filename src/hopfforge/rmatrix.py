@@ -10,9 +10,9 @@ on, and failures carry the first residual term.
 
 from __future__ import annotations
 
-from .double import derive_double_presentation
+from .double import Double, double_presentation
 from .hopf import HopfOps, _first_residual_tensor
-from .pairing import _h_basis
+from .pairing import _h_basis, standard_pair
 from .pbw import Cutoffs, Engine, PbwElement
 from .report import FAIL, FINDING, PASS, Timer, VerificationReport
 from .scalars import Scalar, gauss_jordan, series_fn
@@ -23,7 +23,12 @@ __all__ = ["RMatrixContext", "build_R", "verify_intertwining",
 
 
 class RMatrixContext:
-    """Derived double engine plus pairing data at R-matrix cutoffs.
+    """The double's engine plus pairing data at R-matrix cutoffs.
+
+    The engine runs on ``double_presentation``, built directly: the
+    reconstruction that certifies it (``derive_double_presentation``, run by
+    ``build double``) is not repeated here, and a wrong double shows in the
+    R-matrix checks themselves.
 
     The canonical R and ``audit_context``, the context at (D+1, N+1), are
     built on first use and kept here, so the checks of one command and their
@@ -37,12 +42,8 @@ class RMatrixContext:
         # central degree > D_int, so identities hold exactly there
         self.d_int = degree + h_order + 2
         cut = Cutoffs(h_order, self.d_int)
-        derived, report, dbl = derive_double_presentation(cut)
-        if derived is None:
-            raise RuntimeError(f"double derivation failed: {report.residual}")
-        self.dbl = dbl
-        self.derived = derived
-        self.engine = Engine(derived, cut)
+        self.dbl = Double(standard_pair(cut))
+        self.engine = Engine(double_presentation(self.dbl), cut)
         self.ops = HopfOps(self.engine)
         self._canonical = None
         self._audit_context = None

@@ -1,13 +1,15 @@
 import itertools
 import random
+import shutil
 from fractions import Fraction as F
 
 import pytest
 
+from hopfforge.cli import main
 from hopfforge.double import Double, derive_double_presentation
 from hopfforge.pairing import _h_basis, standard_pair
 from hopfforge.pbw import Cutoffs, Engine, PbwElement
-from hopfforge.presentation import load_presentation
+from hopfforge.presentation import data_dir, load_presentation
 from hopfforge.scalars import Scalar, series_fn
 
 
@@ -221,3 +223,47 @@ def test_emitted_derived_presentation_parses(derivation):
     text = emit_presentation(derived)
     again = parse_presentation(text)
     assert again.gen_names() == derived.gen_names()
+
+
+# ------------------------------------------------------------ failure paths
+
+@pytest.fixture
+def wrong_reference(tmp_path, monkeypatch):
+    """A data dir whose sd_reference publishes [S,tau] with cosh(h*T) in
+    place of cosh(h*T/2)."""
+    data = tmp_path / "data"
+    shutil.copytree(data_dir(), data)
+    ref = data / "sd_reference.hopf"
+    text = ref.read_text()
+    assert text.count("cosh(h*T/2)") == 1
+    ref.write_text(text.replace("cosh(h*T/2)", "cosh(h*T)"))
+    monkeypatch.setenv("HOPFFORGE_DATA_DIR", str(data))
+
+
+def test_a_wrong_published_bracket_fails_the_reconstruction(wrong_reference):
+    derived, report, _ = derive_double_presentation(Cutoffs(4, 8))
+    assert report.status == "fail"
+    assert derived is None
+    assert report.residual.startswith("[S,tau] differs from the published double: ")
+    assert report.residual in report.details
+
+
+def test_a_wrong_published_bracket_fails_check_rmatrix_without_raising(wrong_reference,
+                                                                        capsys):
+    assert main(["check", "rmatrix", "--which", "intertwine"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_a_route_disagreement_fails_the_reconstruction(monkeypatch):
+    via_constants = Double.cross_product_via_structure_constants
+
+    def perturbed(self, x, f):
+        return via_constants(self, x, f) + self.carrier.generator("xi")
+
+    monkeypatch.setattr(Double, "cross_product_via_structure_constants", perturbed)
+    derived, report, _ = derive_double_presentation(Cutoffs(4, 8))
+    assert report.status == "fail"
+    assert derived is None
+    assert report.residual.startswith("[T,tau] differs between the routes: ")
+    assert report.residual.endswith("*xi")
+    assert sum("differs between the routes" in d for d in report.details) == 4

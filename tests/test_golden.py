@@ -1,4 +1,5 @@
-"""The whole report stream of ``hopfforge --format json suite all``, held fixed.
+"""The whole report stream of ``hopfforge --format json suite all``, and the
+presentation that ``hopfforge build double --emit`` writes, held fixed.
 
 ``tests/golden/suite_all.json`` is that output with every ``wall_time``
 removed.  A change that should not alter any report (a refactor, a speed-up)
@@ -16,6 +17,7 @@ from pathlib import Path
 from hopfforge.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "suite_all.json"
+EMITTED = GOLDEN.parent / "sd_derived.hopf"
 
 
 def test_suite_all_json_matches_the_golden_file(capsys):
@@ -28,3 +30,14 @@ def test_suite_all_json_matches_the_golden_file(capsys):
         doc.pop("wall_time")
     assert json.dumps(docs, indent=2) + "\n" == GOLDEN.read_text()
     assert code == 0
+
+
+def test_emitted_double_matches_the_golden_file(tmp_path, capsys):
+    """``tests/golden/sd_derived.hopf`` is the emitted double at the default
+    cutoffs; a change that alters it on purpose regenerates it with
+
+        PYTHONPATH=src python -m hopfforge build double --emit tests/golden/sd_derived.hopf
+    """
+    out = tmp_path / "sd_derived.hopf"
+    assert main(["build", "double", "--emit", str(out)]) == 0
+    assert out.read_bytes() == EMITTED.read_bytes()

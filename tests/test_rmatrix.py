@@ -4,8 +4,8 @@ from math import factorial
 
 import pytest
 
-from hopfforge import cli
-from hopfforge.double import verify_universal_identity
+from hopfforge import cli, double, rmatrix
+from hopfforge.double import Double, verify_universal_identity
 from hopfforge.pbw import Engine
 from hopfforge.rmatrix import (RMatrixContext, build_R, check_triangularity,
                                verify_auxiliary, verify_coproduct_laws,
@@ -213,3 +213,22 @@ def test_audit_context_is_not_shared_between_contexts():
     a, b = RMatrixContext(2, 2), RMatrixContext(2, 2)
     assert a.audit_context is not b.audit_context
     assert a.audit_context.canonical is not b.audit_context.canonical
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_which_aux_never_builds_the_canonical_r(monkeypatch):
+    monkeypatch.setattr(rmatrix, "_canonical_element", _refuse)
+    assert cli.main(["--h-order", "2", "--tensor-degree", "2",
+                     "check", "rmatrix", "--which", "aux"]) == 0
+
+
+def test_rmatrix_context_never_runs_the_reconstruction(monkeypatch):
+    # the double's presentation is built directly: no cross bracket is
+    # derived and no Hopf axiom suite runs
+    monkeypatch.setattr(Double, "cross_bracket", _refuse)
+    monkeypatch.setattr(double, "verify_hopf", _refuse)
+    assert not RMatrixContext(2, 2).canonical.is_zero()
+    assert cli.main(["--h-order", "2", "--tensor-degree", "2", "check", "rmatrix"]) == 0
