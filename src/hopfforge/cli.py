@@ -22,7 +22,7 @@ from .double import (derive_double_presentation, verify_route_equivalence,
                      verify_universal_identity)
 from .hopf import verify_hopf
 from .lang import ParseError, parse_expr_text
-from .pairing import verify_duality
+from .pairing import duality_conventions, verify_duality
 from .pbw import Cutoffs, Engine
 from .presentation import PresentationError, emit_presentation, load_presentation
 from .report import (FAIL, FINDING, PASS, Timer, VerificationReport, audited,
@@ -85,10 +85,15 @@ def _confluence(args, name):
 
 
 def _duality(args, literal):
-    """The pairing certification; with literal, the (h/2) scaling diagnostic too."""
+    """The pairing certification; with literal, the (h/2) scaling diagnostic
+    too.  The re-run reuses the conventions the main run locked."""
     cut, degree = _cutoffs(args), args.tensor_degree + 2
-    reports = [audited(verify_duality(cut, max_degree=degree),
-                       lambda: verify_duality(cut.bumped(), max_degree=degree))]
+    with Timer() as t:
+        convs = duality_conventions(degree)
+    report = verify_duality(cut, max_degree=degree, conventions=convs)
+    report.wall_time += t.elapsed
+    reports = [audited(report, lambda: verify_duality(cut.bumped(), max_degree=degree,
+                                                      conventions=convs))]
     if literal:
         reports.append(_as_finding(
             verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False),

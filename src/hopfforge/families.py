@@ -136,9 +136,6 @@ class AtH1:
 
     __slots__ = ("q", "p")
 
-    # a zero may be a factor such as (1-h) that vanishes at h = 1: 0/0 has no value
-    exact_zeros = False
-
     def __init__(self, q, p: int = 0):
         self.q = Fraction(q)
         self.p = p if q else 0

@@ -51,7 +51,7 @@ from .scalars import Scalar, gauss_jordan
 from .tensors import TensorElement
 
 __all__ = ["PairingConvention", "Pairing", "calibrate", "standard_pair",
-           "verify_duality"]
+           "duality_conventions", "verify_duality"]
 
 # the generator pairs of the standard pair that pair to 1
 STANDARD_SEED = {("T", "tau"): 1, ("S", "xi"): 1}
@@ -303,12 +303,19 @@ def calibrate(cutoffs: Cutoffs = Cutoffs(4, 8), alpha2: bool = True, max_degree:
     return good
 
 
+def duality_conventions(max_degree: int, alpha2: bool = True) -> list:
+    """The consistent conventions verify_duality locks one of at max_degree,
+    whatever its cutoffs: a re-run at other cutoffs may be handed them."""
+    return calibrate(Cutoffs(4, max(8, max_degree + 2)), alpha2=alpha2)
+
+
 def verify_duality(cutoffs: Cutoffs = Cutoffs(), max_degree: int = 6,
-                   alpha2: bool = True) -> VerificationReport:
-    """Full duality certification for (ptsa_q, brst_q at the dual scaling)."""
+                   alpha2: bool = True, conventions=None) -> VerificationReport:
+    """Full duality certification for (ptsa_q, brst_q at the dual scaling);
+    ``conventions`` defaults to ``duality_conventions(max_degree, alpha2)``."""
     with Timer() as t:
         details = []
-        convs = calibrate(Cutoffs(4, max(8, max_degree + 2)), alpha2=alpha2)
+        convs = conventions if conventions is not None else duality_conventions(max_degree, alpha2)
         if not convs:
             p = standard_pair(cutoffs, alpha2=alpha2)
             fails = _consistency_failures(p, 2, limit=1)

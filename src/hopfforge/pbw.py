@@ -259,6 +259,16 @@ class Engine:
         # expressions are evaluated with h-order headroom so that divisions by
         # powers of h (and by sinh(h)) still deliver full precision at h_order
         self._eval_order = cutoffs.h_order + 3
+        # bound parameters stay symbolic in _eval, and _words substitutes their
+        # values; a pole would bring terms dropped above h^N into the orders
+        # that a coefficient claims to know
+        self._bound = {}
+        for name, node in presentation.bindings:
+            value = self.evaluate_scalar(node)
+            if value.pole_order:
+                raise PresentationError(f"cannot bind {name}={expr_to_text(node)}: "
+                                        "the value has a pole in h")
+            self._bound[name] = value
         self._rules: dict = {}
         self._product_cache: dict = {}
         self._right_cache: dict = {}
@@ -638,17 +648,17 @@ class Engine:
 
     def _words(self, node: Node, domain=Scalar, legs=None) -> dict:
         """The expression's words (tensor keys with ``legs``), not normalized,
-        with nonzero Scalar coefficients at h-order N.  An expression the
-        series arithmetic rejects, such as sinh(2) or 0/0, is bad input."""
+        with nonzero Scalar coefficients at h-order N, evaluated with the bound
+        parameters symbolic and then substituted.  An expression the series
+        arithmetic rejects, such as sinh(2) or 0/0, is bad input."""
         try:
             raw, den = self._eval(node, domain, legs)
             if den is not None:
-                # an empty numerator is divided too, so 0/0 is rejected
-                raw = {w: c.div(den) for w, c in (raw or {(): domain.from_fraction(0)}).items()}
+                raw = {w: c.div(den) for w, c in raw.items()}
         except ScalarError as e:
             raise PresentationError(f"cannot evaluate {expr_to_text(node)}: {e}") from None
         N = self.cutoffs.h_order
-        return _clean({w: c.to_scalar(N) for w, c in raw.items()})
+        return _clean({w: c.to_scalar(N).substitute(self._bound) for w, c in raw.items()})
 
     def _eval(self, node: Node, dom, legs):
         """Evaluate to (key -> coefficient, deferred denominator or None).
@@ -657,15 +667,17 @@ class Engine:
         may appear in sums, in products with scalars and over scalars; its legs
         are normalized once, and its keys are tuples of monomials.  The domain
         ``dom`` is Scalar (truncated h-series) or a class with Scalar's
-        from_fraction, h, param, series, from_scalar and exact_zeros, whose
-        values have +, -, *, div, is_zero, truncate and to_scalar.
+        from_fraction, h, param, series and from_scalar, whose values have +,
+        -, *, div, is_zero, truncate and to_scalar.  Every parameter, bound or
+        not, is a symbol here, and a zero denominator is an error: 0*(0/0) too.
         """
         N = self._eval_order
         if isinstance(node, Num):
             return ({(): dom.from_fraction(node.value)} if node.value else {}), None
         if isinstance(node, HVar):
             return {(): dom.h()}, None
-        if isinstance(node, (Param, Gen)) and node.name in self.presentation.params:
+        if isinstance(node, (Param, Gen)) and (node.name in self.presentation.params
+                                               or node.name in self._bound):
             return {(): dom.param(node.name)}, None
         if isinstance(node, Param):
             raise PresentationError(f"unbound parameter {node.name!r}")
@@ -682,7 +694,7 @@ class Engine:
                 if den is not None:
                     # fold invertible denominators immediately, defer the rest
                     try:
-                        raw = {w: c.div(den) for w, c in (raw or {(): dom.from_fraction(0)}).items()}
+                        raw = {w: c.div(den) for w, c in raw.items()}
                         den = None
                     except ScalarError:
                         pass
@@ -701,14 +713,10 @@ class Engine:
                 factors = [self._eval(f, dom, legs) for f in node.factors]
             else:
                 # a power's base is evaluated once, even when the exponent is 0
-                base, base_den = self._eval(node.base, dom, None)
-                if node.exp == 0 and base_den is not None and base_den.is_zero():
-                    base_den.div(base_den)  # (0/0)^0: the domain's division-by-zero error
-                factors = [(base, base_den)] * node.exp
+                factors = [self._eval(node.base, dom, None)] * node.exp
             raw: dict = {(): dom.from_fraction(1)}
-            den, tensors, zero = None, [], False
+            den, tensors = None, []
             for fraw, fden in factors:
-                zero = zero or fden is None and all(c.is_zero() for c in fraw.values())
                 if fden is not None:
                     den = fden if den is None else den * fden
                 if legs and any(w and type(w[0]) is tuple for w in fraw):
@@ -720,19 +728,15 @@ class Engine:
                 if scal is None or len(tensors) > 1:
                     raise PresentationError("expected scalar * tensor")
                 raw = _clean({k: (c * scal).truncate(N) for k, c in tensors[0].items()})
-            # an exactly zero factor makes the product zero, and absorbs the
-            # 0/0 of another factor (see the Div case)
-            return (raw, den) if not zero else ({}, None)
+            return raw, den
         if isinstance(node, Div):
             nraw, nden = self._eval(node.num, dom, legs)
             draw, dden = self._eval(node.den, dom, None)
             dscalar = _as_scalar(draw, dom)
             if dscalar is None:
                 raise PresentationError("division by a non-scalar expression")
-            if dscalar.is_zero() and (nraw or not dom.exact_zeros):
-                # the domain's division-by-zero error; where zeros are exact, 0/0
-                # is deferred, and only an exactly zero factor of its product absorbs it
-                dscalar.div(dscalar)
+            if dscalar.is_zero():
+                dscalar.div(dscalar)  # the domain's division-by-zero error
             if dden is not None:
                 # (a/d1) / (b/d2) = a d2 / (d1 b)
                 nraw = {w: c * dden for w, c in nraw.items()}

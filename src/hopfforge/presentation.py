@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .lang import (
     Add, Div, Gen, HVar, Mul, Neg, Node, Num, Param, ParseError, Pow,
-    SeriesCall, Tensor, ast_atoms, ast_map, expr_to_text, parse_expr_tokens,
-    tokenize,
+    SeriesCall, Tensor, ast_atoms, ast_map, expr_to_text, parse_expr_text,
+    parse_expr_tokens, tokenize,
 )
 
 __all__ = [
@@ -76,16 +76,14 @@ class HopfPresentation:
     coproduct: tuple  # ((gen name, Node), ...) in generator order
     counit: tuple
     antipode: tuple
+    bindings: tuple = ()  # ((parameter, Node), ...): values substituted after evaluation
 
     # -- lookups -------------------------------------------------------------
     def gen_names(self):
         return tuple(g.name for g in self.generators)
 
     def gen(self, name: str) -> GeneratorDecl:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise UnknownGeneratorError(f"unknown generator {name!r}")
+        return self.generators[self.gen_index(name)]
 
     def gen_index(self, name: str) -> int:
         for i, g in enumerate(self.generators):
@@ -122,50 +120,32 @@ class HopfPresentation:
                 return False
         return True
 
-    def with_name(self, name: str) -> "HopfPresentation":
-        return replace(self, name=name)
+    def bind(self, values: dict, name: str | None = None) -> "HopfPresentation":
+        """Bind parameters to numbers or expressions (text or ASTs) in h and
+        the parameters left free; otherwise PresentationError.
 
-    def map_expressions(self, fn) -> "HopfPresentation":
-        """Apply an AST transformer to every relation rhs and structure map."""
-        return replace(
-            self,
-            relations=tuple(replace(r, rhs=ast_map(r.rhs, fn)) for r in self.relations),
-            coproduct=tuple((n, ast_map(e, fn)) for n, e in self.coproduct),
-            counit=tuple((n, ast_map(e, fn)) for n, e in self.counit),
-            antipode=tuple((n, ast_map(e, fn)) for n, e in self.antipode),
-        )
-
-    def bind(self, bindings: dict, name: str | None = None) -> "HopfPresentation":
-        """Substitute parameters by expression ASTs (or numbers) at the AST level.
-
-        Every bound name must be a parameter, and every string value must
-        parse as an expression; otherwise PresentationError.
+        The bound names move from ``params`` to ``bindings``, and no tree is
+        rewritten: the engine evaluates with them symbolic and substitutes
+        afterwards (``Engine._words``), so a removable singularity such as
+        d1_variety's ``2*(mu/theta)*sinh(theta*T/2)`` at theta = 0 is mu*T.
         """
         nodes = {}
-        for key, val in bindings.items():
+        for key, val in values.items():
             if key not in self.params:
                 raise PresentationError(f"cannot bind {key!r}: not a parameter of {self.name}")
             if isinstance(val, Node):
                 nodes[key] = val
             elif isinstance(val, str):
-                from .lang import parse_expr_text
                 try:
                     nodes[key] = parse_expr_text(val)
                 except ParseError as e:
                     raise PresentationError(f"bad binding {key}={val!r}: {e}") from None
             else:
                 nodes[key] = Num(Fraction(val))
-
-        def sub(node):
-            if isinstance(node, Param) and node.name in nodes:
-                return nodes[node.name]
-            return node
-
-        out = replace(self.map_expressions(sub),
-                      params=tuple(p for p in self.params if p not in nodes))
-        if name:
-            out = out.with_name(name)
-        return validate(out)
+        return validate(replace(
+            self, name=name or self.name,
+            params=tuple(p for p in self.params if p not in nodes),
+            bindings=self.bindings + tuple((p, nodes[p]) for p in self.params if p in nodes)))
 
 
 def _ast_is_zero(node: Node) -> bool:
@@ -243,12 +223,19 @@ def validate(p: HopfPresentation) -> HopfPresentation:
     if len(set(names)) != len(names):
         raise PresentationError("duplicate generator names")
     reserved = {"h", "exp", "sinh", "cosh", "name"} | set(SECTIONS)
-    for n in list(names) + list(p.params):
+    bound = [n for n, _ in p.bindings]
+    for n in list(names) + list(p.params) + bound:
         if n in reserved:
             raise PresentationError(f"identifier {n!r} is reserved")
-    if set(names) & set(p.params):
+    if set(names) & (set(p.params) | set(bound)):
         raise PresentationError("a name cannot be both parameter and generator")
-    gens, params = set(names), set(p.params)
+    for n, v in p.bindings:
+        if any(isinstance(a, (Gen, Param)) and a.name not in p.params for a in ast_atoms(v)):
+            raise PresentationError(f"bad binding {n}={expr_to_text(v)}: a bound value "
+                                    f"names only h and the parameters left free")
+    bindings = tuple((n, _resolve_idents(v, set(p.params), set())) for n, v in p.bindings)
+    # the expressions read a bound name as a symbolic parameter
+    gens, params = set(names), set(p.params) | set(bound)
     parity_of = {g.name: g.parity for g in p.generators}
 
     def resolved(node):
@@ -312,7 +299,7 @@ def validate(p: HopfPresentation) -> HopfPresentation:
 
     out = HopfPresentation(
         p.name, tuple(p.params), tuple(p.generators), tuple(relations),
-        tuple(coproduct), tuple(counit), tuple(antipode),
+        tuple(coproduct), tuple(counit), tuple(antipode), bindings,
     )
 
     # series functions only on scalars times a single central generator
@@ -408,6 +395,8 @@ def _parse(text: str) -> HopfPresentation:
 
 def emit_presentation(p: HopfPresentation) -> str:
     """Render back to HOPF-PRES v1 text; parse(emit(p)) == p."""
+    if p.bindings:  # the format has none
+        raise PresentationError(f"cannot emit {p.name}: it binds {p.bindings[0][0]}")
     lines = [f"name {p.name}", ""]
     lines.append("[params]")
     lines.extend(p.params)

@@ -558,8 +558,6 @@ class Scalar:
         return Scalar.one().div(self)
 
     # -- as the default coefficient domain of pbw.Engine._eval --------------
-    # a zero is the zero series, not a factor that vanishes somewhere
-    exact_zeros = True
     to_scalar = truncate
 
     @staticmethod
@@ -587,13 +585,11 @@ class Scalar:
         h substitution is only allowed to 0 (the constant term); anything else is
         lossy on a truncated series and is rejected by design.
         """
-        if self._params:
-            bindings = bindings or {}
+        total = self
+        if self._params and bindings:
             total = Scalar.zero(self.trunc)
             for k, poly in self.coeffs.items():
                 total = total + Scalar.h(k) * poly.substitute(bindings)
-        else:
-            total = self
         if h_to_zero:
             if total.pole_order > 0:
                 raise ScalarError("pole at h = 0")

@@ -82,10 +82,13 @@ def test_hopf_reruns_at_bumped_cutoffs(monkeypatch, entry):
 
 
 def test_duality_reruns_at_bumped_cutoffs_and_the_same_degree(monkeypatch):
-    calls = []
+    # the conventions are locked once, and the re-run is handed them
+    calls, locks, locked = [], [], ["a convention"]
+    monkeypatch.setattr(cli, "duality_conventions", lambda degree: locks.append(degree) or locked)
     monkeypatch.setattr(cli, "verify_duality", _pass_then_fail(
-        calls, lambda cut, max_degree, alpha2=True: (cut, max_degree, alpha2)))
+        calls, lambda cut, max_degree, conventions: (cut, max_degree, conventions is locked)))
     [r] = cli.run_entry(ARGS, ("duality", False))
+    assert locks == [6]
     assert calls == [(CUT, 6, True), (CUT.bumped(), 6, True)]
     assert r.audit == "fail"
 

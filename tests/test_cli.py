@@ -49,7 +49,7 @@ def test_check_hopf_malformed_file_exit_two(tmp_path, capsys):
 def test_check_hopf_unevaluable_expression_exit_two(tmp_path, capsys):
     # parses, but the series arithmetic rejects it
     text = (data_dir() / "h1_point.hopf").read_text()
-    for rhs in ("sinh(2)", "1/0", "0/0", "0/0 + 1", "(0/0)^0"):
+    for rhs in ("sinh(2)", "1/0", "0/0", "0/0 + 1", "(0/0)^0", "0*(0/0)"):
         bad = tmp_path / "bad.hopf"
         bad.write_text(text.replace("{S,xi} = 2*sinh(T/2)", "{S,xi} = " + rhs))
         code, out, err = run(capsys, "--h-order", "1", "--word-cutoff", "3",
@@ -119,6 +119,23 @@ def test_check_family_binding(capsys):
                        "check", "family", "d0_variety", "--bind", "mu=1",
                        "--bind", "theta=0")
     assert code == 0
+
+
+@pytest.mark.parametrize("family", ["d1_variety", "variety_3d"])
+def test_check_family_binds_the_removable_singularity(capsys, family):
+    # {S,xi} carries mu/theta: its expressions are evaluated with theta
+    # symbolic, and theta = 0 is substituted after the division
+    code, out, err = run(capsys, "--h-order", "4", "--word-cutoff", "8",
+                         "check", "family", family, "--bind", "mu=1", "--bind", "theta=0")
+    assert (code, err) == (0, "")
+    assert "PASS" in out
+
+
+def test_check_family_rejects_a_pole_valued_binding(capsys):
+    code, out, err = run(capsys, "--h-order", "4", "--word-cutoff", "8",
+                         "check", "family", "sd_hp", "--bind", "alpha=1/h")
+    assert code == 2 and not out
+    assert "alpha=1/h" in err and "pole" in err
 
 
 def test_check_family_bad_binding(capsys):

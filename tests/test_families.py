@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from hopfforge.families import (AtH1, NotClosedForm, compare_limit_with, differe
                                 verify_alpha_arbitrariness, verify_deforming_field,
                                 verify_family_relations, verify_h1_limit,
                                 verify_newquant_consistency)
-from hopfforge.lang import Add, Div, HVar, Mul, Neg, Num, Pow, parse_expr_text
+from hopfforge.lang import (Add, Div, HVar, Mul, Neg, Num, Param, Pow, ast_map,
+                            parse_expr_text)
 from hopfforge.pbw import Cutoffs, Engine
 from hopfforge.presentation import load_presentation, parse_presentation
 from hopfforge.scalars import Scalar
@@ -299,3 +301,55 @@ def test_h1_domain_matches_sympy_at_h_equal_1(node):
     c = got.terms.get(unit, Scalar.zero())
     assert c.exponents() in ([], [0])
     assert c.coeff(0).constant == F(int(want.p), int(want.q))
+
+
+# ------------------------------------------------- binding after evaluation
+
+def _substituted_first(family_id: str, point: dict):
+    """The family with its parameters replaced in the expression trees before
+    anything is evaluated: the reference a binding must agree with away from
+    a singular point."""
+    pres = load_presentation(family_id)
+
+    def sub(node):
+        return Num(F(point[node.name])) if isinstance(node, Param) and node.name in point else node
+
+    return presentation.validate(replace(
+        pres, params=tuple(p for p in pres.params if p not in point),
+        relations=tuple(replace(r, rhs=ast_map(r.rhs, sub)) for r in pres.relations),
+        **{which: tuple((g, ast_map(e, sub)) for g, e in getattr(pres, which))
+           for which in ("coproduct", "counit", "antipode")}))
+
+
+def test_binding_moves_the_names_and_rewrites_no_expression():
+    pres = load_presentation("d1_variety")
+    bound = instantiate("d1_variety", {"mu": 1, "theta": 0})
+    assert bound.params == () and [n for n, _ in bound.bindings] == list(pres.params)
+    assert (bound.relations, bound.coproduct) == (pres.relations, pres.coproduct)
+
+
+def test_removable_singularity_takes_its_limit():
+    # {S,xi} = 2*(mu/theta)*sinh(theta*T/2) tends to mu*T as theta -> 0
+    cut = Cutoffs(6, 10)
+    symbolic = Engine(load_presentation("d1_variety"), cut).graded_commutator("S", "xi")
+    bound = Engine(instantiate("d1_variety", {"mu": 1, "theta": 0}), cut)
+    got = bound.graded_commutator("S", "xi")
+    assert got == symbolic.substitute({"mu": 1, "theta": 0}).moved_to(bound)
+    assert got == bound.generator("T")
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(["d1_variety", "variety_3d"]),
+       mu=st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       theta=st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
+def test_binding_agrees_with_substituting_first(family, mu, theta):
+    cut = Cutoffs(4, 8)
+    point = {"mu": mu, "theta": theta}
+    bound = structure(Engine(instantiate(family, point), cut))
+    reference = structure(Engine(_substituted_first(family, point), cut))
+    assert differences(bound, reference, f"at {point}") == []
+
+
+def test_pole_valued_binding_is_rejected():
+    with pytest.raises(presentation.PresentationError, match="alpha"):
+        Engine(instantiate("sd_hp", {"alpha": "1/h"}), CUT)

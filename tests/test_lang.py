@@ -219,6 +219,13 @@ def test_bind_parameters_to_expression():
     assert bound.gen_names() == line.gen_names()
 
 
+def test_emit_rejects_a_bound_presentation():
+    # the file format has no bindings: emitting would drop them
+    bound = load_presentation("sd_hp").bind({"alpha": 2})
+    with pytest.raises(PresentationError, match="alpha"):
+        emit_presentation(bound)
+
+
 def test_empty_relations_presentation_roundtrip():
     text = """
 name freeish
