@@ -316,147 +316,26 @@ def _entries(b: LieSuperBialgebra) -> dict:
 
 
 def compare_bialgebras(b1: LieSuperBialgebra, b2: LieSuperBialgebra) -> VerificationReport:
-    """Structural equality up to a diagonal basis rescaling.
-
-    Every bracket and cobracket entry of b2 must be a constant multiple of the
-    same entry of b1.  The ratios are then solved exactly for a rational
-    rescaling lambda (over Z in the prime exponents, see _solve_rescaling), so
-    a rescaling is reported whenever one exists.
-    """
+    """Exact equality: the same basis and parities, and every bracket and
+    cobracket entry present in both with the same polynomial."""
     with Timer() as t:
         status, residual = PASS, None
-        details = []
         if b1.basis != b2.basis or b1.parities != b2.parities:
-            return VerificationReport(
-                check="bialgebra-compare", target=f"{b1.name} vs {b2.name}",
-                cutoffs={}, status=FAIL, residual="different bases",
-                wall_time=t.elapsed)
-
-        # collect multiplicative constraints lambda_i lambda_j / lambda_k = r
-        constraints = []
-        n = len(b1.basis)
-        e1, e2 = _entries(b1), _entries(b2)
-        for key in sorted(e1.keys() | e2.keys(), key=lambda k: (k[0] == "co", k)):
-            co = key[0] == "co"
-            i, j, k = (b1.basis[t] for t in key[-3:])
-            at = f"delta({i})" if co else f"[{i},{j}] -> {k}"
-            p1, p2 = e1.get(key), e2.get(key)
-            if p1 is None or p2 is None:
-                status = FAIL
-                residual = f"{'cobracket' if co else 'bracket'} support differs at {at}"
-                break
-            m = next(iter(p1.terms))
-            ratio = p2.terms.get(m, 0) / p1.terms[m]
-            if p1 * ratio != p2:
-                status = FAIL
-                residual = f"{'cobracket' if co else 'bracket entry'} ratio not constant at {at}"
-                break
-            constraints.append((key, ratio))
-        scaling = None
-        if status == PASS:
-            scaling = _solve_rescaling(constraints, n)
-            if scaling is None:
-                status = FAIL
-                residual = "no diagonal rescaling satisfies all entry ratios"
-            else:
-                details.append("rescaling found: " + ", ".join(
-                    f"{b1.basis[i]} -> {scaling[i]}*{b1.basis[i]}" for i in range(n)))
+            status, residual = FAIL, "different bases"
+        else:
+            e1, e2 = _entries(b1), _entries(b2)
+            for key in sorted(e1.keys() | e2.keys(), key=lambda k: (k[0] == "co", k)):
+                co = key[0] == "co"
+                i, j, k = (b1.basis[t] for t in key[-3:])
+                at = f"delta({i})" if co else f"[{i},{j}] -> {k}"
+                kind = "cobracket" if co else "bracket"
+                p1, p2 = e1.get(key), e2.get(key)
+                if p1 is None or p2 is None:
+                    status, residual = FAIL, f"{kind} support differs at {at}"
+                    break
+                if p1 != p2:
+                    status, residual = FAIL, f"{kind} entry differs at {at}: ({p1!r}) vs ({p2!r})"
+                    break
     return VerificationReport(
         check="bialgebra-compare", target=f"{b1.name} vs {b2.name}", cutoffs={},
-        status=status, residual=residual, details=details, wall_time=t.elapsed)
-
-
-def _factorize(q: Fraction):
-    """(sign, {prime: exponent}) of a nonzero rational."""
-    sign = 1 if q > 0 else -1
-    out = {}
-    for value, s in ((abs(q.numerator), 1), (q.denominator, -1)):
-        d = 2
-        while d * d <= value:
-            while value % d == 0:
-                out[d] = out.get(d, 0) + s
-                value //= d
-            d += 1
-        if value > 1:
-            out[value] = out.get(value, 0) + s
-    return sign, {p: e for p, e in out.items() if e}
-
-
-def _solve_rescaling(constraints, n):
-    """lambda with prod_t lambda_t^{e_t} = r for every constraint, or None.
-
-    Each lambda_t is a sign times a product of prime powers, so the
-    multiplicative system splits into one linear system over Z per prime (the
-    exponents) and one over GF(2) (the signs), posed over Z with a slack
-    column of 2 per equation.  Each is solved exactly by _integer_solve, so a
-    rational rescaling is found whenever one exists, whatever the generator
-    order.  Free unknowns get exponent 0, so ratios that are all 1 give
-    lambda = 1.
-    """
-    rows, facs = [], []
-    for key, r in constraints:
-        # bracket (i, j, k): lambda_i lambda_j / lambda_k;
-        # cobracket ("co", i, j, k): lambda_i / (lambda_j lambda_k)
-        i, j, k = key[-3:]
-        exp = [0] * n
-        exp[i] += 1
-        exp[j] += -1 if key[0] == "co" else 1
-        exp[k] -= 1
-        rows.append(exp)
-        facs.append(_factorize(Fraction(r)))
-    lam = [Fraction(1)] * n
-    for p in sorted({p for _, fac in facs for p in fac}):
-        x = _integer_solve(rows, [fac.get(p, 0) for _, fac in facs], n)
-        if x is None:
-            return None
-        lam = [v * Fraction(p) ** e for v, e in zip(lam, x)]
-    slack = [row + [2 * (c == d) for d in range(len(rows))] for c, row in enumerate(rows)]
-    bits = _integer_solve(slack, [int(sign < 0) for sign, _ in facs], n + len(rows))
-    if bits is None:
-        return None
-    lam = [-v if b % 2 else v for v, b in zip(lam, bits)]
-    # safety: lambda must meet every original constraint exactly
-    for (_, r), exp in zip(constraints, rows):
-        val = Fraction(1)
-        for v, e in zip(lam, exp):
-            val *= v ** e
-        if val != r:
-            return None
-    return lam
-
-
-def _integer_solve(A, b, n):
-    """An integer x with A x = b for an m x n matrix A, or None when there is none.
-
-    Integer column operations (Euclid steps), tracked in a unimodular U, bring
-    A to a lower column echelon form H = A U: a Hermite normal form (Kannan
-    and Bachem, SIAM J. Comput. 8, 1979) without the reduction of the entries
-    left of each pivot, which solving does not need.  H y = b is then solved
-    row by row, with y = 0 past the rank, and x = U y.
-    """
-    m = len(A)
-    # column c of A stacked on column c of U, so each operation acts on both
-    cols = [[row[c] for row in A] + [int(t == c) for t in range(n)] for c in range(n)]
-    y = []
-    for r in range(m):
-        rank = len(y)
-        while True:  # Euclid across row r of the columns not yet pivoted
-            live = [c for c in range(rank, n) if cols[c][r]]
-            if not live:
-                break
-            p = min(live, key=lambda c: abs(cols[c][r]))
-            cols[rank], cols[p] = cols[p], cols[rank]
-            if len(live) == 1:
-                break
-            for c in range(rank + 1, n):
-                q = cols[c][r] // cols[rank][r]
-                cols[c] = [u - q * v for u, v in zip(cols[c], cols[rank])]
-        acc = b[r] - sum(cols[k][r] * yk for k, yk in enumerate(y))
-        if rank < n and cols[rank][r]:
-            q, rem = divmod(acc, cols[rank][r])
-            if rem:
-                return None
-            y.append(q)
-        elif acc:
-            return None
-    return [sum(cols[k][m + t] * yk for k, yk in enumerate(y)) for t in range(n)]
+        status=status, residual=residual, wall_time=t.elapsed)

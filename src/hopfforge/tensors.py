@@ -147,8 +147,10 @@ class TensorElement(LinearCombination):
         engines = self.engines[:pos] + sample.engines + self.engines[pos + 1:]
         N = min(e.cutoffs.h_order for e in engines)
         central = [e.central_degree_of for e in engines]
-        out_terms = {k: v.truncate(N) for k, v in out_terms.items()
-                     if not v.is_zero() and sum(d[m] for d, m in zip(central, k)) <= W}
+        # filter after truncating: a sum whose terms all lie above h^N is a zero too
+        out_terms = {k: t for k, v in out_terms.items()
+                     if sum(d[m] for d, m in zip(central, k)) <= W
+                     and not (t := v.truncate(N)).is_zero()}
         return TensorElement(engines, out_terms)
 
     def __repr__(self):

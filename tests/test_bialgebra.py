@@ -1,11 +1,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from hopfforge.bialgebra import (LieSuperBialgebra, _solve_rescaling, check_cocycle,
-                                 check_cojacobi, check_jacobi, compare_bialgebras,
-                                 from_family)
+from hopfforge.bialgebra import (LieSuperBialgebra, check_cocycle, check_cojacobi,
+                                 check_jacobi, compare_bialgebras, from_family)
 from hopfforge.pbw import Cutoffs
 from hopfforge.presentation import PresentationError
 from hopfforge.scalars import ParamPoly
@@ -86,14 +84,19 @@ def test_newquant_first_order_equals_trivial_quantization():
     nq = from_family("newquant", "mu", "h", h_mode="zero", cutoffs=CUT)
     d0 = from_family("d0_variety", "mu", "theta", h_mode="zero", cutoffs=CUT)
     r = compare_bialgebras(nq, d0)
-    assert r.status == "pass"
-    assert any("rescaling" in d for d in r.details)
+    assert r.status == "pass", r.text()
 
 
 def test_self_comparison_identity_rescaling(v3):
     r = compare_bialgebras(v3, v3)
-    assert r.status == "pass"
-    assert all(f"-> 1*" in piece for d in r.details for piece in d.split(", ") if "->" in piece)
+    assert r.status == "pass", r.text()
+
+
+def test_different_bases_compare_unequal(d0):
+    reordered = LieSuperBialgebra("reordered", d0.basis[::-1], d0.parities[::-1],
+                                  d0.bracket, d0.cobracket)
+    r = compare_bialgebras(d0, reordered)
+    assert r.status == "fail" and r.residual == "different bases"
 
 
 def test_contractions_are_inequivalent():
@@ -104,8 +107,9 @@ def test_contractions_are_inequivalent():
     assert "support differs" in r.residual
 
 
-def test_rescaled_structures_compare_equal(d0):
-    # scale S by 2: bracket entries pick up the induced ratios
+def test_rescaled_structures_compare_unequal(d0):
+    # S scaled by 2 is a diagonal rescaling of d0, but not d0: every entry
+    # must agree exactly
     i_tau, i_S, i_xi, i_T = (idx(d0, n) for n in ("tau", "S", "xi", "T"))
     scaled_bracket = {
         (i_tau, i_S): {i_xi: ParamPoly.const(4)},
@@ -115,47 +119,8 @@ def test_rescaled_structures_compare_equal(d0):
     scaled_co = {i_tau: {(i_xi, i_xi): ParamPoly.const(4)}}
     other = LieSuperBialgebra("scaled", d0.basis, d0.parities, scaled_bracket, scaled_co)
     r = compare_bialgebras(d0, other)
-    assert r.status == "pass", r.text()
-
-
-@pytest.mark.parametrize("order", [("x", "y"), ("y", "x")])
-def test_rescaling_found_whatever_the_generator_order(order):
-    # x odd, y even: delta(y) = x (x) x against delta(y) = 2 x (x) x; lambda_x = 1,
-    # lambda_y = 2 maps one onto the other
-    ix, iy = order.index("x"), order.index("y")
-    parities = tuple(int(g == "x") for g in order)
-
-    def with_cobracket(c):
-        return LieSuperBialgebra(f"c={c}", order, parities, {},
-                                 {iy: {(ix, ix): ParamPoly.const(c)}})
-
-    r = compare_bialgebras(with_cobracket(1), with_cobracket(2))
-    assert r.status == "pass", r.text()
-
-
-def _ratio(key, lam):
-    """The entry ratio a diagonal rescaling lam induces, from the definitions."""
-    if key[0] == "co":  # delta(x_i) -> x_j (x) x_k
-        _, i, j, k = key
-        return lam[i] / (lam[j] * lam[k])
-    i, j, k = key  # [x_i, x_j] -> x_k
-    return lam[i] * lam[j] / lam[k]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_rescaling_solver_finds_a_solution_whenever_one_exists(data):
-    n = data.draw(st.integers(1, 4))
-    nonzero = st.fractions(-12, 12, max_denominator=12).filter(bool)
-    lam = data.draw(st.lists(nonzero, min_size=n, max_size=n))
-    idx = st.integers(0, n - 1)
-    keys = data.draw(st.lists(st.one_of(st.tuples(idx, idx, idx),
-                                        st.tuples(st.just("co"), idx, idx, idx)),
-                              max_size=8))
-    constraints = [(key, _ratio(key, lam)) for key in keys]
-    got = _solve_rescaling(constraints, n)
-    assert got is not None and len(got) == n
-    assert all(_ratio(key, got) == r for key, r in constraints)
+    assert r.status == "fail"
+    assert "entry differs" in r.residual
 
 
 def test_extraction_rejects_nonabelian_zeroth_order():

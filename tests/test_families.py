@@ -219,6 +219,10 @@ VARIETY = "variety_3d(mu=1, theta=1) == sd_line"
      {"newquant-consistency"}),
     ("h1_point", "{S,xi} = 2*sinh(T/2)", "{S,xi} = 2*sinh(T/2) + T", {"limit-h1"}),
     ("h0_point", "{S,S} = 2*T", "{S,S} = 3*T", {"limit-h0"}),
+    # first-order entries that only a diagonal rescaling would map back
+    ("d0_variety", "{S,S} = 2*mu*T", "{S,S} = 3*mu*T", {"newquant-consistency"}),
+    ("d0_variety", "tau = tau (x) 1 + 1 (x) tau + theta*xi (x) xi",
+     "tau = tau (x) 1 + 1 (x) tau - theta*xi (x) xi", {"newquant-consistency"}),
 ])
 def test_family_checks_catch_a_one_line_mutation(tmp_path, monkeypatch, family, old, new,
                                                  failing):
