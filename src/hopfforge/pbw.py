@@ -23,22 +23,28 @@ m*g lies below that of the product that needs it; rule tails are validated at
 build time to make that measure sound (pole-free coefficients, and h-free
 tail terms must drop non-central degree).
 
-Each engine also fixes a generator weight that rewriting never lowers (see
-``Engine._find_weight``).  A key of total degree <= D weighs at most
-D * max(w_i/d_i), so ``LinearCombination.window`` and the windowed tensor
-product drop, exactly, what cannot reach degree <= D under further products.
+Each engine also fixes an integer generator weight that rewriting never
+lowers (see ``Engine._find_weight``).  A key of total degree <= D weighs at
+most the integer part of D * max(w_i/d_i), so ``LinearCombination.window``
+and the windowed tensor product drop, exactly, what cannot reach degree <= D
+under further products, comparing integers only.
 
 A monomial's parity, weight and central degree are pure functions of it, so
 each engine memoizes them (``parity_of``, ``weight_of``, ``central_degree_of``:
 dicts filled on first lookup).  The product cache holds one entry per (ma, mb):
 the terms of the normal form of ma*mb, both as a {monomial: coefficient} dict
-(``Engine.product``) and as (monomial, coefficient, central degree) triples
-(``Engine.product_triples``), which tensor products read.
+(``Engine.product``) and as (monomial, coefficient, central degree, unit)
+tuples (``Engine.product_terms``), which tensor products read.  The unit
+flag is ``Scalar.is_unit(N)``: the coefficient is the exact 1 or
+1 + O(h^(t+1)) with t >= N, so a pole-free coefficient times it, truncated
+at h^N, is unchanged.  Normal-form coefficients are pole-free (rule tails
+are checked to be), so most leg coefficients are such units.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
@@ -87,9 +93,11 @@ class LinearCombination:
     def weight_of_key(self, key) -> int:
         return sum(e.weight_of[m] for e, m in zip(self.engines, self._legs(key)))
 
-    def weight_bound(self, max_degree: int) -> Fraction:
-        """The largest weight a key of total degree <= max_degree can have."""
-        return max_degree * max(e.weight_ratio for e in self.engines)
+    def weight_bound(self, max_degree: int) -> int:
+        """The largest weight a key of total degree <= max_degree can have: the
+        integer part of max_degree * max(w_i/d_i), exact since weights are
+        integers."""
+        return math.floor(max_degree * max(e.weight_ratio for e in self.engines))
 
     def window(self, max_degree: int):
         """The keys within the weight bound of max_degree.  Products and the
@@ -561,11 +569,11 @@ class Engine:
     def _fill_product(self, ma, mb) -> tuple:
         """Compute and cache the entry for ma*mb: the terms {monomial:
         coefficient} of its normal form, and the same terms as (monomial,
-        coefficient, central degree) triples."""
+        coefficient, central degree, unit) tuples."""
         terms = self.normal_form(self.monomial_to_word(ma) + self.monomial_to_word(mb)).terms
-        central = self.central_degree_of
+        central, N = self.central_degree_of, self.cutoffs.h_order
         entry = self._product_cache[(ma, mb)] = (
-            terms, tuple((m, c, central[m]) for m, c in terms.items()))
+            terms, tuple((m, c, central[m], c.is_unit(N)) for m, c in terms.items()))
         return entry
 
     def product(self, ma, mb) -> dict:
@@ -573,9 +581,9 @@ class Engine:
         memoized per (ma, mb).  Shared with the cache: do not mutate."""
         return (self._product_cache.get((ma, mb)) or self._fill_product(ma, mb))[0]
 
-    def product_triples(self, ma, mb) -> tuple:
-        """The same terms as (monomial, coefficient, central degree) triples,
-        from the same cache entry."""
+    def product_terms(self, ma, mb) -> tuple:
+        """The same terms as (monomial, coefficient, central degree, unit)
+        tuples, from the same cache entry; unit is ``c.is_unit(N)``."""
         return (self._product_cache.get((ma, mb)) or self._fill_product(ma, mb))[1]
 
     def multiply(self, a: PbwElement, b: PbwElement) -> PbwElement:

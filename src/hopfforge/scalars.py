@@ -28,8 +28,10 @@ products are memoized.
 A unit, stored as {0: 1} over 1 (the exact 1 and every 1 + O(h^(t+1))), is
 always in integer form, and a product with it is the other factor truncated
 at the product's usual trunc, with no numerator work: leg coefficients of
-normal forms are mostly such units.  Division runs one pseudo-division on the
-(exponent, monomial) numerators of both forms, with one gcd at the end.  Only
+normal forms are mostly such units.  ``is_unit(N)`` tells a unit whose
+product with a pole-free factor is that factor to h^N, which tensor products
+then skip.  Division runs one pseudo-division on the (exponent, monomial)
+numerators of both forms, with one gcd at the end.  Only
 this module reads the storage: other code uses ``coeff(k)``, ``coeffs`` and
 ``exponents()``.  Scalars are immutable and may share storage (``truncate``
 can return ``self``).
@@ -409,6 +411,14 @@ class Scalar:
         if not self._params:
             return set()
         return {name for _, m in self._c for name, _ in m}
+
+    def is_unit(self, order: int) -> bool:
+        """Whether this is the exact 1 or 1 + O(h^(t+1)) with t >= order.  A
+        pole-free x times such a unit, truncated at order, is x truncated at
+        order: the product truncates at t + valuation(x) >= order."""
+        c = self._c
+        return (self._den == 1 and len(c) == 1 and c.get(0) == 1
+                and (self.trunc is None or self.trunc >= order))
 
     def truncate(self, order) -> "Scalar":
         t = self.trunc

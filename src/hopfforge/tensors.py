@@ -6,14 +6,17 @@ Multiplication is legwise with the sign (-1)^(sum_{i<j} |y_i||x_j|) for
 
 Products and leg maps read each monomial's parity, weight and central degree
 from its engine's memos, and ``tensor_mul`` reads each leg product as the
-(monomial, coefficient, central degree) triples of the engine's product cache
-entry, so no leg list is rebuilt per key pair.  Most leg coefficients are
-units 1 + O(h^(N+1)), and a Scalar product with a unit does no numerator work.
+(monomial, coefficient, central degree, unit) tuples of the engine's product
+cache entry, so no leg list is rebuilt per key pair.  Most leg coefficients
+are units, the exact 1 or 1 + O(h^(t+1)) with t >= N.  When a pair's
+coefficient has no pole, ``tensor_mul`` passes the running coefficient through
+a unit leg unchanged: times a unit it would be truncated at t + valuation,
+at or above N, and the result is truncated at N anyway.  With a pole it
+multiplies, since that truncation falls below N.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import mul
 
@@ -167,12 +170,17 @@ class TensorElement(LinearCombination):
 def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
                ) -> TensorElement:
     """Legwise product with the Koszul sign; each leg product is read from its
-    engine's product cache as (monomial, coefficient, central degree) triples.
+    engine's product cache as (monomial, coefficient, central degree, unit)
+    tuples, and a unit leg is skipped when the pair's coefficient has no pole
+    (see the module docstring).
 
     With ``max_degree`` D, the product's window of D (``LinearCombination.window``):
-    a pair of keys whose weights sum above the bound of D is skipped, since
-    rewriting never lowers weight, so the result is the full product's
-    window, keys, coefficients and ``trunc`` alike.
+    rewriting never lowers weight, so only pairs of keys whose weights sum to
+    at most the integer bound of D are visited.  A key of ``a`` above the
+    bound is dropped, and each other key of ``a`` meets, in ``b``'s order,
+    just the keys of ``b`` that fit in its room.  The pairs reach the sum in
+    the order of the full product, so the result is the full product's
+    window, keys, coefficients, ``trunc`` and order alike.
     """
     if a.legs != b.legs or any(x is not y for x, y in zip(a.engines, b.engines)):
         raise PresentationError("tensor leg mismatch")
@@ -180,62 +188,67 @@ def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
     n = len(engines)
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
-    if max_degree is None:
-        bound, weight = math.inf, lambda key: 0
-    else:
-        bound, weight = a.weight_bound(max_degree), a.weight_of_key
     parity = [e.parity_of for e in engines]
-    products = [e.product_triples for e in engines]
+    products = [e.product_terms for e in engines]
 
     def parities(key):
         return [p[m] for p, m in zip(parity, key)]
 
-    b_items = [(kb, cb, weight(kb), parities(kb)) for kb, cb in b.terms.items()]
+    b_items = [(kb, cb, parities(kb)) for kb, cb in b.terms.items()]
+    if max_degree is None:
+        rows = [(ka, ca, b_items) for ka, ca in a.terms.items()]
+    else:
+        # fits[r]: the keys of b that weigh at most r, in b's order
+        bound, weight = a.weight_bound(max_degree), a.weight_of_key
+        b_weights = [weight(kb) for kb in b.terms]
+        fits = [[x for x, w in zip(b_items, b_weights) if w <= r] for r in range(bound + 1)]
+        rows = [(ka, ca, fits[bound - w]) for ka, ca in a.terms.items()
+                if (w := weight(ka)) <= bound]
     acc: dict = {}
-    for ka, ca in a.terms.items():
-        room = bound - weight(ka)
+    for ka, ca, row in rows:
         # the Koszul sign of a pair is (-1)^(sum_i |b_i| after_a[i]), where
         # after_a[i] = sum_{j>i} |a_j|
         pa = parities(ka)
         after_a = [sum(pa[i + 1:]) for i in range(n)]
-        for kb, cb, wb, pb in b_items:
-            if wb > room:
-                continue
+        for kb, cb, pb in row:
             c = (ca * cb).truncate(N)
             if sum(map(mul, pb, after_a)) % 2:
                 c = -c
             if not _droppable(c, N):
-                _distribute(acc, [prod(x, y) for prod, x, y in zip(products, ka, kb)], c, N, W)
+                v = c.valuation()
+                _distribute(acc, [prod(x, y) for prod, x, y in zip(products, ka, kb)],
+                            0, (), c, 0, N, W, v is None or v >= 0)
     out = TensorElement(engines, _clean(acc))
     return out if max_degree is None else out.window(max_degree)
 
 
-def _distribute(acc, legs, c, N, W):
-    """Accumulate the outer product of the legs' terms times c into acc; each
-    leg is a sequence of (monomial, coefficient, central degree) triples.
+def _distribute(acc, legs, i, key, coeff, central, N, W, skip_units):
+    """Accumulate the outer product of legs[i:] times coeff into acc under
+    the partial key of legs[:i]; each leg is a sequence of (monomial,
+    coefficient, central degree, unit) tuples.
 
-    Keys whose total central degree exceeds W live in the tensor-square image
-    of the engine's central-degree ideal and are quotiented away.  Central
-    degrees are not negative, so a partial key above W is not extended.
+    With ``skip_units`` (coeff has no pole, and leg coefficients have none),
+    coeff passes a unit leg unchanged: the product would differ only above
+    h^N, and the sum is truncated at N.  Keys whose total central degree
+    exceeds W live in the tensor-square image of the engine's central-degree
+    ideal and are quotiented away.  Central degrees are not negative, so a
+    partial key above W is not extended.
     """
-    last = len(legs) - 1
-
-    def rec(i, key, coeff, central):
-        for m, mc, d in legs[i]:
-            d += central
-            if d > W:
-                continue
-            x = coeff * mc
-            if _droppable(x, N):
-                continue
-            if i == last:
-                x = x.truncate(N)
-                k = key + (m,)
-                prev = acc.get(k)
-                acc[k] = x if prev is None else prev + x
-            else:
-                rec(i + 1, key + (m,), x, d)
-    rec(0, (), c, 0)
+    last = i == len(legs) - 1
+    for m, mc, d, unit in legs[i]:
+        d += central
+        if d > W:
+            continue
+        x = coeff if unit and skip_units else coeff * mc
+        if _droppable(x, N):
+            continue
+        if last:
+            x = x.truncate(N)
+            k = key + (m,)
+            prev = acc.get(k)
+            acc[k] = x if prev is None else prev + x
+        else:
+            _distribute(acc, legs, i + 1, key + (m,), x, d, N, W, skip_units)
 
 
 def tensor_of(*elements: PbwElement) -> TensorElement:
@@ -244,9 +257,10 @@ def tensor_of(*elements: PbwElement) -> TensorElement:
     acc: dict = {}
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
-    legs = [[(m, c, el.engine.central_degree_of[m]) for m, c in el.terms.items()]
+    # a coefficient of an element may have a pole, so every leg multiplies
+    legs = [[(m, c, el.engine.central_degree_of[m], False) for m, c in el.terms.items()]
             for el in elements]
-    _distribute(acc, legs, Scalar.one(), N, W)
+    _distribute(acc, legs, 0, (), Scalar.one(), 0, N, W, False)
     return TensorElement(engines, _clean(acc))
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from hopfforge.pbw import PbwElement, _clean, _droppable
 from hopfforge.presentation import ODD
-from hopfforge.scalars import Scalar
+from hopfforge.scalars import ParamPoly, Scalar
 from hopfforge.tensors import TensorElement, tensor_mul
 
 from test_window import ENGINES, SETTINGS, hopf_ops
@@ -32,6 +32,10 @@ def direct_weight(e, m):
 
 def direct_central(e, m):
     return sum(x * d for x, d, c in zip(m, e.degrees, e.central) if c)
+
+
+def direct_unit(c, N):
+    return c.coeffs == {0: ParamPoly.const(1)} and (c.trunc is None or c.trunc >= N)
 
 
 def reference_tensor_mul(a, b, max_degree=None):
@@ -160,12 +164,38 @@ def test_memoized_invariants_and_cached_triples_match_the_formulas(name):
         assert (eng.central_degree_of[m] == eng.monomial_degree_central(m)
                 == direct_central(eng, m))
     low = basis(eng, 2)
+    units = 0
     for ma, mb in itertools.product(low, low):
         terms = eng.product(ma, mb)
-        assert eng.product_triples(ma, mb) == tuple(
-            (m, c, direct_central(eng, m)) for m, c in terms.items())
-        assert all(c is terms[m] for m, c, _ in eng.product_triples(ma, mb))
+        entry = eng.product_terms(ma, mb)
+        assert entry == tuple((m, c, direct_central(eng, m), direct_unit(c, eng.cutoffs.h_order))
+                              for m, c in terms.items())
+        assert all(c is terms[m] for m, c, _, _ in entry)
+        units += sum(unit for *_, unit in entry)
         nf = eng.normal_form(eng.monomial_to_word(ma) + eng.monomial_to_word(mb))
         assert list(nf.terms) == list(terms)
         assert all((nf.terms[m].coeffs, nf.terms[m].trunc) == (c.coeffs, c.trunc)
                    for m, c in terms.items())
+    assert units
+
+
+def test_a_pole_times_unit_legs_is_multiplied():
+    # every leg product here is one term with the unit 1 + O(h^(t+1)), t = N
+    # = 3; times it, a coefficient of valuation -1 truncates at t - 1 = 2 < N,
+    # so a unit leg may be skipped only when the pair's coefficient has no pole
+    eng = hopf_ops("ptsa_q").engine
+    one, S, T = (0, 0), (1, 0), (0, 1)
+    for m in (one, S, T):
+        (_, unit, _, flag), = eng.product_terms(one, m)
+        assert flag and unit.trunc == eng.cutoffs.h_order == 3
+    pole = Scalar.h(-1)
+    for c in (pole, pole.truncate(2)):  # h^-1, and h^-1 + O(h^3)
+        for keys in ([(one, one), (S, T)], [(one, one, one), (T, one, S)]):
+            engines = (eng,) * len(keys[0])
+            a = TensorElement(engines, {keys[0]: c})
+            b = TensorElement(engines, {k: Scalar.one() for k in keys})
+            for D in (None, 2):
+                product = tensor_mul(a, b, D)
+                identical(product, reference_tensor_mul(a, b, D))
+                assert list(product.terms) == keys
+                assert all(x.trunc == 2 for x in product.terms.values())

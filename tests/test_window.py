@@ -200,3 +200,41 @@ def test_zero_weight_prunes_nothing():
     b = tensor_of(y * y, x * y) + tensor_of(x, x)
     assert same(a.window(0), a)
     assert same(tensor_mul(a, b, 0), tensor_mul(a, b))
+
+
+RATIO = """
+name ratio
+[generators]
+S odd 2
+T even 3
+[relations]
+{S,S} = 2*T
+[S,T] = 0
+[coproduct]
+S = S (x) 1 + 1 (x) S
+T = T (x) 1 + 1 (x) T + h*S (x) S
+[counit]
+S = 0
+T = 0
+[antipode]
+S = -S
+T = -T
+"""
+
+
+def test_a_window_bound_that_is_not_an_integer():
+    # {S,S} = 2*T and the h*S (x) S term of Delta(T) force w_T = 2*w_S, and
+    # w_T <= d_T = 3, so the weight is (1, 2) and the ratio max(1/2, 2/3)
+    eng = Engine(parse_presentation(RATIO), Cutoffs(3, 12))
+    assert eng.weight == (1, 2) and eng.weight_ratio == F(2, 3)
+    S, T, one = eng.generator("S"), eng.generator("T"), eng.one()
+    a = tensor_of(S, one) + tensor_of(T, S).scale(Scalar.h()) + tensor_of(one, T) + tensor_of(S, S)
+    b = tensor_of(S, T) + tensor_of(T * T, one) + tensor_of(one, S) + tensor_of(S, one)
+    assert a.weight_bound(4) == 2
+    full = tensor_mul(a, b)
+    for D in range(6):
+        assert a.weight_bound(D) == 2 * D // 3
+        windowed = tensor_mul(a, b, D)
+        assert same(windowed, full.window(D)), D
+        assert list(windowed.terms) == list(full.window(D).terms), D
+    assert len(tensor_mul(a, b, 0).terms) < len(tensor_mul(a, b, 5).terms) < len(full.terms)
