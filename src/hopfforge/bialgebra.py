@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .hopf import structure
 from .pbw import Cutoffs, Engine
 from .presentation import PresentationError, load_presentation
-from .report import FAIL, PASS, Timer, VerificationReport
+from .report import VerificationReport
 from .scalars import ParamPoly, Scalar, ScalarError, series_fn
 
 __all__ = ["LieSuperBialgebra", "from_family", "check_jacobi", "check_cojacobi",
@@ -184,34 +185,22 @@ def _bracket_elements(b: LieSuperBialgebra, x: dict, y: dict) -> dict:
 
 def check_jacobi(b: LieSuperBialgebra) -> VerificationReport:
     """Graded Jacobi identity as an exact polynomial identity."""
-    with Timer() as t:
-        status, residual = PASS, None
-        n = len(b.basis)
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    acc = {}
-                    for (p, q, r) in ((x, y, z), (y, z, x), (z, x, y)):
-                        sgn = -1 if (b.parity(p) and b.parity(r)) else 1
-                        inner = b.bracket_of(q, r)
-                        term = _bracket_elements(b, {p: ParamPoly.const(1)}, inner)
-                        for k, v in term.items():
-                            acc[k] = acc.get(k, ParamPoly()) + v * sgn
-                    bad = {k: v for k, v in acc.items() if not v.is_zero()}
-                    if bad:
-                        status = FAIL
-                        k, v = next(iter(bad.items()))
-                        residual = (f"Jacobi({b.basis[x]},{b.basis[y]},{b.basis[z]}) = "
-                                    f"({v!r})*{b.basis[k]} + ...")
-                        break
-                if status == FAIL:
-                    break
-            if status == FAIL:
-                break
-    return VerificationReport(
-        check="lie-jacobi", target=b.name, cutoffs={}, status=status,
-        residual=residual, details=[b.serialize()] if status == PASS else [],
-        wall_time=t.elapsed)
+    with VerificationReport.timed("lie-jacobi", b.name, {}) as rep:
+        for x, y, z in product(range(len(b.basis)), repeat=3):
+            acc = {}
+            for (p, q, r) in ((x, y, z), (y, z, x), (z, x, y)):
+                sgn = -1 if (b.parity(p) and b.parity(r)) else 1
+                term = _bracket_elements(b, {p: ParamPoly.const(1)}, b.bracket_of(q, r))
+                for k, v in term.items():
+                    acc[k] = acc.get(k, ParamPoly()) + v * sgn
+            bad = {k: v for k, v in acc.items() if not v.is_zero()}
+            if bad:
+                k, v = next(iter(bad.items()))
+                rep.fail(f"Jacobi({b.basis[x]},{b.basis[y]},{b.basis[z]}) = "
+                         f"({v!r})*{b.basis[k]} + ...")
+                return rep
+        rep.details.append(b.serialize())
+    return rep
 
 
 def _cyclic3(terms: dict, parities) -> dict:
@@ -226,8 +215,7 @@ def _cyclic3(terms: dict, parities) -> dict:
 
 def check_cojacobi(b: LieSuperBialgebra) -> VerificationReport:
     """(id + zeta + zeta^2)(delta (x) id) delta = 0 on each basis element."""
-    with Timer() as t:
-        status, residual = PASS, None
+    with VerificationReport.timed("lie-cojacobi", b.name, {}) as rep:
         par = [b.parity(i) for i in range(len(b.basis))]
         for x in range(len(b.basis)):
             three = {}
@@ -244,14 +232,11 @@ def check_cojacobi(b: LieSuperBialgebra) -> VerificationReport:
                     total[key] = total.get(key, ParamPoly()) + p
             bad = {k: v for k, v in total.items() if not v.is_zero()}
             if bad:
-                status = FAIL
                 key, v = next(iter(bad.items()))
-                residual = (f"co-Jacobi({b.basis[x]}): ({v!r})*"
-                            + "(x)".join(b.basis[i] for i in key))
+                rep.fail(f"co-Jacobi({b.basis[x]}): ({v!r})*"
+                         + "(x)".join(b.basis[i] for i in key))
                 break
-    return VerificationReport(
-        check="lie-cojacobi", target=b.name, cutoffs={}, status=status,
-        residual=residual, wall_time=t.elapsed)
+    return rep
 
 
 def _adjoint_on_tensor(b: LieSuperBialgebra, x: int, two: dict) -> dict:
@@ -277,34 +262,25 @@ def check_cocycle(b: LieSuperBialgebra, cobracket_from: LieSuperBialgebra | None
     """
     co = (cobracket_from or b).cobracket
     target = b.name if cobracket_from is None else f"{b.name} x {cobracket_from.name}"
-    with Timer() as t:
-        status, residual = PASS, None
-        n = len(b.basis)
-        for x in range(n):
-            for y in range(n):
-                lhs = {}
-                for k, p in b.bracket_of(x, y).items():
-                    for key, q in co.get(k, {}).items():
-                        lhs[key] = lhs.get(key, ParamPoly()) + p * q
-                rhs = _adjoint_on_tensor(b, x, co.get(y, {}))
-                sgn = -1 if (b.parity(x) and b.parity(y)) else 1
-                for key, p in _adjoint_on_tensor(b, y, co.get(x, {})).items():
-                    rhs[key] = rhs.get(key, ParamPoly()) - p * sgn
-                diff = dict(lhs)
-                for key, p in rhs.items():
-                    diff[key] = diff.get(key, ParamPoly()) - p
-                bad = {k: v for k, v in diff.items() if not v.is_zero()}
-                if bad:
-                    status = FAIL
-                    key, v = next(iter(bad.items()))
-                    residual = (f"cocycle({b.basis[x]},{b.basis[y]}): ({v!r})*"
-                                + "(x)".join(b.basis[i] for i in key))
-                    break
-            if status == FAIL:
+    with VerificationReport.timed("lie-cocycle", target, {}) as rep:
+        for x, y in product(range(len(b.basis)), repeat=2):
+            diff = {}
+            for k, p in b.bracket_of(x, y).items():
+                for key, q in co.get(k, {}).items():
+                    diff[key] = diff.get(key, ParamPoly()) + p * q
+            rhs = _adjoint_on_tensor(b, x, co.get(y, {}))
+            sgn = -1 if (b.parity(x) and b.parity(y)) else 1
+            for key, p in _adjoint_on_tensor(b, y, co.get(x, {})).items():
+                rhs[key] = rhs.get(key, ParamPoly()) - p * sgn
+            for key, p in rhs.items():
+                diff[key] = diff.get(key, ParamPoly()) - p
+            bad = {k: v for k, v in diff.items() if not v.is_zero()}
+            if bad:
+                key, v = next(iter(bad.items()))
+                rep.fail(f"cocycle({b.basis[x]},{b.basis[y]}): ({v!r})*"
+                         + "(x)".join(b.basis[i] for i in key))
                 break
-    return VerificationReport(
-        check="lie-cocycle", target=target, cutoffs={}, status=status,
-        residual=residual, wall_time=t.elapsed)
+    return rep
 
 
 def _entries(b: LieSuperBialgebra) -> dict:
@@ -318,24 +294,21 @@ def _entries(b: LieSuperBialgebra) -> dict:
 def compare_bialgebras(b1: LieSuperBialgebra, b2: LieSuperBialgebra) -> VerificationReport:
     """Exact equality: the same basis and parities, and every bracket and
     cobracket entry present in both with the same polynomial."""
-    with Timer() as t:
-        status, residual = PASS, None
+    with VerificationReport.timed("bialgebra-compare", f"{b1.name} vs {b2.name}", {}) as rep:
         if b1.basis != b2.basis or b1.parities != b2.parities:
-            status, residual = FAIL, "different bases"
-        else:
-            e1, e2 = _entries(b1), _entries(b2)
-            for key in sorted(e1.keys() | e2.keys(), key=lambda k: (k[0] == "co", k)):
-                co = key[0] == "co"
-                i, j, k = (b1.basis[t] for t in key[-3:])
-                at = f"delta({i})" if co else f"[{i},{j}] -> {k}"
-                kind = "cobracket" if co else "bracket"
-                p1, p2 = e1.get(key), e2.get(key)
-                if p1 is None or p2 is None:
-                    status, residual = FAIL, f"{kind} support differs at {at}"
-                    break
-                if p1 != p2:
-                    status, residual = FAIL, f"{kind} entry differs at {at}: ({p1!r}) vs ({p2!r})"
-                    break
-    return VerificationReport(
-        check="bialgebra-compare", target=f"{b1.name} vs {b2.name}", cutoffs={},
-        status=status, residual=residual, wall_time=t.elapsed)
+            rep.fail("different bases")
+            return rep
+        e1, e2 = _entries(b1), _entries(b2)
+        for key in sorted(e1.keys() | e2.keys(), key=lambda k: (k[0] == "co", k)):
+            co = key[0] == "co"
+            i, j, k = (b1.basis[t] for t in key[-3:])
+            at = f"delta({i})" if co else f"[{i},{j}] -> {k}"
+            kind = "cobracket" if co else "bracket"
+            p1, p2 = e1.get(key), e2.get(key)
+            if p1 is None or p2 is None:
+                rep.fail(f"{kind} support differs at {at}")
+                break
+            if p1 != p2:
+                rep.fail(f"{kind} entry differs at {at}: ({p1!r}) vs ({p2!r})")
+                break
+    return rep

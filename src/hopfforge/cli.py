@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import time
 
 from . import families
 from .bialgebra import check_cocycle, check_cojacobi, check_jacobi, from_family
@@ -25,8 +26,7 @@ from .lang import ParseError, parse_expr_text
 from .pairing import duality_conventions, verify_duality
 from .pbw import Cutoffs, Engine
 from .presentation import PresentationError, emit_presentation, load_presentation
-from .report import (FAIL, FINDING, PASS, Timer, VerificationReport, audited,
-                     reports_to_json)
+from .report import FAIL, FINDING, VerificationReport, audited, reports_to_json
 from .rmatrix import (RMatrixContext, build_R, check_triangularity, verify_auxiliary,
                       verify_coproduct_laws, verify_intertwining)
 
@@ -60,7 +60,8 @@ def _as_finding(report: VerificationReport, note: str) -> VerificationReport:
 
 # ---------------------------------------------------------------- check groups
 # Each group maps the parsed arguments and its own options to a report list.
-# The groups pass the reports that carry a stability audit through audited(),
+# Every check makes, fails and times its report in VerificationReport.timed();
+# the groups pass the reports that carry a stability audit through audited(),
 # with a re-run at Cutoffs.bumped(), or on the (D+1, N+1) R-matrix context.
 
 def _audited_hopf(pres, cut):
@@ -73,25 +74,24 @@ def _hopf(args, name):
 
 def _confluence(args, name):
     cut = _cutoffs(args)
-    with Timer() as t:
-        pres = load_presentation(name)
+    pres = load_presentation(name)
+    with VerificationReport.timed("confluence", pres.name, cut.as_dict()) as rep:
         ok, failures, checked = Engine(pres, cut).check_confluence()
-    return [VerificationReport(
-        check="confluence", target=pres.name,
-        cutoffs={"N": cut.h_order, "W": cut.word_degree},
-        status=PASS if ok else FAIL,
-        residual=None if ok else f"overlap {'*'.join(failures[0][0])}",
-        details=[f"{checked} overlaps checked"], wall_time=t.elapsed)]
+        rep.details.append(f"{checked} overlaps checked")
+        if not ok:
+            rep.fail(f"overlap {'*'.join(failures[0][0])}")
+    return [rep]
 
 
 def _duality(args, literal):
     """The pairing certification; with literal, the (h/2) scaling diagnostic
     too.  The re-run reuses the conventions the main run locked."""
     cut, degree = _cutoffs(args), args.tensor_degree + 2
-    with Timer() as t:
-        convs = duality_conventions(degree)
+    t0 = time.perf_counter()
+    convs = duality_conventions(degree)
+    locking = time.perf_counter() - t0
     report = verify_duality(cut, max_degree=degree, conventions=convs)
-    report.wall_time += t.elapsed
+    report.wall_time += locking
     reports = [audited(report, lambda: verify_duality(cut.bumped(), max_degree=degree,
                                                       conventions=convs))]
     if literal:

@@ -35,7 +35,7 @@ from .hopf import _first_residual_tensor, differences, verify_hopf
 from .pairing import Pairing, _h_basis, standard_pair
 from .pbw import Cutoffs, Engine, PbwElement, _droppable
 from .presentation import HopfPresentation, load_presentation, validate
-from .report import FAIL, PASS, Timer, VerificationReport
+from .report import PASS, VerificationReport
 from .scalars import Scalar
 from .tensors import TensorElement, evaluate_tensor, tensor_mul, tensor_of
 
@@ -245,27 +245,21 @@ def derive_double_presentation(cutoffs: Cutoffs = Cutoffs()):
 
     Returns (the presentation, or None when a step fails; VerificationReport; Double).
     """
-    with Timer() as t:
+    with VerificationReport.timed("double-reconstruction", "SD(ptsa_q, brst_q_alpha2)",
+                                  cutoffs.as_dict()) as rep:
         dbl = Double(standard_pair(cutoffs, alpha2=True))
         derived = double_presentation(dbl)
-        details, diffs = [], []
         for diffs, passed in _reconstruction_steps(dbl, derived):
             if diffs:
+                rep.fail(diffs[0])
+                rep.details += diffs
+                derived = None
                 break
-            details += passed
-    # the dual-subalgebra normalization difference is a finding, not a failure
-    alpha_note = ("published [tau,xi] = (h/2)*xi is the alpha=1 scaling; the "
-                  "pairing-consistent double carries [tau,xi] = h*xi (alpha=2)")
-    report = VerificationReport(
-        check="double-reconstruction",
-        target="SD(ptsa_q, brst_q_alpha2)",
-        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-        status=FAIL if diffs else PASS,
-        residual=diffs[0] if diffs else None,
-        details=details + diffs + ["finding: " + alpha_note],
-        wall_time=t.elapsed,
-    )
-    return None if diffs else derived, report, dbl
+            rep.details += passed
+        # the dual-subalgebra normalization difference is a finding, not a failure
+        rep.details.append("finding: published [tau,xi] = (h/2)*xi is the alpha=1 scaling; "
+                           "the pairing-consistent double carries [tau,xi] = h*xi (alpha=2)")
+    return derived, rep, dbl
 
 
 def _reconstruction_steps(dbl: Double, derived: HopfPresentation):
@@ -310,23 +304,20 @@ def verify_route_equivalence(dbl: Double, count: int = 20, max_degree: int = 3,
     rng = random.Random(seed)
     hb = [m for m in _h_basis(dbl.H, max_degree)]
     kb = [m for m in _h_basis(dbl.K, max_degree)]
-    with Timer() as t:
-        status, residual = PASS, None
-        pairs = [(rng.choice(hb), rng.choice(kb)) for _ in range(count)]
-        for mh, mk in pairs:
+    with VerificationReport.timed(
+            "double-route-equivalence",
+            f"{count} random pairs of degree <= {max_degree} (seed {seed})",
+            dbl.cutoffs.as_dict()) as rep:
+        for _ in range(count):
+            mh, mk = rng.choice(hb), rng.choice(kb)
             x = PbwElement(dbl.H, {mh: Scalar.one()})
             f = PbwElement(dbl.K, {mk: Scalar.one()})
             d = dbl.cross_product(x, f) - dbl.cross_product_via_structure_constants(x, f)
             if not d.is_zero():
-                status = FAIL
-                residual = (f"routes disagree at ({dbl.H.monomial_str(mh)}, "
-                            f"{dbl.K.monomial_str(mk)}): {d!r}")
+                rep.fail(f"routes disagree at ({dbl.H.monomial_str(mh)}, "
+                         f"{dbl.K.monomial_str(mk)}): {d!r}")
                 break
-    return VerificationReport(
-        check="double-route-equivalence",
-        target=f"{count} random pairs of degree <= {max_degree} (seed {seed})",
-        cutoffs={"N": dbl.cutoffs.h_order, "W": dbl.cutoffs.word_degree},
-        status=status, residual=residual, wall_time=t.elapsed)
+    return rep
 
 
 def verify_universal_identity(dbl: Double, r_matrix: TensorElement, max_degree: int = 3,
@@ -334,13 +325,14 @@ def verify_universal_identity(dbl: Double, r_matrix: TensorElement, max_degree: 
     """(m (x) id)[(1 (x) R1 (x) R2) Psi(e_s)] = (1 (x) e_s) R for basis e_s,
     computed in R's engine, whose cutoffs the report states."""
     d_eng = r_matrix.engines[0]
-    with Timer() as t:
+    with VerificationReport.timed("universal-identity",
+                                  f"basis elements of degree <= {max_degree}",
+                                  {**d_eng.cutoffs.as_dict(), "D": max_degree}) as rep:
         D = compare_degree
         if D is not None:
             # products of windowed factors are exact at degree <= D, and so is
             # the multiplication of legs, which never lowers weight either
             r_matrix = r_matrix.window(D)
-        status, residual = PASS, None
         checked = 0
         r13 = r_matrix.insert_unit_leg(0, d_eng)  # 1 (x) R1 (x) R2
         for mono in _h_basis(dbl.H, max_degree):
@@ -355,18 +347,8 @@ def verify_universal_identity(dbl: Double, r_matrix: TensorElement, max_degree: 
                 diff = diff.truncate_degree(D)
             checked += 1
             if not diff.is_zero():
-                status = FAIL
-                residual = (f"universal identity fails on {dbl.H.monomial_str(mono)}: "
-                            f"{_first_residual_tensor(diff)}")
+                rep.fail(f"universal identity fails on {dbl.H.monomial_str(mono)}: "
+                         f"{_first_residual_tensor(diff)}")
                 break
-    return VerificationReport(
-        check="universal-identity",
-        target=f"basis elements of degree <= {max_degree}",
-        cutoffs={"N": d_eng.cutoffs.h_order, "W": d_eng.cutoffs.word_degree,
-                 "D": max_degree},
-        status=status,
-        residual=residual,
-        details=[f"{checked} basis elements checked"],
-        wall_time=t.elapsed,
-    )
-
+        rep.details.append(f"{checked} basis elements checked")
+    return rep

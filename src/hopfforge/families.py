@@ -19,7 +19,7 @@ from .hopf import differences, structure, verify_hopf
 from .lang import HVar
 from .pbw import Cutoffs, Engine
 from .presentation import HopfPresentation, PresentationError, load_presentation
-from .report import FAIL, PASS, Timer, VerificationReport
+from .report import PASS, VerificationReport
 from .scalars import Scalar
 from .tensors import evaluate_tensor, tensor_of
 
@@ -54,15 +54,12 @@ def _brackets_and_coproducts(data: dict) -> dict:
             if label.startswith(("bracket", "coproduct"))}
 
 
-def _report(check: str, target: str, cutoffs: Cutoffs, t: Timer, diffs: list,
-            passed: list = ()) -> VerificationReport:
-    """A pass with the ``passed`` details, or a fail on the first of ``diffs``
-    that lists them all."""
-    return VerificationReport(
-        check=check, target=target,
-        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-        status=FAIL if diffs else PASS, residual=diffs[0] if diffs else None,
-        details=list(diffs or passed), wall_time=t.elapsed)
+def _judge(rep: VerificationReport, diffs: list, *passed: str) -> None:
+    """Fail ``rep`` on the first of ``diffs`` and list them all, or give it
+    the ``passed`` details."""
+    if diffs:
+        rep.fail(diffs[0])
+    rep.details += diffs or passed
 
 
 def structural_compare(p1: HopfPresentation, p2: HopfPresentation,
@@ -82,20 +79,22 @@ def structural_compare(p1: HopfPresentation, p2: HopfPresentation,
 def compare_limit_with(family_id: str, target_id: str,
                        cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """A family's structure at h -> 0 versus a shipped h-free presentation."""
-    with Timer() as t:
+    with VerificationReport.timed("limit-h0", f"{family_id} -> {target_id}",
+                                  cutoffs.as_dict()) as rep:
         pres = instantiate(family_id) if family_id in DEFAULTS else load_presentation(family_id)
         limit = structure(Engine(pres, cutoffs), lambda c: c.substitute(h_to_zero=True))
         target = structure(Engine(load_presentation(target_id), cutoffs))
-        diffs = differences(limit, target, "at h->0")
-    return _report("limit-h0", f"{family_id} -> {target_id}", cutoffs, t, diffs,
-                   ["all brackets and coproducts match the endpoint"])
+        _judge(rep, differences(limit, target, "at h->0"),
+               "all brackets and coproducts match the endpoint")
+    return rep
 
 
 # ------------------------------------------------------------- the flow field
 
 def verify_deforming_field(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """The 3-dimensional variety's first-order field versus the published one."""
-    with Timer() as t:
+    with VerificationReport.timed("deforming-field", "variety_3d at h=0",
+                                  cutoffs.as_dict()) as rep:
         eng = Engine(load_presentation("variety_3d"), cutoffs)
         field = structure(eng, lambda c: Scalar.from_poly(c.coeff(1)))
         mu = Scalar.param("mu")
@@ -113,9 +112,9 @@ def verify_deforming_field(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
             .scale(theta * Fraction(1, 2)),
             "coproduct of tau": tensor_of(g("xi"), g("xi")).scale(-theta),
         })
-        diffs = differences(field, want, "at first order")
-    return _report("deforming-field", "variety_3d at h=0", cutoffs, t, diffs,
-                   ["field matches the published first-order flow term for term"])
+        _judge(rep, differences(field, want, "at first order"),
+               "field matches the published first-order flow term for term")
+    return rep
 
 
 # ----------------------------------------------------------------- h -> 1
@@ -198,7 +197,7 @@ class AtH1:
 
 def verify_h1_limit(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """sd_line at h = 1, factor by factor, against the shipped endpoint."""
-    with Timer() as t:
+    with VerificationReport.timed("limit-h1", "sd_line -> h1_point", cutoffs.as_dict()) as rep:
         line = load_presentation("sd_line")
         teng = Engine(load_presentation("h1_point"), cutoffs)
         want = _brackets_and_coproducts(structure(teng))
@@ -211,56 +210,53 @@ def verify_h1_limit(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
                     # compare in the orientation the relation was written in
                     got[f"bracket ({a},{b})"] = teng.evaluate(rel.rhs, AtH1)
                     want[f"bracket ({a},{b})"] = teng.graded_commutator(rel.a, rel.b)
-        diffs = differences(got, want, "at h=1")
-    return _report("limit-h1", "sd_line -> h1_point", cutoffs, t, diffs,
-                   ["every composition lands on the endpoint: factors "
-                    "carrying (1-h) vanish, factors carrying h become 1, "
-                    "series arguments h*T/2 become T/2"])
+        _judge(rep, differences(got, want, "at h=1"),
+               "every composition lands on the endpoint: factors carrying (1-h) "
+               "vanish, factors carrying h become 1, series arguments h*T/2 become T/2")
+    return rep
 
 
 # ------------------------------------------------------------------- newquant
 
 def verify_newquant_consistency(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
-    with Timer() as t:
-        details = []
+    with VerificationReport.timed("newquant-consistency",
+                                  "newquant vs variety_3d / d0_variety",
+                                  cutoffs.as_dict()) as rep:
         # (a) theta -> h in the 3-dimensional variety reproduces the new quantization
         v3 = load_presentation("variety_3d").bind({"theta": HVar()}, name="variety_3d@theta=h")
         nq = load_presentation("newquant")
         diffs = structural_compare(v3, nq, cutoffs)
         # (b) first-order structures agree with the h->0 variety's
         if not diffs:
-            details.append("variety at theta = h equals the new quantization")
             b_nq = from_family("newquant", "mu", "h", h_mode="zero", cutoffs=cutoffs)
             b_d0 = from_family("d0_variety", "mu", "theta", h_mode="zero", cutoffs=cutoffs)
             cmp = compare_bialgebras(b_nq, b_d0)
             diffs = [] if cmp.status == PASS else [cmp.residual]
         # (c) mu -> 0 kills every bracket; coproducts stay those of the double form
         if not diffs:
-            details.append("first-order structure equals the trivially "
-                           "quantized one (identity rescaling)")
             want = {label: v.scale(0) if label.startswith("bracket") else v for label, v
                     in _brackets_and_coproducts(structure(Engine(nq, cutoffs))).items()}
             flat = Engine(nq.bind({"mu": 0}, name="newquant@mu=0"), cutoffs)
             diffs = differences(structure(flat), want, "at mu=0")
-        if not diffs:
-            details.append("mu -> 0 gives a supercommutative algebra with the "
-                           "group-like coproducts unchanged")
-    return _report("newquant-consistency", "newquant vs variety_3d / d0_variety",
-                   cutoffs, t, diffs, details)
+        _judge(rep, diffs,
+               "variety at theta = h equals the new quantization",
+               "first-order structure equals the trivially quantized one (identity rescaling)",
+               "mu -> 0 gives a supercommutative algebra with the "
+               "group-like coproducts unchanged")
+    return rep
 
 
 def verify_alpha_arbitrariness(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """The rescaling parameter alpha stays symbolic: the axioms hold identically."""
-    with Timer() as t:
-        pres = load_presentation("sd_hp")  # alpha, p both symbolic
-        rep = verify_hopf(pres, cutoffs)
-        details = ["Hopf axioms hold as polynomial identities in alpha and p "
-                   "(every alpha admissible)"] if rep.status == PASS else []
-    return VerificationReport(
-        check="alpha-arbitrariness", target="sd_hp (symbolic alpha, p)",
-        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-        status=rep.status, residual=rep.residual, details=details,
-        wall_time=t.elapsed)
+    with VerificationReport.timed("alpha-arbitrariness", "sd_hp (symbolic alpha, p)",
+                                  cutoffs.as_dict()) as rep:
+        axioms = verify_hopf(load_presentation("sd_hp"), cutoffs)  # alpha, p both symbolic
+        if axioms.status != PASS:
+            rep.fail(axioms.residual)
+        else:
+            rep.details.append("Hopf axioms hold as polynomial identities in alpha and p "
+                               "(every alpha admissible)")
+    return rep
 
 
 def verify_family_relations(cutoffs: Cutoffs = Cutoffs()):
@@ -275,9 +271,10 @@ def verify_family_relations(cutoffs: Cutoffs = Cutoffs()):
              "variety_3d(mu=1, theta=1) == sd_line"),
             (instantiate("d0_variety", trivial), instantiate("d1_variety", trivial),
              "d0(0,0) == d1(0,0) (trivial point)")):
-        with Timer() as t:
-            diffs = structural_compare(lhs, rhs, cutoffs)
-        reports.append(_report("family-instantiation", target, cutoffs, t, diffs))
+        with VerificationReport.timed("family-instantiation", target,
+                                      cutoffs.as_dict()) as rep:
+            _judge(rep, structural_compare(lhs, rhs, cutoffs))
+        reports.append(rep)
     reports.append(compare_limit_with("sd_line", "h0_point", cutoffs))
     reports.append(verify_h1_limit(cutoffs))
     reports.append(verify_deforming_field(cutoffs))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .pbw import Cutoffs, Engine, PbwElement
 from .presentation import HopfPresentation, PresentationError
-from .report import FAIL, PASS, Timer, VerificationReport
+from .report import VerificationReport
 from .scalars import Scalar
 from .tensors import TensorElement, evaluate_tensor, tensor_mul
 
@@ -222,11 +222,11 @@ def _first_residual_element(el: PbwElement):
     return None
 
 
-def _run_axioms(pres: HopfPresentation, cutoffs: Cutoffs):
-    """All axiom checks; returns (first failure description or None, details)."""
+def _run_axioms(pres: HopfPresentation, cutoffs: Cutoffs, details: list):
+    """All axiom checks; appends what passed to ``details`` and returns the
+    first failure as (description, residual), or None."""
     eng = Engine(pres, cutoffs)
     ops = HopfOps(eng)
-    details = []
 
     # (a)+(b): structure maps respect every relation [a,b]_s = ab - s ba = rhs,
     # s = (-1)^{|a||b|}: Delta and eps as algebra maps, S as an anti-homomorphism,
@@ -242,17 +242,17 @@ def _run_axioms(pres: HopfPresentation, cutoffs: Cutoffs):
         d_rev = (d if rel.a == rel.b else tensor_mul(db, da)).scale(sign)
         diff = (d - d_rev) - ops.coproduct(rhs)
         if not diff.is_zero():
-            return (f"coproduct does not respect {name}", _first_residual_tensor(diff), details)
+            return (f"coproduct does not respect {name}", _first_residual_tensor(diff))
         ea, eb = ops.counit_mono(ma), ops.counit_mono(mb)
         e_diff = ea * eb - eb * ea * sign - ops.counit(rhs)
         if not e_diff.is_zero():
-            return (f"counit does not respect {name}", repr(e_diff), details)
+            return (f"counit does not respect {name}", repr(e_diff))
         sa, sb = ops.antipode_mono(ma), ops.antipode_mono(mb)
         s_ba = eng.multiply(sb, sa)
         s_ab = s_ba if rel.a == rel.b else eng.multiply(sa, sb)
         s_diff = (s_ba - s_ab.scale(sign)).scale(sign) - ops.antipode(rhs)
         if not s_diff.is_zero():
-            return (f"antipode does not respect {name}", _first_residual_element(s_diff), details)
+            return (f"antipode does not respect {name}", _first_residual_element(s_diff))
     details.append(f"{len(pres.relations)} relations respected by all three maps")
 
     for name in pres.gen_names():
@@ -260,28 +260,28 @@ def _run_axioms(pres: HopfPresentation, cutoffs: Cutoffs):
         # (c) coassociativity
         diff3 = ops.iterated_coproduct(g, "left") - ops.iterated_coproduct(g, "right")
         if not diff3.is_zero():
-            return (f"coassociativity fails on {name}", _first_residual_tensor(diff3), details)
+            return (f"coassociativity fails on {name}", _first_residual_tensor(diff3))
         # (d) counit axiom
         two = ops.coproduct(g)
         left = ops.counit_contract(two, 0) - g
         right = ops.counit_contract(two, 1) - g
         if not left.is_zero() or not right.is_zero():
             res = _first_residual_element(left if not left.is_zero() else right)
-            return (f"counit axiom fails on {name}", res, details)
+            return (f"counit axiom fails on {name}", res)
         # (e) antipode axiom
         want = eng.one().scale(ops.counit(g))
         lhs1 = two.apply_leg(0, ops.antipode_mono).multiply_legs() - want
         lhs2 = two.apply_leg(1, ops.antipode_mono).multiply_legs() - want
         if not lhs1.is_zero() or not lhs2.is_zero():
             res = _first_residual_element(lhs1 if not lhs1.is_zero() else lhs2)
-            return (f"antipode axiom fails on {name}", res, details)
+            return (f"antipode axiom fails on {name}", res)
         # (f) parity preservation
         if two.parity() not in (pres.parity(name), None):
-            return (f"coproduct of {name} changes parity", None, details)
+            return (f"coproduct of {name} changes parity", None)
         if ops._anti[name].parity() not in (pres.parity(name), None):
-            return (f"antipode of {name} changes parity", None, details)
+            return (f"antipode of {name} changes parity", None)
     details.append("coassociativity, counit, antipode, parity checks on all generators")
-    return (None, None, details)
+    return None
 
 
 def _pair_mono(eng: Engine, rel, which: int):
@@ -292,17 +292,10 @@ def _pair_mono(eng: Engine, rel, which: int):
 
 def verify_hopf(pres: HopfPresentation, cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """Certify the full Hopf-superalgebra axiom suite for a presentation."""
-    with Timer() as t:
-        failure, residual, details = _run_axioms(pres, cutoffs)
-    status = PASS if failure is None else FAIL
-    if failure is not None:
-        details = details + [failure]
-    return VerificationReport(
-        check="hopf-axioms",
-        target=pres.name,
-        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree},
-        status=status,
-        residual=residual,
-        details=details,
-        wall_time=t.elapsed,
-    )
+    with VerificationReport.timed("hopf-axioms", pres.name, cutoffs.as_dict()) as rep:
+        failure = _run_axioms(pres, cutoffs, rep.details)
+        if failure is not None:
+            description, residual = failure
+            rep.details.append(description)
+            rep.fail(residual)
+    return rep

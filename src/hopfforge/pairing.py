@@ -46,7 +46,7 @@ from math import factorial
 from .hopf import HopfOps
 from .pbw import Cutoffs, Engine, PbwElement, _droppable
 from .presentation import load_presentation
-from .report import FAIL, FINDING, PASS, Timer, VerificationReport
+from .report import FINDING, PASS, VerificationReport
 from .scalars import Scalar, gauss_jordan
 from .tensors import TensorElement
 
@@ -309,95 +309,82 @@ def duality_conventions(max_degree: int, alpha2: bool = True) -> list:
     return calibrate(Cutoffs(4, max(8, max_degree + 2)), alpha2=alpha2)
 
 
+def _certification_failure(p: Pairing, max_degree: int) -> str | None:
+    """The first failure of the pairing's consistency, antipode and unit
+    adjointness and block nondegeneracy up to max_degree, or None."""
+    fails = _consistency_failures(p, max_degree, limit=1)
+    if fails:
+        return f"{fails[0][0]}: {fails[0][1]}"
+    hb, kb = _h_basis(p.H, max_degree), _h_basis(p.K, max_degree)
+    # antipode adjointness <S(x), f> = <x, S_K^-1(f)>
+    for mx in hb:
+        x = PbwElement(p.H, {mx: Scalar.one()})
+        sx = p.h_ops.antipode(x)
+        for mf in kb:
+            f = PbwElement(p.K, {mf: Scalar.one()})
+            diff = p.pair(sx, f) - p.pair(x, p.k_ops.antipode_inverse(f))
+            if not diff.is_zero():
+                return (f"antipode adjointness at ({p.H.monomial_str(mx)}, "
+                        f"{p.K.monomial_str(mf)}): {diff!r}")
+    # unit/counit adjointness
+    for mf in kb:
+        f = PbwElement(p.K, {mf: Scalar.one()})
+        if not (p.pair(p.H.one(), f) - p.k_ops.counit(f)).is_zero():
+            return f"unit adjointness at {p.K.monomial_str(mf)}"
+    # block nondegeneracy at h-order 0
+    for d in range(max_degree + 1):
+        hd = [m for m in hb if p.H.monomial_degree(m) == d]
+        kd = [m for m in kb if p.K.monomial_degree(m) == d]
+        mat = [[Scalar.from_fraction(p.pair_mono(mh, mk).coeff(0).constant, 0)
+                for mk in kd] for mh in hd]
+        r = len(gauss_jordan(mat, 0))
+        if r != len(hd) or len(hd) != len(kd):
+            return f"pairing degenerate in degree {d}: rank {r} of {len(hd)}"
+    return None
+
+
 def verify_duality(cutoffs: Cutoffs = Cutoffs(), max_degree: int = 6,
                    alpha2: bool = True, conventions=None) -> VerificationReport:
     """Full duality certification for (ptsa_q, brst_q at the dual scaling);
     ``conventions`` defaults to ``duality_conventions(max_degree, alpha2)``."""
-    with Timer() as t:
-        details = []
+    with VerificationReport.timed(
+            "duality", f"ptsa_q / {'brst_q_alpha2' if alpha2 else 'brst_q'}",
+            {**cutoffs.as_dict(), "D": max_degree}) as rep:
         convs = conventions if conventions is not None else duality_conventions(max_degree, alpha2)
         if not convs:
             p = standard_pair(cutoffs, alpha2=alpha2)
             fails = _consistency_failures(p, 2, limit=1)
             witness = fails[0] if fails else ("", "")
-            return VerificationReport(
-                check="duality", target=p.K.presentation.name,
-                cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree, "D": max_degree},
-                status=FAIL,
-                residual=f"inconsistent extension at {witness[0]}: {witness[1]}",
-                details=["no coproduct convention admits a rational pairing "
-                         "with seed <T,tau> = <S,xi> = 1"],
-                wall_time=t.elapsed)
+            rep.target = p.K.presentation.name
+            rep.fail(f"inconsistent extension at {witness[0]}: {witness[1]}")
+            rep.details.append("no coproduct convention admits a rational pairing "
+                               "with seed <T,tau> = <S,xi> = 1")
+            return rep
         conv = convs[0]
-        details.append(f"locked convention: {conv.describe()}")
+        rep.details.append(f"locked convention: {conv.describe()}")
         if len(convs) > 1:
-            details.append(f"{len(convs)} conventions consistent; double reconstruction picks one")
+            rep.details.append(f"{len(convs)} conventions consistent; "
+                               "double reconstruction picks one")
         p = standard_pair(cutoffs, alpha2=alpha2, convention=conv)
-        fails = list(_consistency_failures(p, max_degree, limit=1))
-        # antipode adjointness <S(x), f> = <x, S_K^-1(f)>
-        hb, kb = _h_basis(p.H, max_degree), _h_basis(p.K, max_degree)
-        for mx in hb:
-            x = PbwElement(p.H, {mx: Scalar.one()})
-            sx = p.h_ops.antipode(x)
-            for mf in kb:
-                f = PbwElement(p.K, {mf: Scalar.one()})
-                lhs = p.pair(sx, f)
-                rhs = p.pair(x, p.k_ops.antipode_inverse(f))
-                if not (lhs - rhs).is_zero():
-                    fails.append((f"antipode adjointness at ({p.H.monomial_str(mx)}, "
-                                  f"{p.K.monomial_str(mf)})", repr(lhs - rhs)))
-                    break
-            if fails:
-                break
-        status = PASS if not fails else FAIL
-        residual = None if not fails else f"{fails[0][0]}: {fails[0][1]}"
+        failure = _certification_failure(p, max_degree)
+        if failure is None:
+            rep.details.append(f"nondegenerate in every degree block up to {max_degree}")
+        else:
+            rep.fail(failure)
 
-        # unit/counit adjointness
-        if status == PASS:
-            for mf in _h_basis(p.K, max_degree):
-                f = PbwElement(p.K, {mf: Scalar.one()})
-                if not (p.pair(p.H.one(), f) - p.k_ops.counit(f)).is_zero():
-                    status, residual = FAIL, f"unit adjointness at {p.K.monomial_str(mf)}"
-                    break
-
-        # block nondegeneracy at h-order 0
-        if status == PASS:
-            for d in range(0, max_degree + 1):
-                hb = [m for m in _h_basis(p.H, max_degree) if p.H.monomial_degree(m) == d]
-                kb = [m for m in _h_basis(p.K, max_degree) if p.K.monomial_degree(m) == d]
-                mat = [[Scalar.from_fraction(p.pair_mono(mh, mk).coeff(0).constant, 0)
-                        for mk in kb] for mh in hb]
-                r = len(gauss_jordan(mat, 0))
-                if r != len(hb) or len(hb) != len(kb):
-                    status = FAIL
-                    residual = f"pairing degenerate in degree {d}: rank {r} of {len(hb)}"
-                    break
-            else:
-                details.append(f"nondegenerate in every degree block up to {max_degree}")
-
-        # derived normalization: <T^n, tau^m> = n! delta_nm
-        norm_ok = True
+        # derived normalization: <T^n, tau^m> = n! delta_nm; a broken
+        # normalization turns a pass into a finding, never a failure
         iT = p.H.presentation.gen_index("T")
         itau = p.K.presentation.gen_index("tau")
-        for n in range(0, max_degree + 1):
-            for m in range(0, max_degree + 1):
-                mh = tuple(n if i == iT else 0 for i in range(p.H.n))
-                mk = tuple(m if i == itau else 0 for i in range(p.K.n))
-                want = Scalar.from_fraction(factorial(n) if n == m else 0)
-                if not (p.pair_mono(mh, mk) - want).is_zero():
-                    norm_ok = False
-        if norm_ok:
-            details.append("derived normalization: <T^n, tau^m> = n! * delta_nm "
-                           "(dual basis pairs (T^n/n!, tau^n), not both carrying 1/n!)")
-
-    return VerificationReport(
-        check="duality",
-        target=f"ptsa_q / {'brst_q_alpha2' if alpha2 else 'brst_q'}",
-        cutoffs={"N": cutoffs.h_order, "W": cutoffs.word_degree, "D": max_degree},
-        # a broken normalization turns a pass into a finding, never a failure
-        status=FINDING if status == PASS and not norm_ok else status,
-        residual=residual,
-        details=details,
-        wall_time=t.elapsed,
-    )
-
+        for n, m in itertools.product(range(max_degree + 1), repeat=2):
+            mh = tuple(n if i == iT else 0 for i in range(p.H.n))
+            mk = tuple(m if i == itau else 0 for i in range(p.K.n))
+            want = Scalar.from_fraction(factorial(n) if n == m else 0)
+            if not (p.pair_mono(mh, mk) - want).is_zero():
+                if rep.status == PASS:
+                    rep.status = FINDING
+                break
+        else:
+            rep.details.append("derived normalization: <T^n, tau^m> = n! * delta_nm "
+                               "(dual basis pairs (T^n/n!, tau^n), not both carrying 1/n!)")
+    return rep

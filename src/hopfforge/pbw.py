@@ -69,6 +69,10 @@ class Cutoffs:
         """The cutoffs a stability audit re-runs at."""
         return Cutoffs(self.h_order + 1, self.word_degree + 2)
 
+    def as_dict(self) -> dict:
+        """The cutoffs as a report states them."""
+        return {"N": self.h_order, "W": self.word_degree}
+
 
 class LinearCombination:
     """Finite Scalar-linear combination of keys, one PBW monomial per engine.
@@ -322,9 +326,6 @@ class Engine:
 
     def monomial_degree(self, mono) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
-
-    def word_degree(self, word) -> int:
-        return sum(self.degrees[i] for i in word)
 
     def word_degree_noncentral(self, word) -> int:
         return sum(self.degrees[i] for i in word if not self.central[i])
@@ -806,7 +807,8 @@ class Engine:
     def check_confluence(self):
         """Resolve every length-3 overlap ambiguity both ways; list the failures.
 
-        Returns (ok, failures) where failures are (word, left nf, right nf).
+        Returns (ok, failures, checked): failures are (word, left nf, right
+        nf), and checked counts the overlaps resolved.
         """
         reducible = set(self._rules.keys())
         failures = []

@@ -1,12 +1,20 @@
-"""Structured pass/fail records for every check the kernel runs."""
+"""Structured pass/fail records for every check the kernel runs.
+
+A check makes its report in one way, ``VerificationReport.timed()``: the block
+it runs in gets a passing report, appends details to it, fails it with
+``fail()`` or marks it a finding, and the report's ``wall_time`` is the time
+the block took however it ends.  ``audited()`` then re-runs a pass at bumped
+cutoffs for its stability audit.
+"""
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["VerificationReport", "Timer", "audited", "reports_to_json"]
+__all__ = ["VerificationReport", "audited", "reports_to_json"]
 
 PASS, FAIL, FINDING = "pass", "fail", "finding"
 
@@ -22,13 +30,21 @@ class VerificationReport:
     details: list = field(default_factory=list)
     wall_time: float = 0.0
 
-    def __post_init__(self):
-        if self.status == FAIL and self.residual is None:
-            self.residual = "(unspecified residual)"
+    @classmethod
+    @contextmanager
+    def timed(cls, check: str, target: str, cutoffs: dict):
+        """A passing report for the block to fill in; its wall_time is the
+        time the block took, however it ends."""
+        report = cls(check, target, dict(cutoffs), PASS)
+        t0 = time.perf_counter()
+        try:
+            yield report
+        finally:
+            report.wall_time = time.perf_counter() - t0
 
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
+    def fail(self, residual: str | None) -> None:
+        self.status = FAIL
+        self.residual = "(unspecified residual)" if residual is None else residual
 
     def as_dict(self) -> dict:
         return {
@@ -53,23 +69,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-class Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        self._final = None
-        return self
-
-    def __exit__(self, *exc):
-        self._final = time.perf_counter() - self.t0
-        return False
-
-    @property
-    def elapsed(self):
-        if self._final is not None:
-            return self._final
-        return time.perf_counter() - self.t0
-
-
 def audited(report: VerificationReport, rerun) -> VerificationReport:
     """The stability audit.  A pass is re-run by rerun() at bumped cutoffs and
     its audit reads pass only if the re-run passes too; any other status is
@@ -77,10 +76,10 @@ def audited(report: VerificationReport, rerun) -> VerificationReport:
     if report.status != PASS:
         report.audit = "skipped"
         return report
-    with Timer() as t:
-        again = rerun()
+    t0 = time.perf_counter()
+    again = rerun()
     report.audit = PASS if again.status == PASS else FAIL
-    report.wall_time += t.elapsed
+    report.wall_time += time.perf_counter() - t0
     return report
 
 

@@ -14,7 +14,7 @@ from .double import Double, double_presentation
 from .hopf import HopfOps, _first_residual_tensor
 from .pairing import _h_basis, standard_pair
 from .pbw import Cutoffs, Engine, PbwElement
-from .report import FAIL, FINDING, PASS, Timer, VerificationReport
+from .report import FINDING, VerificationReport
 from .scalars import Scalar, gauss_jordan, series_fn
 from .tensors import TensorElement, exp_tensor, tensor_mul, tensor_of
 
@@ -62,6 +62,11 @@ class RMatrixContext:
             self._audit_context = RMatrixContext(self.degree + 1, self.h_order + 1)
         return self._audit_context
 
+    @property
+    def report_cutoffs(self) -> dict:
+        """The cutoffs as an R-matrix report states them."""
+        return {"D": self.degree, "N": self.h_order, "D_int": self.d_int}
+
 
 def build_R(ctx: RMatrixContext, variant: str = "closed-form") -> TensorElement:
     """The universal element, to the context's internal expansion order."""
@@ -108,9 +113,8 @@ def _canonical_element(ctx: RMatrixContext) -> TensorElement:
 def verify_intertwining(ctx: RMatrixContext, R: TensorElement,
                         variant: str) -> VerificationReport:
     """R Delta(x) = Delta^op(x) R for every generator."""
-    with Timer() as t:
-        status, residual = PASS, None
-        details = []
+    with VerificationReport.timed(f"rmatrix-intertwining[{variant}]", "all four generators",
+                                  ctx.report_cutoffs) as rep:
         D = ctx.degree
         for name in ctx.engine.gen_names:
             g = ctx.engine.generator(name)
@@ -119,53 +123,35 @@ def verify_intertwining(ctx: RMatrixContext, R: TensorElement,
             # products are exact
             diff = (tensor_mul(R, two, D) - tensor_mul(two.flip_adjacent(0), R, D)) \
                 .truncate_degree(D)
-            if diff.is_zero():
-                details.append(f"intertwines the coproduct of {name}")
-            else:
-                status = FAIL
-                residual = f"on {name}: {_first_residual_tensor(diff)}"
-                break
-    return VerificationReport(
-        check=f"rmatrix-intertwining[{variant}]",
-        target="all four generators",
-        cutoffs={"D": ctx.degree, "N": ctx.h_order, "D_int": ctx.d_int},
-        status=status, residual=residual,
-        details=details, wall_time=t.elapsed)
+            if not diff.is_zero():
+                rep.fail(f"on {name}: {_first_residual_tensor(diff)}")
+                return rep
+            rep.details.append(f"intertwines the coproduct of {name}")
+    return rep
 
 
 def verify_coproduct_laws(ctx: RMatrixContext, R: TensorElement,
                           variant: str) -> VerificationReport:
     """(Delta (x) id) R = R13 R23 and (id (x) Delta) R = R13 R12."""
-    with Timer() as t:
+    with VerificationReport.timed(f"rmatrix-coproduct-laws[{variant}]", "both coproduct laws",
+                                  ctx.report_cutoffs) as rep:
         eng = ctx.engine
         D = ctx.degree
-        status, residual = PASS, None
-        details = []
         # the engine's weight is one the coproduct never lowers either, so a
         # key of R outside the window reaches no term of degree <= D
         R = R.window(D)
         R13 = R.insert_unit_leg(1, eng)
         R23 = R.insert_unit_leg(0, eng)
         R12 = R.insert_unit_leg(2, eng)
-        left = R.expand_leg(0, ctx.ops.coproduct_mono)
-        diff1 = (left - tensor_mul(R13, R23, D)).truncate_degree(D)
-        if diff1.is_zero():
-            details.append("(Delta (x) id) R = R13 R23")
-        else:
-            status, residual = FAIL, f"(Delta (x) id) R - R13 R23: {_first_residual_tensor(diff1)}"
-        if status == PASS:
-            right = R.expand_leg(1, ctx.ops.coproduct_mono)
-            diff2 = (right - tensor_mul(R13, R12, D)).truncate_degree(D)
-            if diff2.is_zero():
-                details.append("(id (x) Delta) R = R13 R12")
-            else:
-                status, residual = FAIL, f"(id (x) Delta) R - R13 R12: {_first_residual_tensor(diff2)}"
-    return VerificationReport(
-        check=f"rmatrix-coproduct-laws[{variant}]",
-        target="both coproduct laws",
-        cutoffs={"D": ctx.degree, "N": ctx.h_order, "D_int": ctx.d_int},
-        status=status, residual=residual,
-        details=details, wall_time=t.elapsed)
+        for leg, lhs, rhs, other in ((0, "(Delta (x) id) R", "R13 R23", R23),
+                                     (1, "(id (x) Delta) R", "R13 R12", R12)):
+            expanded = R.expand_leg(leg, ctx.ops.coproduct_mono)
+            diff = (expanded - tensor_mul(R13, other, D)).truncate_degree(D)
+            if not diff.is_zero():
+                rep.fail(f"{lhs} - {rhs}: {_first_residual_tensor(diff)}")
+                return rep
+            rep.details.append(f"{lhs} = {rhs}")
+    return rep
 
 
 def verify_auxiliary(ctx: RMatrixContext) -> VerificationReport:
@@ -176,7 +162,9 @@ def verify_auxiliary(ctx: RMatrixContext) -> VerificationReport:
     with the extra (h/sinh h) T (x) xi (x) xi term.  On mismatch the corrected
     prefactor series is solved for and reported.
     """
-    with Timer() as t:
+    with VerificationReport.timed("rmatrix-auxiliary-identity",
+                                  "3-leg exponential rearrangement",
+                                  ctx.report_cutoffs) as rep:
         eng = ctx.engine
         N = ctx.h_order
         T = eng.generator("T")
@@ -196,20 +184,14 @@ def verify_auxiliary(ctx: RMatrixContext) -> VerificationReport:
         Y = X + tensor_of(T, xi, xi).scale(gamma.truncate(N))
         rhs = exp_tensor(Y, ctx.d_int + 2, D)
         diff = (rhs - lhs).truncate_degree(D)
-        status, residual = PASS, None
-        details = ["published prefactor (e^{2hT}-1)/(e^h-e^{-h}) confirmed exactly"
-                   " under the alpha=2 scaling"]
-        if not diff.is_zero():
-            status = FINDING
-            residual = _first_residual_tensor(diff)
+        if diff.is_zero():
+            rep.details.append("published prefactor (e^{2hT}-1)/(e^h-e^{-h}) confirmed "
+                               "exactly under the alpha=2 scaling")
+        else:
+            rep.status, rep.residual = FINDING, _first_residual_tensor(diff)
             corrected = _solve_prefactor(ctx, exp_tensor(Y, ctx.d_int + 2))
-            details = [f"published prefactor fails; corrected prefactor: {corrected}"]
-    return VerificationReport(
-        check="rmatrix-auxiliary-identity",
-        target="3-leg exponential rearrangement",
-        cutoffs={"D": ctx.degree, "N": ctx.h_order, "D_int": ctx.d_int},
-        status=status, residual=residual,
-        details=details, wall_time=t.elapsed)
+            rep.details.append(f"published prefactor fails; corrected prefactor: {corrected}")
+    return rep
 
 
 def _solve_prefactor(ctx: RMatrixContext, rhs: TensorElement):
@@ -238,7 +220,9 @@ def _neg_exponent(ctx: RMatrixContext) -> TensorElement:
 
 def check_triangularity(ctx: RMatrixContext, R: TensorElement, variant: str) -> VerificationReport:
     """R21 R versus 1 (x) 1, and R^-1 versus R21; records both readings."""
-    with Timer() as t:
+    with VerificationReport.timed(f"rmatrix-triangularity[{variant}]",
+                                  "triangularity readings", ctx.report_cutoffs) as rep:
+        rep.status = FINDING
         eng = ctx.engine
         D = ctx.degree
         unit = TensorElement.unit((eng, eng))
@@ -250,26 +234,19 @@ def check_triangularity(ctx: RMatrixContext, R: TensorElement, variant: str) -> 
         triangular = (prod - unit).truncate_degree(D).is_zero()
         Rinv = _invert(R, unit, D)
         inv_is_r21 = (Rinv - R21).truncate_degree(D).is_zero()
-        details = [
+        rep.details += [
             f"R21 R == 1 (x) 1: {triangular}",
             f"R^-1 == R21: {inv_is_r21}",
             f"R R^-1 == 1 (x) 1: "
             f"{(tensor_mul(R, Rinv, D) - unit).truncate_degree(D).is_zero()}",
         ]
-        residual = None
         if not triangular:
-            residual = ("R21 R - 1: "
-                        f"{_first_residual_tensor((prod - unit).truncate_degree(D))}")
-            details.append("the double is quasitriangular, not triangular; the "
-                           "published 'triangularity' claim holds only in the "
-                           "quasi reading")
-    return VerificationReport(
-        check=f"rmatrix-triangularity[{variant}]",
-        target="triangularity readings",
-        cutoffs={"D": ctx.degree, "N": ctx.h_order, "D_int": ctx.d_int},
-        status=FINDING,
-        residual=residual,
-        details=details, wall_time=t.elapsed)
+            rep.residual = ("R21 R - 1: "
+                            f"{_first_residual_tensor((prod - unit).truncate_degree(D))}")
+            rep.details.append("the double is quasitriangular, not triangular; the "
+                               "published 'triangularity' claim holds only in the "
+                               "quasi reading")
+    return rep
 
 
 def _invert(R: TensorElement, unit: TensorElement, max_degree: int) -> TensorElement:

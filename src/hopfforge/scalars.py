@@ -579,11 +579,9 @@ class Scalar:
         return s
 
     # -- comparisons --------------------------------------------------------
-    def equal(self, other: "Scalar") -> bool:
+    def __eq__(self, other: "Scalar") -> bool:
         """Equality of all coefficients on the common known range."""
         return (self - other).is_zero()
-
-    __eq__ = equal
 
     def __hash__(self):
         raise TypeError("Scalar is not hashable")

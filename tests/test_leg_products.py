@@ -5,7 +5,8 @@ every leg in a PbwElement and multiplies them with ``Engine.multiply``, which
 copies the cached normal form through ``add_scaled``, and it computes each
 monomial's parity, weight and central degree from the generator data instead
 of the engine's memos.  ``tensor_mul`` and ``multiply_legs`` must give the
-same keys, coefficients, ``trunc`` and ``repr``.
+same keys in the same order, with coefficients in the same canonical storage
+(so the same value, ``trunc`` and ``repr``).
 """
 
 import itertools
@@ -107,10 +108,12 @@ def reference_multiply_legs(t, pos):
 
 
 def identical(x, y):
+    # the same keys in the same order, and coefficients in the same canonical
+    # storage, which fixes their value, trunc and printing
     assert list(x.terms) == list(y.terms)
     for k, c in x.terms.items():
-        assert (c.coeffs, c.trunc) == (y.terms[k].coeffs, y.terms[k].trunc), k
-    assert repr(x) == repr(y)
+        d = y.terms[k]
+        assert (c._c, c._den, c._params, c.trunc) == (d._c, d._den, d._params, d.trunc), k
 
 
 @st.composite
