@@ -242,6 +242,9 @@ def _mixed(value) -> bool:
 
 
 def cmd_check_family(args) -> int:
+    if args.bind and args.limit:
+        # no limit reads bindings; running it would pass with them ignored
+        raise PresentationError(f"--limit {args.limit} takes no --bind")
     bindings = {}
     for item in args.bind or []:
         if "=" not in item:

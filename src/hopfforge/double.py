@@ -14,12 +14,13 @@ independent ways:
   index contractions running through the pairing Gram matrix.
 
 ``double_presentation`` is the double's presentation: both halves, with the
-published double's (sd_reference's) relations for the four cross pairs.  The
-R-matrix context runs on it directly.  ``derive_double_presentation`` certifies
-it: both routes must agree term by term on each cross bracket, each derived
-bracket must equal the presentation's graded commutator, the presentation must
-pass the Hopf axiom suite, and its coproducts and antipodes must be the
-published ones.
+published double's (sd_reference's) relations for the four cross pairs.  Each
+Double builds it and one engine on it: the cross products (normal ordered,
+dual letters left), the reconstruction and the R-matrix context all use that
+engine.  ``derive_double_presentation`` certifies it: both routes must agree
+term by term on each cross bracket, each derived bracket must equal the
+presentation's graded commutator, the presentation must pass the Hopf axiom
+suite, and its coproducts and antipodes must be the published ones.
 
 Psi(x), Phi(f) and the raw iterated coproducts that both routes read are built
 once per monomial and kept on the Double (``Double._per_monomial``): the route
@@ -52,10 +53,10 @@ class Double:
         self.h_ops, self.k_ops = pairing.h_ops, pairing.k_ops
         self.cutoffs = Cutoffs(min(self.H.cutoffs.h_order, self.K.cutoffs.h_order),
                                min(self.H.cutoffs.word_degree, self.K.cutoffs.word_degree))
-        # the carrier engine only represents normal-ordered words (dual letters
-        # left); its cross brackets are placeholders and are never used to rewrite
-        self.carrier = Engine(merge_presentations(
-            self.K.presentation, self.H.presentation, name="double_carrier"), self.cutoffs)
+        # cross products are written in this engine as normal-ordered words
+        # (dual letters left), which its cross relations leave as they are
+        self.presentation = double_presentation(self)
+        self.engine = Engine(self.presentation, self.cutoffs)
         self._tensors: dict = {}  # {(kind, monomial): 3-leg tensor}
 
     # -- the 3-leg tensors ----------------------------------------------------------
@@ -94,7 +95,7 @@ class Double:
 
     # -- route 1: contraction ------------------------------------------------------
     def cross_product(self, x: PbwElement, f: PbwElement) -> PbwElement:
-        out = self.carrier.zero()
+        out = self.engine.zero()
         for xp in _parity_components(x):
             for fp in _parity_components(f):
                 out = out + self._cross_homogeneous(xp, fp)
@@ -103,7 +104,7 @@ class Double:
     def _cross_homogeneous(self, x: PbwElement, f: PbwElement) -> PbwElement:
         px, pf = x.parity(), f.parity()
         if px is None or pf is None:
-            return self.carrier.zero()
+            return self.engine.zero()
         gsign = -1 if (px == 1 and pf == 1) else 1
         N = self.cutoffs.h_order
         floor = self.pairing.skip_order(x.terms, f.terms)
@@ -125,13 +126,13 @@ class Double:
                     mono = l3 + k3
                     prev = acc.get(mono)
                     acc[mono] = coeff if prev is None else prev + coeff
-        out = PbwElement(self.carrier,
+        out = PbwElement(self.engine,
                          {m: c for m, c in acc.items() if not c.is_zero()})
         return out.scale(gsign)
 
     # -- route 2: explicit structure-constant sum ------------------------------------
     def cross_product_via_structure_constants(self, x: PbwElement, f: PbwElement) -> PbwElement:
-        out = self.carrier.zero()
+        out = self.engine.zero()
         for xp in _parity_components(x):
             for fp in _parity_components(f):
                 out = out + self._cross_sc_homogeneous(xp, fp)
@@ -141,7 +142,7 @@ class Double:
         H, K = self.H, self.K
         px, pf = x.parity(), f.parity()
         if px is None or pf is None:
-            return self.carrier.zero()
+            return self.engine.zero()
         gsign = -1 if (px == 1 and pf == 1) else 1
         N = self.cutoffs.h_order
         floor = self.pairing.skip_order(x.terms, f.terms)
@@ -176,13 +177,13 @@ class Double:
                 mono = u_k + l_h
                 prev = acc.get(mono)
                 acc[mono] = coeff if prev is None else prev + coeff
-        out = PbwElement(self.carrier,
+        out = PbwElement(self.engine,
                          {m: c for m, c in acc.items() if not c.is_zero()})
         return out.scale(gsign)
 
     # -- generator-level relations ------------------------------------------------
     def cross_bracket(self, hgen: str, kgen: str, route: str = "contraction") -> PbwElement:
-        """x*f -+ f*x as an element of the carrier (the derived bracket rhs)."""
+        """x*f -+ f*x as an element of the double (the derived bracket rhs)."""
         x = self.H.generator(hgen)
         f = self.K.generator(kgen)
         if route == "contraction":
@@ -192,8 +193,8 @@ class Double:
         ph = self.H.presentation.parity(hgen)
         pk = self.K.presentation.parity(kgen)
         sign = -1 if (ph and pk) else 1
-        fx = self.carrier.multiply(
-            f.moved_to(self.carrier), x.moved_to(self.carrier))  # already normal ordered
+        fx = self.engine.multiply(
+            f.moved_to(self.engine), x.moved_to(self.engine))  # already normal ordered
         return xf - fx.scale(sign)
 
 
@@ -208,35 +209,28 @@ def _parity_components(el: PbwElement):
     return out
 
 
-def merge_presentations(k_pres: HopfPresentation, h_pres: HopfPresentation,
-                        name: str, cross_relations=()) -> HopfPresentation:
-    """Dual generators first, then algebra generators; union of structure maps."""
-    gens = tuple(k_pres.generators) + tuple(h_pres.generators)
-    rels = tuple(k_pres.relations) + tuple(h_pres.relations) + tuple(cross_relations)
-    pres = HopfPresentation(
-        name=name,
-        params=tuple(dict.fromkeys(k_pres.params + h_pres.params)),
-        generators=gens,
-        relations=rels,
-        coproduct=tuple(k_pres.coproduct) + tuple(h_pres.coproduct),
-        counit=tuple(k_pres.counit) + tuple(h_pres.counit),
-        antipode=tuple(k_pres.antipode) + tuple(h_pres.antipode),
-    )
-    return validate(pres)
-
-
 # the cross pairs (algebra generator, dual generator), in the order they are
 # derived, reported and emitted
 CROSS_PAIRS = (("T", "tau"), ("T", "xi"), ("S", "tau"), ("S", "xi"))
 
 
 def double_presentation(dbl: Double) -> HopfPresentation:
-    """The presentation of the double: both halves, and sd_reference's own
-    relation for each cross pair that it declares."""
+    """The presentation of the double: dual generators first, then algebra
+    generators; both halves' relations and structure maps, and sd_reference's
+    own relation for each cross pair that it declares."""
+    k, h = dbl.K.presentation, dbl.H.presentation
     reference = load_presentation("sd_reference")
     cross = [reference.bracket(hg, kg) for hg, kg in CROSS_PAIRS]
-    return merge_presentations(dbl.K.presentation, dbl.H.presentation, name="sd_derived",
-                               cross_relations=[rel for rel in cross if rel is not None])
+    return validate(HopfPresentation(
+        name="sd_derived",
+        params=tuple(dict.fromkeys(k.params + h.params)),
+        generators=tuple(k.generators) + tuple(h.generators),
+        relations=tuple(k.relations) + tuple(h.relations)
+        + tuple(rel for rel in cross if rel is not None),
+        coproduct=tuple(k.coproduct) + tuple(h.coproduct),
+        counit=tuple(k.counit) + tuple(h.counit),
+        antipode=tuple(k.antipode) + tuple(h.antipode),
+    ))
 
 
 def derive_double_presentation(cutoffs: Cutoffs = Cutoffs()):
@@ -248,8 +242,8 @@ def derive_double_presentation(cutoffs: Cutoffs = Cutoffs()):
     with VerificationReport.timed("double-reconstruction", "SD(ptsa_q, brst_q_alpha2)",
                                   cutoffs.as_dict()) as rep:
         dbl = Double(standard_pair(cutoffs, alpha2=True))
-        derived = double_presentation(dbl)
-        for diffs, passed in _reconstruction_steps(dbl, derived):
+        derived = dbl.presentation
+        for diffs, passed in _reconstruction_steps(dbl):
             if diffs:
                 rep.fail(diffs[0])
                 rep.details += diffs
@@ -262,10 +256,10 @@ def derive_double_presentation(cutoffs: Cutoffs = Cutoffs()):
     return derived, rep, dbl
 
 
-def _reconstruction_steps(dbl: Double, derived: HopfPresentation):
+def _reconstruction_steps(dbl: Double):
     """Each step as (differences, details when there are none), computed only
     when the steps before it have passed."""
-    d_eng = Engine(derived, dbl.cutoffs)
+    derived, d_eng = dbl.presentation, dbl.engine
     labels = {(hg, kg): "{%s,%s}" % (hg, kg)
               if derived.parity(hg) and derived.parity(kg) else f"[{hg},{kg}]"
               for hg, kg in CROSS_PAIRS}

@@ -2,7 +2,9 @@
 
 The coproduct extends as an even algebra homomorphism into the Koszul-signed
 tensor square, the counit as an algebra map to scalars, and the antipode as a
-graded anti-homomorphism S(xy) = (-1)^{|x||y|} S(y) S(x).  verify_hopf checks,
+graded anti-homomorphism S(xy) = (-1)^{|x||y|} S(y) S(x).  Each is computed
+on monomials and cached there; ``tensors.map_legs`` extends it linearly to
+elements and to one leg of a tensor.  verify_hopf checks,
 at the working cutoffs: the maps respect every relation, coassociativity, the
 counit axiom, the antipode axiom, and parity preservation.
 """
@@ -13,7 +15,7 @@ from .pbw import Cutoffs, Engine, PbwElement
 from .presentation import HopfPresentation, PresentationError
 from .report import VerificationReport
 from .scalars import Scalar
-from .tensors import TensorElement, evaluate_tensor, tensor_mul
+from .tensors import TensorElement, evaluate_tensor, leg_terms, map_legs, tensor_mul
 
 __all__ = ["HopfOps", "structure", "differences", "verify_hopf"]
 
@@ -84,11 +86,7 @@ class HopfOps:
         return got
 
     def coproduct(self, el: PbwElement) -> TensorElement:
-        eng = self.engine
-        out = TensorElement.zero((eng, eng))
-        for m, c in el.terms.items():
-            out.add_scaled(self.coproduct_mono(m), c)
-        return out
+        return map_legs(el, 0, 1, lambda m: self.coproduct_mono(m).terms, (self.engine,) * 2)
 
     def iterated_coproduct(self, el: PbwElement, side: str = "left") -> TensorElement:
         """(Delta (x) id) Delta or (id (x) Delta) Delta, as a 3-leg tensor."""
@@ -128,10 +126,7 @@ class HopfOps:
         return got
 
     def antipode(self, el: PbwElement) -> PbwElement:
-        out = self.engine.zero()
-        for m, c in el.terms.items():
-            out.add_scaled(self.antipode_mono(m), c)
-        return out
+        return map_legs(el, 0, 1, lambda m: leg_terms(self.antipode_mono(m).terms), el.engines)
 
     def antipode_squared_is_identity(self) -> bool:
         eng = self.engine
@@ -152,20 +147,13 @@ class HopfOps:
         return self.antipode_mono(mono)
 
     def antipode_inverse(self, el: PbwElement) -> PbwElement:
-        out = self.engine.zero()
-        for m, c in el.terms.items():
-            out.add_scaled(self.antipode_inverse_mono(m), c)
-        return out
+        return map_legs(el, 0, 1, lambda m: leg_terms(self.antipode_inverse_mono(m).terms),
+                        el.engines)
 
     # -- helpers ------------------------------------------------------------------
     def counit_contract(self, t: TensorElement, pos: int) -> PbwElement:
         """(eps on leg pos) applied to a 2-leg tensor."""
-        eng = self.engine
-        out = eng.zero()
-        for key, c in t.terms.items():
-            e = self.counit_mono(key[pos])
-            out.add_scaled(PbwElement(eng, {key[1 - pos]: Scalar.one()}), c * e)
-        return out
+        return map_legs(t, pos, 1, lambda m: {(): self.counit_mono(m)}, ())
 
 
 def structure(eng: Engine, coeff=None) -> dict:

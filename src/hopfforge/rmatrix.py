@@ -10,10 +10,10 @@ on, and failures carry the first residual term.
 
 from __future__ import annotations
 
-from .double import Double, double_presentation
+from .double import Double
 from .hopf import HopfOps, _first_residual_tensor
 from .pairing import _h_basis, standard_pair
-from .pbw import Cutoffs, Engine, PbwElement
+from .pbw import Cutoffs, PbwElement
 from .report import FINDING, VerificationReport
 from .scalars import Scalar, gauss_jordan, series_fn
 from .tensors import TensorElement, exp_tensor, tensor_mul, tensor_of
@@ -25,7 +25,7 @@ __all__ = ["RMatrixContext", "build_R", "verify_intertwining",
 class RMatrixContext:
     """The double's engine plus pairing data at R-matrix cutoffs.
 
-    The engine runs on ``double_presentation``, built directly: the
+    The engine is the Double's, on ``double_presentation`` built directly: the
     reconstruction that certifies it (``derive_double_presentation``, run by
     ``build double``) is not repeated here, and a wrong double shows in the
     R-matrix checks themselves.
@@ -43,7 +43,7 @@ class RMatrixContext:
         self.d_int = degree + h_order + 2
         cut = Cutoffs(h_order, self.d_int)
         self.dbl = Double(standard_pair(cut))
-        self.engine = Engine(double_presentation(self.dbl), cut)
+        self.engine = self.dbl.engine
         self.ops = HopfOps(self.engine)
         self._canonical = None
         self._audit_context = None

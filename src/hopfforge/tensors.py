@@ -4,6 +4,11 @@ Multiplication is legwise with the sign (-1)^(sum_{i<j} |y_i||x_j|) for
 (x_1 (x) ... (x) x_n)(y_1 (x) ... (x) y_n); the graded flip carries
 (-1)^{|x||y|}.  Legs may belong to different presentations (different engines).
 
+Every leg map (``apply_leg``, ``expand_leg``, ``multiply_legs``, and the
+Hopf maps of ``hopf`` on elements) is one kernel, ``map_legs``, the one place
+where they truncate, prune keys above W and drop zeros.  The flip and the
+unit-leg insertion only move keys, so they keep loops of their own.
+
 Products and leg maps read each monomial's parity, weight and central degree
 from its engine's memos, and ``tensor_mul`` reads each leg product as the
 (monomial, coefficient, central degree, unit) tuples of the engine's product
@@ -18,14 +23,15 @@ multiplies, since that truncation falls below N.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import getitem, mul
 
 from .lang import Node, expr_to_text
 from .pbw import Engine, LinearCombination, PbwElement, _clean, _droppable
 from .presentation import PresentationError
 from .scalars import Scalar
 
-__all__ = ["TensorElement", "tensor_of", "evaluate_tensor", "exp_tensor"]
+__all__ = ["TensorElement", "map_legs", "leg_terms", "tensor_of", "evaluate_tensor",
+           "exp_tensor"]
 
 
 class TensorElement(LinearCombination):
@@ -60,9 +66,6 @@ class TensorElement(LinearCombination):
     def unit(engines) -> "TensorElement":
         key = tuple((0,) * e.n for e in engines)
         return TensorElement(engines, {key: Scalar.one()})
-
-    def central_degree_of_key(self, key) -> int:
-        return sum(e.central_degree_of[m] for e, m in zip(self.engines, key))
 
     def min_degree(self):
         degs = [self.degree_of_key(k) for k, c in self.terms.items() if not c.is_zero()]
@@ -104,17 +107,7 @@ class TensorElement(LinearCombination):
 
     def apply_leg(self, pos: int, fn) -> "TensorElement":
         """Apply an even linear map (monomial -> PbwElement) to one leg."""
-        W = min(e.cutoffs.word_degree for e in self.engines)
-        out = TensorElement.zero(self.engines)
-        for key, c in self.terms.items():
-            img = fn(key[pos])
-            terms = {}
-            for m, mc in img.terms.items():
-                nk = key[:pos] + (m,) + key[pos + 1:]
-                if self.central_degree_of_key(nk) <= W:
-                    terms[nk] = mc
-            out.add_scaled(TensorElement(self.engines, terms), c)
-        return out
+        return map_legs(self, pos, 1, lambda m: leg_terms(fn(m).terms), self.engines[pos:pos + 1])
 
     def multiply_legs(self, pos: int = 0):
         """The multiplication map (no sign) on legs pos, pos+1 of one engine:
@@ -122,39 +115,12 @@ class TensorElement(LinearCombination):
         eng = self.engines[pos]
         if self.engines[pos + 1] is not eng:
             raise PresentationError("leg mismatch")
-        engines = self.engines[:pos + 1] + self.engines[pos + 2:]
-        out = PbwElement(eng) if len(engines) == 1 else TensorElement(engines)
-        for key, c in self.terms.items():
-            head, tail = key[:pos], key[pos + 2:]
-            out.add_scaled(out._new({out._key(head + (m,) + tail): v
-                                     for m, v in eng.product(key[pos], key[pos + 1]).items()}), c)
-        return out
+        return map_legs(self, pos, 2, lambda a, b: leg_terms(eng.product(a, b)), (eng,))
 
     def expand_leg(self, pos: int, fn) -> "TensorElement":
-        """Replace leg pos by the two legs of fn(monomial) (an even map into a
-        2-leg tensor), splicing in place; used for coproduct leg application."""
-        sample = None
-        out_terms: dict = {}
-        W = min(e.cutoffs.word_degree for e in self.engines)
-        for key, c in self.terms.items():
-            img = fn(key[pos])  # TensorElement with 2 legs
-            sample = img
-            for ik, ic in img.terms.items():
-                nk = key[:pos] + ik + key[pos + 1:]
-                s = ic * c
-                prev = out_terms.get(nk)
-                out_terms[nk] = s if prev is None else prev + s
-        if sample is None:
-            engines = self.engines[:pos] + (self.engines[pos], self.engines[pos]) + self.engines[pos + 1:]
-            return TensorElement(engines)
-        engines = self.engines[:pos] + sample.engines + self.engines[pos + 1:]
-        N = min(e.cutoffs.h_order for e in engines)
-        central = [e.central_degree_of for e in engines]
-        # filter after truncating: a sum whose terms all lie above h^N is a zero too
-        out_terms = {k: t for k, v in out_terms.items()
-                     if sum(d[m] for d, m in zip(central, k)) <= W
-                     and not (t := v.truncate(N)).is_zero()}
-        return TensorElement(engines, out_terms)
+        """Replace leg pos by the two legs of fn(monomial), an even map into the
+        leg's engine's tensor square; used for coproduct leg application."""
+        return map_legs(self, pos, 1, lambda m: fn(m).terms, self.engines[pos:pos + 1] * 2)
 
     def __repr__(self):
         if not self.terms:
@@ -165,6 +131,48 @@ class TensorElement(LinearCombination):
             word = " (x) ".join(e.monomial_str(m) for e, m in zip(self.engines, key))
             bits.append(f"({c!r})*[{word}]")
         return " + ".join(bits)
+
+
+def map_legs(el, pos: int, width: int, image, engines):
+    """The linear extension of a map on legs pos .. pos+width-1 of ``el``, a
+    PbwElement or a TensorElement: each key's legs there are replaced by each
+    key of ``image(*those legs)``, a {legs tuple: coefficient} dict over
+    ``engines``, with the key's coefficient times the image's.
+
+    The sum is the fold ``out + image.scale(c)`` that ``add_scaled`` makes:
+    each product is truncated at N and a zero product is skipped, a key whose
+    total central degree exceeds W is dropped (it lies in the quotiented
+    ideal), and ``_merge`` drops a zero sum.  With one leg left the result is
+    a PbwElement.
+    """
+    end = pos + width
+    inner = [e.central_degree_of for e in engines]
+    outer = [e.central_degree_of for e in el.engines[:pos] + el.engines[end:]]
+    engines = el.engines[:pos] + tuple(engines) + el.engines[end:]
+    out = PbwElement(engines[0]) if len(engines) == 1 else TensorElement(engines)
+    N = out.h_order
+    W = min(e.cutoffs.word_degree for e in engines)
+    legs_of, key_of = el._legs, out._key
+
+    def terms():
+        for k, c in el.terms.items():
+            legs = legs_of(k)
+            head, tail = legs[:pos], legs[end:]
+            room = W - sum(map(getitem, outer, head + tail))
+            for ik, ic in image(*legs[pos:end]).items():
+                if sum(map(getitem, inner, ik)) > room:
+                    continue
+                s = (ic * c).truncate(N)
+                if not s.is_zero():
+                    yield key_of(head + ik + tail), s
+
+    out._merge(terms())
+    return out
+
+
+def leg_terms(terms: dict) -> dict:
+    """{monomial: coefficient} keyed by one-leg tuples, as ``map_legs`` reads an image."""
+    return {(m,): c for m, c in terms.items()}
 
 
 def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None

@@ -163,11 +163,16 @@ def test_check_family_limit_rejects_other_families(capsys):
         assert f"--limit {limit} applies to" in err
 
 
-def test_check_family_bind_rejects_unknown_names(capsys):
-    code, _, err = run(capsys, "--h-order", "4", "--word-cutoff", "8",
-                       "check", "family", "d0_variety", "--bind", "zz=1")
-    assert code == 2
-    assert "'zz'" in err
+@pytest.mark.parametrize("family, limit", [
+    ("d0_variety", None), ("sd_line", "h0"), ("sd_line", "h1"),
+    ("variety_3d", "field"), ("variety_3d", "first-order")])
+def test_check_family_bind_rejects_unknown_names(capsys, family, limit):
+    # a limit takes no binding at all, so it must not run and pass regardless
+    extra = [] if limit is None else ["--limit", limit]
+    code, out, err = run(capsys, "--h-order", "4", "--word-cutoff", "8",
+                         "check", "family", family, "--bind", "zz=1", *extra)
+    assert code == 2 and not out
+    assert ("'zz'" if limit is None else f"--limit {limit} takes no --bind") in err
 
 
 def test_check_family_malformed_bind_value_exits_two(capsys):

@@ -142,14 +142,14 @@ def test_cross_product_t_tau_commutes(dbl):
 
 def test_cross_product_s_xi_gives_sinh(dbl):
     rhs = dbl.cross_bracket("S", "xi", "contraction")
-    c = dbl.carrier
+    c = dbl.engine
     want = c.central_series("sinh", Scalar.h() * F(1, 2), "T").scale(2)
     assert (rhs - want).is_zero()
 
 
 def test_cross_product_s_tau_matches_reference(dbl):
     rhs = dbl.cross_bracket("S", "tau", "contraction")
-    c = dbl.carrier
+    c = dbl.engine
     hS = c.generator("S").scale(Scalar.h())
     gamma2 = (Scalar.from_fraction(2) * Scalar.h().truncate(9)).div(
         series_fn("sinh", Scalar.h(), order=9))
@@ -211,7 +211,7 @@ def test_cross_relations_degenerate_at_h0(derivation):
     # at h -> 0: [S,tau] = -2 xi, {S,xi} = 0, [T,.] = 0
     derived, _, dbl = derivation
     st = dbl.cross_bracket("S", "tau").substitute(h_to_zero=True)
-    c = dbl.carrier
+    c = dbl.engine
     assert (st + c.generator("xi").scale(2)).is_zero()
     assert dbl.cross_bracket("S", "xi").substitute(h_to_zero=True).is_zero()
     assert dbl.cross_bracket("T", "tau").substitute(h_to_zero=True).is_zero()
@@ -258,7 +258,7 @@ def test_a_route_disagreement_fails_the_reconstruction(monkeypatch):
     via_constants = Double.cross_product_via_structure_constants
 
     def perturbed(self, x, f):
-        return via_constants(self, x, f) + self.carrier.generator("xi")
+        return via_constants(self, x, f) + self.engine.generator("xi")
 
     monkeypatch.setattr(Double, "cross_product_via_structure_constants", perturbed)
     derived, report, _ = derive_double_presentation(Cutoffs(4, 8))

@@ -1,10 +1,12 @@
-"""The whole report stream of ``hopfforge --format json suite all``, and the
+"""The report streams of four ``hopfforge --format json`` commands, and the
 presentation that ``hopfforge build double --emit`` writes, held fixed.
 
-``tests/golden/suite_all.json`` is that output with every ``wall_time``
-removed.  A change that should not alter any report (a refactor, a speed-up)
-must leave it byte-identical.  A change that alters the JSON on purpose
-regenerates the file and lists each changed report:
+Each ``tests/golden/<name>.json`` is one command's output with every
+``wall_time`` removed: ``suite all``, ``check rmatrix``, ``--tensor-degree 7
+check duality --literal`` and ``--seed 5 build double``.  A change that should
+not alter any report (a refactor, a speed-up) must leave them byte-identical.
+A change that alters the JSON on purpose regenerates the files and lists each
+changed report; for ``suite all``:
 
     PYTHONPATH=src python -m hopfforge --format json suite all | python -c "import json, sys; \\
         d = json.load(sys.stdin); [r.pop('wall_time') for r in d]; \\
@@ -14,21 +16,32 @@ regenerates the file and lists each changed report:
 import json
 from pathlib import Path
 
+import pytest
+
 from hopfforge.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "suite_all.json"
-EMITTED = GOLDEN.parent / "sd_derived.hopf"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EMITTED = GOLDEN / "sd_derived.hopf"
+
+# golden file -> the command's arguments after ``--format json``
+COMMANDS = {
+    "suite_all.json": ["suite", "all"],
+    "check_rmatrix.json": ["check", "rmatrix"],
+    "duality_literal_d7.json": ["--tensor-degree", "7", "check", "duality", "--literal"],
+    "build_double_seed5.json": ["--seed", "5", "build", "double"],
+}
 
 
-def test_suite_all_json_matches_the_golden_file(capsys):
-    code = main(["--format", "json", "suite", "all"])
+@pytest.mark.parametrize("golden", list(COMMANDS))
+def test_suite_all_json_matches_the_golden_file(capsys, golden):
+    code = main(["--format", "json", *COMMANDS[golden]])
     out = capsys.readouterr().out
     docs = json.loads(out)
     # the stream is json.dumps(..., indent=2), so re-dumping it is byte-exact
     assert json.dumps(docs, indent=2) == out.rstrip("\n")
     for doc in docs:
         doc.pop("wall_time")
-    assert json.dumps(docs, indent=2) + "\n" == GOLDEN.read_text()
+    assert json.dumps(docs, indent=2) + "\n" == (GOLDEN / golden).read_text()
     assert code == 0
 
 
