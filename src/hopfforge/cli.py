@@ -208,19 +208,27 @@ SUITE_FINDINGS = {
 }
 
 
-def _check_cutoffs(args, group):
-    """Reject cutoffs at which the central T vanishes but its dual tau does not."""
+def _check_cutoffs(args, entry):
+    """Reject cutoffs at which the central T vanishes but its dual tau does
+    not, and an h-order that leaves unknown the h^1 coefficients an entry reads:
+    the first-order structures, the family relations and the deforming field."""
+    group, *options = entry
     W, D = args.word_cutoff, args.tensor_degree
     if group == "duality" and W < D + 2:
         raise PresentationError(f"duality pairs up to degree D + 2 and needs "
                                 f"--word-cutoff >= --tensor-degree + 2, not W={W}, D={D}")
     if group == "double" and W < 1:
         raise PresentationError(f"the double needs --word-cutoff >= 1, not W={W}")
+    reads_h1 = group == "bialgebra" or (group == "family" and
+                                        (not options or options[1] == "field"))
+    if reads_h1 and args.h_order < 1:
+        raise PresentationError(f"these checks read h^1 coefficients and need "
+                                f"--h-order >= 1, not N={args.h_order}")
 
 
 def run_entry(args, entry):
+    _check_cutoffs(args, entry)
     group, *options = entry
-    _check_cutoffs(args, group)
     return GROUPS[group](args, *options)
 
 
@@ -261,8 +269,8 @@ def cmd_check_family(args) -> int:
 
 
 def cmd_suite_all(args) -> int:
-    for group, *_ in REGISTRY:
-        _check_cutoffs(args, group)
+    for entry in REGISTRY:
+        _check_cutoffs(args, entry)
     reports = []
     for entry in REGISTRY:
         note = SUITE_FINDINGS.get(entry)

@@ -22,10 +22,14 @@ term by term on each cross bracket, each derived bracket must equal the
 presentation's graded commutator, the presentation must pass the Hopf axiom
 suite, and its coproducts and antipodes must be the published ones.
 
-Psi(x), Phi(f) and the raw iterated coproducts that both routes read are built
-once per monomial and kept on the Double (``Double._per_monomial``): the route
-check draws its pairs from a few basis monomials, and the generator brackets
-reuse the generators.  The kept tensors are shared and never mutated.
+Both routes, and Psi, Phi and the raw iterated coproducts that they read, take
+basis monomials (exponent tuples) of H and of K, as the structure constants
+are defined on basis elements.  Each 3-leg tensor is built once per (kind,
+monomial) and kept on the Double: the route check draws its pairs from a few
+basis monomials, and the generator brackets, which sum a route over the
+generators' monomials, reuse the generators.  The kept tensors are shared and
+never mutated.  A pairing value that is a zero known to h^N is skipped, N the
+double's h-order: every other factor of a route's sum is pole-free.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ __all__ = ["Double", "double_presentation", "derive_double_presentation",
 
 
 class Double:
-    """Cross-multiplication machinery over a calibrated pairing."""
+    """Cross-multiplication machinery over a calibrated pairing.  The tensors
+    and both routes take basis monomials (exponent tuples) of H and of K."""
 
     def __init__(self, pairing: Pairing):
         self.pairing = pairing
@@ -60,98 +65,75 @@ class Double:
         self._tensors: dict = {}  # {(kind, monomial): 3-leg tensor}
 
     # -- the 3-leg tensors ----------------------------------------------------------
-    def _per_monomial(self, kind: str, el: PbwElement, build) -> TensorElement:
-        """build(el), kept per monomial when el is one monomial with coefficient
-        exactly 1; any other element is built afresh."""
-        if len(el.terms) == 1:
-            (mono, c), = el.terms.items()
-            if c.trunc is None and c == Scalar.one():
-                got = self._tensors.get((kind, mono))
-                if got is None:
-                    got = self._tensors[(kind, mono)] = build(el)
-                return got
-        return build(el)
+    def _kept(self, kind: str, mono, build) -> TensorElement:
+        """build(mono), built once per (kind, monomial)."""
+        got = self._tensors.get((kind, mono))
+        if got is None:
+            got = self._tensors[(kind, mono)] = build(mono)
+        return got
 
-    def iterated_primal(self, x: PbwElement) -> TensorElement:
-        """(Delta_H (x) id) Delta_H of x."""
-        return self._per_monomial("delta2_h", x,
-                                  lambda x: self.h_ops.iterated_coproduct(x, "left"))
+    def iterated_primal(self, mh) -> TensorElement:
+        """(Delta_H (x) id) Delta_H of the monomial mh of H."""
+        return self._kept("delta2_h", mh, lambda m: self.h_ops.iterated_coproduct(
+            PbwElement(self.H, {m: Scalar.one()}), "left"))
 
-    def iterated_dual(self, f: PbwElement) -> TensorElement:
-        """(Delta_K (x) id) Delta_K of f."""
-        return self._per_monomial("delta2_k", f,
-                                  lambda f: self.k_ops.iterated_coproduct(f, "left"))
+    def iterated_dual(self, mk) -> TensorElement:
+        """(Delta_K (x) id) Delta_K of the monomial mk of K."""
+        return self._kept("delta2_k", mk, lambda m: self.k_ops.iterated_coproduct(
+            PbwElement(self.K, {m: Scalar.one()}), "left"))
 
-    def phi(self, f: PbwElement) -> TensorElement:
+    def phi(self, mk) -> TensorElement:
         """(id (x) graded flip) of the iterated dual coproduct."""
-        return self._per_monomial("phi", f, lambda f: self.iterated_dual(f).flip_adjacent(1))
+        return self._kept("phi", mk, lambda m: self.iterated_dual(m).flip_adjacent(1))
 
-    def psi(self, x: PbwElement) -> TensorElement:
+    def psi(self, mh) -> TensorElement:
         """Leg-3 antipode inverse, then legs 2,3 and 1,2 graded flips."""
-        def build(x):
-            three = self.iterated_primal(x).apply_leg(2, self.h_ops.antipode_inverse_mono)
+        def build(m):
+            three = self.iterated_primal(m).apply_leg(2, self.h_ops.antipode_inverse_mono)
             return three.flip_adjacent(1).flip_adjacent(0)
-        return self._per_monomial("psi", x, build)
+        return self._kept("psi", mh, build)
+
+    def _signed(self, acc: dict, mh, mk) -> PbwElement:
+        """The accumulated x*f times the global sign (-1)^{|x||f|}."""
+        out = PbwElement(self.engine, {m: c for m, c in acc.items() if not c.is_zero()})
+        odd = self.H.monomial_parity(mh) and self.K.monomial_parity(mk)
+        return out.scale(-1 if odd else 1)
 
     # -- route 1: contraction ------------------------------------------------------
-    def cross_product(self, x: PbwElement, f: PbwElement) -> PbwElement:
-        out = self.engine.zero()
-        for xp in _parity_components(x):
-            for fp in _parity_components(f):
-                out = out + self._cross_homogeneous(xp, fp)
-        return out
-
-    def _cross_homogeneous(self, x: PbwElement, f: PbwElement) -> PbwElement:
-        px, pf = x.parity(), f.parity()
-        if px is None or pf is None:
-            return self.engine.zero()
-        gsign = -1 if (px == 1 and pf == 1) else 1
+    def cross_product(self, mh, mk) -> PbwElement:
+        """x*f for the basis monomials x = mh of H and f = mk of K."""
         N = self.cutoffs.h_order
-        floor = self.pairing.skip_order(x.terms, f.terms)
         # Phi's terms by their first leg, so each <k1, l1> is read once per Psi term
         phi_by_l1: dict = {}
-        for (l1, l2, l3), cphi in self.phi(f).terms.items():
+        for (l1, l2, l3), cphi in self.phi(mk).terms.items():
             phi_by_l1.setdefault(l1, []).append((l2, l3, cphi))
         acc: dict = {}
-        for (k1, k2, k3), cpsi in self.psi(x).terms.items():
+        for (k1, k2, k3), cpsi in self.psi(mh).terms.items():
             for l1, rest in phi_by_l1.items():
                 v1 = self.pairing.pair_mono(k1, l1)
-                if _droppable(v1, floor):
+                if _droppable(v1, N):
                     continue
                 for l2, l3, cphi in rest:
                     v2 = self.pairing.pair_mono(k2, l2)
-                    if _droppable(v2, floor):
+                    if _droppable(v2, N):
                         continue
                     coeff = (cpsi * cphi * v1 * v2).truncate(N)
                     mono = l3 + k3
                     prev = acc.get(mono)
                     acc[mono] = coeff if prev is None else prev + coeff
-        out = PbwElement(self.engine,
-                         {m: c for m, c in acc.items() if not c.is_zero()})
-        return out.scale(gsign)
+        return self._signed(acc, mh, mk)
 
     # -- route 2: explicit structure-constant sum ------------------------------------
-    def cross_product_via_structure_constants(self, x: PbwElement, f: PbwElement) -> PbwElement:
-        out = self.engine.zero()
-        for xp in _parity_components(x):
-            for fp in _parity_components(f):
-                out = out + self._cross_sc_homogeneous(xp, fp)
-        return out
-
-    def _cross_sc_homogeneous(self, x: PbwElement, f: PbwElement) -> PbwElement:
+    def cross_product_via_structure_constants(self, mh, mk) -> PbwElement:
+        """x*f for the basis monomials x = mh of H and f = mk of K."""
         H, K = self.H, self.K
-        px, pf = x.parity(), f.parity()
-        if px is None or pf is None:
-            return self.engine.zero()
-        gsign = -1 if (px == 1 and pf == 1) else 1
         N = self.cutoffs.h_order
-        floor = self.pairing.skip_order(x.terms, f.terms)
         # mu_s^{klj}: raw iterated coproduct of x over H
-        mu = self.iterated_primal(x)
+        mu = self.iterated_primal(mh)
         # m^t_{nuk}: raw iterated coproduct of f over K
         mm = [(n_k, u_k, k_k, c_m, K.monomial_parity(n_k),
                K.monomial_parity(u_k), K.monomial_parity(k_k))
-              for (n_k, u_k, k_k), c_m in self.iterated_dual(f).terms.items()]
+              for (n_k, u_k, k_k), c_m in self.iterated_dual(mk).terms.items()]
         acc: dict = {}
         for (k_h, l_h, j_h), c_mu in mu.terms.items():
             # antipode-inverse matrix applied to the j index
@@ -160,7 +142,7 @@ class Double:
             for n_k, u_k, k_k, c_m, pn, pu, pk in mm:
                 # contract k: <e_{k_h}, e^{k_k}>
                 gk = self.pairing.pair_mono(k_h, k_k)
-                if _droppable(gk, floor):
+                if _droppable(gk, N):
                     continue
                 sgn = pn * (pl + pk) + pu * pk
                 # contract n with S^-1 e_{j_h}: sum_{j'} A^{j'}_j <e_{j'}, e^{n_k}>
@@ -169,7 +151,7 @@ class Double:
                     v = self.pairing.pair_mono(jp, n_k)
                     if not _droppable(v, N):
                         gn = gn + (a * v).truncate(N)
-                if _droppable(gn, floor):
+                if _droppable(gn, N):
                     continue
                 coeff = (c_mu * c_m * gk * gn).truncate(N)
                 if sgn % 2:
@@ -177,36 +159,27 @@ class Double:
                 mono = u_k + l_h
                 prev = acc.get(mono)
                 acc[mono] = coeff if prev is None else prev + coeff
-        out = PbwElement(self.engine,
-                         {m: c for m, c in acc.items() if not c.is_zero()})
-        return out.scale(gsign)
+        return self._signed(acc, mh, mk)
 
     # -- generator-level relations ------------------------------------------------
     def cross_bracket(self, hgen: str, kgen: str, route: str = "contraction") -> PbwElement:
-        """x*f -+ f*x as an element of the double (the derived bracket rhs)."""
+        """x*f -+ f*x as an element of the double (the derived bracket rhs).  The
+        route's x*f is summed over the monomials of the two generators, so a
+        generator that the cutoff prunes gives zero."""
         x = self.H.generator(hgen)
         f = self.K.generator(kgen)
-        if route == "contraction":
-            xf = self.cross_product(x, f)
-        else:
-            xf = self.cross_product_via_structure_constants(x, f)
+        cross = (self.cross_product if route == "contraction"
+                 else self.cross_product_via_structure_constants)
+        xf = self.engine.zero()
+        for mh in x.terms:
+            for mk in f.terms:
+                xf = xf + cross(mh, mk)
         ph = self.H.presentation.parity(hgen)
         pk = self.K.presentation.parity(kgen)
         sign = -1 if (ph and pk) else 1
         fx = self.engine.multiply(
             f.moved_to(self.engine), x.moved_to(self.engine))  # already normal ordered
         return xf - fx.scale(sign)
-
-
-def _parity_components(el: PbwElement):
-    even = {m: c for m, c in el.terms.items() if el.engine.monomial_parity(m) == 0}
-    odd = {m: c for m, c in el.terms.items() if el.engine.monomial_parity(m) == 1}
-    out = []
-    if even:
-        out.append(PbwElement(el.engine, even))
-    if odd:
-        out.append(PbwElement(el.engine, odd))
-    return out
 
 
 # the cross pairs (algebra generator, dual generator), in the order they are
@@ -296,17 +269,14 @@ def verify_route_equivalence(dbl: Double, count: int = 20, max_degree: int = 3,
                              seed: int = 0) -> VerificationReport:
     """Contraction route versus structure-constant route on random pairs."""
     rng = random.Random(seed)
-    hb = [m for m in _h_basis(dbl.H, max_degree)]
-    kb = [m for m in _h_basis(dbl.K, max_degree)]
+    hb, kb = _h_basis(dbl.H, max_degree), _h_basis(dbl.K, max_degree)
     with VerificationReport.timed(
             "double-route-equivalence",
             f"{count} random pairs of degree <= {max_degree} (seed {seed})",
             dbl.cutoffs.as_dict()) as rep:
         for _ in range(count):
             mh, mk = rng.choice(hb), rng.choice(kb)
-            x = PbwElement(dbl.H, {mh: Scalar.one()})
-            f = PbwElement(dbl.K, {mk: Scalar.one()})
-            d = dbl.cross_product(x, f) - dbl.cross_product_via_structure_constants(x, f)
+            d = dbl.cross_product(mh, mk) - dbl.cross_product_via_structure_constants(mh, mk)
             if not d.is_zero():
                 rep.fail(f"routes disagree at ({dbl.H.monomial_str(mh)}, "
                          f"{dbl.K.monomial_str(mk)}): {d!r}")
@@ -330,11 +300,10 @@ def verify_universal_identity(dbl: Double, r_matrix: TensorElement, max_degree: 
         checked = 0
         r13 = r_matrix.insert_unit_leg(0, d_eng)  # 1 (x) R1 (x) R2
         for mono in _h_basis(dbl.H, max_degree):
-            x = PbwElement(dbl.H, {mono: Scalar.one()})
             # Psi over H, embedded into the double
-            emb = dbl.psi(x).moved_to((d_eng,) * 3)
+            emb = dbl.psi(mono).moved_to((d_eng,) * 3)
             lhs = tensor_mul(r13, emb, D).multiply_legs(0)
-            x_d = x.moved_to(d_eng)
+            x_d = PbwElement(dbl.H, {mono: Scalar.one()}).moved_to(d_eng)
             rhs_t = tensor_mul(tensor_of(d_eng.one(), x_d), r_matrix, D)
             diff = lhs - rhs_t
             if D is not None:

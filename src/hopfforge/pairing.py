@@ -21,7 +21,7 @@ the skipped product is itself a zero known to h^N, and adding it to an
 accumulator whose ``trunc`` is at most N changes neither its coefficients nor
 its ``trunc``.  A zero known only below h^N goes through the product.  Where a
 sum also carries the coefficients of caller-supplied elements, the threshold
-rises by their pole orders (``Pairing.skip_order``).
+rises by their pole orders (``Pairing.pair_terms``).
 
 Contracted rows.  <x, g f> for a generator g of K sums
 (-1)^{|x2||g|} <x1, g> <x2, f> c over the terms c x1 (x) x2 of Delta_H^conv(x),
@@ -198,17 +198,13 @@ class Pairing:
     def pair(self, x: PbwElement, f: PbwElement) -> Scalar:
         return self.pair_terms(x.terms, f.terms)
 
-    def skip_order(self, *coefficients: dict) -> int:
-        """The order from which a zero pairing value may be skipped in a sum
-        whose other factors are pole-free or coefficients of these
-        {monomial: coefficient} maps: N plus their largest pole orders."""
-        return self.N + sum(max((c.pole_order for c in terms.values()), default=0)
-                            for terms in coefficients)
-
     def pair_terms(self, xterms: dict, fterms: dict) -> Scalar:
-        """<x, f> for x, f given as {monomial: coefficient} of H and of K."""
+        """<x, f> for x, f given as {monomial: coefficient} of H and of K.  A
+        zero pairing value is skipped from N plus the largest pole orders of
+        the two coefficient maps."""
         N = self.N
-        floor = self.skip_order(xterms, fterms)
+        floor = N + sum(max((c.pole_order for c in terms.values()), default=0)
+                        for terms in (xterms, fterms))
         out = Scalar.zero(N)
         for mh, ch in xterms.items():
             for mk, ck in fterms.items():

@@ -1,0 +1,145 @@
+"""Fold references for the tensor layer, shared by the tests that compare the
+kernels with them.
+
+Each reference recomputes a kernel the slow way, from public pieces:
+
+* ``reference_tensor_mul`` wraps both monomials of every leg in a PbwElement
+  and multiplies them with ``Engine.multiply``, which copies the cached normal
+  form through ``add_scaled``;
+* ``reference_multiply_legs`` folds each key's leg product into the result
+  with ``add_scaled``;
+* ``reference_map`` is the fold ``out = out + image.scale(c)`` of any leg map.
+
+All three compute each monomial's parity, weight and central degree from the
+generator data (the ``direct_*`` helpers) instead of the engine's memos, and
+all three drop a key whose total central degree exceeds W, as the kernels do.
+``identical`` asserts the same keys in the same order, with coefficients in
+the same canonical storage (so the same value, ``trunc`` and ``repr``).
+"""
+
+import math
+
+from hopfforge.pbw import PbwElement, _clean, _droppable
+from hopfforge.presentation import ODD
+from hopfforge.scalars import ParamPoly, Scalar
+from hopfforge.tensors import TensorElement
+
+
+def direct_parity(e, m):
+    return sum(x for x, p in zip(m, e.parities) if p == ODD) % 2
+
+
+def direct_weight(e, m):
+    return sum(x * w for x, w in zip(m, e.weight))
+
+
+def direct_central(e, m):
+    return sum(x * d for x, d, c in zip(m, e.degrees, e.central) if c)
+
+
+def direct_unit(c, N):
+    return c.coeffs == {0: ParamPoly.const(1)} and (c.trunc is None or c.trunc >= N)
+
+
+def above_w(engines, key, W):
+    """Whether a key's total central degree exceeds W."""
+    return sum(direct_central(e, m) for e, m in zip(engines, key)) > W
+
+
+def reference_tensor_mul(a, b, max_degree=None):
+    engines = a.engines
+    N = min(e.cutoffs.h_order for e in engines)
+    W = min(e.cutoffs.word_degree for e in engines)
+    if max_degree is None:
+        bound, weight = math.inf, lambda key: 0
+    else:
+        bound = a.weight_bound(max_degree)
+
+        def weight(key):
+            return sum(direct_weight(e, m) for e, m in zip(engines, key))
+    b_items = [(kb, cb, weight(kb)) for kb, cb in b.terms.items()]
+    acc: dict = {}
+    for ka, ca in a.terms.items():
+        room = bound - weight(ka)
+        pa = [direct_parity(engines[i], ka[i]) for i in range(len(engines))]
+        for kb, cb, wb in b_items:
+            if wb > room:
+                continue
+            pb = [direct_parity(engines[i], kb[i]) for i in range(len(engines))]
+            sgn = 0
+            for i in range(len(engines)):
+                for j in range(i + 1, len(engines)):
+                    sgn += pb[i] * pa[j]
+            c = (ca * cb).truncate(N)
+            if sgn % 2:
+                c = -c
+            if _droppable(c, N):
+                continue
+            legs = [engines[i].multiply(
+                PbwElement(engines[i], {ka[i]: Scalar.one()}),
+                PbwElement(engines[i], {kb[i]: Scalar.one()})) for i in range(len(engines))]
+            _reference_distribute(acc, legs, c, N, W)
+    out = TensorElement(engines, _clean(acc))
+    return out if max_degree is None else out.window(max_degree)
+
+
+def _reference_distribute(acc, legs, c, N, W):
+    engines = [leg.engine for leg in legs]
+
+    def rec(i, key, coeff):
+        if _droppable(coeff, N):
+            return
+        if i == len(legs):
+            if above_w(engines, key, W):
+                return
+            s = coeff.truncate(N)
+            prev = acc.get(key)
+            acc[key] = s if prev is None else prev + s
+            return
+        for m, mc in legs[i].terms.items():
+            rec(i + 1, key + (m,), coeff * mc)
+    rec(0, (), c)
+
+
+def reference_multiply_legs(t, pos):
+    eng = t.engines[pos]
+    engines = t.engines[:pos + 1] + t.engines[pos + 2:]
+    out = PbwElement(eng) if len(engines) == 1 else TensorElement(engines)
+    W = min(e.cutoffs.word_degree for e in engines)
+    one = Scalar.one()
+    for key, c in t.terms.items():
+        prod = eng.multiply(PbwElement(eng, {key[pos]: one}), PbwElement(eng, {key[pos + 1]: one}))
+        head, tail = key[:pos], key[pos + 2:]
+        keys = ((head + (m,) + tail, v) for m, v in prod.terms.items())
+        out.add_scaled(out._new({out._key(k): v for k, v in keys
+                                 if not above_w(engines, k, W)}), c)
+    return out
+
+
+def reference_map(el, pos, width, image, engines):
+    """The fold ``out = out + image.scale(c)`` of ``image(*legs)`` (an element
+    over ``engines``, or a Scalar when no leg is left) over the keys of ``el``."""
+    engines = el.engines[:pos] + engines + el.engines[pos + width:]
+    out = PbwElement(engines[0]) if len(engines) == 1 else TensorElement(engines)
+    W = min(e.cutoffs.word_degree for e in engines)
+    for k, c in el.terms.items():
+        legs = el._legs(k)
+        img = image(*legs[pos:pos + width])
+        img_terms = {(): img} if isinstance(img, Scalar) else {
+            img._legs(ik): ic for ik, ic in img.terms.items()}
+        terms = {}
+        for ik, ic in img_terms.items():
+            key = legs[:pos] + ik + legs[pos + width:]
+            if not above_w(engines, key, W):
+                terms[out._key(key)] = ic
+        out = out + out._new(terms).scale(c)
+    return out
+
+
+def identical(x, y):
+    # the same keys in the same order, and coefficients in the same canonical
+    # storage, which fixes their value, trunc and printing
+    assert list(x.terms) == list(y.terms)
+    for k, c in x.terms.items():
+        d = y.terms[k]
+        assert (c._c, c._den, c._params, c.trunc) == (d._c, d._den, d._params, d.trunc), k

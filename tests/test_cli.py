@@ -340,3 +340,26 @@ def test_negative_cutoff_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert f"argument {argv[0]}: expected a non-negative integer, got '{argv[1]}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("suite", "all"),
+    ("check", "bialgebra", "newquant"),
+    ("check", "bialgebra", "variety3d"),
+    ("check", "bialgebra", "variety3d", "--mixed", "h1=1,h2=2"),
+    ("check", "family", "variety_3d", "--limit", "first-order"),
+    ("check", "family", "variety_3d", "--limit", "field"),
+])
+def test_checks_that_read_h1_need_h_order_at_least_one(monkeypatch, capsys, argv):
+    # at N = 0 the h^1 coefficient is unknown; read as zero, it gave false
+    # verdicts both ways (a dropped delta(tau), a passing mixed cocycle)
+    from hopfforge import cli
+    monkeypatch.setattr(cli, "GROUPS", {})  # no entry may run
+    code, out, err = run(capsys, "--h-order", "0", *argv)
+    assert code == 2 and not out
+    assert "--h-order >= 1, not N=0" in err
+
+
+def test_suite_all_at_h_order_one_passes(capsys):
+    code, out, _ = run(capsys, "--h-order", "1", "suite", "all")
+    assert code == 0 and "FAIL" not in out

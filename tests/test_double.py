@@ -1,5 +1,4 @@
 import itertools
-import random
 import shutil
 from fractions import Fraction as F
 
@@ -8,7 +7,7 @@ import pytest
 from hopfforge.cli import main
 from hopfforge.double import Double, derive_double_presentation
 from hopfforge.pairing import _h_basis, standard_pair
-from hopfforge.pbw import Cutoffs, Engine, PbwElement
+from hopfforge.pbw import Cutoffs, Engine
 from hopfforge.presentation import data_dir, load_presentation
 from hopfforge.scalars import Scalar, series_fn
 
@@ -33,17 +32,16 @@ def mono(eng, **kw):
 # ------------------------------------------------------------------- phi / psi
 
 def test_phi_of_unit_and_xi(dbl):
-    one = dbl.K.one()
-    t = dbl.phi(one)
+    t = dbl.phi(mono(dbl.K))
     assert t.coefficient((mono(dbl.K), mono(dbl.K), mono(dbl.K))) == Scalar.one().truncate(6)
-    t2 = dbl.phi(dbl.K.generator("xi"))
+    t2 = dbl.phi(mono(dbl.K, xi=1))
     xi, e = mono(dbl.K, xi=1), mono(dbl.K)
     for key in [(xi, e, e), (e, xi, e), (e, e, xi)]:
         assert t2.coefficient(key) == Scalar.one().truncate(6)
 
 
 def test_phi_of_tau_carries_dual_coefficient(dbl):
-    t = dbl.phi(dbl.K.generator("tau"))
+    t = dbl.phi(mono(dbl.K, tau=1))
     xi, e = mono(dbl.K, xi=1), mono(dbl.K)
     gamma = Scalar.h().truncate(9).div(series_fn("sinh", Scalar.h(), order=9)).truncate(6)
     # placements of the xi (x) xi block after the leg swap, with the flip sign
@@ -53,10 +51,9 @@ def test_phi_of_tau_carries_dual_coefficient(dbl):
 
 
 def test_psi_of_unit_and_t(dbl):
-    one = dbl.H.one()
-    t = dbl.psi(one)
+    t = dbl.psi(mono(dbl.H))
     assert t.coefficient((mono(dbl.H), mono(dbl.H), mono(dbl.H))) == Scalar.one().truncate(6)
-    tt = dbl.psi(dbl.H.generator("T"))
+    tt = dbl.psi(mono(dbl.H, T=1))
     T, e = mono(dbl.H, T=1), mono(dbl.H)
     assert (tt.coefficient((T, e, e)) + Scalar.one().truncate(6)).is_zero()
     assert tt.coefficient((e, T, e)) == Scalar.one().truncate(6)
@@ -64,7 +61,7 @@ def test_psi_of_unit_and_t(dbl):
 
 
 def test_psi_of_s_has_antipoded_third_placement(dbl):
-    t = dbl.psi(dbl.H.generator("S"))
+    t = dbl.psi(mono(dbl.H, S=1))
     S, e = mono(dbl.H, S=1), mono(dbl.H)
     # the S (x) e^{hT/2} (x) e^{hT/2} block appears with the antipode sign
     assert (t.coefficient((S, e, e)) + Scalar.one().truncate(6)).is_zero()
@@ -78,20 +75,17 @@ def _terms(t):
 
 
 def _tensors_of(d, mh, mk):
-    x = PbwElement(d.H, {mh: Scalar.one()})
-    f = PbwElement(d.K, {mk: Scalar.one()})
-    return [d.psi(x), d.phi(f), d.iterated_primal(x), d.iterated_dual(f)]
+    return [d.psi(mh), d.phi(mk), d.iterated_primal(mh), d.iterated_dual(mk)]
 
 
-def _low_degree_pairs(d, count, seed):
-    rng = random.Random(seed)
-    hb, kb = _h_basis(d.H, 3), _h_basis(d.K, 3)
-    return [(rng.choice(hb), rng.choice(kb)) for _ in range(count)]
+def _low_degree_pairs(d):
+    """Every pair of basis monomials of degree <= 3."""
+    return list(itertools.product(_h_basis(d.H, 3), _h_basis(d.K, 3)))
 
 
 def test_memoized_tensors_equal_a_fresh_double():
     d = Double(standard_pair(Cutoffs(4, 8), alpha2=True))
-    for mh, mk in _low_degree_pairs(d, 20, 7):
+    for mh, mk in _low_degree_pairs(d):
         kept = _tensors_of(d, mh, mk)
         fresh = _tensors_of(Double(standard_pair(Cutoffs(4, 8), alpha2=True)), mh, mk)
         assert [_terms(t) for t in kept] == [_terms(t) for t in fresh], (mh, mk)
@@ -101,26 +95,14 @@ def test_memoized_tensors_equal_a_fresh_double():
 
 def test_route_check_leaves_memoized_tensors_unchanged():
     d = Double(standard_pair(Cutoffs(4, 8), alpha2=True))
-    pairs = _low_degree_pairs(d, 20, 11)
+    pairs = _low_degree_pairs(d)
     for mh, mk in pairs:
         _tensors_of(d, mh, mk)
     before = {key: _terms(t) for key, t in d._tensors.items()}
     for mh, mk in pairs:
-        x = PbwElement(d.H, {mh: Scalar.one()})
-        f = PbwElement(d.K, {mk: Scalar.one()})
-        assert (d.cross_product(x, f) - d.cross_product_via_structure_constants(x, f)).is_zero()
+        assert (d.cross_product(mh, mk)
+                - d.cross_product_via_structure_constants(mh, mk)).is_zero()
     assert {key: _terms(t) for key, t in d._tensors.items()} == before
-
-
-def test_only_unit_monomials_are_memoized():
-    d = Double(standard_pair(Cutoffs(4, 8), alpha2=True))
-    T = mono(d.H, T=1)
-    psi_t = d.psi(d.H.generator("T"))
-    for c in (Scalar.from_fraction(2), Scalar.one().truncate(3)):
-        got = d.psi(PbwElement(d.H, {T: c}))
-        assert got is not psi_t
-        assert _terms(got) == _terms(psi_t.scale(c))
-    assert [key for key in d._tensors if key[1] == T] == [("delta2_h", T), ("psi", T)]
 
 
 # ------------------------------------------------------------ cross relations
@@ -128,11 +110,11 @@ def test_only_unit_monomials_are_memoized():
 def test_antipode_inverse_requires_an_involution():
     d = Double(standard_pair(Cutoffs(4, 8), alpha2=True))
     d.h_ops._anti["T"] = d.H.generator("T").scale(2)  # S^2(T) = 4T
-    x, f = d.H.generator("S"), d.K.generator("xi")
+    mh, mk = mono(d.H, S=1), mono(d.K, xi=1)
     with pytest.raises(NotImplementedError):
-        d.psi(x)
+        d.psi(mh)
     with pytest.raises(NotImplementedError):
-        d.cross_product_via_structure_constants(x, f)
+        d.cross_product_via_structure_constants(mh, mk)
 
 
 def test_cross_product_t_tau_commutes(dbl):
@@ -167,19 +149,13 @@ def test_routes_agree_on_generator_pairs(dbl):
             assert (r1 - r2).is_zero(), (hg, kg)
 
 
-def test_routes_agree_on_random_low_degree_pairs():
+def test_routes_agree_on_every_low_degree_pair():
     d = Double(standard_pair(Cutoffs(4, 8), alpha2=True))
-    rng = random.Random(20240811)
-    hb = [m for m in itertools.product((0, 1), range(4))
-          if d.H.monomial_degree(m) <= 3]
-    kb = [m for m in itertools.product((0, 1), range(4))
-          if d.K.monomial_degree(m) <= 3]
-    pairs = [(rng.choice(hb), rng.choice(kb)) for _ in range(20)]
+    pairs = _low_degree_pairs(d)
+    assert len(pairs) == 49
     for mh, mk in pairs:
-        x = PbwElement(d.H, {mh: Scalar.one()})
-        f = PbwElement(d.K, {mk: Scalar.one()})
-        r1 = d.cross_product(x, f)
-        r2 = d.cross_product_via_structure_constants(x, f)
+        r1 = d.cross_product(mh, mk)
+        r2 = d.cross_product_via_structure_constants(mh, mk)
         assert (r1 - r2).is_zero(), (mh, mk)
 
 

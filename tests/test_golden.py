@@ -1,10 +1,12 @@
-"""The report streams of four ``hopfforge --format json`` commands, and the
+"""The report streams of five ``hopfforge --format json`` commands, and the
 presentation that ``hopfforge build double --emit`` writes, held fixed.
 
 Each ``tests/golden/<name>.json`` is one command's output with every
-``wall_time`` removed: ``suite all``, ``check rmatrix``, ``--tensor-degree 7
-check duality --literal`` and ``--seed 5 build double``.  A change that should
-not alter any report (a refactor, a speed-up) must leave them byte-identical.
+``wall_time`` removed: ``suite all``, the deep suite ``--h-order 10
+--word-cutoff 16 --tensor-degree 8 suite all``, ``check rmatrix``,
+``--tensor-degree 7 check duality --literal`` and ``--seed 5 build double``.
+A change that should not alter any report (a refactor, a speed-up) must leave
+them byte-identical.
 A change that alters the JSON on purpose regenerates the files and lists each
 changed report; for ``suite all``:
 
@@ -26,6 +28,8 @@ EMITTED = GOLDEN / "sd_derived.hopf"
 # golden file -> the command's arguments after ``--format json``
 COMMANDS = {
     "suite_all.json": ["suite", "all"],
+    "suite_all_deep.json": ["--h-order", "10", "--word-cutoff", "16", "--tensor-degree", "8",
+                            "suite", "all"],
     "check_rmatrix.json": ["check", "rmatrix"],
     "duality_literal_d7.json": ["--tensor-degree", "7", "check", "duality", "--literal"],
     "build_double_seed5.json": ["--seed", "5", "build", "double"],

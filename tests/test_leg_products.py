@@ -1,132 +1,39 @@
 """Tensor products read each leg product from the engine's product cache.
 
-``reference_tensor_mul`` is the earlier product: it wraps both monomials of
-every leg in a PbwElement and multiplies them with ``Engine.multiply``, which
-copies the cached normal form through ``add_scaled``, and it computes each
-monomial's parity, weight and central degree from the generator data instead
-of the engine's memos.  ``tensor_mul`` and ``multiply_legs`` must give the
-same keys in the same order, with coefficients in the same canonical storage
-(so the same value, ``trunc`` and ``repr``).
+``tensor_mul`` and ``multiply_legs`` must give the same keys in the same
+order as the fold references of ``tests/references.py``, with coefficients in
+the same canonical storage (so the same value, ``trunc`` and ``repr``).
 """
 
 import itertools
-import math
 from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
 
-from hopfforge.pbw import PbwElement, _clean, _droppable
 from hopfforge.presentation import ODD
-from hopfforge.scalars import ParamPoly, Scalar
+from hopfforge.scalars import Scalar
 from hopfforge.tensors import TensorElement, tensor_mul
 
+from references import (direct_central, direct_parity, direct_unit, direct_weight, identical,
+                        reference_multiply_legs, reference_tensor_mul)
 from test_window import ENGINES, SETTINGS, hopf_ops
 
 
-def direct_parity(e, m):
-    return sum(x for x, p in zip(m, e.parities) if p == ODD) % 2
-
-
-def direct_weight(e, m):
-    return sum(x * w for x, w in zip(m, e.weight))
-
-
-def direct_central(e, m):
-    return sum(x * d for x, d, c in zip(m, e.degrees, e.central) if c)
-
-
-def direct_unit(c, N):
-    return c.coeffs == {0: ParamPoly.const(1)} and (c.trunc is None or c.trunc >= N)
-
-
-def reference_tensor_mul(a, b, max_degree=None):
-    engines = a.engines
-    N = min(e.cutoffs.h_order for e in engines)
-    W = min(e.cutoffs.word_degree for e in engines)
-    if max_degree is None:
-        bound, weight = math.inf, lambda key: 0
-    else:
-        bound = a.weight_bound(max_degree)
-
-        def weight(key):
-            return sum(direct_weight(e, m) for e, m in zip(engines, key))
-    b_items = [(kb, cb, weight(kb)) for kb, cb in b.terms.items()]
-    acc: dict = {}
-    for ka, ca in a.terms.items():
-        room = bound - weight(ka)
-        pa = [direct_parity(engines[i], ka[i]) for i in range(len(engines))]
-        for kb, cb, wb in b_items:
-            if wb > room:
-                continue
-            pb = [direct_parity(engines[i], kb[i]) for i in range(len(engines))]
-            sgn = 0
-            for i in range(len(engines)):
-                for j in range(i + 1, len(engines)):
-                    sgn += pb[i] * pa[j]
-            c = (ca * cb).truncate(N)
-            if sgn % 2:
-                c = -c
-            if _droppable(c, N):
-                continue
-            legs = [engines[i].multiply(
-                PbwElement(engines[i], {ka[i]: Scalar.one()}),
-                PbwElement(engines[i], {kb[i]: Scalar.one()})) for i in range(len(engines))]
-            _reference_distribute(acc, legs, c, N, W)
-    out = TensorElement(engines, _clean(acc))
-    return out if max_degree is None else out.window(max_degree)
-
-
-def _reference_distribute(acc, legs, c, N, W):
-    engines = [leg.engine for leg in legs]
-
-    def rec(i, key, coeff):
-        if _droppable(coeff, N):
-            return
-        if i == len(legs):
-            if sum(direct_central(e, m) for e, m in zip(engines, key)) > W:
-                return
-            s = coeff.truncate(N)
-            prev = acc.get(key)
-            acc[key] = s if prev is None else prev + s
-            return
-        for m, mc in legs[i].terms.items():
-            rec(i + 1, key + (m,), coeff * mc)
-    rec(0, (), c)
-
-
-def reference_multiply_legs(t, pos):
-    eng = t.engines[pos]
-    engines = t.engines[:pos + 1] + t.engines[pos + 2:]
-    out = PbwElement(eng) if len(engines) == 1 else TensorElement(engines)
-    one = Scalar.one()
-    for key, c in t.terms.items():
-        prod = eng.multiply(PbwElement(eng, {key[pos]: one}), PbwElement(eng, {key[pos + 1]: one}))
-        head, tail = key[:pos], key[pos + 2:]
-        out.add_scaled(out._new({out._key(head + (m,) + tail): v
-                                 for m, v in prod.terms.items()}), c)
-    return out
-
-
-def identical(x, y):
-    # the same keys in the same order, and coefficients in the same canonical
-    # storage, which fixes their value, trunc and printing
-    assert list(x.terms) == list(y.terms)
-    for k, c in x.terms.items():
-        d = y.terms[k]
-        assert (c._c, c._den, c._params, c.trunc) == (d._c, d._den, d._params, d.trunc), k
-
-
 @st.composite
-def tensors(draw, engine, legs):
+def tensors(draw, engine, legs, above_w=False):
     """A few terms of at most four letters in all; coefficients c*h^k, k may
-    be -1, some truncated, some times a parameter of the presentation."""
+    be -1, some truncated, some times a parameter of the presentation.  With
+    ``above_w``, a central letter may come to a power above the degree cutoff
+    W, so that a key's total central degree exceeds W."""
     params = sorted(engine.presentation.params)
+    high = engine.cutoffs.word_degree + 1
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
         key = [[0] * engine.n for _ in range(legs)]
         for leg, i in draw(st.lists(st.tuples(st.integers(0, legs - 1),
                                               st.integers(0, engine.n - 1)), max_size=4)):
-            key[leg][i] = 1 if engine.parities[i] else key[leg][i] + 1
+            step = draw(st.sampled_from([1, high])) if above_w and engine.central[i] else 1
+            key[leg][i] = 1 if engine.parities[i] else key[leg][i] + step
         c = Scalar.from_fraction(F(draw(st.integers(-3, 3)) or 1, draw(st.integers(1, 3))))
         c = c * Scalar.h(draw(st.integers(-1, 2)))
         if params and draw(st.booleans()):
@@ -147,7 +54,8 @@ def test_leg_products_from_the_cache_match_the_reference(name, data):
     identical(first, reference_tensor_mul(a, b, D))
     identical(tensor_mul(a, b, D), first)  # every leg product now cached
     pos = data.draw(st.integers(0, legs - 2))
-    identical(a.multiply_legs(pos), reference_multiply_legs(a, pos))
+    t = data.draw(tensors(eng, legs, above_w=True))
+    identical(t.multiply_legs(pos), reference_multiply_legs(t, pos))
 
 
 def basis(e, max_degree):

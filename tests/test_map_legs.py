@@ -1,9 +1,9 @@
 """Every leg and monomial map is the one kernel ``tensors.map_legs``.
 
-``reference_map`` is the fold that ``add_scaled`` documents: for each key of
-the element, the image of its mapped legs with the other legs put back and
-the keys of total central degree above W removed, scaled by the key's
-coefficient and added, ``out = out + image.scale(c)``.  The images are read
+``references.reference_map`` is the fold that ``add_scaled`` documents: for
+each key of the element, the image of its mapped legs with the other legs put
+back and the keys of total central degree above W removed, scaled by the
+key's coefficient and added, ``out = out + image.scale(c)``.  The images are read
 from the public monomial maps (``Engine.multiply`` for the product), and the
 central degrees from the generator data.  Each of the seven maps built on the
 kernel must give the same keys in the same order as that fold, with
@@ -21,28 +21,8 @@ from hopfforge.pbw import PbwElement
 from hopfforge.scalars import Scalar
 from hopfforge.tensors import TensorElement
 
-from test_leg_products import direct_central, identical
+from references import identical, reference_map
 from test_window import ENGINES, SETTINGS, hopf_ops
-
-
-def reference_map(el, pos, width, image, engines):
-    """The fold ``out = out + image.scale(c)`` of ``image(*legs)`` (an element
-    over ``engines``, or a Scalar when no leg is left) over the keys of ``el``."""
-    engines = el.engines[:pos] + engines + el.engines[pos + width:]
-    out = PbwElement(engines[0]) if len(engines) == 1 else TensorElement(engines)
-    W = min(e.cutoffs.word_degree for e in engines)
-    for k, c in el.terms.items():
-        legs = el._legs(k)
-        img = image(*legs[pos:pos + width])
-        img_terms = {(): img} if isinstance(img, Scalar) else {
-            img._legs(ik): ic for ik, ic in img.terms.items()}
-        terms = {}
-        for ik, ic in img_terms.items():
-            key = legs[:pos] + ik + legs[pos + width:]
-            if sum(direct_central(e, m) for e, m in zip(engines, key)) <= W:
-                terms[out._key(key)] = ic
-        out = out + out._new(terms).scale(c)
-    return out
 
 
 def leg_maps(ops):

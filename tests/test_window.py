@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hopfforge.hopf import HopfOps
 from hopfforge.pairing import _h_basis
-from hopfforge.pbw import Cutoffs, Engine, PbwElement
+from hopfforge.pbw import Cutoffs, Engine
 from hopfforge.presentation import load_presentation, parse_presentation
 from hopfforge.rmatrix import RMatrixContext, build_R
 from hopfforge.scalars import Scalar, series_fn
@@ -164,7 +164,7 @@ def test_universal_identity_lhs_is_one_windowed_product():
     one, legs = (0,) * eng.n, (eng,) * 3
     basis = _h_basis(ctx.dbl.H, 3)
     for mono in basis:
-        emb = ctx.dbl.psi(PbwElement(ctx.dbl.H, {mono: Scalar.one()})).moved_to(legs)
+        emb = ctx.dbl.psi(mono).moved_to(legs)
         pieces = TensorElement(legs, {})
         for (r1, r2), rc in r.terms.items():
             pieces = pieces + tensor_mul(TensorElement(legs, {(one, r1, r2): rc}), emb, D)
