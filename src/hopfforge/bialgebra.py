@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from .hopf import structure
-from .pbw import Cutoffs, Engine
+from .pbw import Cutoffs, shared_engine
 from .presentation import PresentationError, load_presentation
 from .report import VerificationReport
 from .scalars import ParamPoly, Scalar, ScalarError, series_fn
@@ -148,7 +148,7 @@ def from_family(pres, bracket_param: str = "mu", cobracket_param: str = "theta",
     # each table is read with the other parameter switched off
     bracket_off, cobracket_off = ({} if p == "h" else {p: 0}
                                   for p in (bracket_param, cobracket_param))
-    eng = Engine(pres, cutoffs)
+    eng = shared_engine(pres, cutoffs)
     data = structure(eng)
     atoms = _atom_table(cutoffs, *atom_names)
     names, parities = eng.gen_names, eng.parities

@@ -13,6 +13,7 @@ deterministic given inputs, cutoffs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -24,7 +25,7 @@ from .double import (derive_double_presentation, verify_route_equivalence,
 from .hopf import verify_hopf
 from .lang import ParseError, parse_expr_text
 from .pairing import duality_conventions, verify_duality
-from .pbw import Cutoffs, Engine
+from .pbw import Cutoffs, shared_engine
 from .presentation import PresentationError, emit_presentation, load_presentation
 from .report import FAIL, FINDING, VerificationReport, audited, reports_to_json
 from .rmatrix import (RMatrixContext, build_R, check_triangularity, verify_auxiliary,
@@ -76,7 +77,7 @@ def _confluence(args, name):
     cut = _cutoffs(args)
     pres = load_presentation(name)
     with VerificationReport.timed("confluence", pres.name, cut.as_dict()) as rep:
-        ok, failures, checked = Engine(pres, cut).check_confluence()
+        ok, failures, checked = shared_engine(pres, cut).check_confluence()
         rep.details.append(f"{checked} overlaps checked")
         if not ok:
             rep.fail(f"overlap {'*'.join(failures[0][0])}")
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id")
     p.add_argument("--bind", action="append", metavar="k=v")
     p.add_argument("--limit", choices=("h0", "h1", "field", "first-order"))
-    p.set_defaults(func=cmd_check_family)
+    p.set_defaults(func=lambda a: cmd_check_family(a))
     p = entry_parser(chsub, "bialgebra", lambda a: ("bialgebra", a.id, _mixed(a.mixed)))
     p.add_argument("id")
     p.add_argument("--mixed", metavar="h1=EXPR,h2=EXPR",
@@ -346,12 +347,19 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("suite", help="run a full suite")
     ssub = s.add_subparsers(dest="what", required=True)
     p = ssub.add_parser("all")
-    p.set_defaults(func=cmd_suite_all)
+    p.set_defaults(func=lambda a: cmd_suite_all(a))
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process, on the first call of main.  Its
+    actions name the functions they run, looked up when they run."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

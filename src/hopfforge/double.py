@@ -15,12 +15,13 @@ independent ways:
 
 ``double_presentation`` is the double's presentation: both halves, with the
 published double's (sd_reference's) relations for the four cross pairs.  Each
-Double builds it and one engine on it: the cross products (normal ordered,
-dual letters left), the reconstruction and the R-matrix context all use that
-engine.  ``derive_double_presentation`` certifies it: both routes must agree
-term by term on each cross bracket, each derived bracket must equal the
-presentation's graded commutator, the presentation must pass the Hopf axiom
-suite, and its coproducts and antipodes must be the published ones.
+Double builds it and takes the shared engine on it (``shared_engine``): the
+cross products (normal ordered, dual letters left), the reconstruction, its
+Hopf axiom check and the R-matrix context all use that engine.
+``derive_double_presentation`` certifies it: both routes must agree term by
+term on each cross bracket, each derived bracket must equal the presentation's
+graded commutator, the presentation must pass the Hopf axiom suite, and its
+coproducts and antipodes must be the published ones.
 
 Both routes, and Psi, Phi and the raw iterated coproducts that they read, take
 basis monomials (exponent tuples) of H and of K, as the structure constants
@@ -38,7 +39,7 @@ import random
 
 from .hopf import _first_residual_tensor, differences, verify_hopf
 from .pairing import Pairing, _h_basis, standard_pair
-from .pbw import Cutoffs, Engine, PbwElement, _droppable
+from .pbw import Cutoffs, Engine, PbwElement, _droppable, shared_engine
 from .presentation import HopfPresentation, load_presentation, validate
 from .report import PASS, VerificationReport
 from .scalars import Scalar
@@ -61,7 +62,7 @@ class Double:
         # cross products are written in this engine as normal-ordered words
         # (dual letters left), which its cross relations leave as they are
         self.presentation = double_presentation(self)
-        self.engine = Engine(self.presentation, self.cutoffs)
+        self.engine = shared_engine(self.presentation, self.cutoffs)
         self._tensors: dict = {}  # {(kind, monomial): 3-leg tensor}
 
     # -- the 3-leg tensors ----------------------------------------------------------

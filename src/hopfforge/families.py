@@ -17,7 +17,7 @@ from fractions import Fraction
 from .bialgebra import compare_bialgebras, from_family
 from .hopf import differences, structure, verify_hopf
 from .lang import HVar
-from .pbw import Cutoffs, Engine
+from .pbw import Cutoffs, shared_engine
 from .presentation import HopfPresentation, PresentationError, load_presentation
 from .report import PASS, VerificationReport
 from .scalars import Scalar
@@ -70,8 +70,8 @@ def structural_compare(p1: HopfPresentation, p2: HopfPresentation,
     diffs = []
     if tuple(sorted(p1.params)) != tuple(sorted(p2.params)):
         diffs.append(f"parameter lists differ: {p1.params} vs {p2.params}")
-    return diffs + differences(structure(Engine(p1, cutoffs)),
-                               structure(Engine(p2, cutoffs)), "differs")
+    return diffs + differences(structure(shared_engine(p1, cutoffs)),
+                               structure(shared_engine(p2, cutoffs)), "differs")
 
 
 # ------------------------------------------------------------------- h -> 0
@@ -82,8 +82,8 @@ def compare_limit_with(family_id: str, target_id: str,
     with VerificationReport.timed("limit-h0", f"{family_id} -> {target_id}",
                                   cutoffs.as_dict()) as rep:
         pres = instantiate(family_id) if family_id in DEFAULTS else load_presentation(family_id)
-        limit = structure(Engine(pres, cutoffs), lambda c: c.substitute(h_to_zero=True))
-        target = structure(Engine(load_presentation(target_id), cutoffs))
+        limit = structure(shared_engine(pres, cutoffs), lambda c: c.substitute(h_to_zero=True))
+        target = structure(shared_engine(load_presentation(target_id), cutoffs))
         _judge(rep, differences(limit, target, "at h->0"),
                "all brackets and coproducts match the endpoint")
     return rep
@@ -95,7 +95,7 @@ def verify_deforming_field(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """The 3-dimensional variety's first-order field versus the published one."""
     with VerificationReport.timed("deforming-field", "variety_3d at h=0",
                                   cutoffs.as_dict()) as rep:
-        eng = Engine(load_presentation("variety_3d"), cutoffs)
+        eng = shared_engine(load_presentation("variety_3d"), cutoffs)
         field = structure(eng, lambda c: Scalar.from_poly(c.coeff(1)))
         mu = Scalar.param("mu")
         theta = Scalar.param("theta")
@@ -199,7 +199,7 @@ def verify_h1_limit(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """sd_line at h = 1, factor by factor, against the shipped endpoint."""
     with VerificationReport.timed("limit-h1", "sd_line -> h1_point", cutoffs.as_dict()) as rep:
         line = load_presentation("sd_line")
-        teng = Engine(load_presentation("h1_point"), cutoffs)
+        teng = shared_engine(load_presentation("h1_point"), cutoffs)
         want = _brackets_and_coproducts(structure(teng))
         got = {f"coproduct of {g}": evaluate_tensor(
             teng, line.structure_map("coproduct", g), domain=AtH1) for g in teng.gen_names}
@@ -235,8 +235,8 @@ def verify_newquant_consistency(cutoffs: Cutoffs = Cutoffs()) -> VerificationRep
         # (c) mu -> 0 kills every bracket; coproducts stay those of the double form
         if not diffs:
             want = {label: v.scale(0) if label.startswith("bracket") else v for label, v
-                    in _brackets_and_coproducts(structure(Engine(nq, cutoffs))).items()}
-            flat = Engine(nq.bind({"mu": 0}, name="newquant@mu=0"), cutoffs)
+                    in _brackets_and_coproducts(structure(shared_engine(nq, cutoffs))).items()}
+            flat = shared_engine(nq.bind({"mu": 0}, name="newquant@mu=0"), cutoffs)
             diffs = differences(structure(flat), want, "at mu=0")
         _judge(rep, diffs,
                "variety at theta = h equals the new quantization",

@@ -11,13 +11,14 @@ counit axiom, the antipode axiom, and parity preservation.
 
 from __future__ import annotations
 
-from .pbw import Cutoffs, Engine, PbwElement
+from .pbw import Cutoffs, Engine, PbwElement, shared_engine
 from .presentation import HopfPresentation, PresentationError
 from .report import VerificationReport
 from .scalars import Scalar
+from .shared import shared
 from .tensors import TensorElement, evaluate_tensor, leg_terms, map_legs, tensor_mul
 
-__all__ = ["HopfOps", "structure", "differences", "verify_hopf"]
+__all__ = ["HopfOps", "shared_ops", "structure", "differences", "verify_hopf"]
 
 
 class HopfOps:
@@ -156,11 +157,17 @@ class HopfOps:
         return map_legs(t, pos, 1, lambda m: {(): self.counit_mono(m)}, ())
 
 
+@shared
+def shared_ops(engine: Engine, /) -> HopfOps:
+    """The process's HopfOps on ``engine`` (see ``shared``)."""
+    return HopfOps(engine)
+
+
 def structure(eng: Engine, coeff=None) -> dict:
     """The structure data of ``eng``'s presentation by label: the bracket of
     every generator pair in generator order, then each generator's coproduct,
     counit and antipode.  ``coeff``, when given, maps every coefficient."""
-    ops = HopfOps(eng)
+    ops = shared_ops(eng)
     names = eng.gen_names
     out = {f"bracket ({a},{b})": eng.graded_commutator(a, b)
            for i, a in enumerate(names) for b in names[i:]}
@@ -213,14 +220,14 @@ def _first_residual_element(el: PbwElement):
 def _run_axioms(pres: HopfPresentation, cutoffs: Cutoffs, details: list):
     """All axiom checks; appends what passed to ``details`` and returns the
     first failure as (description, residual), or None."""
-    eng = Engine(pres, cutoffs)
-    ops = HopfOps(eng)
+    eng = shared_engine(pres, cutoffs)
+    ops = shared_ops(eng)
 
     # (a)+(b): structure maps respect every relation [a,b]_s = ab - s ba = rhs,
     # s = (-1)^{|a||b|}: Delta and eps as algebra maps, S as an anti-homomorphism,
     # S([a,b]_s) = s (S(b)S(a) - s S(a)S(b))
     for rel in pres.relations:
-        rhs = eng.evaluate(rel.rhs)
+        rhs = eng.evaluate_words(eng.relation_words[rel])
         name = f"{'{' if rel.kind == 'anti' else '['}{rel.a},{rel.b}{'}' if rel.kind == 'anti' else ']'}"
         ma, mb = _pair_mono(eng, rel, 0), _pair_mono(eng, rel, 1)
         da, db = ops.coproduct_mono(ma), ops.coproduct_mono(mb)

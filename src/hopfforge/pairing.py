@@ -43,14 +43,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .hopf import HopfOps
-from .pbw import Cutoffs, Engine, PbwElement, _droppable
+from .hopf import HopfOps, shared_ops
+from .pbw import Cutoffs, Engine, PbwElement, _droppable, shared_engine
 from .presentation import load_presentation
 from .report import FINDING, PASS, VerificationReport
 from .scalars import Scalar, gauss_jordan
+from .shared import shared
 from .tensors import TensorElement
 
-__all__ = ["PairingConvention", "Pairing", "calibrate", "standard_pair",
+__all__ = ["PairingConvention", "Pairing", "shared_pairing", "calibrate", "standard_pair",
            "duality_conventions", "verify_duality"]
 
 # the generator pairs of the standard pair that pair to 1
@@ -226,18 +227,25 @@ def _h_basis(engine: Engine, max_degree: int):
     return sorted(out, key=lambda m: (engine.monomial_degree(m), m))
 
 
+@shared
+def shared_pairing(h_ops: HopfOps, k_ops: HopfOps, convention: PairingConvention, /) -> Pairing:
+    """The process's Pairing of ``h_ops`` and ``k_ops`` with STANDARD_SEED
+    under ``convention`` (see ``shared``)."""
+    return Pairing(h_ops, k_ops, STANDARD_SEED, convention)
+
+
 def _standard_ops(cutoffs: Cutoffs, alpha2: bool):
     """HopfOps of ptsa_q and of brst_q in the duality (alpha2) or literal scaling."""
-    h_ops = HopfOps(Engine(load_presentation("ptsa_q"), cutoffs))
     k_name = "brst_q_alpha2" if alpha2 else "brst_q"
-    return h_ops, HopfOps(Engine(load_presentation(k_name), cutoffs))
+    return tuple(shared_ops(shared_engine(load_presentation(name), cutoffs))
+                 for name in ("ptsa_q", k_name))
 
 
 def standard_pair(cutoffs: Cutoffs = Cutoffs(), alpha2: bool = True,
                   convention: PairingConvention | None = None):
-    """HopfOps pair and Pairing for (ptsa_q, brst_q) in the duality scaling."""
+    """The Pairing of (ptsa_q, brst_q) in the duality (alpha2) or literal scaling."""
     h_ops, k_ops = _standard_ops(cutoffs, alpha2)
-    return Pairing(h_ops, k_ops, STANDARD_SEED, convention or PairingConvention())
+    return shared_pairing(h_ops, k_ops, convention or PairingConvention())
 
 
 def _consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
@@ -293,7 +301,7 @@ def calibrate(cutoffs: Cutoffs = Cutoffs(4, 8), alpha2: bool = True, max_degree:
     for fd in (True, False):
         for fp in (True, False):
             conv = PairingConvention(fd, fp)
-            if not _consistency_failures(Pairing(h_ops, k_ops, STANDARD_SEED, conv),
+            if not _consistency_failures(shared_pairing(h_ops, k_ops, conv),
                                          max_degree, limit=1):
                 good.append(conv)
     return good

@@ -53,8 +53,10 @@ from .lang import (Add, Div, Gen, HVar, Mul, Neg, Node, Num, Param, Pow, SeriesC
                    expr_to_text)
 from .presentation import EVEN, ODD, HopfPresentation, PresentationError
 from .scalars import Scalar, ScalarError, _series_coeff
+from .shared import shared
 
-__all__ = ["Cutoffs", "RewriteError", "LinearCombination", "PbwElement", "Engine"]
+__all__ = ["Cutoffs", "RewriteError", "LinearCombination", "PbwElement", "Engine",
+           "shared_engine"]
 
 class RewriteError(RuntimeError):
     pass
@@ -363,6 +365,9 @@ class Engine:
     # -- rules ---------------------------------------------------------------
     def _build_rules(self):
         pres = self.presentation
+        # each relation's words as written, before a rule's sign and halving;
+        # the Hopf axiom checks normalize them (``evaluate_words``)
+        self.relation_words = {rel: self._words(rel.rhs) for rel in pres.relations}
         declared = {}
         for rel in pres.relations:
             ia, ib = pres.gen_index(rel.a), pres.gen_index(rel.b)
@@ -379,10 +384,10 @@ class Engine:
                     tail = {}
                 elif (pres.gen_index(rel.a), pres.gen_index(rel.b)) == (i, j):
                     # rel: g_i g_j - sign g_j g_i = rhs
-                    tail = self._words(rel.rhs)
+                    tail = self.relation_words[rel]
                 else:
                     # rel: g_j g_i - sign g_i g_j = rhs  =>  tail = -sign * rhs
-                    tail = {w: c * (-sign) for w, c in self._words(rel.rhs).items()}
+                    tail = {w: c * (-sign) for w, c in self.relation_words[rel].items()}
                 if i == j:
                     # odd square: 2 g^2 = {g,g}  =>  g g -> rhs/2, no swap term
                     tail = {w: c * Fraction(1, 2) for w, c in tail.items()}
@@ -644,8 +649,12 @@ class Engine:
     # -- expression evaluation ------------------------------------------------
     def evaluate(self, node: Node, domain=Scalar) -> PbwElement:
         """Evaluate an algebra-level expression AST to a PbwElement over ``domain``."""
+        return self.evaluate_words(self._words(node, domain))
+
+    def evaluate_words(self, words: dict) -> PbwElement:
+        """The sum of the normal forms of c*w over ``words``' (w, c)."""
         out = self.zero()
-        for w, c in self._words(node, domain).items():
+        for w, c in words.items():
             out = out + self.normal_form(w, c)
         return out
 
@@ -829,6 +838,12 @@ class Engine:
                     if not (left - right).is_zero():
                         failures.append((tuple(self.gen_names[x] for x in word), left, right))
         return (not failures, failures, checked)
+
+
+@shared
+def shared_engine(presentation: HopfPresentation, cutoffs: Cutoffs, /) -> Engine:
+    """The process's Engine on ``presentation`` at ``cutoffs`` (see ``shared``)."""
+    return Engine(presentation, cutoffs)
 
 
 class _Memo(dict):

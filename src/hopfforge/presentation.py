@@ -20,6 +20,7 @@ from .lang import (
     SeriesCall, Tensor, ast_atoms, ast_map, expr_to_text, parse_expr_text,
     parse_expr_tokens, tokenize,
 )
+from .shared import shared
 
 __all__ = [
     "PresentationError", "PresentationSyntaxError", "UnknownGeneratorError",
@@ -425,7 +426,9 @@ def data_dir() -> Path:
 
 
 def load_presentation(name: str) -> HopfPresentation:
-    """Load a shipped presentation by bare name ('ptsa_q') or a path to a file."""
+    """Load a shipped presentation by bare name ('ptsa_q') or a path to a file.
+    The file is read on every call; each distinct text is parsed once per
+    process (``shared``), so a rewritten file is parsed again."""
     path = Path(name)
     if not path.suffix:
         path = data_dir() / f"{name}.hopf"
@@ -433,4 +436,7 @@ def load_presentation(name: str) -> HopfPresentation:
         candidate = data_dir() / path
         if candidate.exists():
             path = candidate
-    return parse_presentation(path.read_text())
+    return _parsed(path.read_text())
+
+
+_parsed = shared(parse_presentation)

@@ -11,7 +11,7 @@ on, and failures carry the first residual term.
 from __future__ import annotations
 
 from .double import Double
-from .hopf import HopfOps, _first_residual_tensor
+from .hopf import _first_residual_tensor, shared_ops
 from .pairing import _h_basis, standard_pair
 from .pbw import Cutoffs, PbwElement
 from .report import FINDING, VerificationReport
@@ -33,6 +33,9 @@ class RMatrixContext:
     The canonical R and ``audit_context``, the context at (D+1, N+1), are
     built on first use and kept here, so the checks of one command and their
     re-runs at bumped cutoffs share them, and they go when the context goes.
+    The engines, HopfOps and pairing under a context are the process's shared
+    ones (``shared``): they stay after it, for the next context at the same
+    cutoffs.
     """
 
     def __init__(self, degree: int, h_order: int):
@@ -44,7 +47,7 @@ class RMatrixContext:
         cut = Cutoffs(h_order, self.d_int)
         self.dbl = Double(standard_pair(cut))
         self.engine = self.dbl.engine
-        self.ops = HopfOps(self.engine)
+        self.ops = shared_ops(self.engine)
         self._canonical = None
         self._audit_context = None
 

@@ -179,8 +179,8 @@ def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
                ) -> TensorElement:
     """Legwise product with the Koszul sign; each leg product is read from its
     engine's product cache as (monomial, coefficient, central degree, unit)
-    tuples, and a unit leg is skipped when the pair's coefficient has no pole
-    (see the module docstring).
+    tuples, a pair with an empty leg product is skipped, and a unit leg is
+    skipped when the pair's coefficient has no pole (see the module docstring).
 
     With ``max_degree`` D, the product's window of D (``LinearCombination.window``):
     rewriting never lowers weight, so only pairs of keys whose weights sum to
@@ -219,13 +219,17 @@ def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
         pa = parities(ka)
         after_a = [sum(pa[i + 1:]) for i in range(n)]
         for kb, cb, pb in row:
+            # a pair with an empty leg product (S*S where {S,S} = 0) adds
+            # nothing, so its coefficients are not multiplied
+            legs = [prod(x, y) for prod, x, y in zip(products, ka, kb)]
+            if not all(legs):
+                continue
             c = (ca * cb).truncate(N)
             if sum(map(mul, pb, after_a)) % 2:
                 c = -c
             if not _droppable(c, N):
                 v = c.valuation()
-                _distribute(acc, [prod(x, y) for prod, x, y in zip(products, ka, kb)],
-                            0, (), c, 0, N, W, v is None or v >= 0)
+                _distribute(acc, legs, 0, (), c, 0, N, W, v is None or v >= 0)
     out = TensorElement(engines, _clean(acc))
     return out if max_degree is None else out.window(max_degree)
 

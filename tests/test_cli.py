@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -363,3 +364,74 @@ def test_checks_that_read_h1_need_h_order_at_least_one(monkeypatch, capsys, argv
 def test_suite_all_at_h_order_one_passes(capsys):
     code, out, _ = run(capsys, "--h-order", "1", "suite", "all")
     assert code == 0 and "FAIL" not in out
+
+
+# ------------------------------------------- shared state across commands
+
+def _workload_argvs(name):
+    """The command lines of one of the benchmark's workloads, at seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclasses look their module up
+    return [list(argv) for argv in workloads.get(name, 1).argvs()]
+
+
+_EACH_FRESH = """\
+import contextlib, io, json, sys
+from hopfforge import cli, shared
+outs = []
+for argv in json.loads(sys.argv[1]):
+    shared.clear()  # nothing kept from the command before
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    outs.append([code, out.getvalue()])
+print(json.dumps(outs))
+"""
+
+
+def _reports(code, out):
+    return code, _without_wall_time(out)
+
+
+@pytest.mark.parametrize("workload", ["catalog", "double"])
+def test_commands_sharing_one_process_report_as_fresh_ones(capsys, workload):
+    argvs = _workload_argvs(workload)
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", _EACH_FRESH, json.dumps(argvs)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    fresh = [_reports(code, out) for code, out in json.loads(done.stdout)]
+    for _ in range(2):  # the second pass finds every engine, HopfOps and pairing kept
+        assert [_reports(*run(capsys, *argv)[:2]) for argv in argvs] == fresh
+
+
+def test_a_data_file_rewritten_in_place_is_parsed_again(tmp_path, capsys):
+    line = "S = exp(h*T/2) (x) S + S (x) exp(-h*T/2)"
+    text = (data_dir() / "ptsa_q.hopf").read_text()
+    assert line in text
+    path = tmp_path / "ptsa_q.hopf"
+    cuts = ("--format", "json", "--h-order", "3", "--word-cutoff", "6")
+    for edited, want in ((text, "pass"), (text.replace(line, line.replace("+", "-")), "fail"),
+                         (text, "pass")):
+        path.write_text(edited)
+        code, out, _ = run(capsys, *cuts, "check", "hopf", str(path))
+        assert (code, json.loads(out)[0]["status"]) == (int(want == "fail"), want)
+
+
+def test_the_kept_parser_takes_each_command_afresh(monkeypatch, capsys):
+    from hopfforge import cli
+    run(capsys, "check", "hopf", "brst_q")  # the parser exists from here on
+    assert run(capsys, "check", "nonsense")[0] == 2
+    assert run(capsys, "--h-order", "-1", "check", "hopf", "brst_q")[0] == 2
+    code, out, _ = run(capsys, "--format", "json", "check", "hopf", "brst_q")
+    assert code == 0 and json.loads(out)[0]["status"] == "pass"
+    code, out, _ = run(capsys, "--format", "text", "check", "hopf", "brst_q")
+    assert code == 0 and out.startswith("[PASS   ] hopf-axioms :: brst_q")
+    # the subcommands look their functions up when they run
+    monkeypatch.setattr(cli, "cmd_suite_all", lambda args: 7)
+    monkeypatch.setattr(cli, "cmd_check_family", lambda args: 8)
+    assert main(["suite", "all"]) == 7
+    assert main(["check", "family", "sd_line"]) == 8

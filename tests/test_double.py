@@ -6,7 +6,8 @@ import pytest
 
 from hopfforge.cli import main
 from hopfforge.double import Double, derive_double_presentation
-from hopfforge.pairing import _h_basis, standard_pair
+from hopfforge.hopf import HopfOps
+from hopfforge.pairing import STANDARD_SEED, Pairing, _h_basis, standard_pair
 from hopfforge.pbw import Cutoffs, Engine
 from hopfforge.presentation import data_dir, load_presentation
 from hopfforge.scalars import Scalar, series_fn
@@ -108,7 +109,11 @@ def test_route_check_leaves_memoized_tensors_unchanged():
 # ------------------------------------------------------------ cross relations
 
 def test_antipode_inverse_requires_an_involution():
-    d = Double(standard_pair(Cutoffs(4, 8), alpha2=True))
+    # its own HopfOps and Pairing, so the shared ones never see the edit
+    cut = Cutoffs(4, 8)
+    h_ops, k_ops = (HopfOps(Engine(load_presentation(name), cut))
+                    for name in ("ptsa_q", "brst_q_alpha2"))
+    d = Double(Pairing(h_ops, k_ops, STANDARD_SEED))
     d.h_ops._anti["T"] = d.H.generator("T").scale(2)  # S^2(T) = 4T
     mh, mk = mono(d.H, S=1), mono(d.K, xi=1)
     with pytest.raises(NotImplementedError):
