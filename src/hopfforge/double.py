@@ -285,19 +285,19 @@ def verify_route_equivalence(dbl: Double, count: int = 20, max_degree: int = 3,
     return rep
 
 
-def verify_universal_identity(dbl: Double, r_matrix: TensorElement, max_degree: int = 3,
-                              compare_degree: int | None = None) -> VerificationReport:
+def verify_universal_identity(dbl: Double, r_matrix: TensorElement, max_degree: int = 3, *,
+                              compare_degree: int) -> VerificationReport:
     """(m (x) id)[(1 (x) R1 (x) R2) Psi(e_s)] = (1 (x) e_s) R for basis e_s,
-    computed in R's engine, whose cutoffs the report states."""
+    computed in R's engine, whose cutoffs the report states, and compared at
+    tensor degree <= compare_degree."""
     d_eng = r_matrix.engines[0]
     with VerificationReport.timed("universal-identity",
                                   f"basis elements of degree <= {max_degree}",
                                   {**d_eng.cutoffs.as_dict(), "D": max_degree}) as rep:
         D = compare_degree
-        if D is not None:
-            # products of windowed factors are exact at degree <= D, and so is
-            # the multiplication of legs, which never lowers weight either
-            r_matrix = r_matrix.window(D)
+        # products of windowed factors are exact at degree <= D, and so is
+        # the multiplication of legs, which never lowers weight either
+        r_matrix = r_matrix.window(D)
         checked = 0
         r13 = r_matrix.insert_unit_leg(0, d_eng)  # 1 (x) R1 (x) R2
         for mono in _h_basis(dbl.H, max_degree):
@@ -306,9 +306,7 @@ def verify_universal_identity(dbl: Double, r_matrix: TensorElement, max_degree: 
             lhs = tensor_mul(r13, emb, D).multiply_legs(0)
             x_d = PbwElement(dbl.H, {mono: Scalar.one()}).moved_to(d_eng)
             rhs_t = tensor_mul(tensor_of(d_eng.one(), x_d), r_matrix, D)
-            diff = lhs - rhs_t
-            if D is not None:
-                diff = diff.truncate_degree(D)
+            diff = (lhs - rhs_t).truncate_degree(D)
             checked += 1
             if not diff.is_zero():
                 rep.fail(f"universal identity fails on {dbl.H.monomial_str(mono)}: "

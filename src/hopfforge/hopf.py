@@ -54,36 +54,22 @@ class HopfOps:
             for c in el.terms.values():
                 if c.pole_order > 0:
                     raise PresentationError(f"antipode of {name} has a pole in h")
-        for (i, j), (_, tail) in self.engine._rules.items():
-            for c in tail.values():
-                if c.pole_order > 0:
-                    raise PresentationError("structure constant has a pole in h")
 
     # -- coproduct -------------------------------------------------------------
     def coproduct_gen(self, name: str) -> TensorElement:
         return self._delta[name]
 
     def coproduct_mono(self, mono) -> TensorElement:
-        """Delta of a PBW monomial: the left fold of tensor_mul from the unit
-        over its letters, in generator order.  The fold of a prefix of the word
-        is the coproduct of that prefix, so a miss extends the longest cached
-        prefix one letter at a time and caches each prefix it passes."""
+        """Delta of a PBW monomial: the coproduct of its word without the last
+        letter times the coproduct of that letter, cached per monomial (the
+        unit for the empty word)."""
         key = tuple(mono)
-        cache = self._delta_mono_cache
-        got = cache.get(key)
+        got = self._delta_mono_cache.get(key)
         if got is None:
-            eng = self.engine
-            word = eng.monomial_to_word(key)
-            n = len(word)
-            prefixes = [key]  # prefixes[k] is the monomial of word[:n - k]
-            m = list(key)
-            while got is None:
-                m[word[n - len(prefixes)]] -= 1
-                got = cache.get(tuple(m))
-                if got is None:
-                    prefixes.append(tuple(m))
-            for p, i in zip(reversed(prefixes), word[n - len(prefixes):]):
-                got = cache[p] = tensor_mul(got, self._delta[eng.gen_names[i]])
+            i = max(j for j, e in enumerate(key) if e)
+            prefix = key[:i] + (key[i] - 1,) + key[i + 1:]
+            got = self._delta_mono_cache[key] = tensor_mul(
+                self.coproduct_mono(prefix), self._delta[self.engine.gen_names[i]])
         return got
 
     def coproduct(self, el: PbwElement) -> TensorElement:

@@ -15,25 +15,32 @@ the final choice by reproducing the published cross relations.
 Sparse sums.  Most pairing values are zeros known to h^N, N = min(H, K)
 h-order.  A term of a pairing sum is skipped when one of its factors is such a
 zero (``pbw._droppable(v, N)``: exact, or known to at least h^N).  This is
-exact: every other factor is pole-free (coproduct, counit, antipode and rule
-coefficients by ``HopfOps._assert_pole_free``, and so every pairing value), so
-the skipped product is itself a zero known to h^N, and adding it to an
-accumulator whose ``trunc`` is at most N changes neither its coefficients nor
-its ``trunc``.  A zero known only below h^N goes through the product.  Where a
-sum also carries the coefficients of caller-supplied elements, the threshold
-rises by their pole orders (``Pairing.pair_terms``).
+exact: every other factor is pole-free (coproduct, counit and antipode
+coefficients by ``HopfOps._assert_pole_free``, rule coefficients by
+``Engine._build_rules``, and so every pairing value), so the skipped product
+is itself a zero known to h^N, and adding it to an accumulator whose ``trunc``
+is at most N changes neither its coefficients nor its ``trunc``.  A zero
+known only below h^N goes through the product.  Where a sum also carries the
+coefficients of caller-supplied elements, the threshold rises by their pole
+orders (``Pairing.pair_terms``).
 
-Contracted rows.  <x, g f> for a generator g of K sums
-(-1)^{|x2||g|} <x1, g> <x2, f> c over the terms c x1 (x) x2 of Delta_H^conv(x),
-and every f shares the factors <x1, g> c.  So the pairing keeps, per (x, g),
-the row of (x2, <x1, g> c, |x2|) over the terms whose <x1, g> is not skipped
-(``Pairing.primal_row``), and per (a, f) for a generator a of H the mirror row
-of (f2, <a, f1> c, |f1|) (``Pairing.dual_row``).  Both recursions and both
-sides of the consistency check read these rows.  This is exact: the skip tests
-on both factors are those of the full sum; exact multiplication is associative
-and commutative, and so is the ``trunc`` rule min(ta + vb, tb + va) on these
-pole-free factors.  A row holds the untruncated product, since the right-hand
-sides of the consistency check are not truncated either.
+Contracted rows.  Each recursion step splits a monomial of one side by that
+side's convention coproduct and pairs a generator g and a rest of the other
+side with its legs.  On side 0 (H), <x, g f> sums (-1)^{|x2||g|} <x1, g>
+<x2, f> c over the terms c x1 (x) x2 of Delta_H^conv(x); on side 1 (K),
+<g x, f> sums (-1)^{|x||f1|} <g, f1> <x, f2> c over the terms c f1 (x) f2 of
+Delta_K^conv(f).  Every rest shares the factors <y1, g> c, so the pairing
+keeps one row of (y2, <y1, g> c) per (side, monomial, generator), over the
+terms whose <y1, g> is not skipped (``Pairing.row``).  ``Pairing.pair_split``
+sums a row against a rest, for the recursion and for both halves of the
+consistency check.  Rows hold no parity: a pairing across parities is zero and
+so skipped, so a kept term has |x2| = |f| (side 0) or |f1| = |g| (side 1), and
+every Koszul sign of a split is (-1)^{|g||rest|}, applied once to its sum.
+This is exact: the skip tests on both factors are those of the full sum;
+exact multiplication is associative and commutative, and so is the ``trunc``
+rule min(ta + vb, tb + va) on these pole-free factors.  A row holds the
+untruncated product, since the right-hand sides of the consistency check are
+not truncated either.
 """
 
 from __future__ import annotations
@@ -78,32 +85,27 @@ class Pairing:
         self.H, self.K = h_ops.engine, k_ops.engine
         self.N = min(self.H.cutoffs.h_order, self.K.cutoffs.h_order)
         self.convention = convention
+        # per side, 0 for H and 1 for K
+        self._ops = (h_ops, k_ops)
+        self._engines = (self.H, self.K)
+        self._flips = (convention.flip_primal_coproduct, convention.flip_dual_coproduct)
         self._seed = {}
         for (hg, kg), val in seed.items():
             hi = self.H.presentation.gen_index(hg)
             ki = self.K.presentation.gen_index(kg)
             self._seed[(hi, ki)] = Fraction(val)
         self._memo: dict = {}
-        self._conv_coproducts: dict = {}
-        self._primal_rows: dict = {}
-        self._dual_rows: dict = {}
+        self._flipped: dict = {}
+        self._rows: dict = {}
 
-    # -- coproducts under the convention ------------------------------------------
-    def primal_coproduct(self, mh) -> TensorElement:
-        """Delta_H^conv of a monomial of H."""
-        return self._conv_coproduct(self.h_ops, self.convention.flip_primal_coproduct, mh)
-
-    def dual_coproduct(self, mk) -> TensorElement:
-        """Delta_K^conv of a monomial of K."""
-        return self._conv_coproduct(self.k_ops, self.convention.flip_dual_coproduct, mk)
-
-    def _conv_coproduct(self, ops: HopfOps, flip: bool, mono) -> TensorElement:
-        if not flip:
-            return ops.coproduct_mono(mono)
-        key = (ops, mono)
-        got = self._conv_coproducts.get(key)
+    def coproduct(self, side: int, mono) -> TensorElement:
+        """Delta^conv of a monomial of H (side 0) or of K (side 1)."""
+        if not self._flips[side]:
+            return self._ops[side].coproduct_mono(mono)
+        key = (side, mono)
+        got = self._flipped.get(key)
         if got is None:
-            got = self._conv_coproducts[key] = ops.coproduct_mono(mono).flip_adjacent(0)
+            got = self._flipped[key] = self._ops[side].coproduct_mono(mono).flip_adjacent(0)
         return got
 
     # -- monomial pairing -----------------------------------------------------
@@ -133,67 +135,44 @@ class Pairing:
         return self._split_primal(mh, mk)
 
     def _split_dual(self, mh, mk) -> Scalar:
-        """<x, g * f'> via the primal coproduct on x."""
+        """<x, g * f'> via Delta_H^conv on x."""
         word = self.K.monomial_to_word(mk)
-        return self.pair_split_dual(mh, word[0], self.K.word_to_monomial(word[1:]), self.N)
+        return self.pair_split(0, mh, word[0], self.K.word_to_monomial(word[1:]), self.N)
 
     def _split_primal(self, mh, mk) -> Scalar:
-        """<a * x', f> via the dual coproduct on f."""
+        """<a * x', f> via Delta_K^conv on f."""
         word = self.H.monomial_to_word(mh)
-        return self.pair_split_primal(word[0], self.H.word_to_monomial(word[1:]), mk, self.N)
+        return self.pair_split(1, mk, word[0], self.H.word_to_monomial(word[1:]), self.N)
 
     # -- coproduct rows contracted on their first leg ------------------------------
-    def primal_row(self, mh, g: int) -> list:
-        """(x2, <x1, g> c, |x2|) over the terms c x1 (x) x2 of Delta_H^conv(mh)
-        whose <x1, g> is not skipped; g is the index of a generator of K."""
-        key = (tuple(mh), g)
-        row = self._primal_rows.get(key)
+    def row(self, side: int, mono, g: int) -> list:
+        """(y2, <y1, g> c) over the terms c y1 (x) y2 of Delta^conv(mono) whose
+        <y1, g> is not skipped; mono is on ``side``, g indexes a generator of
+        the other side."""
+        key = (side, tuple(mono), g)
+        row = self._rows.get(key)
         if row is None:
-            g_mono = tuple(1 if j == g else 0 for j in range(self.K.n))
+            g_mono = self._engines[1 - side].word_to_monomial((g,))
             row = []
-            for (x1, x2), c in self.primal_coproduct(key[0]).terms.items():
-                first = self.pair_mono(x1, g_mono)
+            for (y1, y2), c in self.coproduct(side, key[1]).terms.items():
+                first = self.pair_mono(y1, g_mono) if side == 0 else self.pair_mono(g_mono, y1)
                 if not _droppable(first, self.N):
-                    row.append((x2, first * c, self.H.parity_of[x2]))
-            self._primal_rows[key] = row
+                    row.append((y2, first * c))
+            self._rows[key] = row
         return row
 
-    def dual_row(self, a: int, mk) -> list:
-        """(f2, <a, f1> c, |f1|) over the terms c f1 (x) f2 of Delta_K^conv(mk)
-        whose <a, f1> is not skipped; a is the index of a generator of H."""
-        key = (a, tuple(mk))
-        row = self._dual_rows.get(key)
-        if row is None:
-            a_mono = tuple(1 if j == a else 0 for j in range(self.H.n))
-            row = []
-            for (f1, f2), c in self.dual_coproduct(key[1]).terms.items():
-                first = self.pair_mono(a_mono, f1)
-                if not _droppable(first, self.N):
-                    row.append((f2, first * c, self.K.parity_of[f1]))
-            self._dual_rows[key] = row
-        return row
-
-    def pair_split_dual(self, mh, g: int, mk, order=None) -> Scalar:
-        """<Delta_H^conv(mh), g (x) mk>, each term truncated at ``order``."""
-        N, odd = self.N, self.K.parities[g]
+    def pair_split(self, side: int, mono, g: int, rest, order=None) -> Scalar:
+        """<Delta_H^conv(mono), g (x) rest> on side 0, <g (x) rest,
+        Delta_K^conv(mono)> on side 1, each term truncated at ``order``; g and
+        rest are on the other side.  The Koszul sign of every term that is not
+        skipped is (-1)^{|g||rest|}, so it is applied once, to the sum."""
+        N, other = self.N, self._engines[1 - side]
         out = Scalar.zero(order)
-        for x2, v, p2 in self.primal_row(mh, g):
-            second = self.pair_mono(x2, mk)
+        for y2, v in self.row(side, mono, g):
+            second = self.pair_mono(y2, rest) if side == 0 else self.pair_mono(rest, y2)
             if not _droppable(second, N):
-                t = v * second
-                out = out + (-t if p2 and odd else t).truncate(order)
-        return out
-
-    def pair_split_primal(self, a: int, mh, mk, order=None) -> Scalar:
-        """<a (x) mh, Delta_K^conv(mk)>, each term truncated at ``order``."""
-        N, odd = self.N, self.H.parity_of[mh]
-        out = Scalar.zero(order)
-        for f2, v, p1 in self.dual_row(a, mk):
-            second = self.pair_mono(mh, f2)
-            if not _droppable(second, N):
-                t = v * second
-                out = out + (-t if p1 and odd else t).truncate(order)
-        return out
+                out = out + (v * second).truncate(order)
+        return -out if other.parities[g] and other.parity_of[rest] else out
 
     # -- element pairing --------------------------------------------------------
     def pair(self, x: PbwElement, f: PbwElement) -> Scalar:
@@ -260,32 +239,27 @@ def _consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
     fails = []
     hb = _h_basis(H, max_degree)
     kb = _h_basis(K, max_degree)
-    # product-side: <x*y, f> = <x (x) y, Delta_K^conv f> for generator x
-    for a, xg in enumerate(H.gen_names):
-        x = H.generator(xg)
+    # product side: <a*y, f> = <a (x) y, Delta_K^conv f> for generator a
+    for a, ag in enumerate(H.gen_names):
+        ma = H.word_to_monomial((a,))
         for my in hb:
-            xy = H.multiply(x, PbwElement(H, {my: one}))
+            ay = H.product(ma, my)
             for mf in kb:
-                lhs = p.pair_terms(xy.terms, {mf: one})
-                rhs = p.pair_split_primal(a, my, mf)
-                if not (lhs - rhs).is_zero():
-                    fails.append((f"<{xg}*{H.monomial_str(my)}, {K.monomial_str(mf)}>",
-                                  repr(lhs - rhs)))
+                diff = p.pair_terms(ay, {mf: one}) - p.pair_split(1, mf, a, my)
+                if not diff.is_zero():
+                    fails.append((f"<{ag}*{H.monomial_str(my)}, {K.monomial_str(mf)}>",
+                                  repr(diff)))
                     if len(fails) >= limit:
                         return fails
-    # dual-side: <x, g*f> = <Delta_H^conv x, g (x) f> for generator g
-    products: dict = {}  # g*f, the same for every x
+    # dual side: <x, g*f> = <Delta_H^conv x, g (x) f> for generator g
     for mx in hb:
         for g, gg in enumerate(K.gen_names):
+            mg = K.word_to_monomial((g,))
             for mf in kb:
-                gf = products.get((g, mf))
-                if gf is None:
-                    gf = products[(g, mf)] = K.multiply(K.generator(gg), PbwElement(K, {mf: one}))
-                lhs = p.pair_terms({mx: one}, gf.terms)
-                rhs = p.pair_split_dual(mx, g, mf)
-                if not (lhs - rhs).is_zero():
+                diff = p.pair_terms({mx: one}, K.product(mg, mf)) - p.pair_split(0, mx, g, mf)
+                if not diff.is_zero():
                     fails.append((f"<{H.monomial_str(mx)}, {gg}*{K.monomial_str(mf)}>",
-                                  repr(lhs - rhs)))
+                                  repr(diff)))
                     if len(fails) >= limit:
                         return fails
     return fails

@@ -90,10 +90,9 @@ def _canonical_element(ctx: RMatrixContext) -> TensorElement:
     pair = dbl.pairing
     out = TensorElement((ctx.engine, ctx.engine), {})
     for par in (0, 1):
-        rows = sorted((m for m in _h_basis(H, ctx.d_int) if H.monomial_parity(m) == par),
-                      key=lambda m: (H.monomial_degree(m), m))
-        cols = sorted((m for m in _h_basis(K, ctx.d_int) if K.monomial_parity(m) == par),
-                      key=lambda m: (K.monomial_degree(m), m))
+        # _h_basis is in (degree, monomial) order, and so is each parity's part
+        rows = [m for m in _h_basis(H, ctx.d_int) if H.monomial_parity(m) == par]
+        cols = [m for m in _h_basis(K, ctx.d_int) if K.monomial_parity(m) == par]
         if len(rows) != len(cols):
             raise RuntimeError("canonical element: pairing blocks are not square")
         # [G | 1] reduces to [1 | G^-1]

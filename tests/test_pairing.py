@@ -74,7 +74,7 @@ class UncontractedPairing(Pairing):
         rest_mono = K.word_to_monomial(rest)
         pg = K.parities[g]
         out = Scalar.zero(N)
-        for (x1, x2), c in self.primal_coproduct(mh).terms.items():
+        for (x1, x2), c in self.coproduct(0, mh).terms.items():
             first = self.pair_mono(x1, g_mono)
             if _droppable(first, N):
                 continue
@@ -93,7 +93,7 @@ class UncontractedPairing(Pairing):
         rest_mono = H.word_to_monomial(rest)
         prest = H.monomial_parity(rest_mono)
         out = Scalar.zero(N)
-        for (f1, f2), c in self.dual_coproduct(mk).terms.items():
+        for (f1, f2), c in self.coproduct(1, mk).terms.items():
             first = self.pair_mono(a_mono, f1)
             if _droppable(first, N):
                 continue
@@ -121,7 +121,7 @@ def uncontracted_consistency_failures(p: Pairing, max_degree: int, limit: int = 
             for mf in kb:
                 lhs = p.pair_terms(xy.terms, {mf: one})
                 rhs = Scalar.zero()
-                for (f1, f2), c in p.dual_coproduct(mf).terms.items():
+                for (f1, f2), c in p.coproduct(1, mf).terms.items():
                     first = p.pair_mono(mx, f1)
                     if _droppable(first, N):
                         continue
@@ -137,7 +137,7 @@ def uncontracted_consistency_failures(p: Pairing, max_degree: int, limit: int = 
                         return fails
     products: dict = {}
     for mx in hb:
-        two = p.primal_coproduct(mx)
+        two = p.coproduct(0, mx)
         for gg in K.gen_names:
             g = K.generator(gg)
             (mg,) = g.terms

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -180,6 +181,40 @@ def test_corrupted_sign_breaks_confluence():
     ok, failures, _ = eng.check_confluence()
     assert not ok
     assert ("S", "S", "tau") in {f[0] for f in failures}
+
+
+POLE_IN_A_RULE = """
+name pole
+[generators]
+S odd 1
+tau even 1
+[relations]
+[S,tau] = (1/h)*S
+{S,S} = 0
+[coproduct]
+S = S (x) 1 + 1 (x) S
+tau = tau (x) 1 + 1 (x) tau
+[counit]
+S = 0
+tau = 0
+[antipode]
+S = -S
+tau = -tau
+"""
+
+
+def test_structure_constant_with_a_pole_is_refused(tmp_path, capsys):
+    # the engine refuses the rule, so no later step sees a pole in a tail
+    from hopfforge.cli import main
+    from hopfforge.presentation import parse_presentation
+    message = "structure constant for (tau,S) has a pole in h"
+    with pytest.raises(PresentationError, match=re.escape(message)):
+        Engine(parse_presentation(POLE_IN_A_RULE), Cutoffs(4, 6))
+    path = tmp_path / "pole.hopf"
+    path.write_text(POLE_IN_A_RULE)
+    assert main(["check", "hopf", str(path)]) == 2
+    out = capsys.readouterr()
+    assert not out.out and message in out.err
 
 
 # ----------------------------------------------------------------- evaluation
