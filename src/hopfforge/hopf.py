@@ -16,7 +16,8 @@ from .presentation import HopfPresentation, PresentationError
 from .report import VerificationReport
 from .scalars import Scalar
 from .shared import shared
-from .tensors import TensorElement, evaluate_tensor, leg_terms, map_legs, tensor_mul
+from .tensors import (TensorElement, evaluate_tensor, graded_commutator, leg_terms, map_legs,
+                      tensor_mul)
 
 __all__ = ["HopfOps", "shared_ops", "structure", "differences", "verify_hopf"]
 
@@ -216,12 +217,12 @@ def _run_axioms(pres: HopfPresentation, cutoffs: Cutoffs, details: list):
         rhs = eng.evaluate_words(eng.relation_words[rel])
         name = f"{'{' if rel.kind == 'anti' else '['}{rel.a},{rel.b}{'}' if rel.kind == 'anti' else ']'}"
         ma, mb = _pair_mono(eng, rel, 0), _pair_mono(eng, rel, 1)
-        da, db = ops.coproduct_mono(ma), ops.coproduct_mono(mb)
-        d = tensor_mul(da, db)
         sign = -1 if (pres.parity(rel.a) and pres.parity(rel.b)) else 1
-        # for {a,a} the reversed product is the same product
-        d_rev = (d if rel.a == rel.b else tensor_mul(db, da)).scale(sign)
-        diff = (d - d_rev) - ops.coproduct(rhs)
+        # Delta(a)Delta(b) - s Delta(b)Delta(a) = Delta(rhs), in one pass over
+        # the pairs of coproduct terms (for {a,a} both are the one cached
+        # Delta(a), a square)
+        da, db = ops.coproduct_mono(ma), ops.coproduct_mono(mb)
+        diff = graded_commutator(da, db, sign) - ops.coproduct(rhs)
         if not diff.is_zero():
             return (f"coproduct does not respect {name}", _first_residual_tensor(diff))
         ea, eb = ops.counit_mono(ma), ops.counit_mono(mb)

@@ -294,19 +294,19 @@ def _certification_failure(p: Pairing, max_degree: int) -> str | None:
     if fails:
         return f"{fails[0][0]}: {fails[0][1]}"
     hb, kb = _h_basis(p.H, max_degree), _h_basis(p.K, max_degree)
-    # antipode adjointness <S(x), f> = <x, S_K^-1(f)>
+    # antipode adjointness <S(x), f> = <x, S_K^-1(f)>, S_K^-1(f) built once per f
+    fs = [PbwElement(p.K, {mf: Scalar.one()}) for mf in kb]
+    s_inv_fs = [p.k_ops.antipode_inverse(f) for f in fs]
     for mx in hb:
         x = PbwElement(p.H, {mx: Scalar.one()})
         sx = p.h_ops.antipode(x)
-        for mf in kb:
-            f = PbwElement(p.K, {mf: Scalar.one()})
-            diff = p.pair(sx, f) - p.pair(x, p.k_ops.antipode_inverse(f))
+        for mf, f, s_inv_f in zip(kb, fs, s_inv_fs):
+            diff = p.pair(sx, f) - p.pair(x, s_inv_f)
             if not diff.is_zero():
                 return (f"antipode adjointness at ({p.H.monomial_str(mx)}, "
                         f"{p.K.monomial_str(mf)}): {diff!r}")
     # unit/counit adjointness
-    for mf in kb:
-        f = PbwElement(p.K, {mf: Scalar.one()})
+    for mf, f in zip(kb, fs):
         if not (p.pair(p.H.one(), f) - p.k_ops.counit(f)).is_zero():
             return f"unit adjointness at {p.K.monomial_str(mf)}"
     # block nondegeneracy at h-order 0

@@ -29,9 +29,10 @@ most the integer part of D * max(w_i/d_i), so ``LinearCombination.window``
 and the windowed tensor product drop, exactly, what cannot reach degree <= D
 under further products, comparing integers only.
 
-A monomial's parity, weight and central degree are pure functions of it, so
-each engine memoizes them (``parity_of``, ``weight_of``, ``central_degree_of``:
-dicts filled on first lookup).  The product cache holds one entry per (ma, mb):
+A monomial's parity, weight, central degree and centrality (every letter a
+central generator, the unit included) are pure functions of it, so each
+engine memoizes them (``parity_of``, ``weight_of``, ``central_degree_of``,
+``central_of``: dicts filled on first lookup).  The product cache holds one entry per (ma, mb):
 the terms of the normal form of ma*mb, both as a {monomial: coefficient} dict
 (``Engine.product``) and as (monomial, coefficient, central degree, unit)
 tuples (``Engine.product_terms``), which tensor products read.  The unit
@@ -292,6 +293,8 @@ class Engine:
         central = tuple(d if c else 0 for d, c in zip(self.degrees, self.central))
         self.parity_of = _Memo(lambda m: sum(itertools.compress(m, odd)) % 2)
         self.central_degree_of = _Memo(lambda m: sum(map(mul, m, central)))
+        noncentral = tuple(not c for c in self.central)
+        self.central_of = _Memo(lambda m: not any(itertools.compress(m, noncentral)))
         self._build_rules()
         self.weight = self._find_weight()
         self.weight_of = _Memo(lambda m: sum(map(mul, m, self.weight)))

@@ -18,6 +18,24 @@ coefficient has no pole, ``tensor_mul`` passes the running coefficient through
 a unit leg unchanged: times a unit it would be truncated at t + valuation,
 at or above N, and the result is truncated at N anyway.  With a pole it
 multiplies, since that truncation falls below N.
+
+``tensor_mul`` and ``graded_commutator`` share one pair loop
+(``_sum_pairs``), which adds w times the legwise product of each pair of
+keys it is given, w an integer weight that carries the Koszul sign.
+``graded_commutator(a, b, sign)`` is a*b - sign*b*a in one pass that visits
+each pair {x of a, y of b} once, the pairs i <= j when ``a is b``.  When on
+every leg the two monomials are equal or one of them is central (every letter
+a central generator, the unit included: ``Engine.central_of``), the leg
+products are the same in both orders, since central letters move by rules
+with empty tails; then y*x = eps*x*y, where eps, the ratio of the two Koszul
+signs, is +-1, and the pair adds (1 - sign*eps)*x*y: nothing, or one product
+of weight 2.  Other pairs form both products.  One sum equals the difference
+of the two products, tensor_mul(a, b) - tensor_mul(b, a).scale(sign), in
+keys, coefficients and ``trunc`` when every contribution is truncated at h^N
+(the difference drops a key whose sum in one product is zero, and with it
+that sum's ``trunc``).  So the one pass is taken when every coefficient of a
+and b is pole-free and known to h^N (one check per call); otherwise the
+commutator is that difference.
 """
 
 from __future__ import annotations
@@ -30,8 +48,8 @@ from .pbw import Engine, LinearCombination, PbwElement, _clean, _droppable
 from .presentation import PresentationError
 from .scalars import Scalar
 
-__all__ = ["TensorElement", "map_legs", "leg_terms", "tensor_of", "evaluate_tensor",
-           "exp_tensor"]
+__all__ = ["TensorElement", "map_legs", "leg_terms", "tensor_mul", "graded_commutator",
+           "tensor_of", "evaluate_tensor", "exp_tensor"]
 
 
 class TensorElement(LinearCombination):
@@ -70,12 +88,6 @@ class TensorElement(LinearCombination):
     def min_degree(self):
         degs = [self.degree_of_key(k) for k, c in self.terms.items() if not c.is_zero()]
         return min(degs, default=None)
-
-    # -- multiplication --------------------------------------------------------
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(other)
-        return tensor_mul(self, other)
 
     __rmul__ = LinearCombination.scale
 
@@ -190,18 +202,8 @@ def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
     the order of the full product, so the result is the full product's
     window, keys, coefficients, ``trunc`` and order alike.
     """
-    if a.legs != b.legs or any(x is not y for x, y in zip(a.engines, b.engines)):
-        raise PresentationError("tensor leg mismatch")
-    engines = a.engines
-    n = len(engines)
-    N = min(e.cutoffs.h_order for e in engines)
-    W = min(e.cutoffs.word_degree for e in engines)
-    parity = [e.parity_of for e in engines]
-    products = [e.product_terms for e in engines]
-
-    def parities(key):
-        return [p[m] for p, m in zip(parity, key)]
-
+    engines = _common_engines(a, b)
+    parities = _parities(engines)
     b_items = [(kb, cb, parities(kb)) for kb, cb in b.terms.items()]
     if max_degree is None:
         rows = [(ka, ca, b_items) for ka, ca in a.terms.items()]
@@ -212,26 +214,113 @@ def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
         fits = [[x for x, w in zip(b_items, b_weights) if w <= r] for r in range(bound + 1)]
         rows = [(ka, ca, fits[bound - w]) for ka, ca in a.terms.items()
                 if (w := weight(ka)) <= bound]
-    acc: dict = {}
-    for ka, ca, row in rows:
-        # the Koszul sign of a pair is (-1)^(sum_i |b_i| after_a[i]), where
-        # after_a[i] = sum_{j>i} |a_j|
-        pa = parities(ka)
-        after_a = [sum(pa[i + 1:]) for i in range(n)]
-        for kb, cb, pb in row:
-            # a pair with an empty leg product (S*S where {S,S} = 0) adds
-            # nothing, so its coefficients are not multiplied
-            legs = [prod(x, y) for prod, x, y in zip(products, ka, kb)]
-            if not all(legs):
-                continue
-            c = (ca * cb).truncate(N)
-            if sum(map(mul, pb, after_a)) % 2:
-                c = -c
-            if not _droppable(c, N):
-                v = c.valuation()
-                _distribute(acc, legs, 0, (), c, 0, N, W, v is None or v >= 0)
-    out = TensorElement(engines, _clean(acc))
+
+    def pairs():
+        for ka, ca, row in rows:
+            after_a = _after(parities(ka))
+            for kb, cb, pb in row:
+                yield ka, kb, ca, cb, _koszul(pb, after_a)
+
+    out = TensorElement(engines, _sum_pairs(engines, pairs()))
     return out if max_degree is None else out.window(max_degree)
+
+
+def graded_commutator(a: TensorElement, b: TensorElement, sign: int) -> TensorElement:
+    """a*b - sign*b*a in one pass over the pairs of terms {x of a, y of b},
+    each visited once (the pairs i <= j when ``a is b``); a pair whose legs
+    commute adds (1 - sign*eps)*x*y (see the module docstring).  When a
+    coefficient of a or b has a pole or is not known to h^N, the result is
+    tensor_mul(a, b) - tensor_mul(b, a).scale(sign).  Either way it equals
+    that difference in keys, coefficients and ``trunc``; only the order of
+    keys may differ.
+    """
+    engines = _common_engines(a, b)
+    N = min(e.cutoffs.h_order for e in engines)
+    if not (_known_to(a, N) and _known_to(b, N)):
+        return tensor_mul(a, b) - tensor_mul(b, a).scale(sign)
+    parities = _parities(engines)
+    central = [e.central_of for e in engines]
+
+    def items(t):
+        out = []
+        for k, c in t.terms.items():
+            p = parities(k)
+            out.append((k, c, p, _after(p), [z[m] for z, m in zip(central, k)]))
+        return out
+
+    xs = items(a)
+    square = a is b
+    ys = xs if square else items(b)
+
+    def pairs():
+        for i, (kx, cx, px, after_x, zx) in enumerate(xs):
+            for j, (ky, cy, py, after_y, zy) in enumerate(ys[i:] if square else ys):
+                # the weights of x*y and y*x: in a square, x_i x_j and x_j x_i
+                # both come from a*a and from sign*a*a
+                w_xy, w_yx = (1 - sign, 1 - sign) if square and j else (1, -sign)
+                s_xy, s_yx = _koszul(py, after_x), _koszul(px, after_y)
+                if all(mx == my or cen_x or cen_y
+                       for mx, my, cen_x, cen_y in zip(kx, ky, zx, zy)):
+                    w = (w_xy + w_yx * s_xy * s_yx) * s_xy
+                    if w:
+                        yield kx, ky, cx, cy, w
+                    continue
+                if w_xy:
+                    yield kx, ky, cx, cy, w_xy * s_xy
+                if w_yx:
+                    yield ky, kx, cy, cx, w_yx * s_yx
+
+    return TensorElement(engines, _sum_pairs(engines, pairs()))
+
+
+def _common_engines(a: TensorElement, b: TensorElement) -> tuple:
+    if a.legs != b.legs or any(x is not y for x, y in zip(a.engines, b.engines)):
+        raise PresentationError("tensor leg mismatch")
+    return a.engines
+
+
+def _parities(engines):
+    parity = [e.parity_of for e in engines]
+    return lambda key: [p[m] for p, m in zip(parity, key)]
+
+
+def _after(p):
+    """after[i] = sum_{j>i} p[j]"""
+    return [sum(p[i + 1:]) for i in range(len(p))]
+
+
+def _koszul(py, after_x) -> int:
+    """The Koszul sign of (x_1 (x) ... (x) x_n)(y_1 (x) ... (x) y_n),
+    (-1)^(sum_i |y_i| after_x[i])."""
+    return -1 if sum(map(mul, py, after_x)) % 2 else 1
+
+
+def _known_to(t: TensorElement, N: int) -> bool:
+    """Every coefficient is pole-free and known to h^N."""
+    return all((c.trunc is None or c.trunc >= N) and not c.pole_order for c in t.terms.values())
+
+
+def _sum_pairs(engines, pairs) -> dict:
+    """The terms of the sum of w*cx*cy*(x_1 y_1 (x) ... (x) x_n y_n) over
+    (x, y, cx, cy, w) in ``pairs``, w a nonzero integer: the pair
+    coefficient is truncated at N before w multiplies it."""
+    N = min(e.cutoffs.h_order for e in engines)
+    W = min(e.cutoffs.word_degree for e in engines)
+    products = [e.product_terms for e in engines]
+    acc: dict = {}
+    for kx, ky, cx, cy, w in pairs:
+        # a pair with an empty leg product (S*S where {S,S} = 0) adds
+        # nothing, so its coefficients are not multiplied
+        legs = [prod(x, y) for prod, x, y in zip(products, kx, ky)]
+        if not all(legs):
+            continue
+        c = (cx * cy).truncate(N)
+        if w != 1:
+            c = -c if w == -1 else c * w
+        if not _droppable(c, N):
+            v = c.valuation()
+            _distribute(acc, legs, 0, (), c, 0, N, W, v is None or v >= 0)
+    return _clean(acc)
 
 
 def _distribute(acc, legs, i, key, coeff, central, N, W, skip_units):

@@ -14,7 +14,8 @@ All three compute each monomial's parity, weight and central degree from the
 generator data (the ``direct_*`` helpers) instead of the engine's memos, and
 all three drop a key whose total central degree exceeds W, as the kernels do.
 ``identical`` asserts the same keys in the same order, with coefficients in
-the same canonical storage (so the same value, ``trunc`` and ``repr``).
+the same canonical storage (so the same value, ``trunc`` and ``repr``);
+``same_terms`` asserts the same, but of the keys as a set.
 """
 
 import math
@@ -140,6 +141,14 @@ def identical(x, y):
     # the same keys in the same order, and coefficients in the same canonical
     # storage, which fixes their value, trunc and printing
     assert list(x.terms) == list(y.terms)
+    for k, c in x.terms.items():
+        d = y.terms[k]
+        assert (c._c, c._den, c._params, c.trunc) == (d._c, d._den, d._params, d.trunc), k
+
+
+def same_terms(x, y):
+    # identical up to the order of keys
+    assert x.terms.keys() == y.terms.keys()
     for k, c in x.terms.items():
         d = y.terms[k]
         assert (c._c, c._den, c._params, c.trunc) == (d._c, d._den, d._params, d.trunc), k

@@ -200,6 +200,19 @@ def test_relation_checks_read_the_maps_on_both_sides(section, mutated, failure):
     assert r.details == [failure]
 
 
+def test_commuting_pairs_of_coproduct_terms_count_twice():
+    # with h*S (x) S in Delta(T), the pair (h S (x) S, T^k (x) S) of Delta(T)
+    # Delta(S) commutes on both legs with opposite Koszul signs, so it adds
+    # its product twice to Delta(T)Delta(S) - Delta(S)Delta(T)
+    text = emit_presentation(load_presentation("ptsa_q"))
+    mutated = text.replace("T = T (x) 1 + 1 (x) T", "T = T (x) 1 + 1 (x) T + h*S (x) S")
+    assert mutated != text
+    r = verify_hopf(parse_presentation(mutated), Cutoffs(6, 10))
+    assert r.status == "fail"
+    assert r.details == ["coproduct does not respect [T,S]"]
+    assert r.residual == "((-2)*h + 1/3*h^3 + (-7/180)*h^5 + O(h^7))*[T (x) S]"
+
+
 def test_delta_tau_coefficient_mutation_is_hopf_invisible():
     # rescaling the xi (x) xi coefficient of Delta tau keeps every Hopf axiom
     # intact (xi^2 = 0 hides it); the duality suite is what detects it

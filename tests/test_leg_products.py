@@ -74,6 +74,8 @@ def test_memoized_invariants_and_cached_triples_match_the_formulas(name):
         assert eng.weight_of[m] == direct_weight(eng, m)
         assert (eng.central_degree_of[m] == eng.monomial_degree_central(m)
                 == direct_central(eng, m))
+        assert eng.central_of[m] == all(eng.presentation.is_central(g)
+                                        for g, x in zip(eng.gen_names, m) if x)
     low = basis(eng, 2)
     units = 0
     for ma, mb in itertools.product(low, low):

@@ -4,12 +4,19 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from hopfforge.hopf import HopfOps
 from hopfforge.pbw import Cutoffs, Engine, PbwElement
 from hopfforge.presentation import load_presentation, PresentationError
 from hopfforge.scalars import Scalar
 from hopfforge.lang import parse_expr_text
-from hopfforge.tensors import TensorElement, evaluate_tensor, exp_tensor, tensor_mul, tensor_of
+from hopfforge.tensors import (TensorElement, evaluate_tensor, exp_tensor, graded_commutator,
+                               tensor_mul, tensor_of)
+
+from references import reference_tensor_mul, same_terms
+from test_leg_products import tensors
+from test_window import DOUBLES, SETTINGS, SHIPPED, hopf_ops
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +204,83 @@ def test_mixed_leg_presentations():
     sq = tensor_mul(t, t)
     key = ((0, 2), (0, 2))
     assert sq.coefficient(key) == Scalar.one().truncate(4)
+
+
+# ------------------------------------------------------------- graded commutator
+
+def reference_commutator(a, b, sign):
+    return reference_tensor_mul(a, b) - reference_tensor_mul(b, a).scale(sign)
+
+
+def generator_coproducts(ops):
+    eng = ops.engine
+    return {name: ops.coproduct_mono(tuple(int(j == i) for j in range(eng.n)))
+            for i, name in enumerate(eng.gen_names)}
+
+
+@pytest.mark.parametrize("cutoffs", [Cutoffs(6, 10), Cutoffs(7, 12)], ids=str)
+@pytest.mark.parametrize("name", SHIPPED)
+def test_graded_commutator_of_coproducts_matches_the_reference(name, cutoffs):
+    # the relation check's Delta(a)Delta(b) - s Delta(b)Delta(a), a square
+    # for {a,a}; and every generator's coproduct squared with either sign
+    ops = HopfOps(Engine(load_presentation(name), cutoffs))
+    pres, delta = ops.presentation, generator_coproducts(ops)
+    for rel in pres.relations:
+        da, db = delta[rel.a], delta[rel.b]
+        sign = -1 if pres.parity(rel.a) and pres.parity(rel.b) else 1
+        same_terms(graded_commutator(da, db, sign), reference_commutator(da, db, sign))
+    for d in delta.values():
+        for sign in (1, -1):
+            same_terms(graded_commutator(d, d, sign), reference_commutator(d, d, sign))
+
+
+def pole_free(t):
+    """t with every coefficient c*h^k made exact and times h^(1-k)."""
+    return TensorElement(t.engines, {k: Scalar({e - (c.valuation() or 0) + 1: p
+                                                for e, p in c.coeffs.items()})
+                                     for k, c in t.terms.items()})
+
+
+CENTRAL = [name for name in SHIPPED + DOUBLES if any(hopf_ops(name).engine.central)]
+
+
+@pytest.mark.parametrize("name", CENTRAL, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_graded_commutator_matches_the_reference(name, data):
+    # the drawn coefficients may have a pole or be known below h^N, which
+    # rules the one-pass shortcut out; pole_free rules it in
+    eng = hopf_ops(name).engine
+    legs = data.draw(st.sampled_from([2, 3]))
+    a = data.draw(tensors(eng, legs))
+    b = a if data.draw(st.booleans()) else data.draw(tensors(eng, legs))
+    if data.draw(st.booleans()):
+        a, b = (pole_free(a),) * 2 if a is b else (pole_free(a), pole_free(b))
+    sign = data.draw(st.sampled_from([1, -1]))
+    same_terms(graded_commutator(a, b, sign), reference_commutator(a, b, sign))
+
+
+@pytest.mark.parametrize("change", [
+    lambda c, N: c.truncate(N - 1),   # known only to h^(N-1)
+    lambda c, N: c * Scalar.h(-1),    # a pole
+], ids=["known-to-N-1", "pole"])
+def test_graded_commutator_without_the_shortcut_matches_the_reference(change):
+    # the pair (xi (x) 1, 1 (x) 1) cancels and (tau (x) 1, xi (x) 1) does
+    # not ([tau,xi] = h*xi): both reach the key xi (x) 1, and the difference
+    # of the two products keeps the trunc, below h^N, of the cancelled one
+    eng = Engine(load_presentation("sd_line"), Cutoffs(6, 10))
+    N = eng.cutoffs.h_order
+    one, xi, tau = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)
+    a = TensorElement((eng, eng), {(xi, one): change(Scalar.one(), N), (tau, one): Scalar.one()})
+    b = TensorElement((eng, eng), {(one, one): Scalar.one(), (xi, one): Scalar.one()})
+    cases = [(a, b), (b, a), (a, a)]
+    # and in coproducts: one changed coefficient of Delta(S) of ptsa_q
+    ops = HopfOps(Engine(load_presentation("ptsa_q"), Cutoffs(6, 10)))
+    delta = generator_coproducts(ops)
+    first = next(iter(delta["S"].terms))
+    ds = TensorElement(delta["S"].engines, {k: change(c, N) if k == first else c
+                                            for k, c in delta["S"].terms.items()})
+    cases += [(ds, delta["T"]), (delta["T"], ds), (ds, ds)]
+    for x, y in cases:
+        for sign in (1, -1):
+            same_terms(graded_commutator(x, y, sign), reference_commutator(x, y, sign))
