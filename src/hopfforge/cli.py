@@ -259,6 +259,8 @@ def cmd_check_family(args) -> int:
         if "=" not in item:
             raise PresentationError(f"bad binding {item!r}")
         k, v = item.split("=", 1)
+        if k in bindings:
+            raise PresentationError(f"--bind {k} given twice")
         bindings[k] = v
     only = LIMIT_TARGETS.get(args.limit)
     if only and args.id != only:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 
-from .hopf import _first_residual_tensor, differences, verify_hopf
+from .hopf import differences, first_residual, verify_hopf
 from .pairing import Pairing, _h_basis, standard_pair
 from .pbw import Cutoffs, Engine, PbwElement, _droppable, shared_engine
 from .presentation import HopfPresentation, load_presentation, validate
@@ -310,7 +310,7 @@ def verify_universal_identity(dbl: Double, r_matrix: TensorElement, max_degree: 
             checked += 1
             if not diff.is_zero():
                 rep.fail(f"universal identity fails on {dbl.H.monomial_str(mono)}: "
-                         f"{_first_residual_tensor(diff)}")
+                         f"{first_residual(diff)}")
                 break
         rep.details.append(f"{checked} basis elements checked")
     return rep

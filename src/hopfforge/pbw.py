@@ -35,7 +35,9 @@ engine memoizes them (``parity_of``, ``weight_of``, ``central_degree_of``,
 ``central_of``: dicts filled on first lookup).  The product cache holds one entry per (ma, mb):
 the terms of the normal form of ma*mb, both as a {monomial: coefficient} dict
 (``Engine.product``) and as (monomial, coefficient, central degree, unit)
-tuples (``Engine.product_terms``), which tensor products read.  The unit
+tuples (``Engine.product_terms``), which tensor products read.  A product of
+elements is one of them: ``Engine.multiply`` is the one-leg
+``tensors.tensor_mul``, so this module has no pair loop of its own.  The unit
 flag is ``Scalar.is_unit(N)``: the coefficient is the exact 1 or
 1 + O(h^(t+1)) with t >= N, so a pole-free coefficient times it, truncated
 at h^N, is unchanged.  Normal-form coefficients are pole-free (rule tails
@@ -136,17 +138,6 @@ class LinearCombination:
         out = self._new(dict(self.terms))
         out._merge(other.terms.items())
         return out
-
-    def add_scaled(self, other, c):
-        """self += other * c in place, the same terms and ``trunc`` as the
-        fold ``self + other.scale(c)`` without copying: each product is
-        truncated at the h-order and a zero product is skipped."""
-        self._check_space(other)
-        if isinstance(c, (int, Fraction)):
-            c = Scalar.from_fraction(c)
-        N = self.h_order
-        scaled = ((k, (v * c).truncate(N)) for k, v in other.terms.items())
-        self._merge((k, s) for k, s in scaled if not s.is_zero())
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})
@@ -596,22 +587,17 @@ class Engine:
         return (self._product_cache.get((ma, mb)) or self._fill_product(ma, mb))[1]
 
     def multiply(self, a: PbwElement, b: PbwElement) -> PbwElement:
+        """ab for two elements of this engine: the one-leg ``tensor_mul``."""
+        from .tensors import tensor_mul  # tensors imports this module
         if a.engine is not self or b.engine is not self:
             raise PresentationError("leg mismatch")
-        N = self.cutoffs.h_order
-        out = self.zero()
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                c = (ca * cb).truncate(N)
-                if not _droppable(c, N):
-                    out.add_scaled(PbwElement(self, self.product(ma, mb)), c)
-        return out
+        return tensor_mul(a, b)
 
     def graded_commutator(self, a: str, b: str) -> PbwElement:
         """ab - (-1)^{|a||b|} ba for two generators, by name."""
-        ga, gb = self.generator(a), self.generator(b)
+        from .tensors import graded_commutator  # tensors imports this module
         sign = -1 if self.presentation.parity(a) and self.presentation.parity(b) else 1
-        return self.multiply(ga, gb) - self.multiply(gb, ga).scale(sign)
+        return graded_commutator(self.generator(a), self.generator(b), sign)
 
     # -- central series ------------------------------------------------------
     def central_series(self, fn: str, coeff: Scalar, gen_name: str, order=None) -> PbwElement:

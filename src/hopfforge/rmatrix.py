@@ -11,7 +11,7 @@ on, and failures carry the first residual term.
 from __future__ import annotations
 
 from .double import Double
-from .hopf import _first_residual_tensor, shared_ops
+from .hopf import first_residual, shared_ops
 from .pairing import _h_basis, standard_pair
 from .pbw import Cutoffs, PbwElement
 from .report import FINDING, VerificationReport
@@ -103,10 +103,8 @@ def _canonical_element(ctx: RMatrixContext) -> TensorElement:
         if gauss_jordan(A, ctx.h_order) != list(range(n)):
             raise RuntimeError("canonical element: Gram pivot not invertible")
         for k, mh in enumerate(rows):
-            dual = PbwElement(K)
-            for j, mk in enumerate(cols):
-                if not A[j][n + k].is_zero():
-                    dual.add_scaled(PbwElement(K, {mk: Scalar.one()}), A[j][n + k])
+            dual = PbwElement(K, {mk: A[j][n + k] for j, mk in enumerate(cols)
+                                  if not A[j][n + k].is_zero()})
             out = out + tensor_of(PbwElement(H, {mh: Scalar.one()}).moved_to(ctx.engine),
                                   dual.moved_to(ctx.engine))
     return out
@@ -126,7 +124,7 @@ def verify_intertwining(ctx: RMatrixContext, R: TensorElement,
             diff = (tensor_mul(R, two, D) - tensor_mul(two.flip_adjacent(0), R, D)) \
                 .truncate_degree(D)
             if not diff.is_zero():
-                rep.fail(f"on {name}: {_first_residual_tensor(diff)}")
+                rep.fail(f"on {name}: {first_residual(diff)}")
                 return rep
             rep.details.append(f"intertwines the coproduct of {name}")
     return rep
@@ -150,7 +148,7 @@ def verify_coproduct_laws(ctx: RMatrixContext, R: TensorElement,
             expanded = R.expand_leg(leg, ctx.ops.coproduct_mono)
             diff = (expanded - tensor_mul(R13, other, D)).truncate_degree(D)
             if not diff.is_zero():
-                rep.fail(f"{lhs} - {rhs}: {_first_residual_tensor(diff)}")
+                rep.fail(f"{lhs} - {rhs}: {first_residual(diff)}")
                 return rep
             rep.details.append(f"{lhs} = {rhs}")
     return rep
@@ -190,7 +188,7 @@ def verify_auxiliary(ctx: RMatrixContext) -> VerificationReport:
             rep.details.append("published prefactor (e^{2hT}-1)/(e^h-e^{-h}) confirmed "
                                "exactly under the alpha=2 scaling")
         else:
-            rep.status, rep.residual = FINDING, _first_residual_tensor(diff)
+            rep.status, rep.residual = FINDING, first_residual(diff)
             corrected = _solve_prefactor(ctx, exp_tensor(Y, ctx.d_int + 2))
             rep.details.append(f"published prefactor fails; corrected prefactor: {corrected}")
     return rep
@@ -205,12 +203,10 @@ def _solve_prefactor(ctx: RMatrixContext, rhs: TensorElement):
     # expect support on (T^k, xi, xi) only
     ixi = eng.presentation.gen_index("xi")
     xi_mono = tuple(1 if i == ixi else 0 for i in range(eng.n))
-    terms = {}
-    for (m1, m2, m3), c in prod.terms.items():
-        if m2 == xi_mono and m3 == xi_mono:
-            terms[m1] = c
-        elif not c.is_zero():
-            return f"(no pure prefactor: stray term at {m1},{m2},{m3})"
+    terms = {m1: c for (m1, m2, m3), c in prod.terms.items() if m2 == m3 == xi_mono}
+    stray = prod._new({k: c for k, c in prod.terms.items() if not k[1] == k[2] == xi_mono})
+    if not stray.is_zero():
+        return f"(no pure prefactor: stray term {first_residual(stray)})"
     return repr(PbwElement(eng, terms))
 
 
@@ -244,7 +240,7 @@ def check_triangularity(ctx: RMatrixContext, R: TensorElement, variant: str) -> 
         ]
         if not triangular:
             rep.residual = ("R21 R - 1: "
-                            f"{_first_residual_tensor((prod - unit).truncate_degree(D))}")
+                            f"{first_residual((prod - unit).truncate_degree(D))}")
             rep.details.append("the double is quasitriangular, not triangular; the "
                                "published 'triangularity' claim holds only in the "
                                "quasi reading")

@@ -1,4 +1,4 @@
-"""2- and 3-leg graded tensor products of PBW elements with Koszul signs.
+"""Graded tensor products of PBW elements with Koszul signs.
 
 Multiplication is legwise with the sign (-1)^(sum_{i<j} |y_i||x_j|) for
 (x_1 (x) ... (x) x_n)(y_1 (x) ... (x) y_n); the graded flip carries
@@ -19,9 +19,13 @@ a unit leg unchanged: times a unit it would be truncated at t + valuation,
 at or above N, and the result is truncated at N anyway.  With a pole it
 multiplies, since that truncation falls below N.
 
-``tensor_mul`` and ``graded_commutator`` share one pair loop
-(``_sum_pairs``), which adds w times the legwise product of each pair of
-keys it is given, w an integer weight that carries the Koszul sign.
+``tensor_mul`` and ``graded_commutator`` take two PbwElements or two
+TensorElements over the same engines, read keys through ``_legs`` as
+``map_legs`` does, and return an element of the operands' kind: a PbwElement
+is the one-leg case, and ``Engine.multiply`` is its ``tensor_mul``.  Both
+share one pair loop (``_sum_pairs``), which adds w times the legwise product
+of each pair of keys it is given, w an integer weight that carries the
+Koszul sign; it is the one place where a product drops a zero.
 ``graded_commutator(a, b, sign)`` is a*b - sign*b*a in one pass that visits
 each pair {x of a, y of b} once, the pairs i <= j when ``a is b``.  When on
 every leg the two monomials are equal or one of them is central (every letter
@@ -151,11 +155,10 @@ def map_legs(el, pos: int, width: int, image, engines):
     key of ``image(*those legs)``, a {legs tuple: coefficient} dict over
     ``engines``, with the key's coefficient times the image's.
 
-    The sum is the fold ``out + image.scale(c)`` that ``add_scaled`` makes:
-    each product is truncated at N and a zero product is skipped, a key whose
-    total central degree exceeds W is dropped (it lies in the quotiented
-    ideal), and ``_merge`` drops a zero sum.  With one leg left the result is
-    a PbwElement.
+    The sum is the fold ``out + image.scale(c)``: each product is truncated
+    at N and a zero product is skipped, a key whose total central degree
+    exceeds W is dropped (it lies in the quotiented ideal), and ``_merge``
+    drops a zero sum.  With one leg left the result is a PbwElement.
     """
     end = pos + width
     inner = [e.central_degree_of for e in engines]
@@ -187,9 +190,9 @@ def leg_terms(terms: dict) -> dict:
     return {(m,): c for m, c in terms.items()}
 
 
-def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
-               ) -> TensorElement:
-    """Legwise product with the Koszul sign; each leg product is read from its
+def tensor_mul(a, b, max_degree: int | None = None):
+    """Legwise product with the Koszul sign of two PbwElements or two
+    TensorElements, an element of their kind; each leg product is read from its
     engine's product cache as (monomial, coefficient, central degree, unit)
     tuples, a pair with an empty leg product is skipped, and a unit leg is
     skipped when the pair's coefficient has no pole (see the module docstring).
@@ -202,31 +205,33 @@ def tensor_mul(a: TensorElement, b: TensorElement, max_degree: int | None = None
     the order of the full product, so the result is the full product's
     window, keys, coefficients, ``trunc`` and order alike.
     """
-    engines = _common_engines(a, b)
-    parities = _parities(engines)
-    b_items = [(kb, cb, parities(kb)) for kb, cb in b.terms.items()]
+    a._check_space(b)
+    parities = _parities(a.engines)
+    legs_of = a._legs
+    b_items = [(lb := legs_of(kb), cb, parities(lb)) for kb, cb in b.terms.items()]
     if max_degree is None:
-        rows = [(ka, ca, b_items) for ka, ca in a.terms.items()]
+        rows = [(legs_of(ka), ca, b_items) for ka, ca in a.terms.items()]
     else:
         # fits[r]: the keys of b that weigh at most r, in b's order
         bound, weight = a.weight_bound(max_degree), a.weight_of_key
         b_weights = [weight(kb) for kb in b.terms]
         fits = [[x for x, w in zip(b_items, b_weights) if w <= r] for r in range(bound + 1)]
-        rows = [(ka, ca, fits[bound - w]) for ka, ca in a.terms.items()
+        rows = [(legs_of(ka), ca, fits[bound - w]) for ka, ca in a.terms.items()
                 if (w := weight(ka)) <= bound]
 
     def pairs():
-        for ka, ca, row in rows:
-            after_a = _after(parities(ka))
-            for kb, cb, pb in row:
-                yield ka, kb, ca, cb, _koszul(pb, after_a)
+        for la, ca, row in rows:
+            after_a = _after(parities(la))
+            for lb, cb, pb in row:
+                yield la, lb, ca, cb, _koszul(pb, after_a)
 
-    out = TensorElement(engines, _sum_pairs(engines, pairs()))
+    out = _sum_pairs(a, pairs())
     return out if max_degree is None else out.window(max_degree)
 
 
-def graded_commutator(a: TensorElement, b: TensorElement, sign: int) -> TensorElement:
-    """a*b - sign*b*a in one pass over the pairs of terms {x of a, y of b},
+def graded_commutator(a, b, sign: int):
+    """a*b - sign*b*a for two PbwElements or two TensorElements, an element
+    of their kind, in one pass over the pairs of terms {x of a, y of b},
     each visited once (the pairs i <= j when ``a is b``); a pair whose legs
     commute adds (1 - sign*eps)*x*y (see the module docstring).  When a
     coefficient of a or b has a pole or is not known to h^N, the result is
@@ -234,18 +239,19 @@ def graded_commutator(a: TensorElement, b: TensorElement, sign: int) -> TensorEl
     that difference in keys, coefficients and ``trunc``; only the order of
     keys may differ.
     """
-    engines = _common_engines(a, b)
-    N = min(e.cutoffs.h_order for e in engines)
+    a._check_space(b)
+    N = a.h_order
     if not (_known_to(a, N) and _known_to(b, N)):
         return tensor_mul(a, b) - tensor_mul(b, a).scale(sign)
-    parities = _parities(engines)
-    central = [e.central_of for e in engines]
+    parities = _parities(a.engines)
+    central = [e.central_of for e in a.engines]
 
     def items(t):
         out = []
         for k, c in t.terms.items():
-            p = parities(k)
-            out.append((k, c, p, _after(p), [z[m] for z, m in zip(central, k)]))
+            legs = t._legs(k)
+            p = parities(legs)
+            out.append((legs, c, p, _after(p), [z[m] for z, m in zip(central, legs)]))
         return out
 
     xs = items(a)
@@ -270,13 +276,7 @@ def graded_commutator(a: TensorElement, b: TensorElement, sign: int) -> TensorEl
                 if w_yx:
                     yield ky, kx, cy, cx, w_yx * s_yx
 
-    return TensorElement(engines, _sum_pairs(engines, pairs()))
-
-
-def _common_engines(a: TensorElement, b: TensorElement) -> tuple:
-    if a.legs != b.legs or any(x is not y for x, y in zip(a.engines, b.engines)):
-        raise PresentationError("tensor leg mismatch")
-    return a.engines
+    return _sum_pairs(a, pairs())
 
 
 def _parities(engines):
@@ -295,15 +295,17 @@ def _koszul(py, after_x) -> int:
     return -1 if sum(map(mul, py, after_x)) % 2 else 1
 
 
-def _known_to(t: TensorElement, N: int) -> bool:
+def _known_to(t, N: int) -> bool:
     """Every coefficient is pole-free and known to h^N."""
     return all((c.trunc is None or c.trunc >= N) and not c.pole_order for c in t.terms.values())
 
 
-def _sum_pairs(engines, pairs) -> dict:
-    """The terms of the sum of w*cx*cy*(x_1 y_1 (x) ... (x) x_n y_n) over
-    (x, y, cx, cy, w) in ``pairs``, w a nonzero integer: the pair
-    coefficient is truncated at N before w multiplies it."""
+def _sum_pairs(a, pairs):
+    """The sum of w*cx*cy*(x_1 y_1 (x) ... (x) x_n y_n) over (x, y, cx, cy, w)
+    in ``pairs``, x and y legs tuples and w a nonzero integer, as an element
+    of ``a``'s kind over its engines: the pair coefficient is truncated at N
+    before w multiplies it, and a zero sum is dropped."""
+    engines = a.engines
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
     products = [e.product_terms for e in engines]
@@ -320,7 +322,8 @@ def _sum_pairs(engines, pairs) -> dict:
         if not _droppable(c, N):
             v = c.valuation()
             _distribute(acc, legs, 0, (), c, 0, N, W, v is None or v >= 0)
-    return _clean(acc)
+    key_of = a._key
+    return a._new({key_of(k): c for k, c in acc.items() if not c.is_zero()})
 
 
 def _distribute(acc, legs, i, key, coeff, central, N, W, skip_units):
@@ -387,7 +390,7 @@ def exp_tensor(x: TensorElement, degree_cutoff: int, max_degree: int | None = No
         fact = fact / n
         if power.is_zero():
             break
-        out.add_scaled(power, fact)
+        out = out + power.scale(fact)
     return out if max_degree is None else out.window(max_degree)
 
 

@@ -1,18 +1,23 @@
-"""Fold references for the tensor layer, shared by the tests that compare the
-kernels with them.
+"""Fold references for the product and tensor layer, shared by the tests
+that compare the kernels with them.
 
-Each reference recomputes a kernel the slow way, from public pieces:
+Each reference recomputes a kernel the slow way, from public pieces.  A leg
+product is ``reference_product``, the normal form of the two monomials'
+concatenated words, never the product cache or ``Engine.multiply``, which is
+a kernel under test (the one-leg ``tensor_mul``):
 
-* ``reference_tensor_mul`` wraps both monomials of every leg in a PbwElement
-  and multiplies them with ``Engine.multiply``, which copies the cached normal
-  form through ``add_scaled``;
-* ``reference_multiply_legs`` folds each key's leg product into the result
-  with ``add_scaled``;
-* ``reference_map`` is the fold ``out = out + image.scale(c)`` of any leg map.
+* ``reference_tensor_mul`` multiplies two PbwElements or two TensorElements
+  pair by pair and leg by leg;
+* ``reference_multiply_legs`` folds each key's leg product into the result,
+  ``out = out + piece.scale(c)``;
+* ``reference_map`` is the fold ``out = out + image.scale(c)`` of any leg map;
+* ``reference_antipode`` is S of a monomial as its letters' images multiplied
+  from the last letter to the first by ``reference_tensor_mul``, times the
+  global sign (-1)^(C(odd, 2)) of reversing the word.
 
-All three compute each monomial's parity, weight and central degree from the
+All compute each monomial's parity, weight and central degree from the
 generator data (the ``direct_*`` helpers) instead of the engine's memos, and
-all three drop a key whose total central degree exceeds W, as the kernels do.
+all drop a key whose total central degree exceeds W, as the kernels do.
 ``identical`` asserts the same keys in the same order, with coefficients in
 the same canonical storage (so the same value, ``trunc`` and ``repr``);
 ``same_terms`` asserts the same, but of the keys as a set.
@@ -47,6 +52,11 @@ def above_w(engines, key, W):
     return sum(direct_central(e, m) for e, m in zip(engines, key)) > W
 
 
+def reference_product(eng, ma, mb):
+    """The normal form of the monomial product ma*mb."""
+    return eng.normal_form(eng.monomial_to_word(ma) + eng.monomial_to_word(mb))
+
+
 def reference_tensor_mul(a, b, max_degree=None):
     engines = a.engines
     N = min(e.cutoffs.h_order for e in engines)
@@ -58,9 +68,10 @@ def reference_tensor_mul(a, b, max_degree=None):
 
         def weight(key):
             return sum(direct_weight(e, m) for e, m in zip(engines, key))
-    b_items = [(kb, cb, weight(kb)) for kb, cb in b.terms.items()]
+    b_items = [(b._legs(kb), cb, weight(b._legs(kb))) for kb, cb in b.terms.items()]
     acc: dict = {}
     for ka, ca in a.terms.items():
+        ka = a._legs(ka)
         room = bound - weight(ka)
         pa = [direct_parity(engines[i], ka[i]) for i in range(len(engines))]
         for kb, cb, wb in b_items:
@@ -76,11 +87,9 @@ def reference_tensor_mul(a, b, max_degree=None):
                 c = -c
             if _droppable(c, N):
                 continue
-            legs = [engines[i].multiply(
-                PbwElement(engines[i], {ka[i]: Scalar.one()}),
-                PbwElement(engines[i], {kb[i]: Scalar.one()})) for i in range(len(engines))]
+            legs = [reference_product(engines[i], ka[i], kb[i]) for i in range(len(engines))]
             _reference_distribute(acc, legs, c, N, W)
-    out = TensorElement(engines, _clean(acc))
+    out = a._new({a._key(k): c for k, c in _clean(acc).items()})
     return out if max_degree is None else out.window(max_degree)
 
 
@@ -107,13 +116,12 @@ def reference_multiply_legs(t, pos):
     engines = t.engines[:pos + 1] + t.engines[pos + 2:]
     out = PbwElement(eng) if len(engines) == 1 else TensorElement(engines)
     W = min(e.cutoffs.word_degree for e in engines)
-    one = Scalar.one()
     for key, c in t.terms.items():
-        prod = eng.multiply(PbwElement(eng, {key[pos]: one}), PbwElement(eng, {key[pos + 1]: one}))
+        prod = reference_product(eng, key[pos], key[pos + 1])
         head, tail = key[:pos], key[pos + 2:]
         keys = ((head + (m,) + tail, v) for m, v in prod.terms.items())
-        out.add_scaled(out._new({out._key(k): v for k, v in keys
-                                 if not above_w(engines, k, W)}), c)
+        piece = out._new({out._key(k): v for k, v in keys if not above_w(engines, k, W)})
+        out = out + piece.scale(c)
     return out
 
 
@@ -135,6 +143,18 @@ def reference_map(el, pos, width, image, engines):
                 terms[out._key(key)] = ic
         out = out + out._new(terms).scale(c)
     return out
+
+
+def reference_antipode(ops, mono):
+    """S(mono) for a HopfOps: S(w_k) ... S(w_1) for the word w_1 ... w_k of
+    mono, multiplied from the left starting at the unit, times (-1)^(C(odd, 2))."""
+    eng = ops.engine
+    word = eng.monomial_to_word(mono)
+    odd = sum(1 for i in word if eng.parities[i] == ODD)
+    out = eng.one()
+    for i in reversed(word):
+        out = reference_tensor_mul(out, ops._anti[eng.gen_names[i]])
+    return out.scale(-1 if odd * (odd - 1) // 2 % 2 else 1)
 
 
 def identical(x, y):

@@ -176,6 +176,14 @@ def test_check_family_bind_rejects_unknown_names(capsys, family, limit):
     assert ("'zz'" if limit is None else f"--limit {limit} takes no --bind") in err
 
 
+def test_check_family_bind_rejects_a_repeated_name(capsys):
+    # the second value must not silently replace the first
+    code, out, err = run(capsys, "--h-order", "4", "--word-cutoff", "8",
+                         "check", "family", "sd_hp", "--bind", "p=1", "--bind", "p=2")
+    assert code == 2 and not out
+    assert "--bind p given twice" in err
+
+
 def test_check_family_malformed_bind_value_exits_two(capsys):
     code, _, err = run(capsys, "--h-order", "4", "--word-cutoff", "8",
                        "check", "family", "d0_variety", "--bind", "mu=(")

@@ -1,22 +1,27 @@
 """Tensor products read each leg product from the engine's product cache.
 
-``tensor_mul`` and ``multiply_legs`` must give the same keys in the same
-order as the fold references of ``tests/references.py``, with coefficients in
-the same canonical storage (so the same value, ``trunc`` and ``repr``).
+``tensor_mul`` (of PbwElements, the one-leg case that ``Engine.multiply``
+is, and of tensors), ``multiply_legs`` and ``HopfOps.antipode_mono`` must
+give the same keys in the same order as the fold references of
+``tests/references.py``, with coefficients in the same canonical storage (so
+the same value, ``trunc`` and ``repr``).
 """
 
 import itertools
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
-from hopfforge.presentation import ODD
+from hopfforge.hopf import HopfOps
+from hopfforge.pbw import Cutoffs, PbwElement, shared_engine
+from hopfforge.presentation import ODD, load_presentation
 from hopfforge.scalars import Scalar
 from hopfforge.tensors import TensorElement, tensor_mul
 
 from references import (direct_central, direct_parity, direct_unit, direct_weight, identical,
-                        reference_multiply_legs, reference_tensor_mul)
-from test_window import ENGINES, SETTINGS, hopf_ops
+                        reference_antipode, reference_multiply_legs, reference_tensor_mul)
+from test_window import ENGINES, SETTINGS, SHIPPED, hopf_ops
 
 
 @st.composite
@@ -24,7 +29,8 @@ def tensors(draw, engine, legs, above_w=False):
     """A few terms of at most four letters in all; coefficients c*h^k, k may
     be -1, some truncated, some times a parameter of the presentation.  With
     ``above_w``, a central letter may come to a power above the degree cutoff
-    W, so that a key's total central degree exceeds W."""
+    W, so that a key's total central degree exceeds W.  ``legs`` 1 draws a
+    PbwElement."""
     params = sorted(engine.presentation.params)
     high = engine.cutoffs.word_degree + 1
     terms = {}
@@ -39,6 +45,8 @@ def tensors(draw, engine, legs, above_w=False):
         if params and draw(st.booleans()):
             c = c * Scalar.param(draw(st.sampled_from(params)))
         terms[tuple(map(tuple, key))] = c.truncate(draw(st.sampled_from([None, 2, 3])))
+    if legs == 1:
+        return PbwElement(engine, {k[0]: c for k, c in terms.items()})
     return TensorElement((engine,) * legs, terms)
 
 
@@ -47,12 +55,15 @@ def tensors(draw, engine, legs, above_w=False):
 @given(data=st.data())
 def test_leg_products_from_the_cache_match_the_reference(name, data):
     eng = hopf_ops(name).engine
-    legs = data.draw(st.sampled_from([2, 3]))
+    legs = data.draw(st.sampled_from([1, 2, 3]))
     D = data.draw(st.sampled_from([None, 0, 2, 4]))
     a, b = data.draw(tensors(eng, legs)), data.draw(tensors(eng, legs))
     first = tensor_mul(a, b, D)
     identical(first, reference_tensor_mul(a, b, D))
     identical(tensor_mul(a, b, D), first)  # every leg product now cached
+    if legs == 1:
+        identical(eng.multiply(a, b), reference_tensor_mul(a, b))
+    legs = data.draw(st.sampled_from([2, 3]))
     pos = data.draw(st.integers(0, legs - 2))
     t = data.draw(tensors(eng, legs, above_w=True))
     identical(t.multiply_legs(pos), reference_multiply_legs(t, pos))
@@ -112,3 +123,31 @@ def test_a_pole_times_unit_legs_is_multiplied():
                 identical(product, reference_tensor_mul(a, b, D))
                 assert list(product.terms) == keys
                 assert all(x.trunc == 2 for x in product.terms.values())
+
+
+@pytest.mark.parametrize("cutoffs", [Cutoffs(6, 10), Cutoffs(7, 12)], ids=str)
+@pytest.mark.parametrize("name", SHIPPED)
+def test_antipode_recursion_matches_the_reversed_word_loop(name, cutoffs):
+    # one product per monomial, a sign per step, against the word loop with
+    # its global sign; sd_reference and sd_hp are not confluent, so this also
+    # pins the order of the products
+    ops = HopfOps(shared_engine(load_presentation(name), cutoffs))
+    eng = ops.engine
+    unit = (0,) * eng.n
+    identical(ops.antipode_mono(unit), eng.one())  # the exact unit
+    for m in basis(eng, 4):
+        if m != unit:
+            identical(ops.antipode_mono(m), reference_antipode(ops, m))
+
+
+def test_an_element_product_keeps_a_zero_known_below_h_to_the_n():
+    # a product of elements takes the tensor rule: the zero product T*1,
+    # known only to O(h^2), is added, so the T it joins is known only to
+    # O(h^2), and the lone zero T*T is dropped
+    eng = hopf_ops("ptsa_q").engine
+    one, T = (0, 0), (0, 1)
+    a = PbwElement(eng, {one: Scalar.one(), T: Scalar.zero(1)})
+    b = PbwElement(eng, {T: Scalar.one(), one: Scalar.one()})
+    product = eng.multiply(a, b)
+    identical(product, reference_tensor_mul(a, b))
+    assert list(product.terms) == [T, one] and product.terms[T].trunc == 1

@@ -1,11 +1,11 @@
 """Every leg and monomial map is the one kernel ``tensors.map_legs``.
 
-``references.reference_map`` is the fold that ``add_scaled`` documents: for
+``references.reference_map`` is the fold ``out = out + image.scale(c)``: for
 each key of the element, the image of its mapped legs with the other legs put
 back and the keys of total central degree above W removed, scaled by the
-key's coefficient and added, ``out = out + image.scale(c)``.  The images are read
-from the public monomial maps (``Engine.multiply`` for the product), and the
-central degrees from the generator data.  Each of the seven maps built on the
+key's coefficient and added.  The images are read from the public monomial
+maps (``references.reference_product`` for the product), and the central
+degrees from the generator data.  Each of the seven maps built on the
 kernel must give the same keys in the same order as that fold, with
 coefficients in the same canonical storage.  The drawn coefficients have
 poles, and some are zeros known only to O(h^(t+1)); some terms come with a
@@ -21,7 +21,7 @@ from hopfforge.pbw import PbwElement
 from hopfforge.scalars import Scalar
 from hopfforge.tensors import TensorElement
 
-from references import identical, reference_map
+from references import identical, reference_map, reference_product
 from test_window import ENGINES, SETTINGS, hopf_ops
 
 
@@ -29,10 +29,9 @@ def leg_maps(ops):
     """map -> (input leg counts, 0 for a PbwElement; mapped width; the map on
     (element, pos); the image of the mapped legs; the image's engines)."""
     eng = ops.engine
-    one = Scalar.one()
 
     def product(a, b):
-        return eng.multiply(PbwElement(eng, {a: one}), PbwElement(eng, {b: one}))
+        return reference_product(eng, a, b)
 
     return {
         "apply_leg": ((2, 3), 1, lambda t, pos: t.apply_leg(pos, ops.antipode_mono),

@@ -11,6 +11,7 @@ from hopfforge.rmatrix import (RMatrixContext, build_R, check_triangularity,
                                verify_auxiliary, verify_coproduct_laws,
                                verify_intertwining)
 from hopfforge.scalars import Scalar
+from hopfforge.tensors import TensorElement, exp_tensor, tensor_mul, tensor_of
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,21 @@ def test_auxiliary_finding_text_matches_full_products(ctx, monkeypatch):
         "published prefactor fails; corrected prefactor: (1 + (-1/6)*h^2 + 7/360*h^4 + "
         "O(h^5))*T + (h + (-1/6)*h^3 + O(h^5))*T^2 + (2/3*h^2 + (-1/9)*h^4 + O(h^5))*T^3"
         " + (1/3*h^3 + O(h^5))*T^4 + (2/15*h^4 + O(h^5))*T^5"]
+
+
+def test_solve_prefactor_recovers_a_known_prefactor_and_names_a_stray_term():
+    # rhs = (1 + g (x) xi (x) xi) E gives back g; with a stray term added,
+    # the solver names that term in words
+    ctx = RMatrixContext(2, 2)
+    eng = ctx.engine
+    T, tau, xi, one = eng.generator("T"), eng.generator("tau"), eng.generator("xi"), eng.one()
+    g = T.scale(Scalar.h()) + (T * T).scale(F(1, 2))
+    E = exp_tensor(tensor_of(T, one, tau) + tensor_of(T, tau, one), ctx.d_int + 2)
+    pure = TensorElement.unit((eng,) * 3) + tensor_of(g, xi, xi)
+    assert rmatrix._solve_prefactor(ctx, tensor_mul(pure, E)) == repr(g)
+    stray = pure + tensor_of(T, tau, xi)
+    assert rmatrix._solve_prefactor(ctx, tensor_mul(stray, E)) == \
+        "(no pure prefactor: stray term (1 + O(h^3))*[T (x) tau (x) xi])"
 
 
 def test_triangularity_is_a_finding(ctx, R_canon):
