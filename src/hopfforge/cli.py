@@ -2,8 +2,10 @@
 
 Every check group is defined once, in the registry below.  Each ``check`` and
 ``build`` subcommand runs one registry entry; ``suite all`` runs every entry in
-registry order.  Checks run serially: ``--jobs K`` is accepted for
-compatibility and has no effect.
+registry order.  Every report an entry gives goes through ``report.judged``,
+which turns a refuted claim's failure into a finding, alone and in ``suite
+all`` alike.  Checks run serially: ``--jobs K`` is accepted for compatibility
+and has no effect.
 
 Exit status: 0 when every check passes (findings count as non-failures), 1 when
 at least one check fails, 2 on usage or input errors.  Reports are
@@ -27,7 +29,7 @@ from .lang import ParseError, parse_expr_text
 from .pairing import duality_conventions, verify_duality
 from .pbw import Cutoffs, shared_engine
 from .presentation import PresentationError, emit_presentation, load_presentation
-from .report import FAIL, FINDING, VerificationReport, audited, reports_to_json
+from .report import FAIL, VerificationReport, audited, judged, reports_to_json
 from .rmatrix import (RMatrixContext, build_R, check_triangularity, verify_auxiliary,
                       verify_coproduct_laws, verify_intertwining)
 
@@ -49,14 +51,6 @@ def _emit(reports, args) -> int:
         for r in reports:
             print(r.text())
     return 1 if any(r.status == FAIL for r in reports) else 0
-
-
-def _as_finding(report: VerificationReport, note: str) -> VerificationReport:
-    """Mark an expected-negative diagnostic so it does not fail the suite."""
-    if report.status == FAIL:
-        report.status = FINDING
-        report.details = list(report.details) + [note]
-    return report
 
 
 # ---------------------------------------------------------------- check groups
@@ -96,9 +90,7 @@ def _duality(args, literal):
     reports = [audited(report, lambda: verify_duality(cut.bumped(), max_degree=degree,
                                                       conventions=convs))]
     if literal:
-        reports.append(_as_finding(
-            verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False),
-            "expected: no rational pairing at the literal scaling"))
+        reports.append(verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False))
     return reports
 
 
@@ -129,9 +121,7 @@ def _rmatrix(args, which):
     reports = []
     if which in ("all", "intertwine"):
         reports.append(on_both(with_R(verify_intertwining, "canonical")))
-        reports.append(_as_finding(
-            on_both(with_R(verify_intertwining, "closed-form")),
-            "expected: published closed form lacks the e^{hT/2} factor"))
+        reports.append(on_both(with_R(verify_intertwining, "closed-form")))
     if which in ("all", "colaws"):
         reports.append(on_both(with_R(verify_coproduct_laws, "canonical")))
     if which in ("all", "aux"):
@@ -195,19 +185,6 @@ REGISTRY = (
     ("bialgebra", "variety_3d", True),  # bracket and cobracket from two coordinates
 )
 
-_CLASH = ("expected: the S*tau*xi overlap resolves only on the alpha = 2 slice "
-          "([tau,xi] = h*xi); the published scaling (h/2) leaves the residual "
-          "h*sinh(hT/2)")
-
-# Expected negatives that `suite all` reports as findings; run alone, each
-# stays a failure.
-SUITE_FINDINGS = {
-    ("confluence", "sd_reference"): _CLASH,
-    ("confluence", "sd_hp"): _CLASH,
-    ("bialgebra", "variety_3d", True):
-        "expected: mixed frozen coordinates do not form a super Lie bialgebra",
-}
-
 
 def _check_cutoffs(args, entry):
     """Reject cutoffs at which the central T vanishes but its dual tau does
@@ -230,7 +207,7 @@ def _check_cutoffs(args, entry):
 def run_entry(args, entry):
     _check_cutoffs(args, entry)
     group, *options = entry
-    return GROUPS[group](args, *options)
+    return [judged(r) for r in GROUPS[group](args, *options)]
 
 
 # ----------------------------------------------------------------- subcommands
@@ -274,11 +251,7 @@ def cmd_check_family(args) -> int:
 def cmd_suite_all(args) -> int:
     for entry in REGISTRY:
         _check_cutoffs(args, entry)
-    reports = []
-    for entry in REGISTRY:
-        note = SUITE_FINDINGS.get(entry)
-        reports += [_as_finding(r, note) if note else r for r in run_entry(args, entry)]
-    return _emit(reports, args)
+    return _emit([r for entry in REGISTRY for r in run_entry(args, entry)], args)
 
 
 # ------------------------------------------------------------------ entrypoint

@@ -53,7 +53,7 @@ from math import factorial
 from .hopf import HopfOps, shared_ops
 from .pbw import Cutoffs, Engine, PbwElement, _droppable, shared_engine
 from .presentation import load_presentation
-from .report import FINDING, PASS, VerificationReport
+from .report import PASS, VerificationReport
 from .scalars import Scalar, gauss_jordan
 from .shared import shared
 from .tensors import TensorElement
@@ -350,17 +350,17 @@ def verify_duality(cutoffs: Cutoffs = Cutoffs(), max_degree: int = 6,
         else:
             rep.fail(failure)
 
-        # derived normalization: <T^n, tau^m> = n! delta_nm; a broken
-        # normalization turns a pass into a finding, never a failure
+        # derived normalization: <T^n, tau^m> = n! delta_nm
         iT = p.H.presentation.gen_index("T")
         itau = p.K.presentation.gen_index("tau")
         for n, m in itertools.product(range(max_degree + 1), repeat=2):
             mh = tuple(n if i == iT else 0 for i in range(p.H.n))
             mk = tuple(m if i == itau else 0 for i in range(p.K.n))
             want = Scalar.from_fraction(factorial(n) if n == m else 0)
-            if not (p.pair_mono(mh, mk) - want).is_zero():
+            diff = p.pair_mono(mh, mk) - want
+            if not diff.is_zero():
                 if rep.status == PASS:
-                    rep.status = FINDING
+                    rep.fail(f"normalization at (T^{n}, tau^{m}): {diff!r}")
                 break
         else:
             rep.details.append("derived normalization: <T^n, tau^m> = n! * delta_nm "

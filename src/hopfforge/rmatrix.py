@@ -14,7 +14,7 @@ from .double import Double
 from .hopf import first_residual, shared_ops
 from .pairing import _h_basis, standard_pair
 from .pbw import Cutoffs, PbwElement
-from .report import FINDING, VerificationReport
+from .report import VerificationReport
 from .scalars import Scalar, gauss_jordan, series_fn
 from .tensors import TensorElement, exp_tensor, tensor_mul, tensor_of
 
@@ -188,7 +188,7 @@ def verify_auxiliary(ctx: RMatrixContext) -> VerificationReport:
             rep.details.append("published prefactor (e^{2hT}-1)/(e^h-e^{-h}) confirmed "
                                "exactly under the alpha=2 scaling")
         else:
-            rep.status, rep.residual = FINDING, first_residual(diff)
+            rep.fail(first_residual(diff))
             corrected = _solve_prefactor(ctx, exp_tensor(Y, ctx.d_int + 2))
             rep.details.append(f"published prefactor fails; corrected prefactor: {corrected}")
     return rep
@@ -220,7 +220,6 @@ def check_triangularity(ctx: RMatrixContext, R: TensorElement, variant: str) -> 
     """R21 R versus 1 (x) 1, and R^-1 versus R21; records both readings."""
     with VerificationReport.timed(f"rmatrix-triangularity[{variant}]",
                                   "triangularity readings", ctx.report_cutoffs) as rep:
-        rep.status = FINDING
         eng = ctx.engine
         D = ctx.degree
         unit = TensorElement.unit((eng, eng))
@@ -239,11 +238,7 @@ def check_triangularity(ctx: RMatrixContext, R: TensorElement, variant: str) -> 
             f"{(tensor_mul(R, Rinv, D) - unit).truncate_degree(D).is_zero()}",
         ]
         if not triangular:
-            rep.residual = ("R21 R - 1: "
-                            f"{first_residual((prod - unit).truncate_degree(D))}")
-            rep.details.append("the double is quasitriangular, not triangular; the "
-                               "published 'triangularity' claim holds only in the "
-                               "quasi reading")
+            rep.fail(f"R21 R - 1: {first_residual((prod - unit).truncate_degree(D))}")
     return rep
 
 

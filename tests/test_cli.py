@@ -97,7 +97,8 @@ def test_every_module_imports_on_its_own():
 def test_check_confluence_finding_on_reference(capsys):
     code, out, _ = run(capsys, "--h-order", "5", "--word-cutoff", "8",
                        "check", "confluence", "sd_reference")
-    assert code == 1  # a bare confluence check reports the genuine failure
+    assert code == 0  # a refuted claim is a finding, alone as in `suite all`
+    assert "FINDING" in out
     assert "S*tau*xi" in out.replace("overlap ", "")
 
 
@@ -194,15 +195,16 @@ def test_check_family_malformed_bind_value_exits_two(capsys):
 def test_check_bialgebra_mixed_fails_with_residual(capsys):
     code, out, _ = run(capsys, "check", "bialgebra", "variety3d",
                        "--mixed", "h1=a,h2=b")
-    assert code == 1
+    assert code == 0  # the cocycle fails: a finding, with its residual
+    assert "FINDING" in out
     assert "a1*b2" in out
 
 
 def test_check_bialgebra_mixed_value_is_parsed(capsys):
     code, out, _ = run(capsys, "--format", "json", "check", "bialgebra", "variety3d",
                        "--mixed", "h1=1,h2=2")
-    assert code == 1
-    assert [r["check"] for r in json.loads(out)] == ["lie-cocycle"]
+    assert code == 0
+    assert [(r["check"], r["status"]) for r in json.loads(out)] == [("lie-cocycle", "finding")]
     for value in ("garbage", "h1=1", "h2=1,h1=2", "h1=1,h2=2,h3=3", "h1=(,h2=2"):
         code, out, err = run(capsys, "check", "bialgebra", "variety3d", "--mixed", value)
         assert code == 2 and not out
@@ -272,41 +274,55 @@ def _without_wall_time(out):
 
 def test_suite_runs_the_registry_in_order(monkeypatch, capsys):
     from hopfforge import cli
+    from hopfforge.report import REFUTED
 
     def name(entry):
         return " ".join(map(str, entry))
 
+    # one failing report per entry, named after the entry; the first entries'
+    # reports carry the refuted claims' (check, target) pairs instead
+    names = dict(zip(cli.REGISTRY, REFUTED))
+
     def stub(group):
-        # one failing report per entry, its target naming the entry
-        return lambda args, *options: [cli.VerificationReport(
-            check=group, target=name((group, *options)), cutoffs={}, status="fail")]
+        def reports(args, *options):
+            entry = (group, *options)
+            check, target = names.get(entry, (group, name(entry)))
+            return [cli.VerificationReport(check=check, target=target, cutoffs={},
+                                           status="fail")]
+        return reports
 
     monkeypatch.setattr(cli, "GROUPS", {g: stub(g) for g in cli.GROUPS})
     code, out, _ = run(capsys, "--format", "json", "suite", "all")
     docs = json.loads(out)
     assert code == 1
-    assert [d["target"] for d in docs] == [name(e) for e in cli.REGISTRY]
-    # only the suite's expected negatives are relabelled as findings
-    assert [d["target"] for d in docs if d["status"] == "finding"] == \
-        [name(e) for e in cli.SUITE_FINDINGS]
+    assert [(d["check"], d["target"]) for d in docs] == \
+        [names.get(e, (e[0], name(e))) for e in cli.REGISTRY]
+    # only the refuted claims are findings, each with its reason
+    assert [(d["check"], d["target"]) for d in docs if d["status"] == "finding"] == \
+        list(REFUTED)
+    assert all(d["details"] == [REFUTED[d["check"], d["target"]][0]]
+               for d in docs if d["status"] == "finding")
 
 
 def test_standalone_and_suite_reports_agree(monkeypatch, capsys):
+    # an established claim and a refuted one get the same verdict either way
     from hopfforge import cli
     cuts = ("--format", "json", "--h-order", "4", "--word-cutoff", "8")
-    code, alone, _ = run(capsys, *cuts, "check", "confluence", "sd_line")
-    assert code == 0
-    monkeypatch.setattr(cli, "REGISTRY", (("confluence", "sd_line"),))
-    code, suite, _ = run(capsys, *cuts, "suite", "all")
-    assert code == 0
-    assert _without_wall_time(alone) == _without_wall_time(suite)
+    for name, status in (("sd_line", "pass"), ("sd_hp", "finding")):
+        code, alone, _ = run(capsys, *cuts, "check", "confluence", name)
+        assert code == 0
+        monkeypatch.setattr(cli, "REGISTRY", (("confluence", name),))
+        code, suite, _ = run(capsys, *cuts, "suite", "all")
+        assert code == 0
+        assert _without_wall_time(alone) == _without_wall_time(suite)
+        assert [d["status"] for d in json.loads(suite)] == [status]
 
 
 def test_jobs_is_accepted_and_changes_nothing(capsys):
     cuts = ("--format", "json", "--h-order", "4", "--word-cutoff", "8")
     _, one, _ = run(capsys, *cuts, "--jobs", "1", "check", "confluence", "sd_reference")
     code, two, _ = run(capsys, *cuts, "--jobs", "2", "check", "confluence", "sd_reference")
-    assert code == 1
+    assert code == 0 and json.loads(two)[0]["status"] == "finding"
     assert _without_wall_time(one) == _without_wall_time(two)
 
 

@@ -339,6 +339,18 @@ def test_broken_normalization_does_not_downgrade_a_failure(monkeypatch):
     assert not any("n! * delta_nm" in d for d in r.details)
 
 
+def test_broken_normalization_alone_is_a_failure(monkeypatch):
+    # a wrong 2! breaks only the <T^n, tau^m> = n! delta_nm normalization:
+    # the pairing itself, and so every adjointness check, is left intact
+    from hopfforge import pairing as pairing_mod
+    from hopfforge.report import judged
+    monkeypatch.setattr(pairing_mod, "factorial", lambda n: 3 if n == 2 else factorial(n))
+    r = verify_duality(Cutoffs(3, 6), max_degree=2, alpha2=True)
+    assert any("nondegenerate in every degree block" in d for d in r.details)
+    assert (r.status, r.residual) == ("fail", "normalization at (T^2, tau^2): (-1) + O(h^4)")
+    assert judged(r).status == "fail"
+
+
 def test_mutated_dual_coefficient_detected():
     # doubling the xi (x) xi coefficient of Delta tau breaks adjointness
     from hopfforge.hopf import HopfOps

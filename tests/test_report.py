@@ -1,5 +1,5 @@
 """The report lifecycle: ``VerificationReport.timed()`` makes, fails and times
-every report a check returns.
+every report a check returns, and ``judged()`` turns it into a verdict.
 
 The clock is driven through ``report.time``: each reading advances it by one
 second, so a block's ``wall_time`` is the number of readings in between.
@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from hopfforge import report
-from hopfforge.report import FAIL, FINDING, PASS, VerificationReport
+from hopfforge.report import FAIL, FINDING, PASS, REFUTED, VerificationReport, judged
 
 
 @pytest.fixture
@@ -71,3 +71,27 @@ def test_wall_time_is_set_when_an_exception_propagates(clock):
             clock[0] += 4.0
             1 / 0
     assert (rep.status, rep.wall_time) == (PASS, 5.0)
+
+
+def test_an_established_claim_keeps_its_status():
+    for status in (PASS, FAIL):
+        rep = VerificationReport("confluence", "sd_line", {"N": 6, "W": 10}, status, "r")
+        assert judged(rep) is rep
+        assert (rep.status, rep.residual, rep.details) == (status, "r", [])
+
+
+@pytest.mark.parametrize("key", list(REFUTED), ids=" :: ".join)
+def test_a_refuted_claim_is_a_finding_and_fails_where_it_holds(key):
+    reason, shows_at = REFUTED[key]
+    # fails: a finding that keeps its residual, with the reason
+    rep = VerificationReport(*key, dict(shows_at), PASS)
+    rep.fail("r")
+    assert (judged(rep).status, rep.residual, rep.details) == (FINDING, "r", [reason])
+    # holds at its shows-at cutoffs: a failure, with the reason
+    rep = VerificationReport(*key, dict(shows_at), PASS)
+    assert (judged(rep).status, rep.residual, rep.details) == \
+        (FAIL, "refuted claim now holds", [reason])
+    # holds with one cutoff below them: the truncation may hide the residual
+    for name in shows_at:
+        rep = VerificationReport(*key, {**shows_at, name: shows_at[name] - 1}, PASS)
+        assert (judged(rep).status, rep.residual, rep.details) == (PASS, None, [])

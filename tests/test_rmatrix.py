@@ -1,3 +1,4 @@
+import json
 from argparse import Namespace
 from fractions import Fraction as F
 from math import factorial
@@ -7,6 +8,7 @@ import pytest
 from hopfforge import cli, double, rmatrix
 from hopfforge.double import Double, verify_universal_identity
 from hopfforge.pbw import Engine
+from hopfforge.report import judged
 from hopfforge.rmatrix import (RMatrixContext, build_R, check_triangularity,
                                verify_auxiliary, verify_coproduct_laws,
                                verify_intertwining)
@@ -107,7 +109,8 @@ def test_auxiliary_finding_text_matches_full_products(ctx, monkeypatch):
     monkeypatch.setattr(Engine, "central_series", lambda self, fn, x, gen, order:
                         central_series(self, fn, x * F(3, 2), gen, order=order))
     r = verify_auxiliary(ctx)
-    assert r.status == "finding"
+    assert r.status == "fail"  # an established identity that fails is a failure
+    assert judged(r).status == "fail"
     assert r.residual == "((-1/2) + 1/12*h^2 + (-7/720)*h^4 + O(h^5))*[T (x) xi (x) xi]"
     assert r.details == [
         "published prefactor fails; corrected prefactor: (1 + (-1/6)*h^2 + 7/360*h^4 + "
@@ -131,11 +134,39 @@ def test_solve_prefactor_recovers_a_known_prefactor_and_names_a_stray_term():
 
 
 def test_triangularity_is_a_finding(ctx, R_canon):
+    # the check reports that R21 R = 1 fails; the claims table makes that a finding
     r = check_triangularity(ctx, R_canon, "canonical")
-    assert r.status == "finding"
+    assert r.status == "fail"
     assert "T (x) tau" in r.residual
     assert any("R R^-1 == 1 (x) 1: True" in d for d in r.details)
+    assert judged(r).status == "finding"
+    assert "T (x) tau" in r.residual  # the finding keeps the residual
     assert any("quasitriangular, not triangular" in d for d in r.details)
+
+
+def test_triangularity_of_a_triangular_element_is_a_failure(ctx):
+    # R = 1 (x) 1 is triangular: the check passes, and a refuted claim that
+    # holds at D >= 2 is a failure
+    unit = TensorElement.unit((ctx.engine, ctx.engine))
+    r = check_triangularity(ctx, unit, "canonical")
+    assert (r.status, r.residual) == ("pass", None)
+    assert any("R21 R == 1 (x) 1: True" in d for d in r.details)
+    assert judged(r).status == "fail"
+    assert r.residual == "refuted claim now holds"
+    assert "quasitriangular, not triangular" in r.details[-1]
+
+
+def test_closed_form_that_intertwines_fails_the_command(monkeypatch, capsys):
+    # were the published closed form the canonical element, it would pass
+    # intertwining, and the refuted claim would fail `check rmatrix`
+    monkeypatch.setattr(cli, "build_R", lambda c, variant: build_R(c, "canonical"))
+    argv = ["--format", "json", "--h-order", "1", "--tensor-degree", "3",
+            "check", "rmatrix", "--which", "intertwine"]
+    assert cli.main(argv) == 1
+    docs = json.loads(capsys.readouterr().out)
+    assert [(d["check"], d["status"], d["residual"]) for d in docs] == [
+        ("rmatrix-intertwining[canonical]", "pass", None),
+        ("rmatrix-intertwining[closed-form]", "fail", "refuted claim now holds")]
 
 
 def test_universal_identity_canonical(ctx, R_canon):
