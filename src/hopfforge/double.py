@@ -11,7 +11,9 @@ independent ways:
 * structure-constant route: the explicit quintuple sum with coefficient arrays
   extracted from the iterated coproducts, the antipode-inverse matrix, the sign
   (-1)^{sigma_n(sigma_l+sigma_k) + sigma_u sigma_k + sigma_s sigma_t}, and all
-  index contractions running through the pairing Gram matrix.
+  index contractions running through the pairing Gram matrix, each contracted
+  once: the k contraction once per (term of x, index k), the S^-1 contraction
+  of the n index once per (j, n).
 
 ``double_presentation`` is the double's presentation: both halves, with the
 published double's (sd_reference's) relations for the four cross pairs.  Each
@@ -126,41 +128,56 @@ class Double:
 
     # -- route 2: explicit structure-constant sum ------------------------------------
     def cross_product_via_structure_constants(self, mh, mk) -> PbwElement:
-        """x*f for the basis monomials x = mh of H and f = mk of K."""
+        """x*f for the basis monomials x = mh of H and f = mk of K.  Each index
+        is contracted once: f's terms are grouped by their k index, so each
+        <e_k, e^k'> is read once per term of x's, and each S^-1 contraction
+        sum_j' A^j'_j <e_j', e^n> is formed once per (j, n)."""
         H, K = self.H, self.K
         N = self.cutoffs.h_order
-        # mu_s^{klj}: raw iterated coproduct of x over H
-        mu = self.iterated_primal(mh)
-        # m^t_{nuk}: raw iterated coproduct of f over K
-        mm = [(n_k, u_k, k_k, c_m, K.monomial_parity(n_k),
-               K.monomial_parity(u_k), K.monomial_parity(k_k))
-              for (n_k, u_k, k_k), c_m in self.iterated_dual(mk).terms.items()]
+        pair = self.pairing.pair_mono
+        # m^t_{nuk}: raw iterated coproduct of f over K, by its k index
+        groups: dict = {}
+        for (n_k, u_k, k_k), c_m in self.iterated_dual(mk).terms.items():
+            groups.setdefault(k_k, []).append(
+                (n_k, u_k, c_m, K.monomial_parity(n_k), K.monomial_parity(u_k)))
+        by_k = [(k_k, K.monomial_parity(k_k), terms) for k_k, terms in groups.items()]
+        s_inv: dict = {}  # {(j, n): the S^-1 contraction, or None when skipped}
         acc: dict = {}
-        for (k_h, l_h, j_h), c_mu in mu.terms.items():
+        # mu_s^{klj}: raw iterated coproduct of x over H
+        for (k_h, l_h, j_h), c_mu in self.iterated_primal(mh).terms.items():
             # antipode-inverse matrix applied to the j index
             sj = self.h_ops.antipode_inverse_mono(j_h)
             pl = H.monomial_parity(l_h)
-            for n_k, u_k, k_k, c_m, pn, pu, pk in mm:
+            for k_k, pk, terms in by_k:
                 # contract k: <e_{k_h}, e^{k_k}>
-                gk = self.pairing.pair_mono(k_h, k_k)
+                gk = pair(k_h, k_k)
                 if _droppable(gk, N):
                     continue
-                sgn = pn * (pl + pk) + pu * pk
-                # contract n with S^-1 e_{j_h}: sum_{j'} A^{j'}_j <e_{j'}, e^{n_k}>
-                gn = Scalar.zero(N)
-                for jp, a in sj.terms.items():
-                    v = self.pairing.pair_mono(jp, n_k)
-                    if not _droppable(v, N):
-                        gn = gn + (a * v).truncate(N)
-                if _droppable(gn, N):
-                    continue
-                coeff = (c_mu * c_m * gk * gn).truncate(N)
-                if sgn % 2:
-                    coeff = -coeff
-                mono = u_k + l_h
-                prev = acc.get(mono)
-                acc[mono] = coeff if prev is None else prev + coeff
+                for n_k, u_k, c_m, pn, pu in terms:
+                    key = (j_h, n_k)
+                    if key not in s_inv:
+                        s_inv[key] = self._contract_s_inv(sj, n_k)
+                    gn = s_inv[key]
+                    if gn is None:
+                        continue
+                    coeff = (c_mu * c_m * gk * gn).truncate(N)
+                    if (pn * (pl + pk) + pu * pk) % 2:
+                        coeff = -coeff
+                    mono = u_k + l_h
+                    prev = acc.get(mono)
+                    acc[mono] = coeff if prev is None else prev + coeff
         return self._signed(acc, mh, mk)
+
+    def _contract_s_inv(self, sj: PbwElement, n_k):
+        """Contract n with sj = S^-1 e_j: sum_{j'} A^{j'}_j <e_{j'}, e^{n_k}>,
+        or None when that is a zero known to h^N."""
+        N = self.cutoffs.h_order
+        gn = Scalar.zero(N)
+        for jp, a in sj.terms.items():
+            v = self.pairing.pair_mono(jp, n_k)
+            if not _droppable(v, N):
+                gn = gn + (a * v).truncate(N)
+        return None if _droppable(gn, N) else gn
 
     # -- generator-level relations ------------------------------------------------
     def cross_bracket(self, hgen: str, kgen: str, route: str = "contraction") -> PbwElement:

@@ -22,7 +22,10 @@ is itself a zero known to h^N, and adding it to an accumulator whose ``trunc``
 is at most N changes neither its coefficients nor its ``trunc``.  A zero
 known only below h^N goes through the product.  Where a sum also carries the
 coefficients of caller-supplied elements, the threshold rises by their pole
-orders (``Pairing.pair_terms``).
+orders (``Pairing.pair_terms``); each such floor is computed once per
+coefficient map (``_floor``).  The consistency and antipode adjointness checks
+form a scalar only for an identity with a term that survives the skip: an
+identity with none on either side is zero minus zero.
 
 Contracted rows.  Each recursion step splits a monomial of one side by that
 side's convention coproduct and pairs a generator g and a rest of the other
@@ -174,17 +177,26 @@ class Pairing:
                 out = out + (v * second).truncate(order)
         return -out if other.parities[g] and other.parity_of[rest] else out
 
+    def split_survives(self, side: int, mono, g: int, rest) -> bool:
+        """Whether a term of ``pair_split(side, mono, g, rest)`` is not
+        skipped.  Its pairing values up to the first such term are computed."""
+        pair, N = self.pair_mono, self.N
+        row = self.row(side, mono, g)
+        if side == 0:
+            return any(not _droppable(pair(y2, rest), N) for y2, _ in row)
+        return any(not _droppable(pair(rest, y2), N) for y2, _ in row)
+
     # -- element pairing --------------------------------------------------------
     def pair(self, x: PbwElement, f: PbwElement) -> Scalar:
         return self.pair_terms(x.terms, f.terms)
 
-    def pair_terms(self, xterms: dict, fterms: dict) -> Scalar:
+    def pair_terms(self, xterms: dict, fterms: dict, floor=None) -> Scalar:
         """<x, f> for x, f given as {monomial: coefficient} of H and of K.  A
-        zero pairing value is skipped from N plus the largest pole orders of
-        the two coefficient maps."""
+        zero pairing value is skipped from ``floor``, by default N plus the
+        largest pole orders of the two coefficient maps (``_floor``)."""
         N = self.N
-        floor = N + sum(max((c.pole_order for c in terms.values()), default=0)
-                        for terms in (xterms, fterms))
+        if floor is None:
+            floor = _floor(N, xterms, fterms)
         out = Scalar.zero(N)
         for mh, ch in xterms.items():
             for mk, ck in fterms.items():
@@ -192,6 +204,20 @@ class Pairing:
                 if not _droppable(v, floor):
                     out = out + (v * ch * ck).truncate(N)
         return out
+
+
+def _floor(N: int, *term_maps) -> int:
+    """N plus the largest pole order of each {monomial: coefficient} map: the
+    skip floor of a pairing sum that carries their coefficients."""
+    return N + sum(max((c.pole_order for c in terms.values()), default=0)
+                   for terms in term_maps)
+
+
+def _survives(p: Pairing, xterms: dict, fterms: dict, floor: int) -> bool:
+    """Whether a term of ``p.pair_terms(xterms, fterms, floor)`` is not
+    skipped.  Its pairing values up to the first such term are computed."""
+    pair = p.pair_mono
+    return any(not _droppable(pair(mh, mk), floor) for mh in xterms for mk in fterms)
 
 
 def _h_basis(engine: Engine, max_degree: int):
@@ -233,8 +259,10 @@ def _consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
     The right-hand sides are the untruncated sums of the contracted rows; their
     skipped terms are zeros known to h^N, and the left-hand sides are known to
     at most h^N, so each difference, and its repr in a witness, is that of the
-    full sum."""
-    H, K = p.H, p.K
+    full sum.  An equation with no term that survives the skip on either side
+    is zero minus zero, and is not formed; every pairing value of its sums is
+    still computed, so the pairing's memo is that of the full check."""
+    H, K, N = p.H, p.K, p.N
     one = Scalar.one()
     fails = []
     hb = _h_basis(H, max_degree)
@@ -244,19 +272,32 @@ def _consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
         ma = H.word_to_monomial((a,))
         for my in hb:
             ay = H.product(ma, my)
+            floor = _floor(N, ay)
             for mf in kb:
-                diff = p.pair_terms(ay, {mf: one}) - p.pair_split(1, mf, a, my)
+                f = {mf: one}
+                if not (_survives(p, ay, f, floor) or p.split_survives(1, mf, a, my)):
+                    continue
+                diff = p.pair_terms(ay, f, floor) - p.pair_split(1, mf, a, my)
                 if not diff.is_zero():
                     fails.append((f"<{ag}*{H.monomial_str(my)}, {K.monomial_str(mf)}>",
                                   repr(diff)))
                     if len(fails) >= limit:
                         return fails
     # dual side: <x, g*f> = <Delta_H^conv x, g (x) f> for generator g
+    gens = [(g, gg, K.word_to_monomial((g,))) for g, gg in enumerate(K.gen_names)]
+    products: dict = {}  # {(g, f): (g*f, its skip floor)}
     for mx in hb:
-        for g, gg in enumerate(K.gen_names):
-            mg = K.word_to_monomial((g,))
+        x = {mx: one}
+        for g, gg, mg in gens:
             for mf in kb:
-                diff = p.pair_terms({mx: one}, K.product(mg, mf)) - p.pair_split(0, mx, g, mf)
+                got = products.get((g, mf))
+                if got is None:
+                    gf = K.product(mg, mf)
+                    got = products[(g, mf)] = (gf, _floor(N, gf))
+                gf, floor = got
+                if not (_survives(p, x, gf, floor) or p.split_survives(0, mx, g, mf)):
+                    continue
+                diff = p.pair_terms(x, gf, floor) - p.pair_split(0, mx, g, mf)
                 if not diff.is_zero():
                     fails.append((f"<{H.monomial_str(mx)}, {gg}*{K.monomial_str(mf)}>",
                                   repr(diff)))
@@ -293,15 +334,21 @@ def _certification_failure(p: Pairing, max_degree: int) -> str | None:
     fails = _consistency_failures(p, max_degree, limit=1)
     if fails:
         return f"{fails[0][0]}: {fails[0][1]}"
+    N, one = p.N, Scalar.one()
     hb, kb = _h_basis(p.H, max_degree), _h_basis(p.K, max_degree)
-    # antipode adjointness <S(x), f> = <x, S_K^-1(f)>, S_K^-1(f) built once per f
-    fs = [PbwElement(p.K, {mf: Scalar.one()}) for mf in kb]
-    s_inv_fs = [p.k_ops.antipode_inverse(f) for f in fs]
+    # antipode adjointness <S(x), f> = <x, S_K^-1(f)>, S_K^-1(f) and each skip
+    # floor built once; an equation with no surviving term is not formed
+    fs = [PbwElement(p.K, {mf: one}) for mf in kb]
+    s_inv_fs = [(s_inv.terms, _floor(N, s_inv.terms))
+                for s_inv in map(p.k_ops.antipode_inverse, fs)]
     for mx in hb:
-        x = PbwElement(p.H, {mx: Scalar.one()})
-        sx = p.h_ops.antipode(x)
-        for mf, f, s_inv_f in zip(kb, fs, s_inv_fs):
-            diff = p.pair(sx, f) - p.pair(x, s_inv_f)
+        x = {mx: one}
+        sx = p.h_ops.antipode(PbwElement(p.H, x)).terms
+        sx_floor = _floor(N, sx)
+        for mf, f, (s_inv_f, floor) in zip(kb, fs, s_inv_fs):
+            if not (_survives(p, sx, f.terms, sx_floor) or _survives(p, x, s_inv_f, floor)):
+                continue
+            diff = p.pair_terms(sx, f.terms, sx_floor) - p.pair_terms(x, s_inv_f, floor)
             if not diff.is_zero():
                 return (f"antipode adjointness at ({p.H.monomial_str(mx)}, "
                         f"{p.K.monomial_str(mf)}): {diff!r}")

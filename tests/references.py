@@ -13,7 +13,11 @@ a kernel under test (the one-leg ``tensor_mul``):
 * ``reference_map`` is the fold ``out = out + image.scale(c)`` of any leg map;
 * ``reference_antipode`` is S of a monomial as its letters' images multiplied
   from the last letter to the first by ``reference_tensor_mul``, times the
-  global sign (-1)^(C(odd, 2)) of reversing the word.
+  global sign (-1)^(C(odd, 2)) of reversing the word;
+* ``reference_cross_product_via_structure_constants`` is the double's
+  structure-constant route summed pair by pair: every term of x's iterated
+  coproduct against every term of f's, each <e_k, e^k'> and each S^-1
+  contraction read afresh per pair.
 
 All compute each monomial's parity, weight and central degree from the
 generator data (the ``direct_*`` helpers) instead of the engine's memos, and
@@ -155,6 +159,39 @@ def reference_antipode(ops, mono):
     for i in reversed(word):
         out = reference_tensor_mul(out, ops._anti[eng.gen_names[i]])
     return out.scale(-1 if odd * (odd - 1) // 2 % 2 else 1)
+
+
+def reference_cross_product_via_structure_constants(dbl, mh, mk):
+    """x*f for the basis monomials x = mh of H and f = mk of K of a Double."""
+    H, K = dbl.H, dbl.K
+    N = dbl.cutoffs.h_order
+    mu = dbl.iterated_primal(mh)
+    mm = [(n_k, u_k, k_k, c_m, K.monomial_parity(n_k),
+           K.monomial_parity(u_k), K.monomial_parity(k_k))
+          for (n_k, u_k, k_k), c_m in dbl.iterated_dual(mk).terms.items()]
+    acc: dict = {}
+    for (k_h, l_h, j_h), c_mu in mu.terms.items():
+        sj = dbl.h_ops.antipode_inverse_mono(j_h)
+        pl = H.monomial_parity(l_h)
+        for n_k, u_k, k_k, c_m, pn, pu, pk in mm:
+            gk = dbl.pairing.pair_mono(k_h, k_k)
+            if _droppable(gk, N):
+                continue
+            sgn = pn * (pl + pk) + pu * pk
+            gn = Scalar.zero(N)
+            for jp, a in sj.terms.items():
+                v = dbl.pairing.pair_mono(jp, n_k)
+                if not _droppable(v, N):
+                    gn = gn + (a * v).truncate(N)
+            if _droppable(gn, N):
+                continue
+            coeff = (c_mu * c_m * gk * gn).truncate(N)
+            if sgn % 2:
+                coeff = -coeff
+            mono = u_k + l_h
+            prev = acc.get(mono)
+            acc[mono] = coeff if prev is None else prev + coeff
+    return dbl._signed(acc, mh, mk)
 
 
 def identical(x, y):

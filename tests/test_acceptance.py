@@ -123,12 +123,9 @@ def test_criterion_4_rmatrix(rctx):
 
 def test_criterion_5_auxiliary_relation(rctx):
     rep = audited(verify_auxiliary(rctx), lambda: verify_auxiliary(rctx.audit_context))
-    ok = rep.status in ("pass", "finding") and rep.audit == "pass"
-    confirmed = rep.status == "pass" and any("confirmed exactly" in d for d in rep.details)
-    corrected = rep.status == "finding" and any("corrected prefactor" in d for d in rep.details)
-    ok = ok and (confirmed or corrected)
-    _verdict("5 auxiliary 3-leg identity confirmed (or corrected prefactor emitted)",
-             ok, "confirmed exactly under alpha=2" if confirmed else "corrected emitted")
+    ok = rep.status == "pass" and rep.audit == "pass" and \
+        any("confirmed exactly" in d for d in rep.details)
+    _verdict("5 auxiliary 3-leg identity confirmed", ok, "confirmed exactly under alpha=2")
 
 
 def test_criterion_5b_triangularity_finding(rctx):

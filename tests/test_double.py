@@ -11,6 +11,7 @@ from hopfforge.pairing import STANDARD_SEED, Pairing, _h_basis, standard_pair
 from hopfforge.pbw import Cutoffs, Engine
 from hopfforge.presentation import data_dir, load_presentation
 from hopfforge.scalars import Scalar, series_fn
+from references import reference_cross_product_via_structure_constants, same_terms
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,22 @@ def test_routes_agree_on_every_low_degree_pair():
         r1 = d.cross_product(mh, mk)
         r2 = d.cross_product_via_structure_constants(mh, mk)
         assert (r1 - r2).is_zero(), (mh, mk)
+
+
+@pytest.mark.parametrize("cutoffs", [Cutoffs(6, 10), Cutoffs(4, 8), Cutoffs(2, 6),
+                                     Cutoffs(7, 12)], ids=str)
+def test_grouped_route_matches_the_per_pair_sum(cutoffs, monkeypatch):
+    # every pair of degree <= 4: the same keys, and each coefficient in the
+    # same canonical storage (value and trunc); the route never reads the
+    # contraction route's tensors
+    d = Double(standard_pair(cutoffs, alpha2=True))
+    for name in ("psi", "phi"):
+        monkeypatch.setattr(d, name, None)
+    pairs = list(itertools.product(_h_basis(d.H, 4), _h_basis(d.K, 4)))
+    assert len(pairs) == 81
+    for mh, mk in pairs:
+        same_terms(d.cross_product_via_structure_constants(mh, mk),
+                   reference_cross_product_via_structure_constants(d, mh, mk))
 
 
 # --------------------------------------------------------------- derivation

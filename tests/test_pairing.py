@@ -3,11 +3,13 @@ from math import factorial
 
 import pytest
 
-from hopfforge.pairing import (STANDARD_SEED, Pairing, PairingConvention, _consistency_failures,
-                               _h_basis, _standard_ops, calibrate, standard_pair,
-                               verify_duality)
-from hopfforge.pbw import Cutoffs, PbwElement, _droppable
-from hopfforge.scalars import Scalar
+from hopfforge.hopf import HopfOps
+from hopfforge.pairing import (STANDARD_SEED, Pairing, PairingConvention, _certification_failure,
+                               _consistency_failures, _h_basis, _standard_ops, calibrate,
+                               standard_pair, verify_duality)
+from hopfforge.pbw import Cutoffs, Engine, PbwElement, _droppable
+from hopfforge.presentation import emit_presentation, load_presentation, parse_presentation
+from hopfforge.scalars import Scalar, gauss_jordan
 
 CONVENTIONS = [PairingConvention(fd, fp) for fd in (True, False) for fp in (True, False)]
 
@@ -216,6 +218,37 @@ def reference_consistency_failures(p: DensePairing, max_degree: int, limit: int 
                     if len(fails) >= limit:
                         return fails
     return fails
+
+
+def reference_certification_failure(p: Pairing, max_degree: int) -> str | None:
+    """_certification_failure before its sums skipped equations with no
+    surviving term: every adjointness difference is formed with ``pair``."""
+    fails = _consistency_failures(p, max_degree, limit=1)
+    if fails:
+        return f"{fails[0][0]}: {fails[0][1]}"
+    hb, kb = _h_basis(p.H, max_degree), _h_basis(p.K, max_degree)
+    fs = [PbwElement(p.K, {mf: Scalar.one()}) for mf in kb]
+    s_inv_fs = [p.k_ops.antipode_inverse(f) for f in fs]
+    for mx in hb:
+        x = PbwElement(p.H, {mx: Scalar.one()})
+        sx = p.h_ops.antipode(x)
+        for mf, f, s_inv_f in zip(kb, fs, s_inv_fs):
+            diff = p.pair(sx, f) - p.pair(x, s_inv_f)
+            if not diff.is_zero():
+                return (f"antipode adjointness at ({p.H.monomial_str(mx)}, "
+                        f"{p.K.monomial_str(mf)}): {diff!r}")
+    for mf, f in zip(kb, fs):
+        if not (p.pair(p.H.one(), f) - p.k_ops.counit(f)).is_zero():
+            return f"unit adjointness at {p.K.monomial_str(mf)}"
+    for d in range(max_degree + 1):
+        hd = [m for m in hb if p.H.monomial_degree(m) == d]
+        kd = [m for m in kb if p.K.monomial_degree(m) == d]
+        mat = [[Scalar.from_fraction(p.pair_mono(mh, mk).coeff(0).constant, 0)
+                for mk in kd] for mh in hd]
+        r = len(gauss_jordan(mat, 0))
+        if r != len(hd) or len(hd) != len(kd):
+            return f"pairing degenerate in degree {d}: rank {r} of {len(hd)}"
+    return None
 
 
 def _same_scalar(a: Scalar, b: Scalar) -> bool:
@@ -447,3 +480,60 @@ def test_contracted_rows_match_the_uncontracted_pairing(cutoffs, alpha2):
                 assert _same_scalar(value, plain._memo[key]), (conv, max_degree, key)
             failed += got
     assert failed  # the witnesses were compared too
+
+
+def _same_certification(h_ops, k_ops, max_degree):
+    """_certification_failure and its reference on two fresh pairings: the
+    same result and the same memoized pairing values; returns the result."""
+    conv = PairingConvention(True, False)
+    got = Pairing(h_ops, k_ops, STANDARD_SEED, conv)
+    want = Pairing(h_ops, k_ops, STANDARD_SEED, conv)
+    result = _certification_failure(got, max_degree)
+    assert result == reference_certification_failure(want, max_degree)
+    assert got._memo.keys() == want._memo.keys()
+    for key, value in got._memo.items():
+        assert _same_scalar(value, want._memo[key]), key
+    return result
+
+
+@pytest.mark.parametrize("cutoffs, max_degree",
+                         [(Cutoffs(6, 10), 2), (Cutoffs(6, 10), 6), (Cutoffs(4, 8), 5),
+                          (Cutoffs(7, 12), 4), (Cutoffs(2, 5), 3), (Cutoffs(0, 4), 4)], ids=str)
+def test_adjointness_matches_the_reference(cutoffs, max_degree):
+    assert _same_certification(*_standard_ops(cutoffs, True), max_degree) is None
+
+
+def _mutated_ops(name, old, new, cutoffs):
+    """HopfOps of ptsa_q and brst_q_alpha2 with one line of ``name`` edited,
+    on their own engines, so the shared ones never see the edit."""
+    texts = {n: emit_presentation(load_presentation(n)) for n in ("ptsa_q", "brst_q_alpha2")}
+    assert texts[name].count(old) == 1
+    texts[name] = texts[name].replace(old, new)
+    return tuple(HopfOps(Engine(parse_presentation(texts[n]), cutoffs))
+                 for n in ("ptsa_q", "brst_q_alpha2"))
+
+
+@pytest.mark.parametrize("max_degree", [1, 3, 5])
+@pytest.mark.parametrize("name, old, new, witness", [
+    # S(xi) = xi: the failing-reports witness
+    ("brst_q_alpha2", "xi = -xi", "xi = xi", "(S, xi): (-2) + O(h^7)"),
+    # S(T) = 0: <S(T), tau> has no term, <T, S^-1(tau)> has one
+    ("ptsa_q", "T = -T", "T = 0", "(T, tau): 1 + O(h^7)")])
+def test_adjointness_matches_the_reference_on_a_failing_antipode(name, old, new, witness,
+                                                                 max_degree):
+    ops = _mutated_ops(name, old, new, Cutoffs(6, 10))
+    assert _same_certification(*ops, max_degree) == f"antipode adjointness at {witness}"
+
+
+def test_an_identity_with_one_side_empty_still_fails():
+    # an S (x) S term in Delta T: <T, xi*xi> pairs no term of xi*xi = 0, while
+    # its coproduct side <S, xi> <S, xi> survives
+    ops = _mutated_ops("ptsa_q", "T = T (x) 1 + 1 (x) T", "T = T (x) 1 + 1 (x) T + S (x) S",
+                       Cutoffs(6, 10))
+    conv = PairingConvention(True, False)
+    rows = Pairing(*ops, STANDARD_SEED, conv)
+    plain = UncontractedPairing(*ops, STANDARD_SEED, conv)
+    got = _consistency_failures(rows, 2, limit=10**6)
+    assert got == uncontracted_consistency_failures(plain, 2, limit=10**6)
+    assert ("<T, xi*xi>", "1 + O(h^7)") in got
+    assert rows._memo.keys() == plain._memo.keys()
