@@ -4,8 +4,8 @@ Every check group is defined once, in the registry below.  Each ``check`` and
 ``build`` subcommand runs one registry entry; ``suite all`` runs every entry in
 registry order.  Every report an entry gives goes through ``report.judged``,
 which turns a refuted claim's failure into a finding, alone and in ``suite
-all`` alike.  Checks run serially: ``--jobs K`` is accepted for compatibility
-and has no effect.
+all`` alike.  Checks run serially: ``--jobs K`` (K >= 1) is accepted for
+compatibility and has no effect.
 
 Exit status: 0 when every check passes (findings count as non-failures), 1 when
 at least one check fails, 2 on usage or input errors.  Reports are
@@ -256,14 +256,19 @@ def cmd_suite_all(args) -> int:
 
 # ------------------------------------------------------------------ entrypoint
 
-def _non_negative(text: str) -> int:
+def _non_negative(text: str, least: int = 0) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        value = least - 1
+    if value < least:
+        kind = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return value
+
+
+def _positive(text: str) -> int:
+    return _non_negative(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tensor-degree", type=_non_negative, default=4, metavar="D",
                     help="tensor comparison degree (default 4)")
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--jobs", type=int, default=1, metavar="K",
+    ap.add_argument("--jobs", type=_positive, default=1, metavar="K",
                     help="accepted for compatibility; checks run serially")
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -50,7 +50,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, attrgetter, getitem, mul, sub
 
 from .lang import (Add, Div, Gen, HVar, Mul, Neg, Node, Num, Param, Pow, SeriesCall, Tensor,
                    expr_to_text)
@@ -60,6 +60,9 @@ from .shared import shared
 
 __all__ = ["Cutoffs", "RewriteError", "LinearCombination", "PbwElement", "Engine",
            "shared_engine"]
+
+_weight_of = attrgetter("weight_of")
+
 
 class RewriteError(RuntimeError):
     pass
@@ -100,7 +103,7 @@ class LinearCombination:
         return sum(e.monomial_degree(m) for e, m in zip(self.engines, self._legs(key)))
 
     def weight_of_key(self, key) -> int:
-        return sum(e.weight_of[m] for e, m in zip(self.engines, self._legs(key)))
+        return sum(map(getitem, map(_weight_of, self.engines), self._legs(key)))
 
     def weight_bound(self, max_degree: int) -> int:
         """The largest weight a key of total degree <= max_degree can have: the
@@ -122,28 +125,33 @@ class LinearCombination:
             raise PresentationError("leg mismatch")
 
     # -- linear structure ----------------------------------------------------
-    def _merge(self, items):
-        """terms[k] += c in place for each (k, c), dropping a key whose sum is zero."""
-        terms = self.terms
-        for k, c in items:
+    def __add__(self, other):
+        return self._combined(other, add)
+
+    def __sub__(self, other):
+        return self._combined(other, sub)
+
+    def _combined(self, other, op):
+        """self + other or self - other (``op``): each key of other is merged
+        into a copy of self's terms, terms[k] = op(terms[k], c), or, for a new
+        key, c or -c appended; a key whose sum is zero is dropped.  So a - b
+        is a + (-b), key order included."""
+        self._check_space(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
             prev = terms.get(k)
-            s = c if prev is None else prev + c
+            if prev is None:
+                s = c if op is add else -c
+            else:
+                s = op(prev, c)
             if s.is_zero():
                 terms.pop(k, None)
             else:
                 terms[k] = s
-
-    def __add__(self, other):
-        self._check_space(other)
-        out = self._new(dict(self.terms))
-        out._merge(other.terms.items())
-        return out
+        return self._new(terms)
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c):
         if isinstance(c, (int, Fraction)):

@@ -30,8 +30,10 @@ always in integer form, and a product with it is the other factor truncated
 at the product's usual trunc, with no numerator work: leg coefficients of
 normal forms are mostly such units.  ``is_unit(N)`` tells a unit whose
 product with a pole-free factor is that factor to h^N, which tensor products
-then skip.  Division runs one pseudo-division on the (exponent, monomial)
-numerators of both forms, with one gcd at the end.  Only
+then skip.  A product of two one-term integer-form factors, the next most
+common, forms one numerator over the product of the denominators and
+reduces it by one gcd.  Division runs one pseudo-division on the (exponent,
+monomial) numerators of both forms, with one gcd at the end.  Only
 this module reads the storage: other code uses ``coeff(k)``, ``coeffs`` and
 ``exponents()``.  Scalars are immutable and may share storage (``truncate``
 can return ``self``).
@@ -497,6 +499,23 @@ class Scalar:
         if len(a) == 1 and da == 1 and a.get(0) == 1:
             return other if ta is None else other.truncate(ta + other.valuation())
         params = self._params or other._params
+        if len(a) == 1 and len(b) == 1 and not params:
+            # one term times one term: one numerator over da*db, one gcd; as
+            # ka <= ta and kb <= tb, the exponent ka + kb never passes t
+            (ka, x), = a.items()
+            (kb, y), = b.items()
+            if ta is None:
+                t = None if tb is None else tb + ka
+            else:
+                t = ta + kb if tb is None else min(ta + kb, tb + ka)
+            x *= y
+            den = da * db
+            if den != 1:
+                g = gcd(x, den)
+                if g != 1:
+                    x //= g
+                    den //= g
+            return _make({ka + kb: x}, den, t)
         va, vb = (self.valuation(), other.valuation()) if params else (min(a), min(b))
         if ta is None:
             t = None if tb is None else tb + va
@@ -679,6 +698,13 @@ def gauss_jordan(rows, order=None) -> list:
     so that the entry is invertible; columns without one are skipped.  Pivot
     rows are scaled to 1, and every row update is truncated at h-order
     ``order``.  Returns the pivot columns; their number is the rank.
+
+    Most entries of a matrix [G | 1] are zero, and a zero entry forms no
+    product.  Times the pivot's inverse inv, a zero known to O(h^(t+1)) is
+    a zero known to t + v(inv), and an exact zero stays exact, before the
+    truncation at ``order``.  A row entry a minus f times a zero known to
+    O(h^(t+1)) is a truncated at t + v(f), or at ``order`` when that is
+    lower: where that product is known.
     """
     pivots = []
     for col in range(len(rows[0]) if rows else 0):
@@ -689,10 +715,15 @@ def gauss_jordan(rows, order=None) -> list:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = rows[r][col].inverse()
-        rows[r] = [(x * inv).truncate(order) for x in rows[r]]
+        v = inv.valuation()
+        rows[r] = [(x * inv).truncate(order) if x._c else
+                   _make({}, 1, _minsum(_addcap(x.trunc, v), order)) for x in rows[r]]
         for i, row in enumerate(rows):
             f = row[col]
             if i != r and not f.is_zero():
-                rows[i] = [a - (f * b).truncate(order) for a, b in zip(row, rows[r])]
+                v = f.valuation()
+                rows[i] = [a - (f * b).truncate(order) if b._c else
+                           a.truncate(_minsum(_addcap(b.trunc, v), order))
+                           for a, b in zip(row, rows[r])]
         pivots.append(col)
     return pivots

@@ -12,12 +12,13 @@ unit-leg insertion only move keys, so they keep loops of their own.
 Products and leg maps read each monomial's parity, weight and central degree
 from its engine's memos, and ``tensor_mul`` reads each leg product as the
 (monomial, coefficient, central degree, unit) tuples of the engine's product
-cache entry, so no leg list is rebuilt per key pair.  Most leg coefficients
-are units, the exact 1 or 1 + O(h^(t+1)) with t >= N.  When a pair's
-coefficient has no pole, ``tensor_mul`` passes the running coefficient through
-a unit leg unchanged: times a unit it would be truncated at t + valuation,
-at or above N, and the result is truncated at N anyway.  With a pole it
-multiplies, since that truncation falls below N.
+cache entry, so no leg list is rebuilt per key pair.  Most coefficients,
+of legs and of terms, are units, the exact 1 or 1 + O(h^(t+1)) with t >= N.
+Times a unit, a pole-free coefficient would be truncated at t + valuation,
+at or above N, and the result is truncated at N anyway; so a unit term
+gives a pair the other coefficient truncated at N, and a pole-free pair
+coefficient passes a unit leg unchanged.  With a pole they multiply, since
+that truncation falls below N.
 
 ``tensor_mul`` and ``graded_commutator`` take two PbwElements or two
 TensorElements over the same engines, read keys through ``_legs`` as
@@ -25,7 +26,10 @@ TensorElements over the same engines, read keys through ``_legs`` as
 is the one-leg case, and ``Engine.multiply`` is its ``tensor_mul``.  Both
 share one pair loop (``_sum_pairs``), which adds w times the legwise product
 of each pair of keys it is given, w an integer weight that carries the
-Koszul sign; it is the one place where a product drops a zero.
+Koszul sign; it is the one place where a product drops a zero.  It walks
+the legs with one loop written out for each of one, two and three legs, so
+a term that a skip rule decides, a unit, a key above W or an empty leg
+product, costs no call and forms no Scalar.
 ``graded_commutator(a, b, sign)`` is a*b - sign*b*a in one pass that visits
 each pair {x of a, y of b} once, the pairs i <= j when ``a is b``.  When on
 every leg the two monomials are equal or one of them is central (every letter
@@ -157,8 +161,9 @@ def map_legs(el, pos: int, width: int, image, engines):
 
     The sum is the fold ``out + image.scale(c)``: each product is truncated
     at N and a zero product is skipped, a key whose total central degree
-    exceeds W is dropped (it lies in the quotiented ideal), and ``_merge``
-    drops a zero sum.  With one leg left the result is a PbwElement.
+    exceeds W is dropped (it lies in the quotiented ideal), and a key whose
+    sum is zero is removed (a later term puts it back at the end).  With one
+    leg left the result is a PbwElement.
     """
     end = pos + width
     inner = [e.central_degree_of for e in engines]
@@ -167,21 +172,25 @@ def map_legs(el, pos: int, width: int, image, engines):
     out = PbwElement(engines[0]) if len(engines) == 1 else TensorElement(engines)
     N = out.h_order
     W = min(e.cutoffs.word_degree for e in engines)
-    legs_of, key_of = el._legs, out._key
-
-    def terms():
-        for k, c in el.terms.items():
-            legs = legs_of(k)
-            head, tail = legs[:pos], legs[end:]
-            room = W - sum(map(getitem, outer, head + tail))
-            for ik, ic in image(*legs[pos:end]).items():
-                if sum(map(getitem, inner, ik)) > room:
+    legs_of, key_of, terms = el._legs, out._key, out.terms
+    for k, c in el.terms.items():
+        legs = legs_of(k)
+        head, tail = legs[:pos], legs[end:]
+        room = W - sum(map(getitem, outer, head + tail))
+        for ik, ic in image(*legs[pos:end]).items():
+            if sum(map(getitem, inner, ik)) > room:
+                continue
+            s = (ic * c).truncate(N)
+            if s.is_zero():
+                continue
+            key = key_of(head + ik + tail)
+            prev = terms.get(key)
+            if prev is not None:
+                s = prev + s
+                if s.is_zero():
+                    del terms[key]
                     continue
-                s = (ic * c).truncate(N)
-                if not s.is_zero():
-                    yield key_of(head + ik + tail), s
-
-    out._merge(terms())
+            terms[key] = s
     return out
 
 
@@ -206,9 +215,10 @@ def tensor_mul(a, b, max_degree: int | None = None):
     window, keys, coefficients, ``trunc`` and order alike.
     """
     a._check_space(b)
+    n, N, legs_of = len(a.engines), a.h_order, a._legs
     parities = _parities(a.engines)
-    legs_of = a._legs
-    b_items = [(lb := legs_of(kb), cb, parities(lb)) for kb, cb in b.terms.items()]
+    b_items = [(lb := legs_of(kb), _coef(cb, N), n > 1 and parities(lb))
+               for kb, cb in b.terms.items()]
     if max_degree is None:
         rows = [(legs_of(ka), ca, b_items) for ka, ca in a.terms.items()]
     else:
@@ -220,10 +230,20 @@ def tensor_mul(a, b, max_degree: int | None = None):
                 if (w := weight(ka)) <= bound]
 
     def pairs():
+        # the Koszul sign (-1)^(sum_i |y_i| after_x[i]) is +1 for one leg and
+        # when x is even past its first leg, and (-1)^|y_1| for two legs
         for la, ca, row in rows:
-            after_a = _after(parities(la))
-            for lb, cb, pb in row:
-                yield la, lb, ca, cb, _koszul(pb, after_a)
+            xa = _coef(ca, N)
+            if n == 1 or not any(parities(la)[1:]):
+                for lb, xb, _ in row:
+                    yield la, lb, xa, xb, 1
+            elif n == 2:
+                for lb, xb, pb in row:
+                    yield la, lb, xa, xb, -1 if pb[0] else 1
+            else:
+                after = _after(parities(la))
+                for lb, xb, pb in row:
+                    yield la, lb, xa, xb, _koszul(pb, after)
 
     out = _sum_pairs(a, pairs())
     return out if max_degree is None else out.window(max_degree)
@@ -251,7 +271,7 @@ def graded_commutator(a, b, sign: int):
         for k, c in t.terms.items():
             legs = t._legs(k)
             p = parities(legs)
-            out.append((legs, c, p, _after(p), [z[m] for z, m in zip(central, legs)]))
+            out.append((legs, _coef(c, N), p, _after(p), [z[m] for z, m in zip(central, legs)]))
         return out
 
     xs = items(a)
@@ -300,36 +320,156 @@ def _known_to(t, N: int) -> bool:
     return all((c.trunc is None or c.trunc >= N) and not c.pole_order for c in t.terms.values())
 
 
+def _coef(c, N: int) -> tuple:
+    """(c, c truncated at N, whether c is a unit to h^N, whether c is
+    pole-free), as a pair reads a coefficient: a unit times a pole-free
+    factor, truncated at N, is that factor truncated at N (``Scalar.is_unit``)."""
+    if c.is_unit(N):
+        return c, c.truncate(N), True, True
+    v = c.valuation()
+    return c, c.truncate(N), False, v is None or v >= 0
+
+
 def _sum_pairs(a, pairs):
-    """The sum of w*cx*cy*(x_1 y_1 (x) ... (x) x_n y_n) over (x, y, cx, cy, w)
-    in ``pairs``, x and y legs tuples and w a nonzero integer, as an element
-    of ``a``'s kind over its engines: the pair coefficient is truncated at N
-    before w multiplies it, and a zero sum is dropped."""
+    """The sum of w*cx*cy*(x_1 y_1 (x) ... (x) x_n y_n) over the pairs
+    (x, y, ``_coef(cx, N)``, ``_coef(cy, N)``, w) of ``pairs``, x and y legs tuples,
+    each coefficient with its ``_coef`` flags, and w a nonzero integer, as an
+    element of ``a``'s kind over its engines.
+
+    The pair coefficient is cx*cy truncated at N, read off without a product
+    when one factor is a unit and the other pole-free; a zero known to h^N
+    ends the pair, and then w multiplies it.  Each leg product is a sequence
+    of (monomial, coefficient, central degree, unit) tuples, and every leg
+    product of a pair is read before an empty one ends it.  One loop per leg
+    count 1, 2 and 3 (``_distribute`` for more) walks their outer product:
+    a partial key whose central degree exceeds W is not extended, a
+    pole-free coefficient passes a unit leg with no product, no drop test
+    and no truncation (it is already kept and truncated at N), and through
+    any other leg it is multiplied, dropped when it is a zero known to h^N,
+    and on the last leg truncated at N.  A leaf that this truncation makes
+    zero still enters the sum, where it fixes its key's place; a zero sum is
+    dropped at the end.
+    """
     engines = a.engines
+    n = len(engines)
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
     products = [e.product_terms for e in engines]
+    p1, p2, p3 = (products + [None, None])[:3]
     acc: dict = {}
-    for kx, ky, cx, cy, w in pairs:
+    get = acc.get
+    for kx, ky, (cx, tx, ux, fx), (cy, ty, uy, fy), w in pairs:
         # a pair with an empty leg product (S*S where {S,S} = 0) adds
         # nothing, so its coefficients are not multiplied
-        legs = [prod(x, y) for prod, x, y in zip(products, kx, ky)]
-        if not all(legs):
+        if n == 1:
+            l1 = p1(kx[0], ky[0])
+            if not l1:
+                continue
+        elif n == 2:
+            l1, l2 = p1(kx[0], ky[0]), p2(kx[1], ky[1])
+            if not (l1 and l2):
+                continue
+        elif n == 3:
+            l1, l2, l3 = p1(kx[0], ky[0]), p2(kx[1], ky[1]), p3(kx[2], ky[2])
+            if not (l1 and l2 and l3):
+                continue
+        else:
+            legs = [prod(x, y) for prod, x, y in zip(products, kx, ky)]
+            if not all(legs):
+                continue
+        if ux and fy:
+            c = ty
+        elif uy and fx:
+            c = tx
+        else:
+            c = (cx * cy).truncate(N)
+        if c.trunc >= N and c.is_zero():
             continue
-        c = (cx * cy).truncate(N)
         if w != 1:
             c = -c if w == -1 else c * w
-        if not _droppable(c, N):
-            v = c.valuation()
-            _distribute(acc, legs, 0, (), c, 0, N, W, v is None or v >= 0)
-    key_of = a._key
-    return a._new({key_of(k): c for k, c in acc.items() if not c.is_zero()})
+        skip = fx and fy or (v := c.valuation()) is None or v >= 0
+        if n == 1:
+            # the normal form already drops a word above W
+            for m, mc, _, u in l1:
+                if u and skip:
+                    x = c
+                else:
+                    x = c * mc
+                    if x.trunc >= N and x.is_zero():
+                        continue
+                    x = x.truncate(N)
+                prev = get(m)
+                acc[m] = x if prev is None else prev + x
+        elif n == 2:
+            for m1, c1, d1, u1 in l1:
+                if d1 > W:
+                    continue
+                if u1 and skip:
+                    x1, t1 = c, True
+                else:
+                    x1, t1 = c * c1, False
+                    if x1.trunc >= N and x1.is_zero():
+                        continue
+                room = W - d1
+                for m2, c2, d2, u2 in l2:
+                    if d2 > room:
+                        continue
+                    if u2 and skip:
+                        x = x1 if t1 else x1.truncate(N)
+                    else:
+                        x = x1 * c2
+                        if x.trunc >= N and x.is_zero():
+                            continue
+                        x = x.truncate(N)
+                    k = (m1, m2)
+                    prev = get(k)
+                    acc[k] = x if prev is None else prev + x
+        elif n == 3:
+            for m1, c1, d1, u1 in l1:
+                if d1 > W:
+                    continue
+                if u1 and skip:
+                    x1, t1 = c, True
+                else:
+                    x1, t1 = c * c1, False
+                    if x1.trunc >= N and x1.is_zero():
+                        continue
+                for m2, c2, d2, u2 in l2:
+                    d12 = d1 + d2
+                    if d12 > W:
+                        continue
+                    if u2 and skip:
+                        x2, t2 = x1, t1
+                    else:
+                        x2, t2 = x1 * c2, False
+                        if x2.trunc >= N and x2.is_zero():
+                            continue
+                    room = W - d12
+                    for m3, c3, d3, u3 in l3:
+                        if d3 > room:
+                            continue
+                        if u3 and skip:
+                            x = x2 if t2 else x2.truncate(N)
+                        else:
+                            x = x2 * c3
+                            if x.trunc >= N and x.is_zero():
+                                continue
+                            x = x.truncate(N)
+                        k = (m1, m2, m3)
+                        prev = get(k)
+                        acc[k] = x if prev is None else prev + x
+        else:
+            _distribute(acc, legs, 0, (), c, 0, N, W, skip)
+    if n == 1:
+        key_of = a._key
+        return a._new({key_of((m,)): c for m, c in acc.items() if not c.is_zero()})
+    return a._new({k: c for k, c in acc.items() if not c.is_zero()})
 
 
 def _distribute(acc, legs, i, key, coeff, central, N, W, skip_units):
     """Accumulate the outer product of legs[i:] times coeff into acc under
-    the partial key of legs[:i]; each leg is a sequence of (monomial,
-    coefficient, central degree, unit) tuples.
+    the partial key of legs[:i], as the loops of ``_sum_pairs`` do for up to
+    three legs; ``tensor_of`` and products of more than three legs use it.
 
     With ``skip_units`` (coeff has no pole, and leg coefficients have none),
     coeff passes a unit leg unchanged: the product would differ only above

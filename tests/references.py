@@ -17,7 +17,13 @@ a kernel under test (the one-leg ``tensor_mul``):
 * ``reference_cross_product_via_structure_constants`` is the double's
   structure-constant route summed pair by pair: every term of x's iterated
   coproduct against every term of f's, each <e_k, e^k'> and each S^-1
-  contraction read afresh per pair.
+  contraction read afresh per pair;
+* ``reference_gauss_jordan`` is the dense elimination, every entry of a row
+  update formed as a product, zero or not.
+
+The references drop a coefficient by their own copy of the kernel's rule
+(``known_zero``: a zero known to h^N), never by the kernel's, so a test that
+compares the two sees a change to that rule.
 
 All compute each monomial's parity, weight and central degree from the
 generator data (the ``direct_*`` helpers) instead of the engine's memos, and
@@ -29,7 +35,7 @@ the same canonical storage (so the same value, ``trunc`` and ``repr``);
 
 import math
 
-from hopfforge.pbw import PbwElement, _clean, _droppable
+from hopfforge.pbw import PbwElement, _clean
 from hopfforge.presentation import ODD
 from hopfforge.scalars import ParamPoly, Scalar
 from hopfforge.tensors import TensorElement
@@ -45,6 +51,11 @@ def direct_weight(e, m):
 
 def direct_central(e, m):
     return sum(x * d for x, d, c in zip(m, e.degrees, e.central) if c)
+
+
+def known_zero(c, N):
+    """A zero known to h^N: exact, or known to O(h^(t+1)) with t >= N."""
+    return c.is_zero() and (c.trunc is None or c.trunc >= N)
 
 
 def direct_unit(c, N):
@@ -89,7 +100,7 @@ def reference_tensor_mul(a, b, max_degree=None):
             c = (ca * cb).truncate(N)
             if sgn % 2:
                 c = -c
-            if _droppable(c, N):
+            if known_zero(c, N):
                 continue
             legs = [reference_product(engines[i], ka[i], kb[i]) for i in range(len(engines))]
             _reference_distribute(acc, legs, c, N, W)
@@ -101,7 +112,7 @@ def _reference_distribute(acc, legs, c, N, W):
     engines = [leg.engine for leg in legs]
 
     def rec(i, key, coeff):
-        if _droppable(coeff, N):
+        if known_zero(coeff, N):
             return
         if i == len(legs):
             if above_w(engines, key, W):
@@ -175,15 +186,15 @@ def reference_cross_product_via_structure_constants(dbl, mh, mk):
         pl = H.monomial_parity(l_h)
         for n_k, u_k, k_k, c_m, pn, pu, pk in mm:
             gk = dbl.pairing.pair_mono(k_h, k_k)
-            if _droppable(gk, N):
+            if known_zero(gk, N):
                 continue
             sgn = pn * (pl + pk) + pu * pk
             gn = Scalar.zero(N)
             for jp, a in sj.terms.items():
                 v = dbl.pairing.pair_mono(jp, n_k)
-                if not _droppable(v, N):
+                if not known_zero(v, N):
                     gn = gn + (a * v).truncate(N)
-            if _droppable(gn, N):
+            if known_zero(gn, N):
                 continue
             coeff = (c_mu * c_m * gk * gn).truncate(N)
             if sgn % 2:
@@ -194,18 +205,42 @@ def reference_cross_product_via_structure_constants(dbl, mh, mk):
     return dbl._signed(acc, mh, mk)
 
 
+def reference_gauss_jordan(rows, order=None):
+    """``gauss_jordan`` as a dense loop: the pivot row times the inverse,
+    and every other row with a nonzero entry in the pivot column minus that
+    entry times the pivot row, each product truncated at ``order``."""
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()
+                    and rows[i][col].coeff(rows[i][col].valuation()).is_constant()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [(x * inv).truncate(order) for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and not f.is_zero():
+                rows[i] = [a - (f * b).truncate(order) for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    return pivots
+
+
+def same_scalar(c, d, where=None):
+    """The same canonical storage, so the same value, trunc and printing."""
+    assert (c._c, c._den, c._params, c.trunc) == (d._c, d._den, d._params, d.trunc), where
+
+
 def identical(x, y):
     # the same keys in the same order, and coefficients in the same canonical
     # storage, which fixes their value, trunc and printing
     assert list(x.terms) == list(y.terms)
-    for k, c in x.terms.items():
-        d = y.terms[k]
-        assert (c._c, c._den, c._params, c.trunc) == (d._c, d._den, d._params, d.trunc), k
+    same_terms(x, y)
 
 
 def same_terms(x, y):
     # identical up to the order of keys
     assert x.terms.keys() == y.terms.keys()
     for k, c in x.terms.items():
-        d = y.terms[k]
-        assert (c._c, c._den, c._params, c.trunc) == (d._c, d._den, d._params, d.trunc), k
+        same_scalar(c, y.terms[k], k)

@@ -140,6 +140,13 @@ def test_check_family_rejects_a_pole_valued_binding(capsys):
     assert "alpha=1/h" in err and "pole" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_exits_two(capsys, jobs):
+    code, out, err = run(capsys, "--jobs", jobs, "check", "hopf", "ptsa_q")
+    assert code == 2 and not out
+    assert "--jobs" in err and "positive integer" in err
+
+
 def test_check_family_bad_binding(capsys):
     code, _, err = run(capsys, "check", "family", "d0_variety", "--bind", "oops")
     assert code == 2

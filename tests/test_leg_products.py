@@ -151,3 +151,23 @@ def test_an_element_product_keeps_a_zero_known_below_h_to_the_n():
     product = eng.multiply(a, b)
     identical(product, reference_tensor_mul(a, b))
     assert list(product.terms) == [T, one] and product.terms[T].trunc == 1
+
+
+@ENGINES
+@SETTINGS
+@given(data=st.data())
+def test_a_difference_is_the_sum_with_the_negation(name, data):
+    # a - b merges each -c into a copy of a; it must be a + (-b), key order
+    # included, also where keys cancel or meet a zero known below h^N
+    eng = hopf_ops(name).engine
+    legs = data.draw(st.sampled_from([1, 2, 3]))
+    a, b = data.draw(tensors(eng, legs)), data.draw(tensors(eng, legs))
+    for k, c in a.terms.items():
+        how = data.draw(st.sampled_from(["keep", "cancel", "known zero"]))
+        if how == "cancel":
+            b.terms[k] = c
+        elif how == "known zero":
+            b.terms[k] = c - c.truncate(data.draw(st.sampled_from([-1, 1, 2])))
+    identical(a - b, a + (-b))
+    identical(a - a, a + (-a))
+    assert not (a - a).terms
