@@ -18,7 +18,6 @@ import argparse
 import functools
 import re
 import sys
-import time
 
 from . import families
 from .bialgebra import check_cocycle, check_cojacobi, check_jacobi, from_family
@@ -26,7 +25,7 @@ from .double import (derive_double_presentation, verify_route_equivalence,
                      verify_universal_identity)
 from .hopf import verify_hopf
 from .lang import ParseError, parse_expr_text
-from .pairing import duality_conventions, verify_duality
+from .pairing import verify_duality
 from .pbw import Cutoffs, shared_engine
 from .presentation import PresentationError, emit_presentation, load_presentation
 from .report import FAIL, VerificationReport, audited, judged, reports_to_json
@@ -80,15 +79,11 @@ def _confluence(args, name):
 
 def _duality(args, literal):
     """The pairing certification; with literal, the (h/2) scaling diagnostic
-    too.  The re-run reuses the conventions the main run locked."""
+    too.  The re-run finds the convention lock that the main run computed
+    and the process keeps (``pairing.shared_lock``)."""
     cut, degree = _cutoffs(args), args.tensor_degree + 2
-    t0 = time.perf_counter()
-    convs = duality_conventions(degree)
-    locking = time.perf_counter() - t0
-    report = verify_duality(cut, max_degree=degree, conventions=convs)
-    report.wall_time += locking
-    reports = [audited(report, lambda: verify_duality(cut.bumped(), max_degree=degree,
-                                                      conventions=convs))]
+    reports = [audited(verify_duality(cut, max_degree=degree),
+                       lambda: verify_duality(cut.bumped(), max_degree=degree))]
     if literal:
         reports.append(verify_duality(Cutoffs(4, 8), max_degree=3, alpha2=False))
     return reports

@@ -45,6 +45,7 @@ from .pbw import Cutoffs, Engine, PbwElement, _droppable, shared_engine
 from .presentation import HopfPresentation, load_presentation, validate
 from .report import PASS, VerificationReport
 from .scalars import Scalar
+from .shared import Memo
 from .tensors import TensorElement, evaluate_tensor, tensor_mul, tensor_of
 
 __all__ = ["Double", "double_presentation", "derive_double_presentation",
@@ -65,36 +66,37 @@ class Double:
         # (dual letters left), which its cross relations leave as they are
         self.presentation = double_presentation(self)
         self.engine = shared_engine(self.presentation, self.cutoffs)
-        self._tensors: dict = {}  # {(kind, monomial): 3-leg tensor}
+        self._tensors = Memo(self._build)  # {(kind, monomial): 3-leg tensor}
 
     # -- the 3-leg tensors ----------------------------------------------------------
-    def _kept(self, kind: str, mono, build) -> TensorElement:
-        """build(mono), built once per (kind, monomial)."""
-        got = self._tensors.get((kind, mono))
-        if got is None:
-            got = self._tensors[(kind, mono)] = build(mono)
-        return got
+    def _build(self, key) -> TensorElement:
+        """The tensor of key = (kind, monomial), kind "delta2_h", "delta2_k",
+        "phi" or "psi" (see the methods of those names below)."""
+        kind, m = key
+        if kind == "delta2_h":
+            return self.h_ops.iterated_coproduct(PbwElement(self.H, {m: Scalar.one()}), "left")
+        if kind == "delta2_k":
+            return self.k_ops.iterated_coproduct(PbwElement(self.K, {m: Scalar.one()}), "left")
+        if kind == "phi":
+            return self.iterated_dual(m).flip_adjacent(1)
+        three = self.iterated_primal(m).apply_leg(2, self.h_ops.antipode_inverse_mono)
+        return three.flip_adjacent(1).flip_adjacent(0)
 
     def iterated_primal(self, mh) -> TensorElement:
         """(Delta_H (x) id) Delta_H of the monomial mh of H."""
-        return self._kept("delta2_h", mh, lambda m: self.h_ops.iterated_coproduct(
-            PbwElement(self.H, {m: Scalar.one()}), "left"))
+        return self._tensors["delta2_h", mh]
 
     def iterated_dual(self, mk) -> TensorElement:
         """(Delta_K (x) id) Delta_K of the monomial mk of K."""
-        return self._kept("delta2_k", mk, lambda m: self.k_ops.iterated_coproduct(
-            PbwElement(self.K, {m: Scalar.one()}), "left"))
+        return self._tensors["delta2_k", mk]
 
     def phi(self, mk) -> TensorElement:
         """(id (x) graded flip) of the iterated dual coproduct."""
-        return self._kept("phi", mk, lambda m: self.iterated_dual(m).flip_adjacent(1))
+        return self._tensors["phi", mk]
 
     def psi(self, mh) -> TensorElement:
         """Leg-3 antipode inverse, then legs 2,3 and 1,2 graded flips."""
-        def build(m):
-            three = self.iterated_primal(m).apply_leg(2, self.h_ops.antipode_inverse_mono)
-            return three.flip_adjacent(1).flip_adjacent(0)
-        return self._kept("psi", mh, build)
+        return self._tensors["psi", mh]
 
     def _signed(self, acc: dict, mh, mk) -> PbwElement:
         """The accumulated x*f times the global sign (-1)^{|x||f|}."""
@@ -141,12 +143,11 @@ class Double:
             groups.setdefault(k_k, []).append(
                 (n_k, u_k, c_m, K.monomial_parity(n_k), K.monomial_parity(u_k)))
         by_k = [(k_k, K.monomial_parity(k_k), terms) for k_k, terms in groups.items()]
-        s_inv: dict = {}  # {(j, n): the S^-1 contraction, or None when skipped}
+        # {(j, n): the S^-1 contraction, or None when skipped}
+        s_inv = Memo(lambda key: self._contract_s_inv(*key))
         acc: dict = {}
         # mu_s^{klj}: raw iterated coproduct of x over H
         for (k_h, l_h, j_h), c_mu in self.iterated_primal(mh).terms.items():
-            # antipode-inverse matrix applied to the j index
-            sj = self.h_ops.antipode_inverse_mono(j_h)
             pl = H.monomial_parity(l_h)
             for k_k, pk, terms in by_k:
                 # contract k: <e_{k_h}, e^{k_k}>
@@ -154,10 +155,7 @@ class Double:
                 if _droppable(gk, N):
                     continue
                 for n_k, u_k, c_m, pn, pu in terms:
-                    key = (j_h, n_k)
-                    if key not in s_inv:
-                        s_inv[key] = self._contract_s_inv(sj, n_k)
-                    gn = s_inv[key]
+                    gn = s_inv[j_h, n_k]
                     if gn is None:
                         continue
                     coeff = (c_mu * c_m * gk * gn).truncate(N)
@@ -168,12 +166,13 @@ class Double:
                     acc[mono] = coeff if prev is None else prev + coeff
         return self._signed(acc, mh, mk)
 
-    def _contract_s_inv(self, sj: PbwElement, n_k):
-        """Contract n with sj = S^-1 e_j: sum_{j'} A^{j'}_j <e_{j'}, e^{n_k}>,
-        or None when that is a zero known to h^N."""
+    def _contract_s_inv(self, j_h, n_k):
+        """Contract n with the antipode-inverse matrix on the j index, S^-1 e_j:
+        sum_{j'} A^{j'}_j <e_{j'}, e^{n_k}>, or None when that is a zero known
+        to h^N."""
         N = self.cutoffs.h_order
         gn = Scalar.zero(N)
-        for jp, a in sj.terms.items():
+        for jp, a in self.h_ops.antipode_inverse_mono(j_h).terms.items():
             v = self.pairing.pair_mono(jp, n_k)
             if not _droppable(v, N):
                 gn = gn + (a * v).truncate(N)

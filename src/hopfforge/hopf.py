@@ -15,11 +15,13 @@ counit axiom, the antipode axiom, and parity preservation.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .pbw import Cutoffs, Engine, PbwElement, shared_engine
 from .presentation import HopfPresentation, PresentationError
 from .report import VerificationReport
 from .scalars import Scalar
-from .shared import shared
+from .shared import Memo, shared
 from .tensors import (TensorElement, evaluate_tensor, graded_commutator, leg_terms, map_legs,
                       tensor_mul)
 
@@ -44,9 +46,10 @@ class HopfOps:
         for name, node in pres.antipode:
             self._anti[name] = engine.evaluate(node)
         self._assert_pole_free()
-        self._delta_mono_cache: dict = {(0,) * engine.n: TensorElement.unit((engine, engine))}
-        self._anti_mono_cache: dict = {(0,) * engine.n: engine.one()}
-        self._involutive = None
+        unit = (0,) * engine.n
+        self._delta_mono_cache = Memo(self._coproduct_of,
+                                      {unit: TensorElement.unit((engine, engine))})
+        self._anti_mono_cache = Memo(self._antipode_of, {unit: engine.one()})
 
     def _assert_pole_free(self):
         for name, t in self._delta.items():
@@ -69,14 +72,12 @@ class HopfOps:
         """Delta of a PBW monomial: the coproduct of its word without the last
         letter times the coproduct of that letter, cached per monomial (the
         unit for the empty word)."""
-        key = tuple(mono)
-        got = self._delta_mono_cache.get(key)
-        if got is None:
-            i = max(j for j, e in enumerate(key) if e)
-            prefix = key[:i] + (key[i] - 1,) + key[i + 1:]
-            got = self._delta_mono_cache[key] = tensor_mul(
-                self.coproduct_mono(prefix), self._delta[self.engine.gen_names[i]])
-        return got
+        return self._delta_mono_cache[mono]
+
+    def _coproduct_of(self, mono) -> TensorElement:
+        i = max(j for j, e in enumerate(mono) if e)
+        prefix = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        return tensor_mul(self._delta_mono_cache[prefix], self._delta[self.engine.gen_names[i]])
 
     def coproduct(self, el: PbwElement) -> TensorElement:
         return map_legs(el, 0, 1, lambda m: self.coproduct_mono(m).terms, (self.engine,) * 2)
@@ -106,17 +107,14 @@ class HopfOps:
     def antipode_mono(self, mono) -> PbwElement:
         """S of a PBW monomial g*rest, g its first letter: (-1)^{|g||rest|}
         S(rest) S(g), cached per monomial (the exact unit for the empty word)."""
-        key = tuple(mono)
-        got = self._anti_mono_cache.get(key)
-        if got is None:
-            eng = self.engine
-            i = next(j for j, e in enumerate(key) if e)
-            rest = key[:i] + (key[i] - 1,) + key[i + 1:]
-            got = eng.multiply(self.antipode_mono(rest), self._anti[eng.gen_names[i]])
-            if eng.parities[i] and eng.parity_of[rest]:
-                got = -got
-            self._anti_mono_cache[key] = got
-        return got
+        return self._anti_mono_cache[mono]
+
+    def _antipode_of(self, mono) -> PbwElement:
+        eng = self.engine
+        i = next(j for j, e in enumerate(mono) if e)
+        rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        got = eng.multiply(self._anti_mono_cache[rest], self._anti[eng.gen_names[i]])
+        return -got if eng.parities[i] and eng.parity_of[rest] else got
 
     def antipode(self, el: PbwElement) -> PbwElement:
         return map_legs(el, 0, 1, lambda m: leg_terms(self.antipode_mono(m).terms), el.engines)
@@ -129,11 +127,13 @@ class HopfOps:
                 return False
         return True
 
+    @cached_property
+    def _involutive(self) -> bool:
+        return self.antipode_squared_is_identity()
+
     def antipode_inverse_mono(self, mono) -> PbwElement:
         """S^-1 on a monomial.  Every shipped antipode is an involution, so
         S^-1 = S; S^2 = id is checked once per HopfOps, on first use."""
-        if self._involutive is None:
-            self._involutive = self.antipode_squared_is_identity()
         if not self._involutive:
             raise NotImplementedError(
                 "antipode inverse beyond involutive antipodes is not implemented")

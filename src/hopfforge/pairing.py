@@ -10,7 +10,11 @@ with the Koszul-signed evaluation <x1 (x) x2, f1 (x) f2> =
 (-1)^{|x2||f1|} <x1,f1> <x2,f2>.  Whether either side carries the opposite
 coproduct is a convention; calibrate() keeps the choices under which the
 pairing actually descends to the quotient algebras, and the double module pins
-the final choice by reproducing the published cross relations.
+the final choice by reproducing the published cross relations.  Those choices,
+the lock, are kept per process for each pair of HopfOps and degree
+(``shared_lock``), so a re-run of the duality check at bumped cutoffs finds
+the lock its main run computed.  The pairing values, the flipped coproducts
+and the contracted rows are ``shared.Memo`` tables of each Pairing.
 
 Sparse sums.  Most pairing values are zeros known to h^N, N = min(H, K)
 h-order.  A term of a pairing sum is skipped when one of its factors is such a
@@ -34,7 +38,7 @@ side with its legs.  On side 0 (H), <x, g f> sums (-1)^{|x2||g|} <x1, g>
 <g x, f> sums (-1)^{|x||f1|} <g, f1> <x, f2> c over the terms c f1 (x) f2 of
 Delta_K^conv(f).  Every rest shares the factors <y1, g> c, so the pairing
 keeps one row of (y2, <y1, g> c) per (side, monomial, generator), over the
-terms whose <y1, g> is not skipped (``Pairing.row``).  ``Pairing.pair_split``
+terms whose <y1, g> is not skipped (``Pairing._rows``).  ``Pairing.pair_split``
 sums a row against a rest, for the recursion and for both halves of the
 consistency check.  Rows hold no parity: a pairing across parities is zero and
 so skipped, so a kept term has |x2| = |f| (side 0) or |f1| = |g| (side 1), and
@@ -58,11 +62,11 @@ from .pbw import Cutoffs, Engine, PbwElement, _droppable, shared_engine
 from .presentation import load_presentation
 from .report import PASS, VerificationReport
 from .scalars import Scalar, gauss_jordan
-from .shared import shared
+from .shared import Memo, shared
 from .tensors import TensorElement
 
-__all__ = ["PairingConvention", "Pairing", "shared_pairing", "calibrate", "standard_pair",
-           "duality_conventions", "verify_duality"]
+__all__ = ["PairingConvention", "Pairing", "shared_pairing", "calibrate", "shared_lock",
+           "standard_pair", "verify_duality"]
 
 # the generator pairs of the standard pair that pair to 1
 STANDARD_SEED = {("T", "tau"): 1, ("S", "xi"): 1}
@@ -97,31 +101,25 @@ class Pairing:
             hi = self.H.presentation.gen_index(hg)
             ki = self.K.presentation.gen_index(kg)
             self._seed[(hi, ki)] = Fraction(val)
-        self._memo: dict = {}
-        self._flipped: dict = {}
-        self._rows: dict = {}
+        # {(mh, mk): <mh, mk>}, {(side, mono): flipped coproduct} and
+        # {(side, mono, g): row}
+        self._memo = Memo(self._pair_mono)
+        ops = self._ops
+        self._flipped = Memo(lambda key: ops[key[0]].coproduct_mono(key[1]).flip_adjacent(0))
+        self._rows = Memo(self._row)
 
     def coproduct(self, side: int, mono) -> TensorElement:
         """Delta^conv of a monomial of H (side 0) or of K (side 1)."""
         if not self._flips[side]:
             return self._ops[side].coproduct_mono(mono)
-        key = (side, mono)
-        got = self._flipped.get(key)
-        if got is None:
-            got = self._flipped[key] = self._ops[side].coproduct_mono(mono).flip_adjacent(0)
-        return got
+        return self._flipped[side, mono]
 
     # -- monomial pairing -----------------------------------------------------
     def pair_mono(self, mh, mk) -> Scalar:
-        key = (tuple(mh), tuple(mk))
-        got = self._memo.get(key)
-        if got is None:
-            got = self._pair_mono(key[0], key[1])
-            self._memo[key] = got
-        return got
+        return self._memo[mh, mk]
 
-    def _pair_mono(self, mh, mk) -> Scalar:
-        H, K, N = self.H, self.K, self.N
+    def _pair_mono(self, key) -> Scalar:
+        (mh, mk), H, K, N = key, self.H, self.K, self.N
         if H.monomial_parity(mh) != K.monomial_parity(mk):
             return Scalar.zero(N)
         lh, lk = sum(mh), sum(mk)
@@ -148,20 +146,17 @@ class Pairing:
         return self.pair_split(1, mk, word[0], self.H.word_to_monomial(word[1:]), self.N)
 
     # -- coproduct rows contracted on their first leg ------------------------------
-    def row(self, side: int, mono, g: int) -> list:
-        """(y2, <y1, g> c) over the terms c y1 (x) y2 of Delta^conv(mono) whose
-        <y1, g> is not skipped; mono is on ``side``, g indexes a generator of
-        the other side."""
-        key = (side, tuple(mono), g)
-        row = self._rows.get(key)
-        if row is None:
-            g_mono = self._engines[1 - side].word_to_monomial((g,))
-            row = []
-            for (y1, y2), c in self.coproduct(side, key[1]).terms.items():
-                first = self.pair_mono(y1, g_mono) if side == 0 else self.pair_mono(g_mono, y1)
-                if not _droppable(first, self.N):
-                    row.append((y2, first * c))
-            self._rows[key] = row
+    def _row(self, key) -> list:
+        """The row of key = (side, mono, g): (y2, <y1, g> c) over the terms
+        c y1 (x) y2 of Delta^conv(mono) whose <y1, g> is not skipped; mono is
+        on ``side``, g indexes a generator of the other side."""
+        side, mono, g = key
+        g_mono = self._engines[1 - side].word_to_monomial((g,))
+        row = []
+        for (y1, y2), c in self.coproduct(side, mono).terms.items():
+            first = self.pair_mono(y1, g_mono) if side == 0 else self.pair_mono(g_mono, y1)
+            if not _droppable(first, self.N):
+                row.append((y2, first * c))
         return row
 
     def pair_split(self, side: int, mono, g: int, rest, order=None) -> Scalar:
@@ -171,7 +166,7 @@ class Pairing:
         skipped is (-1)^{|g||rest|}, so it is applied once, to the sum."""
         N, other = self.N, self._engines[1 - side]
         out = Scalar.zero(order)
-        for y2, v in self.row(side, mono, g):
+        for y2, v in self._rows[side, mono, g]:
             second = self.pair_mono(y2, rest) if side == 0 else self.pair_mono(rest, y2)
             if not _droppable(second, N):
                 out = out + (v * second).truncate(order)
@@ -181,7 +176,7 @@ class Pairing:
         """Whether a term of ``pair_split(side, mono, g, rest)`` is not
         skipped.  Its pairing values up to the first such term are computed."""
         pair, N = self.pair_mono, self.N
-        row = self.row(side, mono, g)
+        row = self._rows[side, mono, g]
         if side == 0:
             return any(not _droppable(pair(y2, rest), N) for y2, _ in row)
         return any(not _droppable(pair(rest, y2), N) for y2, _ in row)
@@ -285,16 +280,13 @@ def _consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
                         return fails
     # dual side: <x, g*f> = <Delta_H^conv x, g (x) f> for generator g
     gens = [(g, gg, K.word_to_monomial((g,))) for g, gg in enumerate(K.gen_names)]
-    products: dict = {}  # {(g, f): (g*f, its skip floor)}
+    # {(g, f): (g*f, its skip floor)}
+    products = Memo(lambda key: (gf := K.product(*key), _floor(N, gf)))
     for mx in hb:
         x = {mx: one}
         for g, gg, mg in gens:
             for mf in kb:
-                got = products.get((g, mf))
-                if got is None:
-                    gf = K.product(mg, mf)
-                    got = products[(g, mf)] = (gf, _floor(N, gf))
-                gf, floor = got
+                gf, floor = products[mg, mf]
                 if not (_survives(p, x, gf, floor) or p.split_survives(0, mx, g, mf)):
                     continue
                 diff = p.pair_terms(x, gf, floor) - p.pair_split(0, mx, g, mf)
@@ -307,25 +299,20 @@ def _consistency_failures(p: Pairing, max_degree: int, limit: int = 1):
 
 
 def calibrate(cutoffs: Cutoffs = Cutoffs(4, 8), alpha2: bool = True, max_degree: int = 3):
-    """Try all four coproduct conventions; return those that are consistent.
-
-    Only the pairing table depends on the convention, so the four pairings
-    share one HopfOps per side."""
-    h_ops, k_ops = _standard_ops(cutoffs, alpha2)
-    good = []
-    for fd in (True, False):
-        for fp in (True, False):
-            conv = PairingConvention(fd, fp)
-            if not _consistency_failures(shared_pairing(h_ops, k_ops, conv),
-                                         max_degree, limit=1):
-                good.append(conv)
-    return good
+    """The coproduct conventions, of all four, that are consistent, as a list:
+    the process's lock for the standard pair at ``cutoffs`` (``shared_lock``)."""
+    return list(shared_lock(*_standard_ops(cutoffs, alpha2), max_degree))
 
 
-def duality_conventions(max_degree: int, alpha2: bool = True) -> list:
-    """The consistent conventions verify_duality locks one of at max_degree,
-    whatever its cutoffs: a re-run at other cutoffs may be handed them."""
-    return calibrate(Cutoffs(4, max(8, max_degree + 2)), alpha2=alpha2)
+@shared
+def shared_lock(h_ops: HopfOps, k_ops: HopfOps, max_degree: int, /) -> tuple:
+    """The conventions under which the pairing of ``h_ops`` and ``k_ops`` is
+    consistent up to ``max_degree`` (see ``shared``).  Only the pairing table
+    depends on the convention, so the four pairings share one HopfOps per
+    side."""
+    conventions = [PairingConvention(fd, fp) for fd in (True, False) for fp in (True, False)]
+    return tuple(conv for conv in conventions if not _consistency_failures(
+        shared_pairing(h_ops, k_ops, conv), max_degree, limit=1))
 
 
 def _certification_failure(p: Pairing, max_degree: int) -> str | None:
@@ -369,13 +356,16 @@ def _certification_failure(p: Pairing, max_degree: int) -> str | None:
 
 
 def verify_duality(cutoffs: Cutoffs = Cutoffs(), max_degree: int = 6,
-                   alpha2: bool = True, conventions=None) -> VerificationReport:
-    """Full duality certification for (ptsa_q, brst_q at the dual scaling);
-    ``conventions`` defaults to ``duality_conventions(max_degree, alpha2)``."""
+                   alpha2: bool = True) -> VerificationReport:
+    """Full duality certification for (ptsa_q, brst_q at the dual scaling).
+
+    The convention is locked at Cutoffs(4, max(8, max_degree + 2)) and degree
+    3, whatever the check's own cutoffs, so a re-run at bumped cutoffs finds
+    the same lock kept (``calibrate``)."""
     with VerificationReport.timed(
             "duality", f"ptsa_q / {'brst_q_alpha2' if alpha2 else 'brst_q'}",
             {**cutoffs.as_dict(), "D": max_degree}) as rep:
-        convs = conventions if conventions is not None else duality_conventions(max_degree, alpha2)
+        convs = calibrate(Cutoffs(4, max(8, max_degree + 2)), alpha2)
         if not convs:
             p = standard_pair(cutoffs, alpha2=alpha2)
             fails = _consistency_failures(p, 2, limit=1)

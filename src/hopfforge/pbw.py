@@ -32,15 +32,16 @@ under further products, comparing integers only.
 A monomial's parity, weight, central degree and centrality (every letter a
 central generator, the unit included) are pure functions of it, so each
 engine memoizes them (``parity_of``, ``weight_of``, ``central_degree_of``,
-``central_of``: dicts filled on first lookup).  The product cache holds one entry per (ma, mb):
-the terms of the normal form of ma*mb, both as a {monomial: coefficient} dict
-(``Engine.product``) and as (monomial, coefficient, central degree, unit)
-tuples (``Engine.product_terms``), which tensor products read.  A product of
-elements is one of them: ``Engine.multiply`` is the one-leg
-``tensors.tensor_mul``, so this module has no pair loop of its own.  The unit
-flag is ``Scalar.is_unit(N)``: the coefficient is the exact 1 or
-1 + O(h^(t+1)) with t >= N, so a pole-free coefficient times it, truncated
-at h^N, is unchanged.  Normal-form coefficients are pole-free (rule tails
+``central_of``: ``shared.Memo``s, filled on first lookup).  The product cache,
+a Memo too, holds one entry per (ma, mb): the terms of the normal form of
+ma*mb as (monomial, coefficient, central degree, unit) tuples, which tensor
+products and ``multiply_legs`` read from the cache itself
+(``Engine.product_terms`` returns the entry); ``Engine.product`` builds their
+{monomial: coefficient} dict when asked.  A product of elements is one of
+them: ``Engine.multiply`` is the one-leg ``tensors.tensor_mul``, so this
+module has no pair loop of its own.  The unit flag is ``Scalar.is_unit(N)``:
+the coefficient is the exact 1 or 1 + O(h^(t+1)) with t >= N, so a pole-free
+coefficient times it, truncated at h^N, is unchanged.  Normal-form coefficients are pole-free (rule tails
 are checked to be), so most leg coefficients are such units.
 """
 
@@ -56,7 +57,7 @@ from .lang import (Add, Div, Gen, HVar, Mul, Neg, Node, Num, Param, Pow, SeriesC
                    expr_to_text)
 from .presentation import EVEN, ODD, HopfPresentation, PresentationError
 from .scalars import Scalar, ScalarError, _series_coeff
-from .shared import shared
+from .shared import Memo, shared
 
 __all__ = ["Cutoffs", "RewriteError", "LinearCombination", "PbwElement", "Engine",
            "shared_engine"]
@@ -200,7 +201,7 @@ class LinearCombination:
         engines = target if isinstance(target, tuple) else (target,)
         if len(engines) != len(self.engines):
             raise PresentationError("leg mismatch")
-        moves = [(dst.index_map(src), dst.n) for src, dst in zip(self.engines, engines)]
+        moves = [(dst.index_map[src], dst.n) for src, dst in zip(self.engines, engines)]
         terms = {}
         for k, c in self.terms.items():
             legs = []
@@ -284,19 +285,22 @@ class Engine:
                                         "the value has a pole in h")
             self._bound[name] = value
         self._rules: dict = {}
-        self._product_cache: dict = {}
+        self._product_cache = Memo(self._fill_product)
+        # not a Memo: an entry computed at one order serves every lower order
         self._right_cache: dict = {}
-        self._index_maps: dict = {}
+        # {engine: position in this engine of each of its generators, by name};
+        # a name this engine lacks raises UnknownGeneratorError
+        self.index_map = Memo(lambda src: tuple(map(presentation.gen_index, src.gen_names)))
         # pure functions of a monomial, memoized: {monomial: invariant}
         odd = tuple(p == ODD for p in self.parities)
         central = tuple(d if c else 0 for d, c in zip(self.degrees, self.central))
-        self.parity_of = _Memo(lambda m: sum(itertools.compress(m, odd)) % 2)
-        self.central_degree_of = _Memo(lambda m: sum(map(mul, m, central)))
+        self.parity_of = Memo(lambda m: sum(itertools.compress(m, odd)) % 2)
+        self.central_degree_of = Memo(lambda m: sum(map(mul, m, central)))
         noncentral = tuple(not c for c in self.central)
-        self.central_of = _Memo(lambda m: not any(itertools.compress(m, noncentral)))
+        self.central_of = Memo(lambda m: not any(itertools.compress(m, noncentral)))
         self._build_rules()
-        self.weight = self._find_weight()
-        self.weight_of = _Memo(lambda m: sum(map(mul, m, self.weight)))
+        self.weight = weight = self._find_weight()
+        self.weight_of = Memo(lambda m: sum(map(mul, m, weight)))
         self.weight_ratio = max((Fraction(w, d) for w, d in zip(self.weight, self.degrees) if d),
                                 default=Fraction(0))
 
@@ -315,15 +319,6 @@ class Engine:
             return self.zero()
         mono = tuple(1 if j == i else 0 for j in range(self.n))
         return PbwElement(self, {mono: Scalar.one()})
-
-    def index_map(self, src: "Engine") -> tuple:
-        """Position in this engine of each generator of ``src``, by name;
-        a name this engine lacks raises UnknownGeneratorError."""
-        got = self._index_maps.get(src)
-        if got is None:
-            got = tuple(self.presentation.gen_index(g) for g in src.gen_names)
-            self._index_maps[src] = got
-        return got
 
     def monomial_parity(self, mono) -> int:
         return self.parity_of[mono]
@@ -574,25 +569,24 @@ class Engine:
                 return i
         return None
 
-    def _fill_product(self, ma, mb) -> tuple:
-        """Compute and cache the entry for ma*mb: the terms {monomial:
-        coefficient} of its normal form, and the same terms as (monomial,
-        coefficient, central degree, unit) tuples."""
+    def _fill_product(self, key) -> tuple:
+        """The product cache's entry for key = (ma, mb): the terms of the
+        normal form of ma*mb as (monomial, coefficient, central degree, unit)
+        tuples; unit is ``c.is_unit(N)``."""
+        ma, mb = key
         terms = self.normal_form(self.monomial_to_word(ma) + self.monomial_to_word(mb)).terms
         central, N = self.central_degree_of, self.cutoffs.h_order
-        entry = self._product_cache[(ma, mb)] = (
-            terms, tuple((m, c, central[m], c.is_unit(N)) for m, c in terms.items()))
-        return entry
+        return tuple((m, c, central[m], c.is_unit(N)) for m, c in terms.items())
 
     def product(self, ma, mb) -> dict:
-        """The terms {monomial: coefficient} of the normal form of ma*mb,
-        memoized per (ma, mb).  Shared with the cache: do not mutate."""
-        return (self._product_cache.get((ma, mb)) or self._fill_product(ma, mb))[0]
+        """The terms {monomial: coefficient} of the normal form of ma*mb, a new
+        dict built from the cached entry."""
+        return {m: c for m, c, _, _ in self._product_cache[ma, mb]}
 
     def product_terms(self, ma, mb) -> tuple:
-        """The same terms as (monomial, coefficient, central degree, unit)
-        tuples, from the same cache entry; unit is ``c.is_unit(N)``."""
-        return (self._product_cache.get((ma, mb)) or self._fill_product(ma, mb))[1]
+        """The cached terms of ma*mb as (monomial, coefficient, central degree,
+        unit) tuples (``_fill_product``)."""
+        return self._product_cache[ma, mb]
 
     def multiply(self, a: PbwElement, b: PbwElement) -> PbwElement:
         """ab for two elements of this engine: the one-leg ``tensor_mul``."""
@@ -841,20 +835,6 @@ class Engine:
 def shared_engine(presentation: HopfPresentation, cutoffs: Cutoffs, /) -> Engine:
     """The process's Engine on ``presentation`` at ``cutoffs`` (see ``shared``)."""
     return Engine(presentation, cutoffs)
-
-
-class _Memo(dict):
-    """{key: fn(key)}, each value computed on its first lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def _clean(terms: dict) -> dict:

@@ -10,6 +10,8 @@ on, and failures carry the first residual term.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .double import Double
 from .hopf import first_residual, shared_ops
 from .pairing import _h_basis, standard_pair
@@ -48,22 +50,16 @@ class RMatrixContext:
         self.dbl = Double(standard_pair(cut))
         self.engine = self.dbl.engine
         self.ops = shared_ops(self.engine)
-        self._canonical = None
-        self._audit_context = None
 
-    @property
+    @cached_property
     def canonical(self) -> TensorElement:
         """The canonical R; the checks read it and never mutate it."""
-        if self._canonical is None:
-            self._canonical = _canonical_element(self)
-        return self._canonical
+        return _canonical_element(self)
 
-    @property
+    @cached_property
     def audit_context(self) -> "RMatrixContext":
         """The context at (D+1, N+1) that checks re-run in at bumped cutoffs."""
-        if self._audit_context is None:
-            self._audit_context = RMatrixContext(self.degree + 1, self.h_order + 1)
-        return self._audit_context
+        return RMatrixContext(self.degree + 1, self.h_order + 1)
 
     @property
     def report_cutoffs(self) -> dict:

@@ -49,6 +49,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
+from .shared import Memo
+
 __all__ = ["ScalarError", "ParamPoly", "Scalar", "series_fn", "gauss_jordan"]
 
 Q0 = Fraction(0)
@@ -57,13 +59,23 @@ Q1 = Fraction(1)
 # key of a parameter monomial: sorted tuple of (parameter name, positive exponent)
 PPKey = tuple
 
-# the memo of _mono_mul: a pure function of monomials in the few parameters
-# of the loaded presentations, at the low degrees truncation leaves
-_MONO_PRODUCTS: dict = {}
 
 
 class ScalarError(ArithmeticError):
     """Raised for invalid scalar operations (bad division, bad series argument)."""
+
+
+def _mono_product(key) -> PPKey:
+    a, b = key
+    d = dict(a)
+    for name, e in b:
+        d[name] = d.get(name, 0) + e
+    return tuple(sorted(d.items()))
+
+
+# the memo of _mono_mul: a pure function of monomials in the few parameters
+# of the loaded presentations, at the low degrees truncation leaves
+_MONO_PRODUCTS = Memo(_mono_product)
 
 
 def _mono_mul(a: PPKey, b: PPKey) -> PPKey:
@@ -72,13 +84,7 @@ def _mono_mul(a: PPKey, b: PPKey) -> PPKey:
         return b
     if not b:
         return a
-    m = _MONO_PRODUCTS.get((a, b))
-    if m is None:
-        d = dict(a)
-        for name, e in b:
-            d[name] = d.get(name, 0) + e
-        m = _MONO_PRODUCTS[(a, b)] = tuple(sorted(d.items()))
-    return m
+    return _MONO_PRODUCTS[a, b]
 
 
 class ParamPoly:

@@ -135,7 +135,9 @@ class TensorElement(LinearCombination):
         eng = self.engines[pos]
         if self.engines[pos + 1] is not eng:
             raise PresentationError("leg mismatch")
-        return map_legs(self, pos, 2, lambda a, b: leg_terms(eng.product(a, b)), (eng,))
+        products = eng._product_cache
+        return map_legs(self, pos, 2, lambda a, b: {(m,): c for m, c, _, _ in products[a, b]},
+                        (eng,))
 
     def expand_leg(self, pos: int, fn) -> "TensorElement":
         """Replace leg pos by the two legs of fn(monomial), an even map into the
@@ -159,11 +161,12 @@ def map_legs(el, pos: int, width: int, image, engines):
     key of ``image(*those legs)``, a {legs tuple: coefficient} dict over
     ``engines``, with the key's coefficient times the image's.
 
-    The sum is the fold ``out + image.scale(c)``: each product is truncated
-    at N and a zero product is skipped, a key whose total central degree
-    exceeds W is dropped (it lies in the quotiented ideal), and a key whose
-    sum is zero is removed (a later term puts it back at the end).  With one
-    leg left the result is a PbwElement.
+    Products are summed as ``_sum_pairs`` sums them: each is truncated at N
+    and skipped only when it is a zero known to h^N (``pbw._droppable``), so
+    a zero known below h^N keeps its key's place and lowers that key's
+    ``trunc``; a key whose total central degree exceeds W is dropped (it lies
+    in the quotiented ideal), and a key whose sum is zero is dropped once, at
+    the end.  With one leg left the result is a PbwElement.
     """
     end = pos + width
     inner = [e.central_degree_of for e in engines]
@@ -172,7 +175,9 @@ def map_legs(el, pos: int, width: int, image, engines):
     out = PbwElement(engines[0]) if len(engines) == 1 else TensorElement(engines)
     N = out.h_order
     W = min(e.cutoffs.word_degree for e in engines)
-    legs_of, key_of, terms = el._legs, out._key, out.terms
+    legs_of, key_of = el._legs, out._key
+    acc: dict = {}
+    get = acc.get
     for k, c in el.terms.items():
         legs = legs_of(k)
         head, tail = legs[:pos], legs[end:]
@@ -181,17 +186,12 @@ def map_legs(el, pos: int, width: int, image, engines):
             if sum(map(getitem, inner, ik)) > room:
                 continue
             s = (ic * c).truncate(N)
-            if s.is_zero():
+            if s.trunc >= N and s.is_zero():
                 continue
             key = key_of(head + ik + tail)
-            prev = terms.get(key)
-            if prev is not None:
-                s = prev + s
-                if s.is_zero():
-                    del terms[key]
-                    continue
-            terms[key] = s
-    return out
+            prev = get(key)
+            acc[key] = s if prev is None else prev + s
+    return out._new({k: c for k, c in acc.items() if not c.is_zero()})
 
 
 def leg_terms(terms: dict) -> dict:
@@ -354,7 +354,7 @@ def _sum_pairs(a, pairs):
     n = len(engines)
     N = min(e.cutoffs.h_order for e in engines)
     W = min(e.cutoffs.word_degree for e in engines)
-    products = [e.product_terms for e in engines]
+    products = [e._product_cache for e in engines]
     p1, p2, p3 = (products + [None, None])[:3]
     acc: dict = {}
     get = acc.get
@@ -362,19 +362,19 @@ def _sum_pairs(a, pairs):
         # a pair with an empty leg product (S*S where {S,S} = 0) adds
         # nothing, so its coefficients are not multiplied
         if n == 1:
-            l1 = p1(kx[0], ky[0])
+            l1 = p1[kx[0], ky[0]]
             if not l1:
                 continue
         elif n == 2:
-            l1, l2 = p1(kx[0], ky[0]), p2(kx[1], ky[1])
+            l1, l2 = p1[kx[0], ky[0]], p2[kx[1], ky[1]]
             if not (l1 and l2):
                 continue
         elif n == 3:
-            l1, l2, l3 = p1(kx[0], ky[0]), p2(kx[1], ky[1]), p3(kx[2], ky[2])
+            l1, l2, l3 = p1[kx[0], ky[0]], p2[kx[1], ky[1]], p3[kx[2], ky[2]]
             if not (l1 and l2 and l3):
                 continue
         else:
-            legs = [prod(x, y) for prod, x, y in zip(products, kx, ky)]
+            legs = [prod[x, y] for prod, x, y in zip(products, kx, ky)]
             if not all(legs):
                 continue
         if ux and fy:

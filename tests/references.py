@@ -8,9 +8,10 @@ a kernel under test (the one-leg ``tensor_mul``):
 
 * ``reference_tensor_mul`` multiplies two PbwElements or two TensorElements
   pair by pair and leg by leg;
-* ``reference_multiply_legs`` folds each key's leg product into the result,
-  ``out = out + piece.scale(c)``;
-* ``reference_map`` is the fold ``out = out + image.scale(c)`` of any leg map;
+* ``reference_map`` sums any leg map the way ``_sum_pairs`` sums products:
+  every image term times its key's coefficient, truncated at N, is added
+  unless it is a zero known to h^N, and zero sums are dropped at the end;
+  ``reference_multiply_legs`` is its map of the leg product;
 * ``reference_antipode`` is S of a monomial as its letters' images multiplied
   from the last letter to the first by ``reference_tensor_mul``, times the
   global sign (-1)^(C(odd, 2)) of reversing the word;
@@ -128,36 +129,34 @@ def _reference_distribute(acc, legs, c, N, W):
 
 def reference_multiply_legs(t, pos):
     eng = t.engines[pos]
-    engines = t.engines[:pos + 1] + t.engines[pos + 2:]
-    out = PbwElement(eng) if len(engines) == 1 else TensorElement(engines)
-    W = min(e.cutoffs.word_degree for e in engines)
-    for key, c in t.terms.items():
-        prod = reference_product(eng, key[pos], key[pos + 1])
-        head, tail = key[:pos], key[pos + 2:]
-        keys = ((head + (m,) + tail, v) for m, v in prod.terms.items())
-        piece = out._new({out._key(k): v for k, v in keys if not above_w(engines, k, W)})
-        out = out + piece.scale(c)
-    return out
+    return reference_map(t, pos, 2, lambda a, b: reference_product(eng, a, b), (eng,))
 
 
 def reference_map(el, pos, width, image, engines):
-    """The fold ``out = out + image.scale(c)`` of ``image(*legs)`` (an element
-    over ``engines``, or a Scalar when no leg is left) over the keys of ``el``."""
+    """The sum over the keys of ``el`` of ``image(*legs)`` (an element over
+    ``engines``, or a Scalar when no leg is left) with the other legs put
+    back, each term times the key's coefficient and truncated at N.  A term
+    that is a zero known to h^N is skipped and every other one is added, so a
+    zero known below h^N lowers its key's ``trunc``; a zero sum is dropped at
+    the end."""
     engines = el.engines[:pos] + engines + el.engines[pos + width:]
     out = PbwElement(engines[0]) if len(engines) == 1 else TensorElement(engines)
+    N = out.h_order
     W = min(e.cutoffs.word_degree for e in engines)
+    acc: dict = {}
     for k, c in el.terms.items():
         legs = el._legs(k)
         img = image(*legs[pos:pos + width])
         img_terms = {(): img} if isinstance(img, Scalar) else {
             img._legs(ik): ic for ik, ic in img.terms.items()}
-        terms = {}
         for ik, ic in img_terms.items():
             key = legs[:pos] + ik + legs[pos + width:]
-            if not above_w(engines, key, W):
-                terms[out._key(key)] = ic
-        out = out + out._new(terms).scale(c)
-    return out
+            s = (ic * c).truncate(N)
+            if above_w(engines, key, W) or known_zero(s, N):
+                continue
+            key = out._key(key)
+            acc[key] = acc[key] + s if key in acc else s
+    return out._new(_clean(acc))
 
 
 def reference_antipode(ops, mono):

@@ -3,7 +3,8 @@
 A pass is re-run at bumped cutoffs and its audit reads pass only if the re-run
 passes; any other status is never re-run and reads skipped.  The wiring tests
 replace each audited check in ``cli``'s namespace with one that records what it
-was given, passes on its first call and fails on its re-run.
+was given, passes on its first call and fails on its re-run; the duality test
+wraps the real check instead, to count the calibrations behind both runs.
 """
 
 from argparse import Namespace
@@ -11,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hopfforge import cli, report
+from hopfforge import cli, pairing, report
 from hopfforge.pbw import Cutoffs
 from hopfforge.report import FAIL, FINDING, PASS, VerificationReport, audited
 
@@ -82,15 +83,27 @@ def test_hopf_reruns_at_bumped_cutoffs(monkeypatch, entry):
 
 
 def test_duality_reruns_at_bumped_cutoffs_and_the_same_degree(monkeypatch):
-    # the conventions are locked once, and the re-run is handed them
-    calls, locks, locked = [], [], ["a convention"]
-    monkeypatch.setattr(cli, "duality_conventions", lambda degree: locks.append(degree) or locked)
-    monkeypatch.setattr(cli, "verify_duality", _pass_then_fail(
-        calls, lambda cut, max_degree, conventions: (cut, max_degree, conventions is locked)))
-    [r] = cli.run_entry(ARGS, ("duality", False))
-    assert locks == [6]
-    assert calls == [(CUT, 6, True), (CUT.bumped(), 6, True)]
-    assert r.audit == "fail"
+    # the re-run finds the convention lock the main run computed: the four
+    # conventions are calibrated once, at the lock's degree 3, for both runs
+    calls, calibrated = [], []
+    real_verify, real_failures = cli.verify_duality, pairing._consistency_failures
+
+    def verify(cut, max_degree):
+        calls.append((cut, max_degree))
+        return real_verify(cut, max_degree=max_degree)
+
+    def failures(p, max_degree, limit):
+        if max_degree == 3:
+            calibrated.append(p.convention)
+        return real_failures(p, max_degree, limit)
+
+    monkeypatch.setattr(cli, "verify_duality", verify)
+    monkeypatch.setattr(pairing, "_consistency_failures", failures)
+    args = Namespace(h_order=2, word_cutoff=4, tensor_degree=0, seed=0)
+    [r] = cli.run_entry(args, ("duality", False))
+    assert calls == [(Cutoffs(2, 4), 2), (Cutoffs(3, 6), 2)]
+    assert len(calibrated) == len(set(calibrated)) == 4
+    assert (r.status, r.audit) == (PASS, "pass")
 
 
 def test_double_reruns_at_bumped_cutoffs(monkeypatch):

@@ -426,7 +426,7 @@ def _reports(code, out):
     return code, _without_wall_time(out)
 
 
-@pytest.mark.parametrize("workload", ["catalog", "double"])
+@pytest.mark.parametrize("workload", ["catalog", "double", "rmatrix"])
 def test_commands_sharing_one_process_report_as_fresh_ones(capsys, workload):
     argvs = _workload_argvs(workload)
     src = Path(__file__).resolve().parent.parent / "src"

@@ -1,16 +1,18 @@
 """Every leg and monomial map is the one kernel ``tensors.map_legs``.
 
-``references.reference_map`` is the fold ``out = out + image.scale(c)``: for
-each key of the element, the image of its mapped legs with the other legs put
-back and the keys of total central degree above W removed, scaled by the
-key's coefficient and added.  The images are read from the public monomial
+``references.reference_map`` sums as the product kernel does: for each key of
+the element, the image of its mapped legs with the other legs put back and
+the keys of total central degree above W removed, each term times the key's
+coefficient, truncated at N and added unless it is a zero known to h^N, and
+the zero sums dropped at the end.  The images are read from the public monomial
 maps (``references.reference_product`` for the product), and the central
 degrees from the generator data.  Each of the seven maps built on the
 kernel must give the same keys in the same order as that fold, with
 coefficients in the same canonical storage.  The drawn coefficients have
 poles, and some are zeros known only to O(h^(t+1)); some terms come with a
-leg-reversed, negated twin whose image cancels theirs.  So a kept zero
-product, a kept zero sum or a missing W prune shows as a difference.
+leg-reversed, negated twin whose image cancels theirs.  So a skipped zero
+known below h^N, a kept zero known to h^N, a kept zero sum or a missing W
+prune shows as a difference.
 """
 
 from fractions import Fraction as F
@@ -21,7 +23,7 @@ from hopfforge.pbw import PbwElement
 from hopfforge.scalars import Scalar
 from hopfforge.tensors import TensorElement
 
-from references import identical, reference_map, reference_product
+from references import identical, reference_map, reference_product, same_scalar
 from test_window import ENGINES, SETTINGS, hopf_ops
 
 
@@ -93,10 +95,15 @@ def test_the_three_drop_rules_on_hand_built_tensors():
     ops = hopf_ops("sd_line")
     eng = ops.engine
     one, T, t_above_w = (0,) * eng.n, (0, 0, 0, 1), (0, 0, 0, eng.cutoffs.word_degree + 1)
+    N = eng.cutoffs.h_order
     assert eng.gen_names[3] == "T" and eng.central[3]
     cases = [
-        # a zero known to O(h^1) times an image is skipped, not added to T
-        ({(T, one): Scalar.one(), (one, T): Scalar.zero(0)}, "multiply_legs", eng.product(T, one)),
+        # a zero known to O(h^1), below N, times an image is added to T
+        ({(T, one): Scalar.one(), (one, T): Scalar.zero(0)}, "multiply_legs",
+         {T: Scalar.one().truncate(0)}),
+        # a zero known to h^N times an image is skipped, and leaves T known to h^N
+        ({(T, one): Scalar.one(), (one, T): Scalar.zero(N)}, "multiply_legs",
+         {T: Scalar.one().truncate(N)}),
         # T*1 - 1*T is a zero sum, and dropped
         ({(T, one): Scalar.one(), (one, T): -Scalar.one()}, "multiply_legs", {}),
         # the kept leg alone is above W
@@ -109,3 +116,18 @@ def test_the_three_drop_rules_on_hand_built_tensors():
         got = method(t, 0)
         identical(got, reference_map(t, 0, width, image, engines))
         identical(got, PbwElement(eng, want))
+
+
+def test_a_leg_product_sums_a_zero_known_below_h_to_the_n_as_multiply_does():
+    # ptsa_q at (N, W) = (3, 6): T (x) 1 with 1 and 1 (x) T with 0 + O(h^2)
+    # multiply to T with 1 + O(h^2), the coefficient of T in the product of
+    # 1 + (0 + O(h^2))*T and T + 1, which sums the same two terms
+    eng = hopf_ops("ptsa_q").engine
+    assert eng.gen_names == ("S", "T") and eng.cutoffs.h_order == 3
+    one, T, lossy = (0, 0), (0, 1), Scalar.zero(1)
+    t = TensorElement((eng, eng), {(T, one): Scalar.one(), (one, T): lossy})
+    got = t.multiply_legs(0)
+    identical(got, PbwElement(eng, {T: Scalar.one().truncate(1)}))
+    product = eng.multiply(PbwElement(eng, {one: Scalar.one(), T: lossy}),
+                           PbwElement(eng, {T: Scalar.one(), one: Scalar.one()}))
+    same_scalar(got.terms[T], product.terms[T])

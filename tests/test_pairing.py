@@ -6,7 +6,7 @@ import pytest
 from hopfforge.hopf import HopfOps
 from hopfforge.pairing import (STANDARD_SEED, Pairing, PairingConvention, _certification_failure,
                                _consistency_failures, _h_basis, _standard_ops, calibrate,
-                               standard_pair, verify_duality)
+                               shared_lock, standard_pair, verify_duality)
 from hopfforge.pbw import Cutoffs, Engine, PbwElement, _droppable
 from hopfforge.presentation import emit_presentation, load_presentation, parse_presentation
 from hopfforge.scalars import Scalar, gauss_jordan
@@ -339,6 +339,18 @@ def test_calibration_unique_for_dual_scaling():
 
 def test_no_convention_for_literal_scaling():
     assert calibrate(alpha2=False) == []
+
+
+def test_the_lock_is_kept_per_pair_of_hopf_ops():
+    # a mutated file has its own HopfOps, and so its own lock
+    ops = _standard_ops(Cutoffs(4, 8), True)
+    locked = shared_lock(*ops, 3)
+    assert locked == (PairingConvention(True, False),)
+    assert calibrate(alpha2=True) == list(locked) and shared_lock(*ops, 3) is locked
+    mutated = _mutated_ops("brst_q_alpha2", "(h/sinh(h))*xi (x) xi", "(2*h/sinh(h))*xi (x) xi",
+                           Cutoffs(4, 8))
+    assert shared_lock(*mutated, 3) == ()
+    assert shared_lock(*ops, 3) is locked
 
 
 def test_verify_duality_passes_dual_scaling():
