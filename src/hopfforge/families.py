@@ -6,27 +6,33 @@ Every check compares ``structure()`` extractions label by label with
 coproduct, counit and antipode, at a point, a limit or the first h-order.
 
 The h -> 1 endpoint cannot be reached inside truncated series, so that check
-evaluates sd_line's expressions with ``Engine._eval`` in the exact domain
-``AtH1``: h becomes 1, sinh(h) the symbol sinh(1), and a factor (1-h) zero.
+rewrites sd_line's expressions before evaluating them (``at_h1``): h becomes
+1, and sinh(h) a parameter that stands for the indeterminate sinh(1), so a
+factor (1-h) is zero.  The engine's own Scalars do the arithmetic, with the
+family's parameters symbolic.  A residual there is a polynomial in sinh(1)
+and the parameters, and since sinh(1) is transcendental (Hermite, 1873: e
+would be a root of x^2 - 2*sinh(1)*x - 1), it vanishes only as the zero
+polynomial.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .bialgebra import compare_bialgebras, from_family
 from .hopf import differences, structure, verify_hopf
-from .lang import HVar
-from .pbw import Cutoffs, shared_engine
+from .lang import HVar, Node, Num, Param, SeriesCall, ast_map, expr_to_text
+from .pbw import Cutoffs, Engine, shared_engine
 from .presentation import HopfPresentation, PresentationError, load_presentation
 from .report import PASS, VerificationReport
 from .scalars import Scalar
 from .tensors import evaluate_tensor, tensor_of
 
 __all__ = ["FAMILY_IDS", "instantiate", "structure", "differences", "structural_compare",
-           "compare_limit_with", "verify_h1_limit", "verify_deforming_field",
-           "verify_newquant_consistency", "verify_alpha_arbitrariness",
-           "verify_family_relations"]
+           "compare_limit_with", "NotClosedForm", "h1_engine", "at_h1", "verify_h1_limit",
+           "verify_deforming_field", "verify_newquant_consistency",
+           "verify_alpha_arbitrariness", "verify_family_relations"]
 
 FAMILY_IDS = ("sd_hp", "sd_line", "d0_variety", "d1_variety", "variety_3d",
               "newquant", "h0_point", "h1_point")
@@ -123,94 +129,62 @@ class NotClosedForm(PresentationError):
     pass
 
 
-class AtH1:
-    """An exact value q * sinh(1)^p at h = 1, q rational: the coefficient
-    domain in which ``Engine._eval`` takes an expression to h = 1.
+SINH1 = "sinh(1)"  # a parameter name that no presentation file can declare
 
-    sinh(h) becomes the symbol sinh(1), and a factor (1-h) zero.  A series
-    function of another nonzero value, a sum of two powers of sinh(1), a
-    denominator that vanishes at h = 1 and a sinh(1) left in a final
-    coefficient raise NotClosedForm.
+
+def h1_engine(endpoint: HopfPresentation, cutoffs: Cutoffs) -> Engine:
+    """An engine on ``endpoint`` with one more parameter, ``SINH1``, that
+    stands for the indeterminate sinh(1): the engine ``at_h1`` evaluates in."""
+    return Engine(replace(endpoint, params=endpoint.params + (SINH1,)), cutoffs)
+
+
+def _h_to_1(node: Node) -> Node:
+    if isinstance(node, HVar):
+        return Num(Fraction(1))
+    if node == SeriesCall("sinh", Num(Fraction(1))):
+        return Param(SINH1)
+    return node
+
+
+def at_h1(engine: Engine, node: Node, legs: int | None = None):
+    """The value of ``node`` at h = 1 in an ``h1_engine``, as a PbwElement, or
+    a TensorElement with ``legs`` set.
+
+    h becomes 1 and sinh(h) the parameter ``SINH1``, so a factor (1-h) is
+    zero.  Any other series function of a nonzero constant, a division that
+    is undefined at h = 1 and a sinh(1) left in the value raise NotClosedForm.
     """
+    at = ast_map(node, _h_to_1)
+    try:
+        value = engine.evaluate(at) if legs is None else evaluate_tensor(engine, at, legs)
+    except PresentationError as e:
+        raise NotClosedForm(f"{expr_to_text(node)} at h=1: {e}") from None
+    if any(SINH1 in c.names() for c in value.terms.values()):
+        raise NotClosedForm(f"{expr_to_text(node)} at h=1: sinh(1) survives in a coefficient")
+    return value
 
-    __slots__ = ("q", "p")
 
-    def __init__(self, q, p: int = 0):
-        self.q = Fraction(q)
-        self.p = p if q else 0
-
-    @staticmethod
-    def from_fraction(q) -> "AtH1":
-        return AtH1(q)
-
-    @staticmethod
-    def h() -> "AtH1":
-        return AtH1(1)
-
-    @staticmethod
-    def param(name: str):
-        raise NotClosedForm(f"free parameter {name} at h=1")
-
-    @staticmethod
-    def series(fn: str, arg: "AtH1", order: int) -> "AtH1":
-        if arg.p:
-            raise NotClosedForm("series function of a sinh(1)-carrying argument")
-        if not arg.q:
-            return AtH1(0 if fn == "sinh" else 1)
-        if fn == "sinh" and arg.q == 1:
-            return AtH1(1, 1)
-        raise NotClosedForm(f"{fn}({arg.q}) at h=1 is not rational")
-
-    @staticmethod
-    def from_scalar(s: Scalar) -> "AtH1":
-        if s.exponents() not in ([], [0]) or s.names():
-            raise NotClosedForm(f"coefficient {s!r} depends on h or a parameter at h=1")
-        return AtH1(s.coeff(0).constant)
-
-    def to_scalar(self, order: int) -> Scalar:
-        if self.p:
-            raise NotClosedForm(f"sinh(1)^{self.p} survives in a coefficient at h=1")
-        return Scalar.from_fraction(self.q, trunc=order)
-
-    def is_zero(self) -> bool:
-        return not self.q
-
-    def truncate(self, order) -> "AtH1":
-        return self
-
-    def __neg__(self) -> "AtH1":
-        return AtH1(-self.q, self.p)
-
-    def __add__(self, other: "AtH1") -> "AtH1":
-        if self.q and other.q and self.p != other.p:
-            raise NotClosedForm("sum mixes sinh(1) powers at h=1")
-        return AtH1(self.q + other.q, self.p or other.p)
-
-    def __mul__(self, other: "AtH1") -> "AtH1":
-        return AtH1(self.q * other.q, self.p + other.p)
-
-    def div(self, other: "AtH1") -> "AtH1":
-        if not other.q:
-            raise NotClosedForm("division by a factor vanishing at h=1")
-        return AtH1(self.q / other.q, self.p - other.p)
+def _h1_differences(family: HopfPresentation, endpoint: Engine) -> list:
+    """``family`` at h = 1, factor by factor, against ``endpoint``'s structure."""
+    wide = h1_engine(endpoint.presentation, endpoint.cutoffs)
+    want = _brackets_and_coproducts(structure(endpoint))
+    got = {f"coproduct of {g}": at_h1(wide, family.structure_map("coproduct", g), 2)
+           for g in endpoint.gen_names}
+    for i, a in enumerate(endpoint.gen_names):
+        for b in endpoint.gen_names[i:]:
+            rel = family.bracket(a, b)
+            if rel is not None:
+                # compare in the orientation the relation was written in
+                got[f"bracket ({a},{b})"] = at_h1(wide, rel.rhs)
+                want[f"bracket ({a},{b})"] = endpoint.graded_commutator(rel.a, rel.b)
+    return differences(got, want, "at h=1")
 
 
 def verify_h1_limit(cutoffs: Cutoffs = Cutoffs()) -> VerificationReport:
     """sd_line at h = 1, factor by factor, against the shipped endpoint."""
     with VerificationReport.timed("limit-h1", "sd_line -> h1_point", cutoffs.as_dict()) as rep:
-        line = load_presentation("sd_line")
-        teng = shared_engine(load_presentation("h1_point"), cutoffs)
-        want = _brackets_and_coproducts(structure(teng))
-        got = {f"coproduct of {g}": evaluate_tensor(
-            teng, line.structure_map("coproduct", g), domain=AtH1) for g in teng.gen_names}
-        for i, a in enumerate(teng.gen_names):
-            for b in teng.gen_names[i:]:
-                rel = line.bracket(a, b)
-                if rel is not None:
-                    # compare in the orientation the relation was written in
-                    got[f"bracket ({a},{b})"] = teng.evaluate(rel.rhs, AtH1)
-                    want[f"bracket ({a},{b})"] = teng.graded_commutator(rel.a, rel.b)
-        _judge(rep, differences(got, want, "at h=1"),
+        endpoint = shared_engine(load_presentation("h1_point"), cutoffs)
+        _judge(rep, _h1_differences(load_presentation("sd_line"), endpoint),
                "every composition lands on the endpoint: factors carrying (1-h) "
                "vanish, factors carrying h become 1, series arguments h*T/2 become T/2")
     return rep

@@ -56,7 +56,7 @@ from operator import add, attrgetter, getitem, mul, sub
 from .lang import (Add, Div, Gen, HVar, Mul, Neg, Node, Num, Param, Pow, SeriesCall, Tensor,
                    expr_to_text)
 from .presentation import EVEN, ODD, HopfPresentation, PresentationError
-from .scalars import Scalar, ScalarError, _series_coeff
+from .scalars import Scalar, ScalarError, _series_coeff, series_fn
 from .shared import Memo, shared
 
 __all__ = ["Cutoffs", "RewriteError", "LinearCombination", "PbwElement", "Engine",
@@ -638,9 +638,9 @@ class Engine:
         return PbwElement(self, _clean(terms))
 
     # -- expression evaluation ------------------------------------------------
-    def evaluate(self, node: Node, domain=Scalar) -> PbwElement:
-        """Evaluate an algebra-level expression AST to a PbwElement over ``domain``."""
-        return self.evaluate_words(self._words(node, domain))
+    def evaluate(self, node: Node) -> PbwElement:
+        """Evaluate an algebra-level expression AST to a PbwElement."""
+        return self.evaluate_words(self._words(node))
 
     def evaluate_words(self, words: dict) -> PbwElement:
         """The sum of the normal forms of c*w over ``words``' (w, c)."""
@@ -655,51 +655,50 @@ class Engine:
             raise PresentationError("expected a scalar expression")
         return words.get((), Scalar.zero(self.cutoffs.h_order))
 
-    def _words(self, node: Node, domain=Scalar, legs=None) -> dict:
+    def _words(self, node: Node, legs=None) -> dict:
         """The expression's words (tensor keys with ``legs``), not normalized,
         with nonzero Scalar coefficients at h-order N, evaluated with the bound
         parameters symbolic and then substituted.  An expression the series
         arithmetic rejects, such as sinh(2) or 0/0, is bad input."""
         try:
-            raw, den = self._eval(node, domain, legs)
+            raw, den = self._eval(node, legs)
             if den is not None:
                 raw = {w: c.div(den) for w, c in raw.items()}
         except ScalarError as e:
             raise PresentationError(f"cannot evaluate {expr_to_text(node)}: {e}") from None
         N = self.cutoffs.h_order
-        return _clean({w: c.to_scalar(N).substitute(self._bound) for w, c in raw.items()})
+        return _clean({w: c.truncate(N).substitute(self._bound) for w, c in raw.items()})
 
-    def _eval(self, node: Node, dom, legs):
+    def _eval(self, node: Node, legs):
         """Evaluate to (key -> coefficient, deferred denominator or None).
 
         Keys are raw words.  With ``legs`` set, a Tensor node of that many legs
         may appear in sums, in products with scalars and over scalars; its legs
-        are normalized once, and its keys are tuples of monomials.  The domain
-        ``dom`` is Scalar (truncated h-series) or a class with Scalar's
-        from_fraction, h, param, series and from_scalar, whose values have +,
-        -, *, div, is_zero, truncate and to_scalar.  Every parameter, bound or
-        not, is a symbol here, and a zero denominator is an error: 0*(0/0) too.
+        are normalized once, and its keys are tuples of monomials.
+        Coefficients are Scalars, truncated h-series carried to the margin
+        order.  Every parameter, bound or not, is a symbol here, and a zero
+        denominator is an error: 0*(0/0) too.
         """
         N = self._eval_order
         if isinstance(node, Num):
-            return ({(): dom.from_fraction(node.value)} if node.value else {}), None
+            return ({(): Scalar.from_fraction(node.value)} if node.value else {}), None
         if isinstance(node, HVar):
-            return {(): dom.h()}, None
+            return {(): Scalar.h()}, None
         if isinstance(node, (Param, Gen)) and (node.name in self.presentation.params
                                                or node.name in self._bound):
-            return {(): dom.param(node.name)}, None
+            return {(): Scalar.param(node.name)}, None
         if isinstance(node, Param):
             raise PresentationError(f"unbound parameter {node.name!r}")
         if isinstance(node, Gen):
-            return {(self.presentation.gen_index(node.name),): dom.from_fraction(1)}, None
+            return {(self.presentation.gen_index(node.name),): Scalar.one()}, None
         if isinstance(node, Neg):
-            raw, den = self._eval(node.arg, dom, legs)
+            raw, den = self._eval(node.arg, legs)
             return {w: -c for w, c in raw.items()}, den
         if isinstance(node, Add):
             total: dict = {}
             total_den = None
             for t in node.terms:
-                raw, den = self._eval(t, dom, legs)
+                raw, den = self._eval(t, legs)
                 if den is not None:
                     # fold invertible denominators immediately, defer the rest
                     try:
@@ -719,11 +718,11 @@ class Engine:
             return _clean(total), total_den
         if isinstance(node, (Mul, Pow)):
             if isinstance(node, Mul):
-                factors = [self._eval(f, dom, legs) for f in node.factors]
+                factors = [self._eval(f, legs) for f in node.factors]
             else:
                 # a power's base is evaluated once, even when the exponent is 0
-                factors = [self._eval(node.base, dom, None)] * node.exp
-            raw: dict = {(): dom.from_fraction(1)}
+                factors = [self._eval(node.base, None)] * node.exp
+            raw: dict = {(): Scalar.one()}
             den, tensors = None, []
             for fraw, fden in factors:
                 if fden is not None:
@@ -733,31 +732,31 @@ class Engine:
                 else:
                     raw = self._raw_mul(raw, fraw)
             if tensors:
-                scal = _as_scalar(raw, dom)
+                scal = _as_scalar(raw)
                 if scal is None or len(tensors) > 1:
                     raise PresentationError("expected scalar * tensor")
                 raw = _clean({k: (c * scal).truncate(N) for k, c in tensors[0].items()})
             return raw, den
         if isinstance(node, Div):
-            nraw, nden = self._eval(node.num, dom, legs)
-            draw, dden = self._eval(node.den, dom, None)
-            dscalar = _as_scalar(draw, dom)
+            nraw, nden = self._eval(node.num, legs)
+            draw, dden = self._eval(node.den, None)
+            dscalar = _as_scalar(draw)
             if dscalar is None:
                 raise PresentationError("division by a non-scalar expression")
             if dscalar.is_zero():
-                dscalar.div(dscalar)  # the domain's division-by-zero error
+                raise ScalarError("division by zero")
             if dden is not None:
                 # (a/d1) / (b/d2) = a d2 / (d1 b)
                 nraw = {w: c * dden for w, c in nraw.items()}
             den = dscalar if nden is None else nden * dscalar
             return nraw, den
         if isinstance(node, SeriesCall):
-            araw, aden = self._eval(node.arg, dom, None)
-            scal = _as_scalar(araw, dom)
+            araw, aden = self._eval(node.arg, None)
+            scal = _as_scalar(araw)
             if scal is not None:
                 if aden is not None:
                     scal = scal.div(aden)
-                return {(): dom.series(node.fn, scal, N)}, None
+                return {(): series_fn(node.fn, scal, order=N)}, None
             gens = {w for w in araw if w}
             if len(gens) != 1 or len(next(iter(gens))) != 1 or araw.get(()) not in (None,):
                 raise PresentationError(
@@ -766,16 +765,15 @@ class Engine:
             coeff = araw[(gi,)]
             if aden is not None:
                 coeff = coeff.div(aden)
-            el = self.central_series(node.fn, coeff.to_scalar(N), self.gen_names[gi], order=N)
-            return {self.monomial_to_word(m): dom.from_scalar(c) for m, c in el.terms.items()}, None
+            el = self.central_series(node.fn, coeff, self.gen_names[gi], order=N)
+            return {self.monomial_to_word(m): c for m, c in el.terms.items()}, None
         if isinstance(node, Tensor):
             if legs is None:
                 raise PresentationError("tensor expression where an algebra element was expected")
             if len(node.legs) != legs:
                 raise PresentationError(f"expected a {legs}-leg tensor")
             from .tensors import tensor_of  # tensors imports this module
-            t = tensor_of(*(self.evaluate(leg, dom) for leg in node.legs))
-            return {k: dom.from_scalar(c) for k, c in t.terms.items()}, None
+            return tensor_of(*(self.evaluate(leg) for leg in node.legs)).terms, None
         raise TypeError(node)
 
     def _raw_mul(self, a: dict, b: dict) -> dict:
@@ -853,8 +851,8 @@ def _droppable(c, N: int) -> bool:
     return c.trunc is None or c.trunc >= N
 
 
-def _as_scalar(raw: dict, dom):
+def _as_scalar(raw: dict):
     for w, c in raw.items():
         if w and not c.is_zero():
             return None
-    return raw.get((), dom.from_fraction(0))
+    return raw.get((), Scalar.zero())

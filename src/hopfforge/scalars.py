@@ -592,17 +592,6 @@ class Scalar:
     def inverse(self) -> "Scalar":
         return Scalar.one().div(self)
 
-    # -- as the default coefficient domain of pbw.Engine._eval --------------
-    to_scalar = truncate
-
-    @staticmethod
-    def series(fn: str, arg: "Scalar", order: int) -> "Scalar":
-        return series_fn(fn, arg.truncate(order), order=order)
-
-    @staticmethod
-    def from_scalar(s: "Scalar") -> "Scalar":
-        return s
-
     # -- comparisons --------------------------------------------------------
     def __eq__(self, other: "Scalar") -> bool:
         """Equality of all coefficients on the common known range."""

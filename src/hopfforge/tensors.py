@@ -534,10 +534,10 @@ def exp_tensor(x: TensorElement, degree_cutoff: int, max_degree: int | None = No
     return out if max_degree is None else out.window(max_degree)
 
 
-def evaluate_tensor(engine: Engine, node: Node, legs: int = 2, domain=Scalar) -> TensorElement:
+def evaluate_tensor(engine: Engine, node: Node, legs: int = 2) -> TensorElement:
     """Evaluate a coproduct-style expression, scalar multiples of ``legs``-leg
-    tensors over one engine, with coefficients in ``domain`` (``Engine._eval``)."""
-    terms = engine._words(node, domain, legs)
+    tensors over one engine (``Engine._eval``)."""
+    terms = engine._words(node, legs)
     if not all(k and type(k[0]) is tuple for k in terms):
         raise PresentationError(f"cannot evaluate {expr_to_text(node)} as a {legs}-leg tensor")
     return TensorElement((engine,) * legs, terms)

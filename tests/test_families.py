@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -7,8 +8,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hopfforge import presentation
-from hopfforge.families import (AtH1, NotClosedForm, compare_limit_with, differences,
-                                instantiate, structural_compare, structure,
+from hopfforge.families import (NotClosedForm, _h1_differences, at_h1, compare_limit_with,
+                                differences, h1_engine, instantiate, structural_compare,
+                                structure,
                                 verify_alpha_arbitrariness, verify_deforming_field,
                                 verify_family_relations, verify_h1_limit,
                                 verify_newquant_consistency)
@@ -159,19 +161,44 @@ def test_h1_limit_factorwise():
 def test_h1_limit_not_closed_form_reported():
     # without a vanishing (1-h) factor the sinh(1) denominator survives and the
     # expression is not closed-form evaluable at h=1
-    teng = Engine(load_presentation("h1_point"), CUT)
+    teng = h1_engine(load_presentation("h1_point"), CUT)
     with pytest.raises(NotClosedForm):
-        teng.evaluate(parse_expr_text("h*S - (2*h/sinh(h))*xi*cosh(h*T/2)"), AtH1)
+        at_h1(teng, parse_expr_text("h*S - (2*h/sinh(h))*xi*cosh(h*T/2)"))
     with pytest.raises(NotClosedForm):
-        teng.evaluate(parse_expr_text("xi/sinh(h)"), AtH1)
+        at_h1(teng, parse_expr_text("xi/sinh(h)"))
     # a denominator that vanishes at h=1 has no value there, even over a
     # vanishing numerator or in a product with one: (1-h)/(1-h) is 1 near h=1
     for text in ("(1-h)/(1-h)", "(1-h)*((1-h)/(1-h))"):
         with pytest.raises(NotClosedForm):
-            teng.evaluate(parse_expr_text(text), AtH1)
+            at_h1(teng, parse_expr_text(text))
+    # only sinh(h) itself has a value at h = 1: any other series of a nonzero
+    # constant is no closed form, and so is a sinh(1) left in a coefficient;
+    # the message names the expression as written
+    for text in ("exp(h)", "cosh(h)", "sinh(2*h)", "sinh(h)*xi"):
+        with pytest.raises(NotClosedForm, match=re.escape(f"{text} at h=1")):
+            at_h1(teng, parse_expr_text(text))
     # while the (1-h)-carrying factor evaluates to zero cleanly
-    el = teng.evaluate(parse_expr_text("(2*h*(1-h)/sinh(h))*xi*cosh(h*T/2)"), AtH1)
+    el = at_h1(teng, parse_expr_text("(2*h*(1-h)/sinh(h))*xi*cosh(h*T/2)"))
     assert el.is_zero()
+    # and parameters stay symbolic at h = 1
+    d1 = h1_engine(load_presentation("d1_variety"), CUT)
+    assert at_h1(d1, parse_expr_text("mu*h*xi")) == d1.generator("xi").scale(Scalar.param("mu"))
+
+
+@pytest.mark.parametrize("N,W", [(6, 10), (4, 8), (7, 12)])
+def test_variety_3d_at_h1_is_d1_variety_with_symbolic_parameters(N, W):
+    endpoint = Engine(load_presentation("d1_variety"), Cutoffs(N, W))
+    assert _h1_differences(load_presentation("variety_3d"), endpoint) == []
+
+
+def test_the_h1_comparison_catches_a_mutated_d1_variety():
+    # a hand-made mutant that no report catches through the other families
+    old = "{S,xi} = 2*(mu/theta)*sinh(theta*T/2)"
+    text = (DATA / "d1_variety.hopf").read_text()
+    assert text.count(old) == 1
+    mutant = parse_presentation(text.replace(old, "{S,xi} = 3*2*(mu/theta)*sinh(theta*T/2)"))
+    assert _h1_differences(load_presentation("variety_3d"), Engine(mutant, CUT)) == [
+        "bracket (xi,S) at h=1: ((-2*mu) + O(h^7))*T"]
 
 
 def test_newquant_consistency():
@@ -251,7 +278,7 @@ def test_structural_compare_reports_differences():
     assert any("(xi,tau)" in d or "(tau,xi)" in d for d in diffs)
 
 
-# ------------------------------------------------ the h = 1 domain, against sympy
+# ------------------------------------------- evaluation at h = 1, against sympy
 
 H = sympy.Symbol("h")
 
@@ -291,15 +318,15 @@ def to_sympy(node, poles: list):
 @settings(max_examples=300, deadline=None)
 @given(rational_in_h)
 def test_h1_domain_matches_sympy_at_h_equal_1(node):
-    teng = Engine(load_presentation("h1_point"), CUT)
+    teng = h1_engine(load_presentation("h1_point"), CUT)
     poles = []
     expr = to_sympy(node, poles)
     if poles:
         with pytest.raises(NotClosedForm):
-            teng.evaluate(node, AtH1)
+            at_h1(teng, node)
         return
     want = expr.subs(H, 1)
-    got = teng.evaluate(node, AtH1)
+    got = at_h1(teng, node)
     unit = (0,) * teng.n
     assert set(got.terms) <= {unit}
     c = got.terms.get(unit, Scalar.zero())

@@ -228,6 +228,18 @@ def test_expression_evaluation_deferred_division():
     assert c3.coeff(0).terms == {(("mu", 1), ("theta", 2)): F(1, 24)}
 
 
+def test_a_series_of_a_word_above_w_is_its_constant_term():
+    # the word prune of the evaluator's products drops T^11 at W = 10 before
+    # the series sees it, so no argument error: exp gives its constant term 1
+    # and sinh gives 0, as when every term of the series lies above W
+    eng = Engine(load_presentation("ptsa_q"), Cutoffs(6, 10))
+    got = eng.evaluate(parse_expr_text("exp(h*T^11)"))
+    unit = (0,) * eng.n
+    assert got.terms.keys() == {unit}
+    assert repr(got.terms[unit]) == "1 + O(h^7)"
+    assert eng.evaluate(parse_expr_text("sinh(h*T^11)")).is_zero()
+
+
 def test_rewrite_is_cutoff_capped(sd):
     iT = 3
     el = sd.normal_form((iT,) * 12)  # central degree 12 exceeds W=10
