@@ -29,8 +29,8 @@ from .pairing import verify_duality
 from .pbw import Cutoffs, shared_engine
 from .presentation import PresentationError, emit_presentation, load_presentation
 from .report import FAIL, VerificationReport, audited, judged, reports_to_json
-from .rmatrix import (RMatrixContext, build_R, check_triangularity, verify_auxiliary,
-                      verify_coproduct_laws, verify_intertwining)
+from .rmatrix import (GramError, RMatrixContext, build_R, check_triangularity,
+                      verify_auxiliary, verify_coproduct_laws, verify_intertwining)
 
 __all__ = ["main"]
 
@@ -110,22 +110,42 @@ def _rmatrix(args, which):
         """check(ctx), audited by check(ctx.audit_context)."""
         return audited(check(ctx), lambda: check(ctx.audit_context))
 
-    def with_R(check, variant):
-        return lambda c: check(c, build_R(c, variant), variant)
+    def needs_R(check, variant, name, target, cutoffs=lambda c: c.report_cutoffs):
+        """check(c, R, variant) on c's R; when that R does not exist (a Gram
+        matrix with no inverse), the report (name, target) fails with the
+        reason, and the other reports still run."""
+        def run(c):
+            try:
+                R = build_R(c, variant)
+            except GramError as e:
+                with VerificationReport.timed(name, target, cutoffs(c)) as rep:
+                    rep.cannot_run(str(e))
+                return rep
+            return check(c, R, variant)
+        return run
 
     reports = []
     if which in ("all", "intertwine"):
-        reports.append(on_both(with_R(verify_intertwining, "canonical")))
-        reports.append(on_both(with_R(verify_intertwining, "closed-form")))
+        for variant in ("canonical", "closed-form"):
+            reports.append(on_both(needs_R(verify_intertwining, variant,
+                                           f"rmatrix-intertwining[{variant}]",
+                                           "all four generators")))
     if which in ("all", "colaws"):
-        reports.append(on_both(with_R(verify_coproduct_laws, "canonical")))
+        reports.append(on_both(needs_R(verify_coproduct_laws, "canonical",
+                                       "rmatrix-coproduct-laws[canonical]",
+                                       "both coproduct laws")))
     if which in ("all", "aux"):
         reports.append(on_both(verify_auxiliary))
     if which in ("all", "triangular"):
-        reports.append(check_triangularity(ctx, ctx.canonical, "canonical"))
+        reports.append(needs_R(check_triangularity, "canonical",
+                               "rmatrix-triangularity[canonical]",
+                               "triangularity readings")(ctx))
     if which in ("all", "universal"):
-        reports.append(verify_universal_identity(
-            ctx.dbl, ctx.canonical, max_degree=3, compare_degree=ctx.degree))
+        reports.append(needs_R(
+            lambda c, R, _: verify_universal_identity(c.dbl, R, max_degree=3,
+                                                      compare_degree=c.degree),
+            "canonical", "universal-identity", "basis elements of degree <= 3",
+            lambda c: {**c.engine.cutoffs.as_dict(), "D": 3})(ctx))
     return reports
 
 

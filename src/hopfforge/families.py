@@ -132,10 +132,14 @@ class NotClosedForm(PresentationError):
 SINH1 = "sinh(1)"  # a parameter name that no presentation file can declare
 
 
-def h1_engine(endpoint: HopfPresentation, cutoffs: Cutoffs) -> Engine:
+def h1_engine(endpoint: HopfPresentation, cutoffs: Cutoffs, bindings: tuple = ()) -> Engine:
     """An engine on ``endpoint`` with one more parameter, ``SINH1``, that
-    stands for the indeterminate sinh(1): the engine ``at_h1`` evaluates in."""
-    return Engine(replace(endpoint, params=endpoint.params + (SINH1,)), cutoffs)
+    stands for the indeterminate sinh(1), and with ``bindings``, a bound
+    family's ((parameter, Node), ...), bound at h = 1: the engine ``at_h1``
+    evaluates in."""
+    at = tuple((name, ast_map(node, _h_to_1)) for name, node in bindings)
+    return Engine(replace(endpoint, params=endpoint.params + (SINH1,),
+                          bindings=endpoint.bindings + at), cutoffs)
 
 
 def _h_to_1(node: Node) -> Node:
@@ -166,7 +170,7 @@ def at_h1(engine: Engine, node: Node, legs: int | None = None):
 
 def _h1_differences(family: HopfPresentation, endpoint: Engine) -> list:
     """``family`` at h = 1, factor by factor, against ``endpoint``'s structure."""
-    wide = h1_engine(endpoint.presentation, endpoint.cutoffs)
+    wide = h1_engine(endpoint.presentation, endpoint.cutoffs, family.bindings)
     want = _brackets_and_coproducts(structure(endpoint))
     got = {f"coproduct of {g}": at_h1(wide, family.structure_map("coproduct", g), 2)
            for g in endpoint.gen_names}

@@ -48,6 +48,13 @@ exact multiplication is associative and commutative, and so is the ``trunc``
 rule min(ta + vb, tb + va) on these pole-free factors.  A row holds the
 untruncated product, since the right-hand sides of the consistency check are
 not truncated either.
+
+Filtration.  A pairing certifies, where it can, generator weights (w_H, w_K)
+under which <x, f> is zero whenever w_H(x) > w_K(f) (``Pairing.filtration``,
+which proves it).  Its Gram matrix is then block upper triangular, and the
+canonical R-matrix inverts only the block that its window reads
+(``rmatrix._canonical_element``).  The standard pair certifies w_H = (S 0,
+T 1) and w_K = (xi 0, tau 1), in both scalings.
 """
 
 from __future__ import annotations
@@ -55,7 +62,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
+from operator import mul
 
 from .hopf import HopfOps, shared_ops
 from .pbw import Cutoffs, Engine, PbwElement, _droppable, shared_engine
@@ -107,6 +116,63 @@ class Pairing:
         ops = self._ops
         self._flipped = Memo(lambda key: ops[key[0]].coproduct_mono(key[1]).flip_adjacent(0))
         self._rows = Memo(self._row)
+
+    @cached_property
+    def filtration(self) -> tuple | None:
+        """Generator weights (w_H, w_K) with <x, f> zero whenever w_H(x) >
+        w_K(f), or None when this pairing does not certify them.
+
+        w_H is H's engine weight (``Engine.weight``): no rule tail and no
+        coproduct term weighs less than what it replaces, and w_H >= 0.  w_K
+        gives each generator of K the largest w_H of an H generator it is
+        seeded against with a nonzero value, and 0 when there is none.  The
+        pair is certified when (i) no rule tail of K and no term of a K
+        generator's evaluated coproduct weighs more under w_K than what it
+        replaces, and (ii) every H generator of positive w_H has counit 0.
+
+        Lemma: under (i) and (ii), ``pair_mono(x, f).is_zero()`` whenever
+        w_H(x) > w_K(f), at any cutoffs and under every convention.  By
+        induction over ``_pair_mono``'s recursion, which is finite:
+        - across parities the value is zero;
+        - <1, f> never qualifies, as w_K(f) >= 0;
+        - <x, 1> = eps(x) with w_H(x) > 0 has a letter of positive weight,
+          whose counit is 0 by (ii);
+        - a seed <g, k> is nonzero only when k is seeded against g, and then
+          w_K(k) >= w_H(g) by the choice of w_K;
+        - the dual split <x, g f'> sums <y1, g> <y2, f'> c over Delta_H(x),
+          flipped or not, whose terms weigh w_H(y1) + w_H(y2) >= w_H(x) >
+          w_K(g) + w_K(f'); the primal split <a x', k> sums <a, k1> <x', k2>
+          c over Delta_K of the generator k, flipped or not, whose terms weigh
+          w_K(k1) + w_K(k2) <= w_K(k) < w_H(a) + w_H(x') by (i).  So in every
+          term one factor is a pair within the lemma, zero by induction, and
+          a product with a zero factor is zero;
+        - truncation, the W cut and the skip of zero terms only drop terms,
+          and a sum of zeros is zero.
+        So the Gram matrix, rows by w_H and columns by w_K, is block upper
+        triangular at every level (``rmatrix._canonical_element``).  The
+        lemma reads the coproduct half of (i); its rule half makes a product
+        in K weigh at most its factors, so <x, f g> is zero too whenever
+        w_H(x) > w_K(f) + w_K(g).
+        """
+        H, K = self.H, self.K
+        w_h = H.weight
+        w_k = [0] * K.n
+        for (hi, ki), value in self._seed.items():
+            if value:
+                w_k[ki] = max(w_k[ki], w_h[hi])
+        w_k = tuple(w_k)
+
+        def weight(mono) -> int:
+            return sum(map(mul, mono, w_k))
+
+        raises = any(weight(K.word_to_monomial(word)) > w_k[i] + w_k[j]
+                     for (i, j), (_, tail) in K._rules.items() for word in tail)
+        raises = raises or any(weight(k1) + weight(k2) > w_k[i]
+                               for i, name in enumerate(K.gen_names)
+                               for k1, k2 in self.k_ops.coproduct_gen(name).terms)
+        counit = any(w and not self.h_ops.counit_mono(H.word_to_monomial((i,))).is_zero()
+                     for i, w in enumerate(w_h))
+        return None if raises or counit else (w_h, w_k)
 
     def coproduct(self, side: int, mono) -> TensorElement:
         """Delta^conv of a monomial of H (side 0) or of K (side 1)."""

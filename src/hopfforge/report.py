@@ -4,7 +4,8 @@ rule that turns them into verdicts.
 A check makes its report in one way, ``VerificationReport.timed()``: the block
 it runs in gets a passing report, appends details to it or fails it with
 ``fail()``, and the report's ``wall_time`` is the time the block took however
-it ends.  A check says only whether its property holds.  ``audited()`` then
+it ends.  A check says only whether its property holds, or, with
+``cannot_run()``, that it could not compute it.  ``audited()`` then
 re-runs a pass at bumped cutoffs for its stability audit.
 
 Which published claims are refuted is declared once, in ``REFUTED``, and
@@ -56,6 +57,8 @@ class VerificationReport:
     audit: str = "not-run"  # set by audited(): pass | fail | skipped; else not-run
     details: list = field(default_factory=list)
     wall_time: float = 0.0
+    # False when the check could not compute its property (``cannot_run``)
+    ran: bool = True
 
     @classmethod
     @contextmanager
@@ -72,6 +75,12 @@ class VerificationReport:
     def fail(self, residual: str | None) -> None:
         self.status = FAIL
         self.residual = "(unspecified residual)" if residual is None else residual
+
+    def cannot_run(self, reason: str) -> None:
+        """Fail a check that could not compute what it checks.  The failure
+        says nothing of the claim, so ``judged`` never makes it a finding."""
+        self.fail(reason)
+        self.ran = False
 
     def as_dict(self) -> dict:
         return {
@@ -112,12 +121,13 @@ def audited(report: VerificationReport, rerun) -> VerificationReport:
 
 def judged(report: VerificationReport) -> VerificationReport:
     """The verdict on a check's report.  A report not in REFUTED states an
-    established claim and keeps its status.  A refuted claim that fails is a
+    established claim and keeps its status, and so does a check that could
+    not run.  A refuted claim that fails is a
     finding; one that holds at cutoffs reaching its shows-at values is a
     failure; either way the reason is appended.  Below those cutoffs a pass
     stays a pass."""
     row = REFUTED.get((report.check, report.target))
-    if row is None:
+    if row is None or not report.ran:
         return report
     reason, shows_at = row
     if report.status == FAIL:

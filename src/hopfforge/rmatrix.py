@@ -1,8 +1,10 @@
 """The universal element of the double and its quasi-triangularity checks.
 
 Two builds are available: the published closed form (1 (x) 1 + S (x) xi) e^{T (x) tau}
-("closed-form"), and the canonical element computed from the pairing by solving
-for the dual basis degree by degree ("canonical").  The canonical build needs no closed-form input; it
+("closed-form"), and the canonical element sum_s e_s (x) e^s computed from the
+pairing by inverting its Gram matrix ("canonical").  A certified pairing
+filtration makes that matrix block triangular, so the canonical build inverts
+only the block that the window of D reads.  It needs no closed-form input; it
 comes out as (1 (x) 1 + S e^{hT/2} (x) xi) e^{T (x) tau}, which differs from the
 published form by the e^{hT/2} factor.  Every check reports which build it ran
 on, and failures carry the first residual term.
@@ -11,6 +13,7 @@ on, and failures carry the first residual term.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import mul
 
 from .double import Double
 from .hopf import first_residual, shared_ops
@@ -20,7 +23,7 @@ from .report import VerificationReport
 from .scalars import Scalar, gauss_jordan, series_fn
 from .tensors import TensorElement, exp_tensor, tensor_mul, tensor_of
 
-__all__ = ["RMatrixContext", "build_R", "verify_intertwining",
+__all__ = ["RMatrixContext", "GramError", "build_R", "verify_intertwining",
            "verify_coproduct_laws", "verify_auxiliary", "check_triangularity"]
 
 
@@ -32,8 +35,12 @@ class RMatrixContext:
     ``build double``) is not repeated here, and a wrong double shows in the
     R-matrix checks themselves.
 
-    The canonical R and ``audit_context``, the context at (D+1, N+1), are
-    built on first use and kept here, so the checks of one command and their
+    The canonical R holds the terms of the Gram block that the window of D
+    reads (``_canonical_element``), and every check reads it at D: the
+    intertwining through the windowed ``tensor_mul``, the coproduct laws,
+    triangularity and the universal identity through ``R.window(D)``.  It
+    and ``audit_context``, the context at (D+1, N+1), are built on first use
+    and kept here, so the checks of one command and their
     re-runs at bumped cutoffs share them, and they go when the context goes.
     The engines, HopfOps and pairing under a context are the process's shared
     ones (``shared``): they stay after it, for the next context at the same
@@ -68,7 +75,9 @@ class RMatrixContext:
 
 
 def build_R(ctx: RMatrixContext, variant: str = "closed-form") -> TensorElement:
-    """The universal element, to the context's internal expansion order."""
+    """The universal element, to the context's internal expansion order; the
+    canonical one holds only what the window of D reads (``RMatrixContext``),
+    and raises GramError where the pairing's Gram matrix has no inverse."""
     eng = ctx.engine
     if variant == "closed-form":
         E = exp_tensor(tensor_of(eng.generator("T"), eng.generator("tau")), ctx.d_int)
@@ -79,31 +88,94 @@ def build_R(ctx: RMatrixContext, variant: str = "closed-form") -> TensorElement:
     raise ValueError(f"unknown R variant {variant!r}")
 
 
+class GramError(RuntimeError):
+    """The pairing's Gram matrix has no inverse on a parity block, so the
+    canonical element does not exist at these cutoffs."""
+
+
 def _canonical_element(ctx: RMatrixContext) -> TensorElement:
-    """sum_s e_s (x) e^s from the pairing, by inverting the Gram matrix."""
-    dbl = ctx.dbl
-    H, K = dbl.H, dbl.K
-    pair = dbl.pairing
-    out = TensorElement((ctx.engine, ctx.engine), {})
+    """sum_s e_s (x) e^s from the pairing, by inverting the Gram block that
+    the window of D reads.
+
+    Each parity block's rows are the basis monomials of H up to D_int and its
+    columns those of K, both in (degree, monomial) order.  Under a certified
+    pairing filtration (``Pairing.filtration``), where the double's engine
+    weighs each generator of H at least w_H, the block keeps only the rows
+    of w_H <= b and the columns of w_K <= b, b the weight bound of the window
+    of D, when those are prefixes of the rows and of the columns of one
+    length; otherwise it keeps them all.
+
+    Why this is the canonical element's window.  Under the filtration the
+    Gram matrix G is block upper triangular: the entries of the dropped rows
+    in the kept columns are zero.  So the kept columns of G^-1 are zero on
+    the dropped columns, and the dual element of a kept row is the kept
+    block's inverse on the kept columns alone.  A dropped row x weighs more
+    than b in the double, so every key x (x) f is outside the window of D.
+
+    Why it is the full basis's build, entry for entry.  In the full [G | 1]
+    the dropped rows are zero in the kept columns and so never updated while
+    ``gauss_jordan`` reduces those columns, which come first: it picks the
+    kept block's pivots and does to the kept entries what this reduction
+    does, scaling each kept row as a pivot row and so truncating its entries
+    at ``order``.  Later it changes a kept row's entry in a kept column of
+    the identity half only by truncating it at min(t + v, order), t the
+    trunc of the zero that the scaled dropped pivot row holds there and v the
+    valuation of the kept row's entry in the pivot column.  The pairing
+    values are pole-free, so when no pivot inverse of the full reduction has
+    a pole every valuation is >= 0 and every such t is ``order``: the
+    truncation is at ``order``, where the entry already is.  Whether a
+    dropped pivot has a pole shows only in the dropped block, which this
+    build does not form; where one would, the full build's kept entries lose
+    precision for a reason outside the window, and this build's keep the
+    precision of the kept block's inverse.  The tests compare the two builds
+    at eleven cutoff pairs.
+
+    A kept block whose reduction misses a pivot misses it in the full basis
+    too, and a block that is not square has no inverse: each raises
+    GramError, naming the parity block."""
+    dbl, eng = ctx.dbl, ctx.engine
+    H, K, pair = dbl.H, dbl.K, dbl.pairing
+    out = TensorElement((eng, eng), {})
+    weights = pair.filtration
+    if weights is not None and any(eng.weight[j] < w
+                                   for j, w in zip(eng.index_map[H], weights[0])):
+        weights = None
+    bound = out.weight_bound(ctx.degree)
     for par in (0, 1):
         # _h_basis is in (degree, monomial) order, and so is each parity's part
         rows = [m for m in _h_basis(H, ctx.d_int) if H.monomial_parity(m) == par]
         cols = [m for m in _h_basis(K, ctx.d_int) if K.monomial_parity(m) == par]
+        if weights is not None:
+            rows, cols = _kept(rows, cols, weights, bound)
         if len(rows) != len(cols):
-            raise RuntimeError("canonical element: pairing blocks are not square")
+            raise GramError(f"canonical element: pairing blocks are not square "
+                            f"in parity block {par}")
         # [G | 1] reduces to [1 | G^-1]
         n = len(rows)
         A = [[pair.pair_mono(r, c) for c in cols]
              + [Scalar.one() if i == j else Scalar.zero() for j in range(n)]
              for i, r in enumerate(rows)]
         if gauss_jordan(A, ctx.h_order) != list(range(n)):
-            raise RuntimeError("canonical element: Gram pivot not invertible")
+            raise GramError(f"canonical element: Gram pivot not invertible "
+                            f"in parity block {par}")
         for k, mh in enumerate(rows):
             dual = PbwElement(K, {mk: A[j][n + k] for j, mk in enumerate(cols)
                                   if not A[j][n + k].is_zero()})
-            out = out + tensor_of(PbwElement(H, {mh: Scalar.one()}).moved_to(ctx.engine),
-                                  dual.moved_to(ctx.engine))
+            out = out + tensor_of(PbwElement(H, {mh: Scalar.one()}).moved_to(eng),
+                                  dual.moved_to(eng))
     return out
+
+
+def _kept(rows: list, cols: list, weights: tuple, bound: int) -> tuple:
+    """The rows of w_H <= bound and the columns of w_K <= bound, when they are
+    prefixes of rows and of cols of one length; else rows and cols."""
+    w_h, w_k = weights
+    kept_rows = [m for m in rows if sum(map(mul, m, w_h)) <= bound]
+    kept_cols = [m for m in cols if sum(map(mul, m, w_k)) <= bound]
+    if (kept_rows == rows[:len(kept_rows)] and kept_cols == cols[:len(kept_cols)]
+            and len(kept_rows) == len(kept_cols)):
+        return kept_rows, kept_cols
+    return rows, cols
 
 
 def verify_intertwining(ctx: RMatrixContext, R: TensorElement,

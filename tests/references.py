@@ -20,7 +20,9 @@ a kernel under test (the one-leg ``tensor_mul``):
   coproduct against every term of f's, each <e_k, e^k'> and each S^-1
   contraction read afresh per pair;
 * ``reference_gauss_jordan`` is the dense elimination, every entry of a row
-  update formed as a product, zero or not.
+  update formed as a product, zero or not;
+* ``reference_canonical_element`` is the canonical R built on the full basis
+  up to D_int, every Gram row and column kept.
 
 The references drop a coefficient by their own copy of the kernel's rule
 (``known_zero``: a zero known to h^N), never by the kernel's, so a test that
@@ -36,10 +38,11 @@ the same canonical storage (so the same value, ``trunc`` and ``repr``);
 
 import math
 
+from hopfforge.pairing import _h_basis
 from hopfforge.pbw import PbwElement, _clean
 from hopfforge.presentation import ODD
 from hopfforge.scalars import ParamPoly, Scalar
-from hopfforge.tensors import TensorElement
+from hopfforge.tensors import TensorElement, tensor_of
 
 
 def direct_parity(e, m):
@@ -243,3 +246,27 @@ def same_terms(x, y):
     assert x.terms.keys() == y.terms.keys()
     for k, c in x.terms.items():
         same_scalar(c, y.terms[k], k)
+
+
+def reference_canonical_element(ctx):
+    """The canonical element built on the full basis: per parity block, the
+    Gram matrix on every basis monomial of H and of K up to D_int, inverted
+    by ``reference_gauss_jordan``, and sum_s e_s (x) e^s over every row."""
+    dbl, eng = ctx.dbl, ctx.engine
+    H, K, pair = dbl.H, dbl.K, dbl.pairing
+    out = TensorElement((eng, eng), {})
+    for par in (0, 1):
+        rows = [m for m in _h_basis(H, ctx.d_int) if H.monomial_parity(m) == par]
+        cols = [m for m in _h_basis(K, ctx.d_int) if K.monomial_parity(m) == par]
+        assert len(rows) == len(cols)
+        n = len(rows)
+        A = [[pair.pair_mono(r, c) for c in cols]
+             + [Scalar.one() if i == j else Scalar.zero() for j in range(n)]
+             for i, r in enumerate(rows)]
+        assert reference_gauss_jordan(A, ctx.h_order) == list(range(n))
+        for k, mh in enumerate(rows):
+            dual = PbwElement(K, {mk: A[j][n + k] for j, mk in enumerate(cols)
+                                  if not A[j][n + k].is_zero()})
+            out = out + tensor_of(PbwElement(H, {mh: Scalar.one()}).moved_to(eng),
+                                  dual.moved_to(eng))
+    return out

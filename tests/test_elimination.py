@@ -5,8 +5,9 @@ forming the product: times the pivot's inverse a zero known to O(h^(t+1))
 becomes one known to t + v(inverse), and in a row update a - f*0 is ``a``
 truncated where f*0 is known.  So both must give the same pivots and the
 same rows, value, ``trunc`` and storage of every entry, on the canonical
-element's Gram blocks and on drawn matrices with exact zeros, zeros known
-above and below ``order``, poles and parameters.
+element's Gram blocks, on the full basis and on the kept blocks it reduces,
+and on drawn matrices with exact zeros, zeros known above and below
+``order``, poles and parameters.
 """
 
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfforge.pairing import _h_basis
+from hopfforge.rmatrix import _kept
 from hopfforge.scalars import Scalar, ScalarError, gauss_jordan
 
 from references import reference_gauss_jordan, same_scalar
@@ -38,18 +40,35 @@ def same_elimination(rows, order):
     return want
 
 
-@pytest.mark.parametrize("cut", [(4, 4), (5, 5), (6, 6)], ids=str)
-def test_the_canonical_gram_blocks_reduce_as_the_dense_loop(cut):
-    # [G | 1] for each parity block, as the canonical element builds it
-    ctx = double_context(cut)
+def gram_blocks(ctx, kept):
+    """[G | 1] for each parity block, as the canonical element builds it: on
+    the full basis, or on the block it keeps for the window of D."""
     H, K, pair = ctx.dbl.H, ctx.dbl.K, ctx.dbl.pairing
+    bound = ctx.canonical.weight_bound(ctx.degree)
     for par in (0, 1):
         rows = [m for m in _h_basis(H, ctx.d_int) if H.monomial_parity(m) == par]
         cols = [m for m in _h_basis(K, ctx.d_int) if K.monomial_parity(m) == par]
+        if kept:
+            full = len(rows)
+            rows, cols = _kept(rows, cols, pair.filtration, bound)
+            assert len(rows) < full
         n = len(rows)
-        A = [[pair.pair_mono(r, c) for c in cols]
-             + [Scalar.one() if i == j else Scalar.zero() for j in range(n)]
-             for i, r in enumerate(rows)]
+        yield n, [[pair.pair_mono(r, c) for c in cols]
+                  + [Scalar.one() if i == j else Scalar.zero() for j in range(n)]
+                  for i, r in enumerate(rows)]
+
+
+@pytest.mark.parametrize("cut", [(4, 4), (5, 5), (6, 6)], ids=str)
+def test_the_canonical_gram_blocks_reduce_as_the_dense_loop(cut):
+    ctx = double_context(cut)
+    for n, A in gram_blocks(ctx, kept=False):
+        assert same_elimination(A, ctx.h_order) == list(range(n))
+
+
+@pytest.mark.parametrize("cut", [(4, 4), (5, 5), (6, 6)], ids=str)
+def test_the_kept_gram_blocks_reduce_as_the_dense_loop(cut):
+    ctx = double_context(cut)
+    for n, A in gram_blocks(ctx, kept=True):
         assert same_elimination(A, ctx.h_order) == list(range(n))
 
 

@@ -191,6 +191,18 @@ def test_variety_3d_at_h1_is_d1_variety_with_symbolic_parameters(N, W):
     assert _h1_differences(load_presentation("variety_3d"), endpoint) == []
 
 
+def test_a_bound_family_is_compared_at_h1_with_its_bindings():
+    # the widened engine binds the family's parameters, each taken at h = 1
+    endpoint = Engine(load_presentation("h1_point"), CUT)
+    assert _h1_differences(instantiate("variety_3d", {"mu": 1, "theta": 1}), endpoint) == []
+    assert _h1_differences(instantiate("variety_3d", {"mu": 1, "theta": 2}), endpoint) == [
+        "bracket (xi,S) at h=1: (1/8 + O(h^7))*T^3",
+        "coproduct of S at h=1: (1/2 + O(h^7))*[T (x) S]"]
+    # a binding that reads h is evaluated at h = 1 too: theta = 2 - h is 1 there
+    assert _h1_differences(instantiate("variety_3d", {"mu": 1, "theta": "2 - h"}),
+                           endpoint) == []
+
+
 def test_the_h1_comparison_catches_a_mutated_d1_variety():
     # a hand-made mutant that no report catches through the other families
     old = "{S,xi} = 2*(mu/theta)*sinh(theta*T/2)"

@@ -549,3 +549,19 @@ def test_an_identity_with_one_side_empty_still_fails():
     assert got == uncontracted_consistency_failures(plain, 2, limit=10**6)
     assert ("<T, xi*xi>", "1 + O(h^7)") in got
     assert rows._memo.keys() == plain._memo.keys()
+
+
+@pytest.mark.parametrize("D, N", [(4, 4), (5, 5), (6, 6)])
+@pytest.mark.parametrize("alpha2", [True, False], ids=["alpha2", "literal"])
+def test_the_gram_matrix_vanishes_where_the_filtration_says(D, N, alpha2):
+    # every <x, f> with w_H(x) > w_K(f) on the basis up to D_int = D + N + 2
+    p = standard_pair(Cutoffs(N, D + N + 2), alpha2=alpha2)
+    assert p.filtration == ((0, 1), (0, 1))  # w_H (S, T), w_K (xi, tau)
+    w_h, w_k = p.filtration
+    checked = 0
+    for mh in _h_basis(p.H, D + N + 2):
+        for mk in _h_basis(p.K, D + N + 2):
+            if sum(e * w for e, w in zip(mh, w_h)) > sum(e * w for e, w in zip(mk, w_k)):
+                assert p.pair_mono(mh, mk).is_zero(), (mh, mk)
+                checked += 1
+    assert checked > 0

@@ -95,3 +95,12 @@ def test_a_refuted_claim_is_a_finding_and_fails_where_it_holds(key):
     for name in shows_at:
         rep = VerificationReport(*key, {**shows_at, name: shows_at[name] - 1}, PASS)
         assert (judged(rep).status, rep.residual, rep.details) == (PASS, None, [])
+
+
+@pytest.mark.parametrize("key", list(REFUTED), ids=" :: ".join)
+def test_a_check_that_could_not_run_stays_a_failure(key):
+    # the failure says nothing of the claim, so no finding hides it
+    rep = VerificationReport(*key, dict(REFUTED[key][1]), PASS)
+    rep.cannot_run("no canonical element")
+    assert (judged(rep).status, rep.residual, rep.details) == \
+        (FAIL, "no canonical element", [])

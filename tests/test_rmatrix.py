@@ -1,12 +1,16 @@
 import json
+import shutil
 from argparse import Namespace
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from hopfforge import cli, double, rmatrix
+from hopfforge import cli, double, presentation, rmatrix
 from hopfforge.double import Double, verify_universal_identity
+from hopfforge.lang import parse_expr_text
+from hopfforge.pairing import Pairing
 from hopfforge.pbw import Engine
 from hopfforge.report import judged
 from hopfforge.rmatrix import (RMatrixContext, build_R, check_triangularity,
@@ -14,6 +18,8 @@ from hopfforge.rmatrix import (RMatrixContext, build_R, check_triangularity,
                                verify_intertwining)
 from hopfforge.scalars import Scalar
 from hopfforge.tensors import TensorElement, exp_tensor, tensor_mul, tensor_of
+
+from references import identical, reference_canonical_element
 
 
 @pytest.fixture(scope="module")
@@ -279,3 +285,118 @@ def test_rmatrix_context_never_runs_the_reconstruction(monkeypatch):
     monkeypatch.setattr(double, "verify_hopf", _refuse)
     assert not RMatrixContext(2, 2).canonical.is_zero()
     assert cli.main(["--h-order", "2", "--tensor-degree", "2", "check", "rmatrix"]) == 0
+
+
+# ------------------------------------------------- the Gram block the window reads
+
+WINDOW_CUTS = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 6), (2, 6), (7, 3), (8, 4),
+               (9, 5)]
+
+
+@pytest.mark.parametrize("cut", WINDOW_CUTS, ids=str)
+def test_the_canonical_window_is_the_full_basis_build(cut):
+    # the same keys in the same order, coefficients and trunc, in the window
+    # of D; the build keeps only the rows of weight <= the window's bound
+    ctx = RMatrixContext(*cut)
+    full = reference_canonical_element(ctx)
+    assert ctx.dbl.pairing.filtration is not None
+    identical(ctx.canonical.window(ctx.degree), full.window(ctx.degree))
+    assert len(ctx.canonical.terms) < len(full.terms)
+
+
+def test_the_corrected_closed_form_is_the_canonical_window():
+    # (1 (x) 1 + S e^{hT/2} (x) xi) e^{T (x) tau}, built without the Gram matrix
+    for cut in [(4, 4), (5, 5), (6, 6), (8, 4)]:
+        ctx = RMatrixContext(*cut)
+        eng, D = ctx.engine, ctx.degree
+        s_exp = eng.evaluate(parse_expr_text("S*exp(h*T/2)"))
+        E = exp_tensor(tensor_of(eng.generator("T"), eng.generator("tau")), ctx.d_int, D)
+        corrected = tensor_mul(TensorElement.unit((eng, eng))
+                               + tensor_of(s_exp, eng.generator("xi")), E, D)
+        assert (corrected - ctx.canonical).window(D).is_zero(), cut
+
+
+def mutated_data(tmp_path, monkeypatch, name, old, new):
+    """Read the data from a copy whose file ``name`` has the line old as new."""
+    data = tmp_path / "data"
+    shutil.copytree(Path(presentation.__file__).parent / "data", data)
+    path = data / f"{name}.hopf"
+    lines = path.read_text().split("\n")
+    assert lines.count(old) == 1, old
+    lines[lines.index(old)] = new
+    path.write_text("\n".join(lines))
+    monkeypatch.setenv("HOPFFORGE_DATA_DIR", str(data))
+
+
+UNCERTIFIED = {
+    # a dual coproduct term that raises w_K: <T^2, tau> = 1 with w_H(T^2) = 2
+    "coproduct": ("brst_q_alpha2", "tau = tau (x) 1 + 1 (x) tau + (h/sinh(h))*xi (x) xi",
+                  "tau = tau (x) 1 + 1 (x) tau + (h/sinh(h))*xi (x) xi + tau (x) tau",
+                  ((0, 2), (0, 1))),
+    # an H generator of weight 1 with a nonzero counit: <T, 1> = h
+    "counit": ("ptsa_q", "T = 0", "T = h", ((0, 1), (0, 0))),
+}
+
+
+@pytest.mark.parametrize("mutant", list(UNCERTIFIED))
+def test_an_uncertified_filtration_builds_on_the_full_basis(tmp_path, monkeypatch, mutant):
+    name, old, new, (mh, mk) = UNCERTIFIED[mutant]
+    mutated_data(tmp_path, monkeypatch, name, old, new)
+    ctx = RMatrixContext(3, 3)
+    pair = ctx.dbl.pairing
+    assert pair.filtration is None
+    # the lemma fails on the mutant, so a kept block would not be exact
+    assert not pair.pair_mono(mh, mk).is_zero()
+    identical(ctx.canonical, reference_canonical_element(ctx))
+
+
+def test_a_double_lighter_than_w_h_builds_on_the_full_basis(monkeypatch):
+    # the window's bound counts weight in the double: were an H generator
+    # lighter there than under w_H, a dropped row could reach the window
+    ctx = RMatrixContext(3, 3)
+    monkeypatch.setattr(ctx.engine, "weight", (0,) * ctx.engine.n)
+    identical(rmatrix._canonical_element(ctx), reference_canonical_element(ctx))
+
+
+DEGENERATE = ("ptsa_q", "T = T (x) 1 + 1 (x) T", "T = T (x) 1")
+NEEDS_R = {"rmatrix-intertwining[canonical]", "rmatrix-coproduct-laws[canonical]",
+           "rmatrix-triangularity[canonical]", "universal-identity"}
+
+
+@pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "full basis"])
+def test_a_degenerate_gram_matrix_fails_the_reports_that_read_r(tmp_path, monkeypatch, capsys,
+                                                                filtered):
+    mutated_data(tmp_path, monkeypatch, *DEGENERATE)
+    if not filtered:
+        monkeypatch.setattr(Pairing, "filtration", property(lambda self: None))
+    assert (RMatrixContext(4, 4).dbl.pairing.filtration is not None) == filtered
+    assert cli.main(["--format", "json", "check", "rmatrix"]) == 1
+    docs = json.loads(capsys.readouterr().out)
+    want = "canonical element: Gram pivot not invertible in parity block 0"
+    assert [(d["check"], d["status"]) for d in docs] == [
+        ("rmatrix-intertwining[canonical]", "fail"),
+        ("rmatrix-intertwining[closed-form]", "finding"),
+        ("rmatrix-coproduct-laws[canonical]", "fail"),
+        ("rmatrix-auxiliary-identity", "pass"),
+        ("rmatrix-triangularity[canonical]", "fail"),
+        ("universal-identity", "fail")]
+    for d in docs:
+        if d["check"] in NEEDS_R:
+            assert (d["residual"], d["details"]) == (want, []), d["check"]
+            assert d["stability_audit"] in ("skipped", "not-run")
+
+
+def test_a_degenerate_gram_matrix_leaves_suite_all_a_report_stream(tmp_path, monkeypatch,
+                                                                   capsys):
+    mutated_data(tmp_path, monkeypatch, *DEGENERATE)
+    assert cli.main(["--format", "json", "suite", "all"]) == 1
+    docs = json.loads(capsys.readouterr().out)
+    # every check of the golden stream, but the route check of a double whose
+    # reconstruction fails
+    golden = json.loads((Path(__file__).parent / "golden" / "suite_all.json").read_text())
+    assert [d["check"] for d in docs] == [
+        g["check"] for g in golden if g["check"] != "double-route-equivalence"]
+    assert {d["check"] for d in docs if d["residual"] and "Gram pivot" in d["residual"]} \
+        == NEEDS_R
+    assert ("hopf-axioms", "ptsa_q", "fail") in {(d["check"], d["target"], d["status"])
+                                                 for d in docs}
